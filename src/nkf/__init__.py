@@ -9,8 +9,7 @@ from .config import RunConfig, load_config, save_config
 from .data_io import (CorpusManifest, ManifestEntry, MixSpec, load_manifest,
                       mix_at_snr, oracle_noise_variance, read_wav, synth_corpus,
                       write_wav)
-from .enhancer import (EnhancementResult, NkfFrameEstimates, enhance,
-                       enhance_wiener, gradient_check, nkf_combine,
+from .enhancer import (enhance, enhance_wiener, gradient_check, nkf_combine,
                        nkf_forward, nkf_gain, nkf_loss, train)
 from .errors import ConfigError, DataError, NkfError, NumericsError
 from .kalman import (KfGain, KfState, enhance_kf_baseline, kf_gain, kf_predict,
@@ -21,6 +20,7 @@ from .metrics import MetricReport, amplitude_mse, fwsegsnr, segsnr
 from .networks import (LstmPredictor, NkfModel, NoiseFnn, build_model,
                        load_checkpoint, lstm_forward, noise_fnn_forward,
                        optimizer_step, save_checkpoint)
+from .pipeline import EnhancementResult, NkfFrameEstimates
 from .signal_core import Spectrogram, Waveform, istft, recombine, stft
 from .wiener import VarianceTracks, apply_wiener, track_sigma_y, wiener_gain
 

@@ -36,10 +36,6 @@ def no_grad():
         _GRAD_ENABLED = saved
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class DiffArray:
     """A node in the reverse-mode computation graph."""
 

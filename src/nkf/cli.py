@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import data_io, enhancer, kalman, metrics
+from . import data_io, enhancer, metrics
 from .config import load_config, parse_assignments, save_config
 from .errors import ConfigError, DataError, NkfError, NumericsError
 from .networks import build_model, load_checkpoint
@@ -56,8 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wav", help="single noisy wav to enhance")
     p.add_argument("--manifest", help="corpus manifest to read utterances from")
     p.add_argument("--split", default="test", choices=data_io.SPLITS)
-    p.add_argument("--method", default="nkf",
-                   choices=("nkf", "kf", "wiener", "lstm"))
+    p.add_argument("--method", default="nkf", choices=tuple(enhancer.METHODS))
     p.add_argument("--oracle-noise", action="store_true",
                    help="use the manifest's scaled-noise files for the noise variance")
     p.add_argument("--dump-grids", action="store_true",
@@ -119,33 +118,25 @@ def _enhance_inputs(cfg, args):
         raise ConfigError("enhance needs --wav or --manifest")
 
 
-def _oracle_grid(cfg, entry):
-    if entry is None:
-        raise ConfigError("--oracle-noise needs --manifest")
-    noise = data_io.read_wav(entry.noise_path, cfg.sample_rate)
-    return data_io.oracle_noise_variance(noise, cfg)
-
-
 def cmd_enhance(cfg, args) -> int:
-    model = None
-    if args.checkpoint:
-        model = load_checkpoint(args.checkpoint)
-    oracle_ok = args.method in ("kf", "wiener") and args.oracle_noise
-    if model is None and not oracle_ok:
-        raise ConfigError(f"--method {args.method} requires --checkpoint "
-                          "(kf and wiener may use --oracle-noise instead)")
+    run, oracle_ok = enhancer.METHODS[args.method]
+    if args.oracle_noise and not oracle_ok:
+        raise ConfigError(f"--method {args.method} cannot use --oracle-noise")
+    if not (args.checkpoint or args.oracle_noise):
+        raise ConfigError(f"--method {args.method} requires --checkpoint"
+                          + (" or --oracle-noise" if oracle_ok else ""))
+    model = load_checkpoint(args.checkpoint) if args.checkpoint else None
     os.makedirs(args.out, exist_ok=True)
     save_config(cfg, os.path.join(args.out, "resolved.cfg"))
     count = 0
     for utt_id, noisy, entry in _enhance_inputs(cfg, args):
-        if args.method == "kf":
-            grid = _oracle_grid(cfg, entry) if args.oracle_noise else None
-            result = kalman.enhance_kf_baseline(noisy, cfg, sigma_v2_grid=grid,
-                                                model=model)
-        elif args.method == "wiener" and args.oracle_noise:
-            result = enhancer.enhance_wiener(noisy, cfg, _oracle_grid(cfg, entry))
-        else:
-            result = enhancer.enhance(model, noisy, method=args.method)
+        grid = None
+        if args.oracle_noise:
+            if entry is None:
+                raise ConfigError("--oracle-noise needs --manifest")
+            noise = data_io.read_wav(entry.noise_path, cfg.sample_rate)
+            grid = data_io.oracle_noise_variance(noise, cfg)
+        result = run(model, noisy, cfg, grid)
         data_io.write_wav(result.waveform, os.path.join(args.out, f"{utt_id}.wav"))
         if args.dump_grids:
             grids = {k: v for k, v in vars(result.grids).items() if v is not None}

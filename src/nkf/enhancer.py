@@ -19,43 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import data_io, signal_core, wiener
+from . import data_io, kalman, signal_core, wiener
 from .errors import DataError, NumericsError
-from .networks import NkfModel, lstm_forward, noise_fnn_forward_grid, \
-    optimizer_step, save_checkpoint
-
-
-@dataclass
-class NkfFrameEstimates:
-    """Per-utterance inspection grids, each T x F (or None when a pipeline
-    variant does not produce it)."""
-
-    amp_lstm: np.ndarray | None
-    amp_wiener: np.ndarray | None
-    sigma_r2: np.ndarray | None
-    sigma_v2: np.ndarray | None
-    gain: np.ndarray | None
-    amp_out: np.ndarray | None
-
-    def __post_init__(self):
-        if self.gain is not None and (np.any(self.gain < 0) or np.any(self.gain > 1)):
-            raise DataError("gain grid must lie in [0, 1]")
-        for grid in (self.amp_lstm, self.amp_wiener, self.amp_out):
-            if grid is not None and np.any(grid < 0):
-                raise DataError("amplitude grids must be nonnegative")
-
-
-@dataclass
-class EnhancementResult:
-    waveform: signal_core.Waveform
-    grids: NkfFrameEstimates
-    clean: signal_core.Waveform | None = None
-    noisy: signal_core.Waveform | None = None
+from .networks import NkfModel, build_model, lstm_forward, \
+    noise_fnn_forward_grid, optimizer_step, save_checkpoint
+from .pipeline import EnhancementResult, NkfFrameEstimates, enhance_with, \
+    lstm_features, wiener_estimate
 
 
 @dataclass
 class NkfGraph:
-    """Live graph nodes from one forward pass plus the constant inputs."""
+    """Live graph nodes from one forward pass."""
 
     amp_lstm: ad.DiffArray
     amp_wiener: ad.DiffArray
@@ -63,7 +37,6 @@ class NkfGraph:
     sigma_v2: ad.DiffArray
     gain: ad.DiffArray
     amp_out: ad.DiffArray
-    sigma_y2: np.ndarray
     loss: ad.DiffArray | None
 
     def estimates(self) -> NkfFrameEstimates:
@@ -101,11 +74,6 @@ def nkf_loss(amp_out, clean_amp) -> float:
     return float(np.mean((amp_out - clean_amp) ** 2))
 
 
-def lstm_features(amplitude: np.ndarray, log_features: bool) -> np.ndarray:
-    """Network input features; raw amplitudes unless the log switch is on."""
-    return np.log1p(amplitude) if log_features else amplitude
-
-
 def _forward_amp(m: NkfModel, noisy_amp: np.ndarray,
                  clean_amp: np.ndarray | None = None) -> NkfGraph:
     """Build the differentiable pipeline over one noisy amplitude grid."""
@@ -130,7 +98,7 @@ def _forward_amp(m: NkfModel, noisy_amp: np.ndarray,
         loss = ad.mean_square(amp_out, ad.lift(clean_amp))
     return NkfGraph(amp_lstm=amp_lstm, amp_wiener=amp_wiener,
                     sigma_r2=sigma_r2, sigma_v2=sigma_v2, gain=gain,
-                    amp_out=amp_out, sigma_y2=sigma_y2, loss=loss)
+                    amp_out=amp_out, loss=loss)
 
 
 def nkf_forward(m: NkfModel, noisy: signal_core.Spectrogram,
@@ -141,31 +109,22 @@ def nkf_forward(m: NkfModel, noisy: signal_core.Spectrogram,
     return _forward_amp(m, noisy.amplitude, clean_amp)
 
 
-def estimate_noise_grid(m: NkfModel, spec: signal_core.Spectrogram) -> np.ndarray:
-    """Noise-variance grid from the trained estimator (no gradient tracking)."""
-    feats = lstm_features(spec.amplitude, m.log_features)
-    sigma_y2 = wiener.track_sigma_y(spec.amplitude, m.variance_span)
-    with ad.no_grad():
-        return noise_fnn_forward_grid(m.noise_net, feats, sigma_y2).values
-
-
-METHODS = ("nkf", "wiener", "lstm")
+#: The amplitude grid each model method resynthesizes.
+_OUTPUT_GRID = {"nkf": "amp_out", "wiener": "amp_wiener", "lstm": "amp_lstm"}
 
 
 def enhance(m: NkfModel, noisy: signal_core.Waveform,
             method: str = "nkf") -> EnhancementResult:
     """Enhance one utterance; ``method`` selects the output grid."""
-    if method not in METHODS:
+    if method not in _OUTPUT_GRID:
         raise DataError(f"unknown enhancement method {method!r}")
-    spec = signal_core.stft(noisy, m.window, m.hop)
-    with ad.no_grad():
-        graph = nkf_forward(m, spec)
-    est = graph.estimates()
-    amp = {"nkf": est.amp_out, "wiener": est.amp_wiener,
-           "lstm": est.amp_lstm}[method]
-    out_spec = signal_core.recombine(amp, spec.phase, m.window, m.hop)
-    waveform = signal_core.istft(out_spec, len(noisy), noisy.sample_rate)
-    return EnhancementResult(waveform=waveform, grids=est, noisy=noisy)
+
+    def estimate(spec):
+        with ad.no_grad():
+            est = nkf_forward(m, spec).estimates()
+        return getattr(est, _OUTPUT_GRID[method]), est
+
+    return enhance_with(noisy, m.window, m.hop, estimate)
 
 
 def enhance_wiener(noisy: signal_core.Waveform, cfg,
@@ -174,19 +133,24 @@ def enhance_wiener(noisy: signal_core.Waveform, cfg,
 
     Used for oracle-noise ablations; no model involved.
     """
-    spec = signal_core.stft(noisy, cfg.window, cfg.hop)
-    sigma_v2_grid = np.asarray(sigma_v2_grid, dtype=np.float64)
-    if sigma_v2_grid.shape != spec.amplitude.shape:
-        raise DataError("noise grid shape differs from spectrogram")
-    tracks = wiener.VarianceTracks(
-        sigma_y2=wiener.track_sigma_y(spec.amplitude, cfg.variance_span),
-        sigma_v2=sigma_v2_grid)
-    amp = wiener.apply_wiener(spec.amplitude, tracks)
-    out_spec = signal_core.recombine(amp, spec.phase, cfg.window, cfg.hop)
-    waveform = signal_core.istft(out_spec, len(noisy), noisy.sample_rate)
-    grids = NkfFrameEstimates(amp_lstm=None, amp_wiener=amp, sigma_r2=None,
-                              sigma_v2=sigma_v2_grid, gain=None, amp_out=amp)
-    return EnhancementResult(waveform=waveform, grids=grids, noisy=noisy)
+    def estimate(spec):
+        sigma_v2, amp = wiener_estimate(spec, cfg.variance_span, sigma_v2_grid)
+        return amp, NkfFrameEstimates(amp_lstm=None, amp_wiener=amp, sigma_r2=None,
+                                      sigma_v2=sigma_v2, gain=None, amp_out=amp)
+
+    return enhance_with(noisy, cfg.window, cfg.hop, estimate)
+
+
+#: ``nkf enhance --method`` name -> (run(model, noisy, cfg, oracle noise grid
+#: or None), whether an oracle noise grid may stand in for the model)
+METHODS = {
+    "nkf": (lambda m, noisy, cfg, grid: enhance(m, noisy, "nkf"), False),
+    "kf": (lambda m, noisy, cfg, grid: kalman.enhance_kf_baseline(
+        noisy, cfg, sigma_v2_grid=grid, model=m), True),
+    "wiener": (lambda m, noisy, cfg, grid: enhance(m, noisy, "wiener")
+               if grid is None else enhance_wiener(noisy, cfg, grid), True),
+    "lstm": (lambda m, noisy, cfg, grid: enhance(m, noisy, "lstm"), False),
+}
 
 
 def _segment_bounds(n_frames: int, seq_len: int, rng) -> tuple[int, int]:
@@ -271,8 +235,6 @@ def gradient_check(model: NkfModel | None = None, n_frames: int = 5,
     Uses a tiny configuration by default so the full check stays fast;
     returns the maximum relative error over all parameter entries.
     """
-    from .networks import build_model
-
     if model is None:
         model = build_model(4, lstm_units=(2,), fnn_hidden=8, context=3,
                             window=6, hop=3, variance_span=4, seed=seed)

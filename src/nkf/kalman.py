@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import signal_core, wiener
+from . import pipeline, signal_core
 from .errors import DataError, NumericsError
 from .linear_prediction import LpModel, TransitionMatrix, autocorrelate, \
     levinson_durbin, transition_matrix
@@ -75,6 +75,31 @@ def kf_update(s_pred: KfState, g: KfGain, y_amp: float) -> KfState:
     return KfState(x=x, ree=ree, trans=s_pred.trans, sigma_w2=s_pred.sigma_w2)
 
 
+def _filter_track(noisy_amp, sigma_v2, segments, order: int):
+    """The KF recursion over one amplitude track, seeded as in ``run_kf``.
+
+    ``segments`` yields ``(start, stop, LpModel)`` in frame order; state and
+    covariance carry across segment boundaries. Returns the filtered track
+    and the first gain component per frame.
+    """
+    out = noisy_amp.copy()
+    gains = np.zeros(len(noisy_amp))
+    if len(noisy_amp) <= order:
+        return out, gains
+    x, ree = noisy_amp[:order][::-1].copy(), sigma_v2[0] * np.eye(order)
+    for start, stop, lp in segments:
+        state = KfState(x=x, ree=ree, trans=transition_matrix(lp),
+                        sigma_w2=lp.residual_var)
+        for t in range(max(start, order), stop):
+            state = kf_predict(state)
+            gain = kf_gain(state, sigma_v2[t])
+            state = kf_update(state, gain, noisy_amp[t])
+            out[t] = state.amplitude
+            gains[t] = gain.g[0]
+        x, ree = state.x, state.ree
+    return out, gains
+
+
 def run_kf(noisy_amp: np.ndarray, lp: LpModel, sigma_v2: np.ndarray) -> np.ndarray:
     """Filter one amplitude track with a single LP model.
 
@@ -85,28 +110,12 @@ def run_kf(noisy_amp: np.ndarray, lp: LpModel, sigma_v2: np.ndarray) -> np.ndarr
     sigma_v2 = np.asarray(sigma_v2, dtype=np.float64)
     if noisy_amp.shape != sigma_v2.shape or noisy_amp.ndim != 1:
         raise DataError("amplitude and noise-variance tracks must match")
-    p = lp.order
-    out = noisy_amp.copy()
-    if len(noisy_amp) <= p:
-        return out
-    state = KfState(
-        x=noisy_amp[:p][::-1].copy(),
-        ree=sigma_v2[0] * np.eye(p),
-        trans=transition_matrix(lp),
-        sigma_w2=lp.residual_var,
-    )
-    for t in range(p, len(noisy_amp)):
-        state = kf_predict(state)
-        gain = kf_gain(state, sigma_v2[t])
-        state = kf_update(state, gain, noisy_amp[t])
-        out[t] = state.amplitude
-    return out
+    return _filter_track(noisy_amp, sigma_v2, [(0, len(noisy_amp), lp)],
+                         lp.order)[0]
 
 
 def _segment_model(track_segment: np.ndarray, order: int) -> LpModel:
     """LP fit for one segment; silent segments degrade to a white model."""
-    if len(track_segment) <= order:
-        raise DataError("segment too short for LP analysis")
     r = autocorrelate(track_segment, order)
     if r[0] <= _SILENT_R0:
         return LpModel(order=order, coeffs=np.zeros(order),
@@ -114,76 +123,32 @@ def _segment_model(track_segment: np.ndarray, order: int) -> LpModel:
     return levinson_durbin(r, order)
 
 
-def _run_kf_segmented(noisy_track, wiener_track, sigma_v2_track,
-                      order: int, seg_len: int):
-    """KF over one bin with per-segment LP models fit on the Wiener output.
-
-    Returns the enhanced track and the first gain component per frame.
-    State and covariance carry across segment boundaries; only the
-    transition matrix and residual variance are refreshed.
-    """
-    n = len(noisy_track)
-    out = noisy_track.copy()
-    gains = np.zeros(n)
-    if n <= order:
-        return out, gains
-    starts = list(range(0, n, seg_len))
-    # merge a tail too short for LP analysis into the previous segment
-    if len(starts) > 1 and n - starts[-1] <= order:
-        starts.pop()
-    state = KfState(
-        x=noisy_track[:order][::-1].copy(),
-        ree=sigma_v2_track[0] * np.eye(order),
-        trans=transition_matrix(LpModel(order, np.zeros(order), 0.0)),
-        sigma_w2=0.0,
-    )
-    for si, start in enumerate(starts):
-        stop = starts[si + 1] if si + 1 < len(starts) else n
-        model = _segment_model(wiener_track[start:stop], order)
-        state.trans = transition_matrix(model)
-        state.sigma_w2 = model.residual_var
-        for t in range(max(start, order), stop):
-            state = kf_predict(state)
-            gain = kf_gain(state, sigma_v2_track[t])
-            state = kf_update(state, gain, noisy_track[t])
-            out[t] = state.amplitude
-            gains[t] = gain.g[0]
-    return out, gains
-
-
 def enhance_kf_baseline(noisy: signal_core.Waveform, cfg, sigma_v2_grid=None,
-                        model=None):
+                        model=None) -> pipeline.EnhancementResult:
     """Wiener-prefilter, per-segment LP, per-bin KF, noisy-phase resynthesis.
 
-    The noise variance grid comes either from mixing metadata (oracle) or
-    from a trained model's noise estimator; exactly one source must be
-    available.
+    The noise variance grid comes from mixing metadata (oracle) when given,
+    else from a trained model's noise estimator; one of the two is required.
     """
-    from .enhancer import EnhancementResult, NkfFrameEstimates, estimate_noise_grid
+    def estimate(spec):
+        sigma_v2, wiener_amp = pipeline.wiener_estimate(
+            spec, cfg.variance_span, sigma_v2_grid, model)
+        n, order = spec.n_frames, cfg.lp_order
+        starts = list(range(0, n, cfg.lp_segment))
+        # merge a tail too short for LP analysis into the previous segment
+        if len(starts) > 1 and n - starts[-1] <= order:
+            starts.pop()
+        bounds = list(zip(starts, starts[1:] + [n]))
+        enhanced = np.empty_like(spec.amplitude)
+        gains = np.empty_like(spec.amplitude)
+        for f in range(spec.n_bins):
+            # each LP model is fit when the recursion reaches its segment
+            segments = ((lo, hi, _segment_model(wiener_amp[lo:hi, f], order))
+                        for lo, hi in bounds)
+            enhanced[:, f], gains[:, f] = _filter_track(
+                spec.amplitude[:, f], sigma_v2[:, f], segments, order)
+        return enhanced, pipeline.NkfFrameEstimates(
+            amp_lstm=None, amp_wiener=wiener_amp, sigma_r2=None,
+            sigma_v2=sigma_v2, gain=gains, amp_out=enhanced)
 
-    spec = signal_core.stft(noisy, cfg.window, cfg.hop)
-    if sigma_v2_grid is None:
-        if model is None:
-            raise DataError("KF baseline needs an oracle noise grid or a model")
-        sigma_v2_grid = estimate_noise_grid(model, spec)
-    sigma_v2_grid = np.asarray(sigma_v2_grid, dtype=np.float64)
-    if sigma_v2_grid.shape != spec.amplitude.shape:
-        raise DataError("noise grid shape differs from spectrogram")
-
-    sigma_y2 = wiener.track_sigma_y(spec.amplitude, cfg.variance_span)
-    tracks = wiener.VarianceTracks(sigma_y2=sigma_y2, sigma_v2=sigma_v2_grid)
-    wiener_amp = wiener.apply_wiener(spec.amplitude, tracks)
-
-    enhanced = np.empty_like(spec.amplitude)
-    gains = np.empty_like(spec.amplitude)
-    for f in range(spec.n_bins):
-        enhanced[:, f], gains[:, f] = _run_kf_segmented(
-            spec.amplitude[:, f], wiener_amp[:, f], sigma_v2_grid[:, f],
-            cfg.lp_order, cfg.lp_segment)
-
-    out_spec = signal_core.recombine(enhanced, spec.phase, cfg.window, cfg.hop)
-    waveform = signal_core.istft(out_spec, len(noisy), noisy.sample_rate)
-    grids = NkfFrameEstimates(
-        amp_lstm=None, amp_wiener=wiener_amp, sigma_r2=None,
-        sigma_v2=sigma_v2_grid, gain=gains, amp_out=enhanced)
-    return EnhancementResult(waveform=waveform, grids=grids, noisy=noisy)
+    return pipeline.enhance_with(noisy, cfg.window, cfg.hop, estimate)

@@ -24,16 +24,11 @@ import numpy as np
 from . import autodiff as ad
 from .errors import DataError, NumericsError
 
-#: Gate block order along the fused weight axis.
-GATES = ("input", "forget", "cell", "output")
-
 #: Additive floor keeping the estimated noise variance strictly positive.
 NOISE_VAR_EPS = 1e-12
 
 #: Log-variance clamp for the residual head.
 LOGVAR_LIMIT = 12.0
-
-RES_HEAD_CLAMP = LOGVAR_LIMIT  # alias used by the enhancement pipeline
 
 
 def _uniform_init(rng, shape, fan_in):

@@ -1,0 +1,85 @@
+"""What every enhancement method shares: the result types, the source of
+the noise-variance grid (oracle or model estimate) and the shell
+stft -> amplitude estimate -> recombine with the noisy phase -> istft.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import autodiff as ad
+from . import signal_core, wiener
+from .errors import DataError
+from .networks import NkfModel, noise_fnn_forward_grid
+
+
+@dataclass
+class NkfFrameEstimates:
+    """Per-utterance inspection grids, each T x F (or None when a pipeline
+    variant does not produce it)."""
+
+    amp_lstm: np.ndarray | None
+    amp_wiener: np.ndarray | None
+    sigma_r2: np.ndarray | None
+    sigma_v2: np.ndarray | None
+    gain: np.ndarray | None
+    amp_out: np.ndarray | None
+
+    def __post_init__(self):
+        if self.gain is not None and (np.any(self.gain < 0) or np.any(self.gain > 1)):
+            raise DataError("gain grid must lie in [0, 1]")
+        for grid in (self.amp_lstm, self.amp_wiener, self.amp_out):
+            if grid is not None and np.any(grid < 0):
+                raise DataError("amplitude grids must be nonnegative")
+
+
+@dataclass
+class EnhancementResult:
+    waveform: signal_core.Waveform
+    grids: NkfFrameEstimates
+
+
+def lstm_features(amplitude: np.ndarray, log_features: bool) -> np.ndarray:
+    """Network input features; raw amplitudes unless the log switch is on."""
+    return np.log1p(amplitude) if log_features else amplitude
+
+
+def estimate_noise_grid(m: NkfModel, spec: signal_core.Spectrogram) -> np.ndarray:
+    """Noise-variance grid from the trained estimator (no gradient tracking)."""
+    feats = lstm_features(spec.amplitude, m.log_features)
+    sigma_y2 = wiener.track_sigma_y(spec.amplitude, m.variance_span)
+    with ad.no_grad():
+        return noise_fnn_forward_grid(m.noise_net, feats, sigma_y2).values
+
+
+def wiener_estimate(spec: signal_core.Spectrogram, span: int, sigma_v2_grid=None,
+                    model: NkfModel | None = None):
+    """Noise-variance grid and the noisy amplitudes Wiener-filtered with it.
+
+    The grid is the oracle one when given (shape-checked), else the model's
+    estimate; with neither there is no noise variance to filter with.
+    """
+    if sigma_v2_grid is not None:
+        sigma_v2 = np.asarray(sigma_v2_grid, dtype=np.float64)
+        if sigma_v2.shape != spec.amplitude.shape:
+            raise DataError("noise grid shape differs from spectrogram")
+    elif model is not None:
+        sigma_v2 = estimate_noise_grid(model, spec)
+    else:
+        raise DataError("an oracle noise grid or a model is needed")
+    tracks = wiener.VarianceTracks(
+        sigma_y2=wiener.track_sigma_y(spec.amplitude, span), sigma_v2=sigma_v2)
+    return sigma_v2, wiener.apply_wiener(spec.amplitude, tracks)
+
+
+def enhance_with(noisy: signal_core.Waveform, window: int, hop: int,
+                 estimate) -> EnhancementResult:
+    """Resynthesize ``estimate(spec) -> (amplitude, grids)`` with the noisy
+    phase to exactly ``len(noisy)`` samples."""
+    spec = signal_core.stft(noisy, window, hop)
+    amplitude, grids = estimate(spec)
+    out_spec = signal_core.recombine(amplitude, spec.phase, window, hop)
+    waveform = signal_core.istft(out_spec, len(noisy), noisy.sample_rate)
+    return EnhancementResult(waveform=waveform, grids=grids)

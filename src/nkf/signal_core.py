@@ -122,16 +122,19 @@ def istft(s: Spectrogram, out_len: int, sample_rate: int = 16000) -> Waveform:
         raise DataError("output length inconsistent with frame count")
     win = hann_window(window_len)
     segments = np.fft.irfft(s.frames, n=window_len, axis=1) * win
-    coverage = window_len + (s.n_frames - 1) * hop
-    acc = np.zeros(coverage)
-    wsum = np.zeros(coverage)
-    for t in range(s.n_frames):
-        off = t * hop
-        acc[off:off + window_len] += segments[t]
-        wsum[off:off + window_len] += win * win
-    acc /= np.maximum(wsum, _OLA_FLOOR)
+    # Hop-sized chunk k of frame t lands on output block t + k. Adding the
+    # chunks in descending k gives every sample its frames in increasing t,
+    # the summation order of a frame-by-frame overlap-add.
+    n_frames, n_chunks = s.n_frames, -(-window_len // hop)
+    acc = np.zeros((n_frames + n_chunks - 1, hop))
+    wsum = np.zeros_like(acc)
+    for k in reversed(range(n_chunks)):
+        lo, hi = k * hop, min((k + 1) * hop, window_len)
+        acc[k:k + n_frames, :hi - lo] += segments[:, lo:hi]
+        wsum[k:k + n_frames, :hi - lo] += (win * win)[lo:hi]
+    ola = (acc / np.maximum(wsum, _OLA_FLOOR)).reshape(-1)[:out_len]
     out = np.zeros(out_len)
-    out[:coverage] = acc
+    out[:len(ola)] = ola
     return Waveform(out, sample_rate)
 
 

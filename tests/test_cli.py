@@ -124,6 +124,13 @@ class TestEnhance:
         rc = main(TINY + ["enhance", "--manifest", str(corpus / "manifest.csv"),
                           "--method", "nkf", "--out", str(tmp_path / "y")])
         assert rc == 1
+        # the neural methods have no use for an oracle noise grid
+        for method in ("nkf", "lstm"):
+            rc = main(TINY + ["enhance", "--checkpoint", str(ckpt),
+                              "--manifest", str(corpus / "manifest.csv"),
+                              "--method", method, "--oracle-noise",
+                              "--out", str(tmp_path / method)])
+            assert rc == 1
 
     def test_missing_file_is_data_error(self, workspace, tmp_path):
         root, corpus, ckpt = workspace

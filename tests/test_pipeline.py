@@ -1,0 +1,162 @@
+"""Every enhancement method against its composition from public primitives.
+
+The references below spell out each method's pipeline step by step (STFT,
+the method's amplitude estimate, recombination with the noisy phase and a
+frame-by-frame overlap-add), with the conventional KF as the segmented
+predict/gain/update loop. The shared shell and the single KF recursion must
+reproduce them bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from nkf import autodiff as ad
+from nkf import data_io
+from nkf.config import RunConfig
+from nkf.enhancer import enhance, enhance_wiener, nkf_forward
+from nkf.kalman import KfState, enhance_kf_baseline, kf_gain, kf_predict, \
+    kf_update
+from nkf.linear_prediction import LpModel, autocorrelate, levinson_durbin, \
+    transition_matrix
+from nkf.networks import build_model, noise_fnn_forward_grid
+from nkf.pipeline import wiener_estimate
+from nkf.signal_core import Waveform, recombine, stft
+from nkf.wiener import VarianceTracks, apply_wiener, track_sigma_y
+
+from test_signal_core import _istft_loop_oracle
+
+CFG = RunConfig(window=64, hop=16, variance_span=8, utterance_seconds=0.5)
+
+
+def _model():
+    return build_model(CFG.n_bins, lstm_units=(8,), fnn_hidden=16, context=5,
+                       window=CFG.window, hop=CFG.hop,
+                       variance_span=CFG.variance_span, seed=4)
+
+
+# 600 samples make one LP segment with a merged tail; 7744 samples make 481
+# frames, so a one-frame tail merges into the last of 15 segments.
+@pytest.fixture(scope="module", params=[600, 7744, 8000])
+def utterance(request):
+    n = request.param
+    rng = np.random.default_rng(n)
+    speech = Waveform(data_io._synth_speech(rng, n, 16000))
+    noise = Waveform(data_io._synth_noise(rng, "pink", n + 8000, 16000))
+    noisy, scaled = data_io.mix_at_snr(speech, noise, 5.0, rng)
+    return noisy, data_io.oracle_noise_variance(scaled, CFG)
+
+
+def _resynthesize(noisy, spec, amplitude):
+    out_spec = recombine(amplitude, spec.phase, spec.window_len, spec.hop)
+    return _istft_loop_oracle(out_spec, len(noisy))
+
+
+def _wiener_amp(spec, sigma_v2):
+    tracks = VarianceTracks(
+        sigma_y2=track_sigma_y(spec.amplitude, CFG.variance_span),
+        sigma_v2=sigma_v2)
+    return apply_wiener(spec.amplitude, tracks)
+
+
+def _segment_model(segment, order):
+    r = autocorrelate(segment, order)
+    if r[0] <= 1e-14:
+        return LpModel(order, np.zeros(order), max(float(r[0]), 0.0))
+    return levinson_durbin(r, order)
+
+
+def _segmented_kf_oracle(noisy, wiener, sigma_v2, order, seg_len):
+    """Per-segment LP fit on the Wiener track, then the KF loop per segment."""
+    n = len(noisy)
+    out, gains = noisy.copy(), np.zeros(n)
+    if n <= order:
+        return out, gains
+    starts = list(range(0, n, seg_len))
+    if len(starts) > 1 and n - starts[-1] <= order:
+        starts.pop()
+    state = KfState(x=noisy[:order][::-1].copy(),
+                    ree=sigma_v2[0] * np.eye(order),
+                    trans=transition_matrix(LpModel(order, np.zeros(order), 0.0)),
+                    sigma_w2=0.0)
+    for si, start in enumerate(starts):
+        stop = starts[si + 1] if si + 1 < len(starts) else n
+        model = _segment_model(wiener[start:stop], order)
+        state.trans = transition_matrix(model)
+        state.sigma_w2 = model.residual_var
+        for t in range(max(start, order), stop):
+            state = kf_predict(state)
+            gain = kf_gain(state, sigma_v2[t])
+            state = kf_update(state, gain, noisy[t])
+            out[t] = state.amplitude
+            gains[t] = gain.g[0]
+    return out, gains
+
+
+def _kf_reference(noisy, sigma_v2=None, model=None):
+    spec = stft(noisy, CFG.window, CFG.hop)
+    if sigma_v2 is None:
+        feats = spec.amplitude   # the test model reads raw amplitudes
+        with ad.no_grad():
+            sigma_v2 = noise_fnn_forward_grid(
+                model.noise_net, feats,
+                track_sigma_y(spec.amplitude, model.variance_span)).values
+    wiener = _wiener_amp(spec, sigma_v2)
+    enhanced = np.empty_like(spec.amplitude)
+    gains = np.empty_like(spec.amplitude)
+    for f in range(spec.n_bins):
+        enhanced[:, f], gains[:, f] = _segmented_kf_oracle(
+            spec.amplitude[:, f], wiener[:, f], sigma_v2[:, f],
+            CFG.lp_order, CFG.lp_segment)
+    grids = dict(amp_wiener=wiener, sigma_v2=sigma_v2, gain=gains,
+                 amp_out=enhanced)
+    return _resynthesize(noisy, spec, enhanced), grids
+
+
+def _assert_same(result, waveform, grids):
+    assert np.array_equal(result.waveform.samples, waveform)
+    got = {k: v for k, v in vars(result.grids).items() if v is not None}
+    assert set(got) == set(grids)
+    for name, grid in grids.items():
+        assert np.array_equal(got[name], grid), name
+
+
+@pytest.mark.parametrize("method,grid_name", [
+    ("nkf", "amp_out"), ("lstm", "amp_lstm"), ("wiener", "amp_wiener")])
+def test_model_methods(utterance, method, grid_name):
+    noisy, _ = utterance
+    m = _model()
+    spec = stft(noisy, m.window, m.hop)
+    with ad.no_grad():
+        graph = nkf_forward(m, spec)
+    grids = {k: getattr(graph, k).values for k in (
+        "amp_lstm", "amp_wiener", "sigma_r2", "sigma_v2", "gain", "amp_out")}
+    _assert_same(enhance(m, noisy, method),
+                 _resynthesize(noisy, spec, grids[grid_name]), grids)
+
+
+def test_oracle_wiener(utterance):
+    noisy, grid = utterance
+    spec = stft(noisy, CFG.window, CFG.hop)
+    amp = _wiener_amp(spec, grid)
+    _assert_same(enhance_wiener(noisy, CFG, grid), _resynthesize(noisy, spec, amp),
+                 dict(amp_wiener=amp, sigma_v2=grid, amp_out=amp))
+
+
+def test_kf_baseline_oracle_noise(utterance):
+    noisy, grid = utterance
+    _assert_same(enhance_kf_baseline(noisy, CFG, sigma_v2_grid=grid),
+                 *_kf_reference(noisy, sigma_v2=grid))
+
+
+def test_kf_baseline_model_noise(utterance):
+    noisy, _ = utterance
+    m = _model()
+    _assert_same(enhance_kf_baseline(noisy, CFG, model=m),
+                 *_kf_reference(noisy, model=m))
+
+
+def test_oracle_grid_wins_over_model():
+    spec = stft(Waveform(np.ones(640) * 0.1), CFG.window, CFG.hop)
+    oracle = np.ones(spec.amplitude.shape)
+    sigma_v2, _ = wiener_estimate(spec, CFG.variance_span, oracle, _model())
+    assert np.array_equal(sigma_v2, oracle)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nkf.errors import DataError
-from nkf.signal_core import Waveform, hann_window, istft, recombine, stft
+from nkf.signal_core import Spectrogram, Waveform, hann_window, istft, \
+    recombine, stft
 
 
 def _dft_oracle(frame):
@@ -13,6 +14,24 @@ def _dft_oracle(frame):
     for k in range(bins):
         for i in range(n):
             out[k] += frame[i] * np.exp(-2j * np.pi * k * i / n)
+    return out
+
+
+def _istft_loop_oracle(s: Spectrogram, out_len: int) -> np.ndarray:
+    """Frame-by-frame weighted overlap-add, the reference for ``istft``."""
+    window_len, hop = s.window_len, s.hop
+    win = hann_window(window_len)
+    segments = np.fft.irfft(s.frames, n=window_len, axis=1) * win
+    coverage = window_len + (s.n_frames - 1) * hop
+    acc = np.zeros(coverage)
+    wsum = np.zeros(coverage)
+    for t in range(s.n_frames):
+        off = t * hop
+        acc[off:off + window_len] += segments[t]
+        wsum[off:off + window_len] += win * win
+    acc /= np.maximum(wsum, 1e-12)
+    out = np.zeros(out_len)
+    out[:coverage] = acc
     return out
 
 
@@ -77,6 +96,21 @@ class TestStft:
 
 
 class TestIstft:
+    @pytest.mark.parametrize("window_len,hop", [(256, 64), (64, 16), (256, 100),
+                                                (6, 3), (256, 256), (10, 7)])
+    def test_bit_identical_to_frame_loop(self, window_len, hop):
+        rng = np.random.default_rng(window_len * 1000 + hop)
+        for n_frames in (1, 2, 9):
+            # hop // 2 samples past the last frame come back as zeros
+            out_len = window_len + (n_frames - 1) * hop + hop // 2
+            s = stft(Waveform(rng.standard_normal(out_len)), window_len, hop)
+            # a recombined grid makes frames that are not a consistent STFT
+            s = recombine(rng.uniform(0, 2, s.frames.shape),
+                          rng.uniform(-np.pi, np.pi, s.frames.shape),
+                          window_len, hop)
+            assert np.array_equal(istft(s, out_len).samples,
+                                  _istft_loop_oracle(s, out_len))
+
     def test_roundtrip_interior(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(16000)
