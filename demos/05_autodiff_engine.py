@@ -16,7 +16,7 @@ x = ad.DiffArray(rng.standard_normal((3, 4)))
 w = ad.DiffArray(rng.standard_normal((4, 2)))
 target = rng.standard_normal((3, 2))
 
-loss = ad.mean_square(ad.tanh(ad.matmul(x, w)), ad.lift(target))
+loss = ad.mean_square(ad.softplus(ad.matmul(x, w)), ad.lift(target))
 loss.backward()
 print(f"loss value: {float(loss.values):.6f}")
 
@@ -26,13 +26,13 @@ for idx in (0, 5):
     saved = flat[idx]
     flat[idx] = saved + step
     with ad.no_grad():
-        up = float(ad.mean_square(ad.tanh(ad.matmul(ad.lift(x.values),
-                                                    ad.lift(w.values))),
+        up = float(ad.mean_square(ad.softplus(ad.matmul(ad.lift(x.values),
+                                                        ad.lift(w.values))),
                                   ad.lift(target)).values)
     flat[idx] = saved - step
     with ad.no_grad():
-        down = float(ad.mean_square(ad.tanh(ad.matmul(ad.lift(x.values),
-                                                      ad.lift(w.values))),
+        down = float(ad.mean_square(ad.softplus(ad.matmul(ad.lift(x.values),
+                                                          ad.lift(w.values))),
                                     ad.lift(target)).values)
     flat[idx] = saved
     numeric = (up - down) / (2 * step)

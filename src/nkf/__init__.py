@@ -18,8 +18,8 @@ from .linear_prediction import (LpModel, TransitionMatrix, autocorrelate,
                                 levinson_durbin, transition_matrix)
 from .metrics import MetricReport, amplitude_mse, fwsegsnr, segsnr
 from .networks import (LstmPredictor, NkfModel, NoiseFnn, build_model,
-                       load_checkpoint, lstm_forward, noise_fnn_forward,
-                       optimizer_step, save_checkpoint)
+                       load_checkpoint, lstm_forward, optimizer_step,
+                       save_checkpoint)
 from .pipeline import EnhancementResult, NkfFrameEstimates
 from .signal_core import Spectrogram, Waveform, istft, recombine, stft
 from .wiener import VarianceTracks, apply_wiener, track_sigma_y, wiener_gain

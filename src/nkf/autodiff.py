@@ -2,14 +2,15 @@
 
 A ``DiffArray`` wraps an ndarray and remembers how it was produced; calling
 ``backward()`` on a scalar result walks the graph in reverse topological
-order and accumulates exact gradients into every node's ``grad`` buffer.
+order and accumulates exact gradients into every leaf's ``grad`` buffer but
+the constants made by ``lift``; inner nodes drop theirs once propagated.
 Gradients on leaves persist across backward calls (call ``zero_grad`` on the
 leaves to reset), which is what batched gradient accumulation relies on.
 
 The op set is deliberately small: elementwise arithmetic on equal shapes
-(plus python scalars), matrix products of 1-D/2-D operands, a handful of
-activations, basic slicing, concatenation, row stacking/broadcast, and a
-fused mean-square reduction. There is no general broadcasting.
+(plus python scalars), matrix products of 1-D/2-D operands (or B x T x K by
+K x N), a handful of activations, basic slicing, row broadcast, a fused
+mean-square reduction and a fused LSTM layer. No general broadcasting.
 
 Values are treated as immutable once wrapped; mutating ``values`` in place
 invalidates recorded gradients.
@@ -39,13 +40,14 @@ def no_grad():
 class DiffArray:
     """A node in the reverse-mode computation graph."""
 
-    __slots__ = ("values", "grad", "_parents", "_backward")
+    __slots__ = ("values", "grad", "_parents", "_backward", "constant")
 
-    def __init__(self, values, _parents=(), _backward=None):
+    def __init__(self, values, _parents=(), _backward=None, constant=False):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
         self._parents = _parents
         self._backward = _backward
+        self.constant = constant
 
     # -- introspection -------------------------------------------------
 
@@ -67,6 +69,8 @@ class DiffArray:
     # -- graph construction -------------------------------------------
 
     def _accumulate(self, delta):
+        if self.constant:
+            return
         if self.grad is None:
             self.grad = np.zeros_like(self.values)
         self.grad += delta
@@ -80,6 +84,7 @@ class DiffArray:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operators ------------------------------------------------------
 
@@ -116,8 +121,8 @@ class DiffArray:
 
 
 def lift(x) -> DiffArray:
-    """Wrap an ndarray or scalar as a leaf node (constant unless a parameter)."""
-    return x if isinstance(x, DiffArray) else DiffArray(x)
+    """Wrap an ndarray or scalar as a constant leaf; nodes pass through."""
+    return x if isinstance(x, DiffArray) else DiffArray(x, constant=True)
 
 
 def _toposort(root: DiffArray):
@@ -214,16 +219,17 @@ def div(a, b) -> DiffArray:
 
 def matmul(a, b) -> DiffArray:
     a, b = lift(a), lift(b)
-    if a.ndim == 0 or b.ndim == 0 or a.ndim > 2 or b.ndim > 2:
-        raise ValueError("matmul supports 1-D and 2-D operands only")
+    if (a.ndim, b.ndim) not in ((1, 2), (2, 1), (2, 2), (3, 2)):
+        raise ValueError("matmul supports 1-D/2-D operands and 3-D @ 2-D only")
     if a.shape[-1] != b.shape[0]:
         raise ValueError(f"matmul: inner dims {a.shape} @ {b.shape} do not match")
     out = a.values @ b.values
 
-    if a.ndim == 2 and b.ndim == 2:
+    if b.ndim == 2 and a.ndim >= 2:
         def backward(g):
-            a._accumulate(g @ b.values.T)
-            b._accumulate(a.values.T @ g)
+            if not a.constant:
+                a._accumulate(g @ b.values.T)
+            b._accumulate(a.values.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1]))
     elif a.ndim == 2 and b.ndim == 1:
         def backward(g):
             a._accumulate(np.outer(g, b.values))
@@ -237,26 +243,6 @@ def matmul(a, b) -> DiffArray:
 
 
 # -- activations ----------------------------------------------------------
-
-
-def sigmoid(x) -> DiffArray:
-    x = lift(x)
-    out = 0.5 * (1.0 + np.tanh(0.5 * x.values))  # numerically stable logistic
-
-    def backward(g):
-        x._accumulate(g * out * (1.0 - out))
-
-    return _node(out, (x,), backward)
-
-
-def tanh(x) -> DiffArray:
-    x = lift(x)
-    out = np.tanh(x.values)
-
-    def backward(g):
-        x._accumulate(g * (1.0 - out * out))
-
-    return _node(out, (x,), backward)
 
 
 def relu(x) -> DiffArray:
@@ -316,44 +302,16 @@ def take(x, key) -> DiffArray:
     return _node(out, (x,), backward)
 
 
-def concat(parts, axis: int = 0) -> DiffArray:
-    parts = [lift(p) for p in parts]
-    out = np.concatenate([p.values for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            idx = (slice(None),) * axis + (slice(lo, hi),)
-            p._accumulate(g[idx])
-
-    return _node(out, tuple(parts), backward)
-
-
-def stack_rows(rows) -> DiffArray:
-    """Stack equal-length 1-D nodes into a 2-D node, one per row."""
-    rows = [lift(r) for r in rows]
-    if any(r.ndim != 1 for r in rows):
-        raise ValueError("stack_rows expects 1-D nodes")
-    out = np.stack([r.values for r in rows])
-
-    def backward(g):
-        for i, r in enumerate(rows):
-            r._accumulate(g[i])
-
-    return _node(out, tuple(rows), backward)
-
-
 def add_rowvec(x, b) -> DiffArray:
-    """Add a length-K vector to every row of a T x K node."""
+    """Add a length-K vector to every row of a [B x] T x K node."""
     x, b = lift(x), lift(b)
-    if x.ndim != 2 or b.ndim != 1 or x.shape[1] != b.shape[0]:
+    if x.ndim not in (2, 3) or b.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise ValueError(f"add_rowvec: shapes {x.shape} and {b.shape} do not match")
     out = x.values + b.values
 
     def backward(g):
         x._accumulate(g)
-        b._accumulate(g.sum(axis=0))
+        b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
 
     return _node(out, (x, b), backward)
 
@@ -375,3 +333,59 @@ def mean_square(a, b) -> DiffArray:
         b._accumulate(-scale * diff)
 
     return _node(out, (a, b), backward)
+
+
+# -- recurrent layers ----------------------------------------------------------
+
+
+def lstm_layer(x, wx, wh, b) -> DiffArray:
+    """One LSTM layer over a B x T x In batch as a single node, B x T x U out.
+
+    ``wx`` (In, 4U), ``wh`` (U, 4U) and ``b`` (4U,) hold the gate blocks i, f,
+    g, o in that order; states start at zero in every sequence. Backward runs
+    the time loop once, then takes each weight gradient as one matmul over
+    all frames. Inside ``no_grad`` nothing is cached for backward.
+    """
+    x, wx, wh, b = lift(x), lift(wx), lift(wh), lift(b)
+    n_b, n_t, n_in = x.shape
+    u = wh.shape[0]
+    i_, f_, g_, o_ = (slice(j * u, (j + 1) * u) for j in range(4))
+    # scale * tanh(scale * z) + 1 - scale is the logistic (1 + tanh(z/2)) / 2
+    # on the i, f, o blocks and tanh on the g block; scaling the weights by
+    # scale, a power of two, scales z exactly
+    scale = np.where(np.arange(4 * u) // u == 2, 1.0, 0.5)
+    xp = x.values @ (wx.values * scale) + b.values * scale
+    wh_s = wh.values * scale
+    kept = n_t if _GRAD_ENABLED else 1   # frames whose activations backward needs
+    gates = np.empty((n_b, kept, 4 * u))
+    cs, tanh_cs = np.empty((2, n_b, kept, u))
+    hs = np.empty((n_b, n_t, u))
+    h, c = np.zeros((2, n_b, u))
+    for t in range(n_t):
+        act = gates[:, t % kept] = np.tanh(xp[:, t] + h @ wh_s) * scale + (1.0 - scale)
+        c = cs[:, t % kept] = act[:, f_] * c + act[:, i_] * act[:, g_]
+        tanh_c = tanh_cs[:, t % kept] = np.tanh(c)
+        h = hs[:, t] = act[:, o_] * tanh_c
+
+    def backward(g):
+        dact = np.where(scale == 1.0, 1.0 - gates * gates, gates * (1.0 - gates))
+        c_prev = np.concatenate([np.zeros((n_b, 1, u)), cs[:, :-1]], axis=1)
+        dz = np.empty_like(gates)
+        dh, dc = np.zeros((2, n_b, u))
+        for t in range(n_t - 1, -1, -1):
+            act, tanh_c = gates[:, t], tanh_cs[:, t]
+            dh = dh + g[:, t]
+            dc = dc + dh * act[:, o_] * (1.0 - tanh_c * tanh_c)
+            dz[:, t] = dact[:, t] * np.hstack(
+                [dc * act[:, g_], dc * c_prev[:, t], dc * act[:, i_], dh * tanh_c])
+            dc = dc * act[:, f_]
+            dh = dz[:, t] @ wh.values.T
+        dz = dz.reshape(-1, 4 * u)
+        h_prev = np.concatenate([np.zeros((n_b, 1, u)), hs[:, :-1]], axis=1)
+        wh._accumulate(h_prev.reshape(-1, u).T @ dz)
+        wx._accumulate(x.values.reshape(-1, n_in).T @ dz)
+        b._accumulate(dz.sum(axis=0))
+        if not x.constant:
+            x._accumulate((dz @ wx.values.T).reshape(x.shape))
+
+    return _node(hs, (x, wx, wh, b), backward)

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import data_io, enhancer, metrics
+from . import data_io, enhancer, metrics, signal_core
 from .config import load_config, parse_assignments, save_config
 from .errors import ConfigError, DataError, NkfError, NumericsError
 from .networks import build_model, load_checkpoint
@@ -105,17 +105,13 @@ def cmd_train(cfg, args) -> int:
 
 
 def _enhance_inputs(cfg, args):
-    if args.wav and args.manifest:
-        raise ConfigError("give either --wav or --manifest, not both")
     if args.wav:
         utt_id = os.path.splitext(os.path.basename(args.wav))[0]
         yield utt_id, data_io.read_wav(args.wav, cfg.sample_rate), None
-    elif args.manifest:
+    else:
         manifest = data_io.load_manifest(args.manifest)
         for e in manifest.split_entries(args.split):
             yield e.utt_id, data_io.read_wav(e.noisy_path, cfg.sample_rate), e
-    else:
-        raise ConfigError("enhance needs --wav or --manifest")
 
 
 def cmd_enhance(cfg, args) -> int:
@@ -125,6 +121,10 @@ def cmd_enhance(cfg, args) -> int:
     if not (args.checkpoint or args.oracle_noise):
         raise ConfigError(f"--method {args.method} requires --checkpoint"
                           + (" or --oracle-noise" if oracle_ok else ""))
+    if bool(args.wav) == bool(args.manifest):
+        raise ConfigError("enhance needs exactly one of --wav and --manifest")
+    if args.oracle_noise and not args.manifest:
+        raise ConfigError("--oracle-noise needs --manifest")
     model = load_checkpoint(args.checkpoint) if args.checkpoint else None
     os.makedirs(args.out, exist_ok=True)
     save_config(cfg, os.path.join(args.out, "resolved.cfg"))
@@ -132,8 +132,6 @@ def cmd_enhance(cfg, args) -> int:
     for utt_id, noisy, entry in _enhance_inputs(cfg, args):
         grid = None
         if args.oracle_noise:
-            if entry is None:
-                raise ConfigError("--oracle-noise needs --manifest")
             noise = data_io.read_wav(entry.noise_path, cfg.sample_rate)
             grid = data_io.oracle_noise_variance(noise, cfg)
         result = run(model, noisy, cfg, grid)
@@ -158,9 +156,10 @@ def cmd_eval(cfg, args) -> int:
         clean = data_io.read_wav(e.clean_path, cfg.sample_rate)
         noisy = data_io.read_wav(e.noisy_path, cfg.sample_rate)
         enhanced = data_io.read_wav(enhanced_path, cfg.sample_rate)
+        clean_spec = signal_core.stft(clean, cfg.window, cfg.hop)
         row = {"utt_id": e.utt_id, "snr_db": e.mix.snr_db}
-        row.update(metrics.evaluate_pair(clean, enhanced, cfg.window, cfg.hop))
-        noisy_scores = metrics.evaluate_pair(clean, noisy, cfg.window, cfg.hop)
+        row.update(metrics.evaluate_pair(clean, enhanced, cfg.window, cfg.hop, clean_spec))
+        noisy_scores = metrics.evaluate_pair(clean, noisy, cfg.window, cfg.hop, clean_spec)
         row.update({f"{k}_noisy": v for k, v in noisy_scores.items()})
         rows.append(row)
     if not rows:

@@ -14,14 +14,6 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 
-def _snr_range(lo, hi, step):
-    out, v = [], lo
-    while v <= hi:
-        out.append(float(v))
-        v += step
-    return tuple(out)
-
-
 @dataclass
 class RunConfig:
     # framing
@@ -46,7 +38,7 @@ class RunConfig:
     epochs: int = 7
     seed: int = 0
     # corpus synthesis
-    train_snrs: tuple = _snr_range(-6, 21, 3)
+    train_snrs: tuple = tuple(float(v) for v in range(-6, 22, 3))
     test_snrs: tuple = (-5.0, 0.0, 5.0, 10.0, 15.0)
     train_count: int = 120
     dev_count: int = 20
@@ -70,6 +62,8 @@ class RunConfig:
                      "train_count", "dev_count", "test_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        if self.lp_segment <= self.lp_order:
+            raise ConfigError("lp_segment must be greater than lp_order")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if self.utterance_seconds * self.sample_rate < 4 * self.window:

@@ -13,6 +13,7 @@ happens outside the loss path.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from dataclasses import dataclass
 
@@ -82,6 +83,11 @@ def _forward_amp(m: NkfModel, noisy_amp: np.ndarray,
         raise DataError(f"model expects T x {m.n_bins} amplitudes")
     feats = lstm_features(noisy_amp, m.log_features)
     amp_lstm, res_logvar = lstm_forward(m.predictor, feats)
+    return _combine(m, noisy_amp, feats, amp_lstm, res_logvar, clean_amp)
+
+
+def _combine(m: NkfModel, noisy_amp, feats, amp_lstm, res_logvar, clean_amp) -> NkfGraph:
+    """The pipeline after the LSTM: noise net, Wiener branch, gain, loss."""
     sigma_y2 = wiener.track_sigma_y(noisy_amp, m.variance_span)
     sigma_v2 = noise_fnn_forward_grid(m.noise_net, feats, sigma_y2)
     inv_sy = 1.0 / np.maximum(sigma_y2, wiener.VARIANCE_FLOOR)
@@ -160,6 +166,18 @@ def _segment_bounds(n_frames: int, seq_len: int, rng) -> tuple[int, int]:
     return t0, t0 + seq_len
 
 
+def _batch_loss(m: NkfModel, segments) -> ad.DiffArray:
+    """Mean loss over (noisy, clean) amplitude segments; the LSTM runs once on
+    them zero-padded at the end to the longest (exact: the LSTM is causal)."""
+    feats = [lstm_features(noisy, m.log_features) for noisy, _ in segments]
+    n_frames = max(len(f) for f in feats)
+    amp, res = lstm_forward(m.predictor, np.stack(
+        [np.pad(f, ((0, n_frames - len(f)), (0, 0))) for f in feats]))
+    losses = [_combine(m, noisy, f, amp[b, :len(f)], res[b, :len(f)], clean).loss
+              for b, ((noisy, clean), f) in enumerate(zip(segments, feats))]
+    return ad.div(functools.reduce(ad.add, losses), float(len(losses)))
+
+
 def _write_history(history, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -173,8 +191,8 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
     """Minibatch training over the manifest's train split.
 
     Sequences longer than ``cfg.seq_len`` frames contribute one random
-    truncated segment per visit (state reset per segment); gradients are
-    averaged over the batch before each Adam step. Checkpoints are written
+    truncated segment per visit (state reset per segment); one backward pass
+    on the batch-mean loss precedes each Adam step. Checkpoints are written
     per epoch; a non-finite loss halts training with the last good
     checkpoint still on disk.
 
@@ -193,8 +211,7 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
         order = rng.permutation(len(entries))
         for lo in range(0, len(order), cfg.batch):
             batch = order[lo:lo + cfg.batch]
-            m.zero_grad()
-            batch_loss = 0.0
+            segments = []
             for j in batch:
                 entry = entries[int(j)]
                 noisy = data_io.read_wav(entry.noisy_path)
@@ -202,18 +219,18 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
                 nspec = signal_core.stft(noisy, cfg.window, cfg.hop)
                 cspec = signal_core.stft(clean, cfg.window, cfg.hop)
                 t0, t1 = _segment_bounds(nspec.n_frames, cfg.seq_len, rng)
-                graph = _forward_amp(m, nspec.amplitude[t0:t1],
-                                     cspec.amplitude[t0:t1])
-                loss_val = float(graph.loss.values)
-                if not np.isfinite(loss_val):
-                    if out_dir is not None:
-                        _write_history(history, os.path.join(out_dir, "loss_history.csv"))
-                    raise NumericsError("diverged: non-finite training loss")
-                graph.loss.backward()
-                batch_loss += loss_val
-            grads = m.gradients(scale=1.0 / len(batch))
-            optimizer_step(m, grads, lr=cfg.lr)
-            history.append(batch_loss / len(batch))
+                segments.append((nspec.amplitude[t0:t1], cspec.amplitude[t0:t1]))
+            loss = _batch_loss(m, segments)
+            loss_val = float(loss.values)
+            if not np.isfinite(loss_val):
+                if out_dir is not None:
+                    _write_history(history, os.path.join(out_dir, "loss_history.csv"))
+                raise NumericsError("diverged: non-finite training loss")
+            m.zero_grad()
+            loss.backward()
+            del loss   # the batch graph goes before the next step builds one
+            optimizer_step(m, m.gradients(), lr=cfg.lr)
+            history.append(loss_val)
             steps += 1
             if max_steps is not None and steps >= max_steps:
                 break

@@ -54,6 +54,13 @@ def segsnr(clean: signal_core.Waveform, test: signal_core.Waveform,
     return float(np.mean(values))
 
 
+def _amplitudes(clean, test, window, hop, clean_spec=None):
+    _check_pair(clean, test)
+    if clean_spec is None:
+        clean_spec = signal_core.stft(clean, window, hop)
+    return clean_spec.amplitude, signal_core.stft(test, window, hop).amplitude
+
+
 def fwsegsnr(clean: signal_core.Waveform, test: signal_core.Waveform,
              window: int = 256, hop: int = 64, gamma: float = 0.2) -> float:
     """Frequency-weighted segmental SNR in dB.
@@ -62,10 +69,10 @@ def fwsegsnr(clean: signal_core.Waveform, test: signal_core.Waveform,
     to [-10, 35] and averaged with weights |X|^gamma; frames are then
     averaged uniformly over the non-silent clean frames.
     """
-    _check_pair(clean, test)
-    cspec = signal_core.stft(clean, window, hop)
-    tspec = signal_core.stft(test, window, hop)
-    cx, tx = cspec.amplitude, tspec.amplitude
+    return _fwsegsnr(*_amplitudes(clean, test, window, hop), gamma)
+
+
+def _fwsegsnr(cx: np.ndarray, tx: np.ndarray, gamma: float = 0.2) -> float:
     err2 = (cx - tx) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         snr = 10.0 * np.log10((cx * cx + _TINY) / (err2 + _TINY))
@@ -87,19 +94,19 @@ def fwsegsnr(clean: signal_core.Waveform, test: signal_core.Waveform,
 def amplitude_mse(clean: signal_core.Waveform, test: signal_core.Waveform,
                   window: int = 256, hop: int = 64) -> float:
     """Mean squared error between the two amplitude grids."""
-    _check_pair(clean, test)
-    cspec = signal_core.stft(clean, window, hop)
-    tspec = signal_core.stft(test, window, hop)
-    return float(np.mean((cspec.amplitude - tspec.amplitude) ** 2))
+    cx, tx = _amplitudes(clean, test, window, hop)
+    return float(np.mean((cx - tx) ** 2))
 
 
 def evaluate_pair(clean: signal_core.Waveform, test: signal_core.Waveform,
-                  window: int = 256, hop: int = 64) -> dict:
-    """All three measures for one clean/test pair."""
+                  window: int = 256, hop: int = 64,
+                  clean_spec: signal_core.Spectrogram | None = None) -> dict:
+    """All three measures for one pair; ``clean_spec`` reuses a clean STFT."""
+    cx, tx = _amplitudes(clean, test, window, hop, clean_spec)
     return {
-        "fwsegsnr": fwsegsnr(clean, test, window, hop),
+        "fwsegsnr": _fwsegsnr(cx, tx),
         "segsnr": segsnr(clean, test),
-        "amp_mse": amplitude_mse(clean, test, window, hop),
+        "amp_mse": float(np.mean((cx - tx) ** 2)),
     }
 
 

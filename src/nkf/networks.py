@@ -17,6 +17,7 @@ at the bottom of this file.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -70,43 +71,26 @@ class LstmPredictor:
 
 
 def lstm_forward(p: LstmPredictor, noisy_amp) -> tuple[ad.DiffArray, ad.DiffArray]:
-    """Run the predictor over a T x F feature sequence.
+    """Run the predictor over a T x F sequence or a B x T x F batch.
 
     Returns the nonnegative amplitude prediction and the clamped residual
-    log variance, both T x F. Hidden and cell states start at zero, and
-    outputs at frame t depend only on frames up to t.
+    log variance, both shaped like the input. Hidden and cell states start
+    at zero in every sequence, and outputs at frame t depend only on frames
+    up to t, so a sequence zero-padded at its end keeps its outputs.
     """
-    x = ad.lift(noisy_amp)
-    if x.ndim != 2 or x.shape[1] != p.n_bins:
-        raise DataError(f"predictor expects T x {p.n_bins} input, got {x.shape}")
-    n_frames = x.shape[0]
-    if n_frames < 1:
-        raise DataError("predictor needs at least one frame")
-    layer_in = x
-    for layer, u in enumerate(p.units):
-        wx = p.params[f"lstm{layer}.wx"]
-        wh = p.params[f"lstm{layer}.wh"]
-        b = p.params[f"lstm{layer}.b"]
-        xp = ad.matmul(layer_in, wx)  # input projections for all frames at once
-        h = ad.lift(np.zeros(u))
-        c = ad.lift(np.zeros(u))
-        hs = []
-        for t in range(n_frames):
-            z = ad.add(ad.add(xp[t], ad.matmul(h, wh)), b)
-            gate_i = ad.sigmoid(z[0:u])
-            gate_f = ad.sigmoid(z[u:2 * u])
-            cand = ad.tanh(z[2 * u:3 * u])
-            gate_o = ad.sigmoid(z[3 * u:4 * u])
-            c = ad.add(ad.mul(gate_f, c), ad.mul(gate_i, cand))
-            h = ad.mul(gate_o, ad.tanh(c))
-            hs.append(h)
-        layer_in = ad.stack_rows(hs)
+    x = np.asarray(noisy_amp, dtype=np.float64)
+    if x.ndim not in (2, 3) or x.shape[-1] != p.n_bins or x.shape[-2] < 1:
+        raise DataError(f"predictor expects [B x] T x {p.n_bins}, T >= 1, got {x.shape}")
+    layer_in = x if x.ndim == 3 else x[None]
+    for layer in range(len(p.units)):
+        layer_in = ad.lstm_layer(layer_in, p.params[f"lstm{layer}.wx"],
+                                 p.params[f"lstm{layer}.wh"], p.params[f"lstm{layer}.b"])
     amp = ad.relu(ad.add_rowvec(
         ad.matmul(layer_in, p.params["head_amp.w"]), p.params["head_amp.b"]))
     res_logvar = ad.clamp(ad.add_rowvec(
         ad.matmul(layer_in, p.params["head_res.w"]), p.params["head_res.b"]),
         -LOGVAR_LIMIT, LOGVAR_LIMIT)
-    return amp, res_logvar
+    return (amp, res_logvar) if x.ndim == 3 else (amp[0], res_logvar[0])
 
 
 class NoiseFnn:
@@ -143,24 +127,9 @@ def fnn_context_matrix(amplitude: np.ndarray, context: int) -> np.ndarray:
     return amplitude[idx].reshape(n_frames, context * amplitude.shape[1])
 
 
-def noise_fnn_forward(n: NoiseFnn, amp_context, sigma_y2_frame) -> ad.DiffArray:
-    """Single-frame noise variance estimate from a filled context window."""
-    amp_context = ad.lift(amp_context)
-    sigma_y2_frame = ad.lift(sigma_y2_frame)
-    if amp_context.shape != (n.context * n.n_bins,):
-        raise DataError("context vector has wrong length")
-    if sigma_y2_frame.shape != (n.n_bins,):
-        raise DataError("variance frame has wrong length")
-    inp = ad.concat([amp_context, sigma_y2_frame])
-    h1 = ad.relu(ad.add(ad.matmul(inp, n.params["fnn.w1"]), n.params["fnn.b1"]))
-    h2 = ad.relu(ad.add(ad.matmul(h1, n.params["fnn.w2"]), n.params["fnn.b2"]))
-    z = ad.add(ad.matmul(h2, n.params["fnn.w3"]), n.params["fnn.b3"])
-    return ad.add(ad.softplus(z), NOISE_VAR_EPS)
-
-
 def noise_fnn_forward_grid(n: NoiseFnn, amplitude: np.ndarray,
                            sigma_y2: np.ndarray) -> ad.DiffArray:
-    """All-frames noise estimate; equals the per-frame op row by row."""
+    """Noise variance estimate for every frame of a T x F grid."""
     amplitude = np.asarray(amplitude, dtype=np.float64)
     sigma_y2 = np.asarray(sigma_y2, dtype=np.float64)
     if amplitude.shape != sigma_y2.shape or amplitude.shape[1] != n.n_bins:
@@ -205,13 +174,10 @@ class NkfModel:
         for p in self.parameters().values():
             p.grad = None
 
-    def gradients(self, scale: float = 1.0) -> dict[str, np.ndarray]:
-        """Collect accumulated gradients, scaled (zero where untouched)."""
-        out = {}
-        for name, p in self.parameters().items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.values)
-            out[name] = g * scale
-        return out
+    def gradients(self) -> dict[str, np.ndarray]:
+        """Accumulated gradients (zero where untouched)."""
+        return {name: p.grad if p.grad is not None else np.zeros_like(p.values)
+                for name, p in self.parameters().items()}
 
 
 def build_model(n_bins: int, *, lstm_units=(64, 64), fnn_hidden: int = 128,
@@ -292,15 +258,10 @@ class _Reader:
         self.off += size
         return vals
 
-    def take_bytes(self, size: int) -> bytes:
-        if self.off + size > len(self.blob):
-            raise DataError("malformed checkpoint: truncated")
-        out = self.blob[self.off:self.off + size]
-        self.off += size
-        return out
-
 
 def save_checkpoint(m: NkfModel, path):
+    """Write ``m`` to a temporary file beside ``path``, then move it over
+    ``path``: a write that fails partway leaves an earlier file intact."""
     params = m.parameters()
     blob = [_MAGIC, struct.pack("<I", _VERSION)]
     blob.append(struct.pack(
@@ -314,15 +275,22 @@ def save_checkpoint(m: NkfModel, path):
     tensors += [(f"adam_m.{name}", m.adam_m[name]) for name in params]
     tensors += [(f"adam_v.{name}", m.adam_v[name]) for name in params]
     blob.append(struct.pack("<I", len(tensors)))
-    blob.extend(_pack_tensor(name, arr) for name, arr in tensors)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(blob))
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(blob))
+            for name, arr in tensors:
+                fh.write(_pack_tensor(name, arr))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> NkfModel:
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
-    if reader.take_bytes(len(_MAGIC)) != _MAGIC:
+    if reader.take(f"{len(_MAGIC)}s")[0] != _MAGIC:
         raise DataError("malformed checkpoint: bad magic string")
     (version,) = reader.take("<I")
     if version != _VERSION:
@@ -341,11 +309,11 @@ def load_checkpoint(path) -> NkfModel:
     (n_tensors,) = reader.take("<I")
     for _ in range(n_tensors):
         (name_len,) = reader.take("<H")
-        name = reader.take_bytes(name_len).decode("utf-8")
+        name = reader.take(f"{name_len}s")[0].decode("utf-8")
         (ndim,) = reader.take("<B")
         shape = reader.take(f"<{ndim}I") if ndim else ()
         count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        data = np.frombuffer(reader.take_bytes(8 * count), dtype="<f8")
+        data = np.frombuffer(reader.take(f"{8 * count}s")[0], dtype="<f8")
         targets[name] = data.reshape(shape).astype(np.float64)
     params = model.parameters()
     expected = list(params) + [f"adam_m.{n}" for n in params] + \

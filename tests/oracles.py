@@ -1,0 +1,114 @@
+"""Graph compositions the library replaced, kept as equivalence oracles.
+
+``lstm_forward_per_frame`` is the per-frame LSTM graph that
+``autodiff.lstm_layer`` replaced: about 17 nodes per frame per layer, which
+the generic engine backpropagates through, so its gradients are independent
+of the fused op's hand-written backward pass. ``noise_fnn_forward`` is the
+single-frame noise net that ``networks.noise_fnn_forward_grid`` runs for all
+frames at once. ``sigmoid``, ``tanh``, ``stack_rows`` and ``concat`` are the
+autodiff ops only these oracles use.
+"""
+
+import numpy as np
+
+from nkf import autodiff as ad
+from nkf.errors import DataError
+from nkf.networks import LOGVAR_LIMIT, NOISE_VAR_EPS, LstmPredictor, NoiseFnn
+
+
+def sigmoid(x) -> ad.DiffArray:
+    x = ad.lift(x)
+    out = 0.5 * (1.0 + np.tanh(0.5 * x.values))  # numerically stable logistic
+
+    def backward(g):
+        x._accumulate(g * out * (1.0 - out))
+
+    return ad._node(out, (x,), backward)
+
+
+def tanh(x) -> ad.DiffArray:
+    x = ad.lift(x)
+    out = np.tanh(x.values)
+
+    def backward(g):
+        x._accumulate(g * (1.0 - out * out))
+
+    return ad._node(out, (x,), backward)
+
+
+def stack_rows(rows) -> ad.DiffArray:
+    """Stack equal-length 1-D nodes into a 2-D node, one per row."""
+    rows = [ad.lift(r) for r in rows]
+    if any(r.ndim != 1 for r in rows):
+        raise ValueError("stack_rows expects 1-D nodes")
+    out = np.stack([r.values for r in rows])
+
+    def backward(g):
+        for i, r in enumerate(rows):
+            r._accumulate(g[i])
+
+    return ad._node(out, tuple(rows), backward)
+
+
+def concat(parts, axis: int = 0) -> ad.DiffArray:
+    parts = [ad.lift(p) for p in parts]
+    out = np.concatenate([p.values for p in parts], axis=axis)
+    sizes = [p.shape[axis] for p in parts]
+    offsets = np.cumsum([0] + sizes)
+
+    def backward(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            idx = (slice(None),) * axis + (slice(lo, hi),)
+            p._accumulate(g[idx])
+
+    return ad._node(out, tuple(parts), backward)
+
+
+def lstm_forward_per_frame(p: LstmPredictor, noisy_amp):
+    """``networks.lstm_forward`` on one T x F sequence, one cell at a time."""
+    x = ad.lift(noisy_amp)
+    if x.ndim != 2 or x.shape[1] != p.n_bins:
+        raise DataError(f"predictor expects T x {p.n_bins} input, got {x.shape}")
+    n_frames = x.shape[0]
+    if n_frames < 1:
+        raise DataError("predictor needs at least one frame")
+    layer_in = x
+    for layer, u in enumerate(p.units):
+        wx = p.params[f"lstm{layer}.wx"]
+        wh = p.params[f"lstm{layer}.wh"]
+        b = p.params[f"lstm{layer}.b"]
+        xp = ad.matmul(layer_in, wx)  # input projections for all frames at once
+        h = ad.lift(np.zeros(u))
+        c = ad.lift(np.zeros(u))
+        hs = []
+        for t in range(n_frames):
+            z = ad.add(ad.add(xp[t], ad.matmul(h, wh)), b)
+            gate_i = sigmoid(z[0:u])
+            gate_f = sigmoid(z[u:2 * u])
+            cand = tanh(z[2 * u:3 * u])
+            gate_o = sigmoid(z[3 * u:4 * u])
+            c = ad.add(ad.mul(gate_f, c), ad.mul(gate_i, cand))
+            h = ad.mul(gate_o, tanh(c))
+            hs.append(h)
+        layer_in = stack_rows(hs)
+    amp = ad.relu(ad.add_rowvec(
+        ad.matmul(layer_in, p.params["head_amp.w"]), p.params["head_amp.b"]))
+    res_logvar = ad.clamp(ad.add_rowvec(
+        ad.matmul(layer_in, p.params["head_res.w"]), p.params["head_res.b"]),
+        -LOGVAR_LIMIT, LOGVAR_LIMIT)
+    return amp, res_logvar
+
+
+def noise_fnn_forward(n: NoiseFnn, amp_context, sigma_y2_frame) -> ad.DiffArray:
+    """Single-frame noise variance estimate from a filled context window."""
+    amp_context = ad.lift(amp_context)
+    sigma_y2_frame = ad.lift(sigma_y2_frame)
+    if amp_context.shape != (n.context * n.n_bins,):
+        raise DataError("context vector has wrong length")
+    if sigma_y2_frame.shape != (n.n_bins,):
+        raise DataError("variance frame has wrong length")
+    inp = concat([amp_context, sigma_y2_frame])
+    h1 = ad.relu(ad.add(ad.matmul(inp, n.params["fnn.w1"]), n.params["fnn.b1"]))
+    h2 = ad.relu(ad.add(ad.matmul(h1, n.params["fnn.w2"]), n.params["fnn.b2"]))
+    z = ad.add(ad.matmul(h2, n.params["fnn.w3"]), n.params["fnn.b3"])
+    return ad.add(ad.softplus(z), NOISE_VAR_EPS)

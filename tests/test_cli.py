@@ -1,9 +1,10 @@
+import csv
 import os
 
 import numpy as np
 import pytest
 
-from nkf import data_io
+from nkf import data_io, metrics, signal_core
 from nkf.cli import main
 from nkf.config import RunConfig
 from nkf.signal_core import Waveform
@@ -116,21 +117,27 @@ class TestEnhance:
 
     def test_usage_errors(self, workspace, tmp_path):
         root, corpus, ckpt = workspace
-        # no input source
-        rc = main(TINY + ["enhance", "--checkpoint", str(ckpt),
-                          "--out", str(tmp_path / "x")])
-        assert rc == 1
-        # neural methods need a checkpoint
-        rc = main(TINY + ["enhance", "--manifest", str(corpus / "manifest.csv"),
-                          "--method", "nkf", "--out", str(tmp_path / "y")])
-        assert rc == 1
-        # the neural methods have no use for an oracle noise grid
-        for method in ("nkf", "lstm"):
-            rc = main(TINY + ["enhance", "--checkpoint", str(ckpt),
-                              "--manifest", str(corpus / "manifest.csv"),
-                              "--method", method, "--oracle-noise",
-                              "--out", str(tmp_path / method)])
-            assert rc == 1
+        manifest = str(corpus / "manifest.csv")
+        wav = data_io.load_manifest(manifest).split_entries("test")[0].noisy_path
+        cases = {
+            # no input source, and both of them
+            "x": ["--checkpoint", str(ckpt)],
+            "both": ["--checkpoint", str(ckpt), "--wav", wav, "--manifest", manifest],
+            # neural methods need a checkpoint
+            "y": ["--manifest", manifest, "--method", "nkf"],
+            # the neural methods have no use for an oracle noise grid
+            "nkf": ["--checkpoint", str(ckpt), "--manifest", manifest,
+                    "--method", "nkf", "--oracle-noise"],
+            "lstm": ["--checkpoint", str(ckpt), "--manifest", manifest,
+                     "--method", "lstm", "--oracle-noise"],
+            # a single wav has no noise file to take the oracle grid from
+            "wav": ["--wav", wav, "--method", "wiener", "--oracle-noise"],
+        }
+        for name, argv in cases.items():
+            out = tmp_path / name
+            assert main(TINY + ["enhance"] + argv + ["--out", str(out)]) == 1, name
+            # rejected before anything is written
+            assert not out.exists(), name
 
     def test_missing_file_is_data_error(self, workspace, tmp_path):
         root, corpus, ckpt = workspace
@@ -161,6 +168,40 @@ class TestEval:
         for row in data_rows:
             assert float(row[2]) == pytest.approx(35.0)
         assert any(l.startswith("MEAN@") for l in lines[1:])
+
+    def test_one_stft_per_signal_and_scores_unchanged(self, workspace, tmp_path,
+                                                      monkeypatch):
+        root, corpus, _ = workspace
+        entries = data_io.load_manifest(corpus / "manifest.csv").split_entries("test")
+        enhanced = tmp_path / "scaled"
+        os.makedirs(enhanced)
+        for e in entries:
+            w = data_io.read_wav(e.noisy_path)
+            data_io.write_wav(Waveform(0.5 * w.samples, w.sample_rate),
+                              enhanced / f"{e.utt_id}.wav")
+        calls = []
+        real_stft = signal_core.stft
+        monkeypatch.setattr(signal_core, "stft",
+                            lambda *a, **k: calls.append(1) or real_stft(*a, **k))
+        report = tmp_path / "report.csv"
+        rc = main(TINY + ["eval", "--manifest", str(corpus / "manifest.csv"),
+                          "--enhanced", str(enhanced), "--out", str(report)])
+        assert rc == 0
+        assert len(calls) == 3 * len(entries)   # clean, enhanced, noisy
+        monkeypatch.undo()
+
+        # bit-identical to the three public metrics, each running its own STFTs
+        with open(report, newline="", encoding="utf-8") as fh:
+            rows = {r["utt_id"]: r for r in csv.DictReader(fh)}
+        for e in entries:
+            clean = data_io.read_wav(e.clean_path)
+            for suffix, test in (("", data_io.read_wav(enhanced / f"{e.utt_id}.wav")),
+                                 ("_noisy", data_io.read_wav(e.noisy_path))):
+                want = {"fwsegsnr": metrics.fwsegsnr(clean, test, 64, 16),
+                        "segsnr": metrics.segsnr(clean, test),
+                        "amp_mse": metrics.amplitude_mse(clean, test, 64, 16)}
+                for key, value in want.items():
+                    assert float(rows[e.utt_id][key + suffix]) == value, key + suffix
 
     def test_empty_eval_is_data_error(self, workspace, tmp_path):
         root, corpus, _ = workspace

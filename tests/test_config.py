@@ -25,6 +25,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig(utterance_seconds=0.01)
 
+    def test_lp_segment_must_exceed_lp_order(self):
+        # the KF baseline fits each LP model on one segment of lp_segment frames
+        for segment, order in ((2, 2), (1, 3)):
+            with pytest.raises(ConfigError, match="lp_segment.*lp_order"):
+                RunConfig(lp_segment=segment, lp_order=order)
+        assert RunConfig(lp_segment=3, lp_order=2).lp_segment == 3
+
     def test_lstm_unit_list(self):
         cfg = RunConfig(lstm_layers=3, lstm_units=32)
         assert cfg.lstm_unit_list == (32, 32, 32)

@@ -1,12 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 
 from nkf import autodiff as ad
+from nkf import networks
 from nkf.errors import DataError, NumericsError
 from nkf.networks import (LstmPredictor, NkfModel, NoiseFnn, build_model,
                           fnn_context_matrix, load_checkpoint, lstm_forward,
-                          noise_fnn_forward, noise_fnn_forward_grid,
-                          optimizer_step, save_checkpoint, NOISE_VAR_EPS)
+                          noise_fnn_forward_grid, optimizer_step,
+                          save_checkpoint, NOISE_VAR_EPS)
+
+from oracles import noise_fnn_forward
 
 
 def _zero_params(net):
@@ -274,3 +279,29 @@ class TestDeterminismAndCheckpoints:
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(DataError, match="truncated"):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.nkf"
+        save_checkpoint(build_model(5, lstm_units=(2,), fnn_hidden=3, context=2,
+                                    seed=0), path)
+        before = path.read_bytes()
+        assert os.listdir(tmp_path) == ["model.nkf"]
+
+        real_pack = networks._pack_tensor
+        packed = []
+
+        def pack_then_fail(name, arr):
+            # header and five tensors reach the temporary file, then the write fails
+            if len(packed) == 5:
+                assert len(os.listdir(tmp_path)) == 2   # the partial temporary file
+                raise OSError("disk full")
+            packed.append(name)
+            return real_pack(name, arr)
+
+        monkeypatch.setattr(networks, "_pack_tensor", pack_then_fail)
+        newer = build_model(5, lstm_units=(2,), fnn_hidden=3, context=2, seed=1)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(newer, path)
+        assert len(packed) == 5
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.nkf"]

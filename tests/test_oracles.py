@@ -1,0 +1,130 @@
+"""The fused LSTM layer against the per-frame graph it replaced (kept in
+``oracles``), and finite-difference tests of the sigmoid, tanh and
+stack_rows ops that only the oracles use."""
+
+import numpy as np
+import pytest
+
+from nkf import autodiff as ad
+from nkf.enhancer import _batch_loss, _combine, _forward_amp
+from nkf.networks import LstmPredictor, build_model, lstm_forward
+from nkf.pipeline import lstm_features
+
+from oracles import lstm_forward_per_frame, sigmoid, stack_rows, tanh
+from test_autodiff import _fd_check
+
+FORWARD_ATOL = 1e-12
+GRAD_RTOL = 1e-10
+
+
+class TestOracleOps:
+    def test_activations(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-2.0, 2.0, (5,))
+        for op in (sigmoid, tanh):
+            _fd_check(lambda xs, op=op: op(xs[0]), [x])
+
+    def test_sigmoid_derivative_at_zero(self):
+        x = ad.DiffArray(np.array(0.0))
+        y = sigmoid(x)
+        y.backward()
+        assert x.grad == pytest.approx(0.25)
+
+    def test_stack_rows(self):
+        rng = np.random.default_rng(11)
+        rows = [rng.standard_normal(4) for _ in range(3)]
+        _fd_check(lambda xs: stack_rows(xs), rows)
+
+    def test_stack_rows_shared_node(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(4)
+        _fd_check(lambda xs: stack_rows([xs[0], xs[0]]), [x])
+
+
+def _loss(amp, res, amp_target, res_target):
+    return ad.add(ad.mean_square(amp, ad.lift(amp_target)),
+                  ad.mean_square(res, ad.lift(res_target)))
+
+
+def _grads(p):
+    out = {k: v.grad.copy() for k, v in p.params.items()}
+    for v in p.params.values():
+        v.grad = None
+    return out
+
+
+def _assert_grads_close(got, want):
+    for name, g in want.items():
+        scale = max(np.max(np.abs(g)), 1e-300)
+        assert np.max(np.abs(got[name] - g)) <= GRAD_RTOL * scale, name
+
+
+@pytest.mark.parametrize("units", [(2,), (64, 64)], ids=["2", "64x64"])
+@pytest.mark.parametrize("lengths", [(1,), (9,), (1, 1, 1), (7, 12, 3)],
+                         ids=["B1-T1", "B1-T9", "B3-T1", "B3-padded"])
+def test_fused_matches_per_frame_oracle(units, lengths):
+    n_bins = 5
+    rng = np.random.default_rng(len(units) * 100 + sum(lengths))
+    p = LstmPredictor(n_bins, units=units, rng=rng)
+    seqs = [rng.uniform(0, 2, (n, n_bins)) for n in lengths]
+    targets = [(rng.uniform(0, 2, s.shape), rng.uniform(-1, 1, s.shape)) for s in seqs]
+
+    batch = np.zeros((len(seqs), max(lengths), n_bins))
+    for b, s in enumerate(seqs):
+        batch[b, :len(s)] = s
+    amp, res = lstm_forward(p, batch)
+    assert amp.shape == res.shape == batch.shape
+    total = None
+    for b, (s, (ta, tr)) in enumerate(zip(seqs, targets)):
+        loss = _loss(amp[b, :len(s)], res[b, :len(s)], ta, tr)
+        total = loss if total is None else ad.add(total, loss)
+    total.backward()
+    fused = _grads(p)
+
+    for b, (s, (ta, tr)) in enumerate(zip(seqs, targets)):
+        want_amp, want_res = lstm_forward_per_frame(p, s)
+        np.testing.assert_allclose(amp.values[b, :len(s)], want_amp.values,
+                                   rtol=0, atol=FORWARD_ATOL)
+        np.testing.assert_allclose(res.values[b, :len(s)], want_res.values,
+                                   rtol=0, atol=FORWARD_ATOL)
+        _loss(want_amp, want_res, ta, tr).backward()
+    _assert_grads_close(fused, _grads(p))
+
+
+def test_single_sequence_matches_batch_of_one():
+    rng = np.random.default_rng(21)
+    p = LstmPredictor(4, units=(3, 2), rng=rng)
+    x = rng.uniform(0, 2, (6, 4))
+    amp, res = lstm_forward(p, x)
+    bamp, bres = lstm_forward(p, x[None])
+    np.testing.assert_array_equal(amp.values, bamp.values[0])
+    np.testing.assert_array_equal(res.values, bres.values[0])
+
+
+def test_padded_batch_equals_each_utterance_alone():
+    m = build_model(6, lstm_units=(4, 3), fnn_hidden=8, context=3, window=10,
+                    hop=5, variance_span=4, seed=3)
+    rng = np.random.default_rng(22)
+    segments = [(rng.uniform(0.2, 3.0, (n, 6)), rng.uniform(0.1, 2.5, (n, 6)))
+                for n in (11, 4, 8)]
+
+    feats = [lstm_features(noisy, m.log_features) for noisy, _ in segments]
+    batch = np.zeros((3, 11, 6))
+    for b, f in enumerate(feats):
+        batch[b, :len(f)] = f
+    amp, res = lstm_forward(m.predictor, batch)
+    alone = []
+    for b, ((noisy, clean), f) in enumerate(zip(segments, feats)):
+        padded = _combine(m, noisy, f, amp[b, :len(f)], res[b, :len(f)], clean)
+        single = _forward_amp(m, noisy, clean)
+        np.testing.assert_allclose(float(padded.loss.values), float(single.loss.values),
+                                   rtol=1e-13, atol=0)
+        m.zero_grad()
+        single.loss.backward()
+        alone.append(m.gradients())
+
+    m.zero_grad()
+    loss = _batch_loss(m, segments)
+    loss.backward()
+    _assert_grads_close(m.gradients(),
+                        {k: sum(g[k] for g in alone) / len(alone) for k in alone[0]})
