@@ -7,10 +7,12 @@ the constants made by ``lift``; inner nodes drop theirs once propagated.
 Gradients on leaves persist across backward calls (call ``zero_grad`` on the
 leaves to reset), which is what batched gradient accumulation relies on.
 
-The op set is deliberately small: elementwise arithmetic on equal shapes
-(plus python scalars), matrix products of 1-D/2-D operands (or B x T x K by
-K x N), a handful of activations, basic slicing, row broadcast, a fused
-mean-square reduction and a fused LSTM layer. No general broadcasting.
+The op set is deliberately small, just what the NKF graph uses: elementwise
+arithmetic on equal shapes (a python scalar or other 0-d operand may meet an
+array only as a constant), products of a 2-D or B x T x K node with a K x N
+node, a handful of activations, basic slicing (the one operator overload),
+row broadcast, a fused mean-square reduction and a fused LSTM layer. No
+general broadcasting.
 
 Values are treated as immutable once wrapped; mutating ``values`` in place
 invalidates recorded gradients.
@@ -59,10 +61,6 @@ class DiffArray:
     def ndim(self):
         return self.values.ndim
 
-    @property
-    def size(self):
-        return self.values.size
-
     def __repr__(self):
         return f"DiffArray(shape={self.shape}, leaf={not self._parents})"
 
@@ -77,7 +75,7 @@ class DiffArray:
 
     def backward(self):
         """Seed this scalar node with gradient 1 and backpropagate."""
-        if self.size != 1:
+        if self.values.size != 1:
             raise ValueError("backward() must start from a scalar node")
         order = _toposort(self)
         self._accumulate(np.ones_like(self.values))
@@ -85,36 +83,6 @@ class DiffArray:
             if node._backward is not None:
                 node._backward(node.grad)
                 node.grad = None
-
-    # -- operators ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -151,16 +119,9 @@ def _node(values, parents, backward):
 
 
 def _check_same_shape(a: DiffArray, b: DiffArray, op: str):
-    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
+    # a 0-d operand may meet an array only as a constant, which takes no gradient
+    if a.shape != b.shape and not any(x.ndim == 0 and x.constant for x in (a, b)):
         raise ValueError(f"{op}: shapes {a.shape} and {b.shape} do not match")
-
-
-def _accum_elementwise(target: DiffArray, delta):
-    # A 0-d operand collects the sum of the incoming gradient.
-    if target.ndim == 0 and np.ndim(delta) > 0:
-        target._accumulate(np.sum(delta))
-    else:
-        target._accumulate(delta)
 
 
 # -- elementwise arithmetic ---------------------------------------------
@@ -172,8 +133,8 @@ def add(a, b) -> DiffArray:
     out = a.values + b.values
 
     def backward(g):
-        _accum_elementwise(a, g)
-        _accum_elementwise(b, g)
+        a._accumulate(g)
+        b._accumulate(g)
 
     return _node(out, (a, b), backward)
 
@@ -184,8 +145,8 @@ def sub(a, b) -> DiffArray:
     out = a.values - b.values
 
     def backward(g):
-        _accum_elementwise(a, g)
-        _accum_elementwise(b, -g)
+        a._accumulate(g)
+        b._accumulate(-g)
 
     return _node(out, (a, b), backward)
 
@@ -196,8 +157,8 @@ def mul(a, b) -> DiffArray:
     out = a.values * b.values
 
     def backward(g):
-        _accum_elementwise(a, g * b.values)
-        _accum_elementwise(b, g * a.values)
+        a._accumulate(g * b.values)
+        b._accumulate(g * a.values)
 
     return _node(out, (a, b), backward)
 
@@ -208,8 +169,8 @@ def div(a, b) -> DiffArray:
     out = a.values / b.values
 
     def backward(g):
-        _accum_elementwise(a, g / b.values)
-        _accum_elementwise(b, -g * out / b.values)
+        a._accumulate(g / b.values)
+        b._accumulate(-g * out / b.values)
 
     return _node(out, (a, b), backward)
 
@@ -218,26 +179,18 @@ def div(a, b) -> DiffArray:
 
 
 def matmul(a, b) -> DiffArray:
+    """Product of a 2-D or B x T x K node with a K x N node."""
     a, b = lift(a), lift(b)
-    if (a.ndim, b.ndim) not in ((1, 2), (2, 1), (2, 2), (3, 2)):
-        raise ValueError("matmul supports 1-D/2-D operands and 3-D @ 2-D only")
+    if a.ndim not in (2, 3) or b.ndim != 2:
+        raise ValueError("matmul supports 2-D or 3-D @ 2-D operands only")
     if a.shape[-1] != b.shape[0]:
         raise ValueError(f"matmul: inner dims {a.shape} @ {b.shape} do not match")
     out = a.values @ b.values
 
-    if b.ndim == 2 and a.ndim >= 2:
-        def backward(g):
-            if not a.constant:
-                a._accumulate(g @ b.values.T)
-            b._accumulate(a.values.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1]))
-    elif a.ndim == 2 and b.ndim == 1:
-        def backward(g):
-            a._accumulate(np.outer(g, b.values))
-            b._accumulate(a.values.T @ g)
-    else:  # 1-D @ 2-D
-        def backward(g):
-            a._accumulate(b.values @ g)
-            b._accumulate(np.outer(a.values, g))
+    def backward(g):
+        if not a.constant:
+            a._accumulate(g @ b.values.T)
+        b._accumulate(a.values.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1]))
 
     return _node(out, (a, b), backward)
 

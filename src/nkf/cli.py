@@ -92,6 +92,8 @@ def cmd_synth(cfg, args) -> int:
 
 
 def cmd_train(cfg, args) -> int:
+    if args.max_steps is not None and args.max_steps < 1:
+        raise ConfigError("--max-steps must be at least 1")
     manifest = data_io.load_manifest(os.path.join(args.corpus, "manifest.csv"))
     model = _model_from_cfg(cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -126,6 +128,11 @@ def cmd_enhance(cfg, args) -> int:
     if args.oracle_noise and not args.manifest:
         raise ConfigError("--oracle-noise needs --manifest")
     model = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    differ = [f"{k} = {getattr(cfg, k)} (checkpoint {getattr(model, k)})"
+              for k in ("window", "hop", "sample_rate", "variance_span")
+              if model is not None and getattr(cfg, k) != getattr(model, k)]
+    if differ:
+        raise ConfigError("framing differs from the checkpoint: " + ", ".join(differ))
     os.makedirs(args.out, exist_ok=True)
     save_config(cfg, os.path.join(args.out, "resolved.cfg"))
     count = 0

@@ -9,6 +9,7 @@ are reproducible from the artifacts alone.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -64,12 +65,13 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.lp_segment <= self.lp_order:
             raise ConfigError("lp_segment must be greater than lp_order")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        if self.utterance_seconds * self.sample_rate < 4 * self.window:
-            raise ConfigError("utterances must cover at least four windows")
-        if not self.train_snrs or not self.test_snrs:
-            raise ConfigError("SNR grids must be nonempty")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError("lr must be positive and finite")
+        if not 4 * self.window <= self.utterance_seconds * self.sample_rate < math.inf:
+            raise ConfigError("utterances must be finite and cover at least four windows")
+        snrs = (*self.train_snrs, *self.test_snrs)
+        if not self.train_snrs or not self.test_snrs or not all(map(math.isfinite, snrs)):
+            raise ConfigError("SNR grids must be nonempty and finite")
 
     @property
     def n_bins(self) -> int:

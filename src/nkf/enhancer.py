@@ -75,15 +75,19 @@ def nkf_loss(amp_out, clean_amp) -> float:
     return float(np.mean((amp_out - clean_amp) ** 2))
 
 
-def _forward_amp(m: NkfModel, noisy_amp: np.ndarray,
-                 clean_amp: np.ndarray | None = None) -> NkfGraph:
-    """Build the differentiable pipeline over one noisy amplitude grid."""
-    noisy_amp = np.asarray(noisy_amp, dtype=np.float64)
-    if noisy_amp.ndim != 2 or noisy_amp.shape[1] != m.n_bins:
+def _forward(m: NkfModel, segments) -> list[NkfGraph]:
+    """Build the differentiable pipeline over (noisy, clean or None) amplitude
+    grids: the LSTM runs once on them zero-padded at the end to the longest
+    (exact: the LSTM is causal), the rest of the graph per utterance."""
+    noisy = [np.asarray(n, dtype=np.float64) for n, _ in segments]
+    if any(n.ndim != 2 or n.shape[1] != m.n_bins for n in noisy):
         raise DataError(f"model expects T x {m.n_bins} amplitudes")
-    feats = lstm_features(noisy_amp, m.log_features)
-    amp_lstm, res_logvar = lstm_forward(m.predictor, feats)
-    return _combine(m, noisy_amp, feats, amp_lstm, res_logvar, clean_amp)
+    feats = [lstm_features(n, m.log_features) for n in noisy]
+    n_frames = max(len(f) for f in feats)
+    amp, res = lstm_forward(m.predictor, np.stack(
+        [np.pad(f, ((0, n_frames - len(f)), (0, 0))) for f in feats]))
+    return [_combine(m, n, f, amp[b, :len(f)], res[b, :len(f)], clean)
+            for b, (n, f, (_, clean)) in enumerate(zip(noisy, feats, segments))]
 
 
 def _combine(m: NkfModel, noisy_amp, feats, amp_lstm, res_logvar, clean_amp) -> NkfGraph:
@@ -91,11 +95,11 @@ def _combine(m: NkfModel, noisy_amp, feats, amp_lstm, res_logvar, clean_amp) -> 
     sigma_y2 = wiener.track_sigma_y(noisy_amp, m.variance_span)
     sigma_v2 = noise_fnn_forward_grid(m.noise_net, feats, sigma_y2)
     inv_sy = 1.0 / np.maximum(sigma_y2, wiener.VARIANCE_FLOOR)
-    h = ad.clamp(1.0 - ad.mul(sigma_v2, ad.lift(inv_sy)), 0.0, 1.0)
+    h = ad.clamp(ad.sub(1.0, ad.mul(sigma_v2, ad.lift(inv_sy))), 0.0, 1.0)
     amp_wiener = ad.mul(h, ad.lift(noisy_amp))
     sigma_r2 = ad.exp(res_logvar)
     gain = ad.div(sigma_r2, ad.add(sigma_r2, sigma_v2))
-    amp_out = ad.add(ad.mul(gain, amp_wiener), ad.mul(1.0 - gain, amp_lstm))
+    amp_out = ad.add(ad.mul(gain, amp_wiener), ad.mul(ad.sub(1.0, gain), amp_lstm))
     loss = None
     if clean_amp is not None:
         clean_amp = np.asarray(clean_amp, dtype=np.float64)
@@ -112,7 +116,7 @@ def nkf_forward(m: NkfModel, noisy: signal_core.Spectrogram,
     """Differentiable forward pass over a noisy spectrogram."""
     if noisy.n_bins != m.n_bins:
         raise DataError("spectrogram bin count differs from model")
-    return _forward_amp(m, noisy.amplitude, clean_amp)
+    return _forward(m, [(noisy.amplitude, clean_amp)])[0]
 
 
 #: The amplitude grid each model method resynthesizes.
@@ -167,14 +171,8 @@ def _segment_bounds(n_frames: int, seq_len: int, rng) -> tuple[int, int]:
 
 
 def _batch_loss(m: NkfModel, segments) -> ad.DiffArray:
-    """Mean loss over (noisy, clean) amplitude segments; the LSTM runs once on
-    them zero-padded at the end to the longest (exact: the LSTM is causal)."""
-    feats = [lstm_features(noisy, m.log_features) for noisy, _ in segments]
-    n_frames = max(len(f) for f in feats)
-    amp, res = lstm_forward(m.predictor, np.stack(
-        [np.pad(f, ((0, n_frames - len(f)), (0, 0))) for f in feats]))
-    losses = [_combine(m, noisy, f, amp[b, :len(f)], res[b, :len(f)], clean).loss
-              for b, ((noisy, clean), f) in enumerate(zip(segments, feats))]
+    """Mean loss over (noisy, clean) amplitude segments."""
+    losses = [graph.loss for graph in _forward(m, segments)]
     return ad.div(functools.reduce(ad.add, losses), float(len(losses)))
 
 
@@ -249,6 +247,7 @@ def gradient_check(model: NkfModel | None = None, n_frames: int = 5,
                    seed: int = 0, step: float = 1e-5) -> float:
     """Compare every parameter's analytic gradient with central differences.
 
+    Differentiates the training loss (``_batch_loss``) on one random segment.
     Uses a tiny configuration by default so the full check stays fast;
     returns the maximum relative error over all parameter entries.
     """
@@ -259,15 +258,14 @@ def gradient_check(model: NkfModel | None = None, n_frames: int = 5,
     noisy_amp = rng.uniform(0.5, 3.0, (n_frames, model.n_bins))
     clean_amp = rng.uniform(0.1, 2.5, (n_frames, model.n_bins))
 
+    segments = [(noisy_amp, clean_amp)]
     model.zero_grad()
-    graph = _forward_amp(model, noisy_amp, clean_amp)
-    graph.loss.backward()
-    analytic = {k: p.grad.copy() if p.grad is not None else np.zeros_like(p.values)
-                for k, p in model.parameters().items()}
+    _batch_loss(model, segments).backward()
+    analytic = model.gradients()
 
     def loss_at() -> float:
         with ad.no_grad():
-            return float(_forward_amp(model, noisy_amp, clean_amp).loss.values)
+            return float(_batch_loss(model, segments).values)
 
     worst = 0.0
     for name, p in model.parameters().items():

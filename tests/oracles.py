@@ -5,8 +5,9 @@
 the generic engine backpropagates through, so its gradients are independent
 of the fused op's hand-written backward pass. ``noise_fnn_forward`` is the
 single-frame noise net that ``networks.noise_fnn_forward_grid`` runs for all
-frames at once. ``sigmoid``, ``tanh``, ``stack_rows`` and ``concat`` are the
-autodiff ops only these oracles use.
+frames at once. Both are built on 1 x K rows, since the library's ``matmul``
+takes no 1-D operands. ``sigmoid``, ``tanh`` and ``concat`` are the autodiff
+ops only these oracles use.
 """
 
 import numpy as np
@@ -34,20 +35,6 @@ def tanh(x) -> ad.DiffArray:
         x._accumulate(g * (1.0 - out * out))
 
     return ad._node(out, (x,), backward)
-
-
-def stack_rows(rows) -> ad.DiffArray:
-    """Stack equal-length 1-D nodes into a 2-D node, one per row."""
-    rows = [ad.lift(r) for r in rows]
-    if any(r.ndim != 1 for r in rows):
-        raise ValueError("stack_rows expects 1-D nodes")
-    out = np.stack([r.values for r in rows])
-
-    def backward(g):
-        for i, r in enumerate(rows):
-            r._accumulate(g[i])
-
-    return ad._node(out, tuple(rows), backward)
 
 
 def concat(parts, axis: int = 0) -> ad.DiffArray:
@@ -78,19 +65,19 @@ def lstm_forward_per_frame(p: LstmPredictor, noisy_amp):
         wh = p.params[f"lstm{layer}.wh"]
         b = p.params[f"lstm{layer}.b"]
         xp = ad.matmul(layer_in, wx)  # input projections for all frames at once
-        h = ad.lift(np.zeros(u))
-        c = ad.lift(np.zeros(u))
+        h = ad.lift(np.zeros((1, u)))
+        c = ad.lift(np.zeros((1, u)))
         hs = []
         for t in range(n_frames):
-            z = ad.add(ad.add(xp[t], ad.matmul(h, wh)), b)
-            gate_i = sigmoid(z[0:u])
-            gate_f = sigmoid(z[u:2 * u])
-            cand = tanh(z[2 * u:3 * u])
-            gate_o = sigmoid(z[3 * u:4 * u])
+            z = ad.add_rowvec(ad.add(xp[t:t + 1], ad.matmul(h, wh)), b)
+            gate_i = sigmoid(z[:, 0:u])
+            gate_f = sigmoid(z[:, u:2 * u])
+            cand = tanh(z[:, 2 * u:3 * u])
+            gate_o = sigmoid(z[:, 3 * u:4 * u])
             c = ad.add(ad.mul(gate_f, c), ad.mul(gate_i, cand))
             h = ad.mul(gate_o, tanh(c))
             hs.append(h)
-        layer_in = stack_rows(hs)
+        layer_in = concat(hs)
     amp = ad.relu(ad.add_rowvec(
         ad.matmul(layer_in, p.params["head_amp.w"]), p.params["head_amp.b"]))
     res_logvar = ad.clamp(ad.add_rowvec(
@@ -101,14 +88,14 @@ def lstm_forward_per_frame(p: LstmPredictor, noisy_amp):
 
 def noise_fnn_forward(n: NoiseFnn, amp_context, sigma_y2_frame) -> ad.DiffArray:
     """Single-frame noise variance estimate from a filled context window."""
-    amp_context = ad.lift(amp_context)
-    sigma_y2_frame = ad.lift(sigma_y2_frame)
+    amp_context = np.asarray(amp_context, dtype=np.float64)
+    sigma_y2_frame = np.asarray(sigma_y2_frame, dtype=np.float64)
     if amp_context.shape != (n.context * n.n_bins,):
         raise DataError("context vector has wrong length")
     if sigma_y2_frame.shape != (n.n_bins,):
         raise DataError("variance frame has wrong length")
-    inp = concat([amp_context, sigma_y2_frame])
-    h1 = ad.relu(ad.add(ad.matmul(inp, n.params["fnn.w1"]), n.params["fnn.b1"]))
-    h2 = ad.relu(ad.add(ad.matmul(h1, n.params["fnn.w2"]), n.params["fnn.b2"]))
-    z = ad.add(ad.matmul(h2, n.params["fnn.w3"]), n.params["fnn.b3"])
-    return ad.add(ad.softplus(z), NOISE_VAR_EPS)
+    inp = concat([ad.lift(amp_context[None]), ad.lift(sigma_y2_frame[None])], axis=1)
+    h1 = ad.relu(ad.add_rowvec(ad.matmul(inp, n.params["fnn.w1"]), n.params["fnn.b1"]))
+    h2 = ad.relu(ad.add_rowvec(ad.matmul(h1, n.params["fnn.w2"]), n.params["fnn.b2"]))
+    z = ad.add_rowvec(ad.matmul(h2, n.params["fnn.w3"]), n.params["fnn.b3"])
+    return ad.add(ad.softplus(z), NOISE_VAR_EPS)[0]

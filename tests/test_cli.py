@@ -119,23 +119,29 @@ class TestEnhance:
         root, corpus, ckpt = workspace
         manifest = str(corpus / "manifest.csv")
         wav = data_io.load_manifest(manifest).split_entries("test")[0].noisy_path
+        enhance = ["enhance", "--checkpoint", str(ckpt), "--manifest", manifest]
         cases = {
             # no input source, and both of them
-            "x": ["--checkpoint", str(ckpt)],
-            "both": ["--checkpoint", str(ckpt), "--wav", wav, "--manifest", manifest],
+            "x": ["enhance", "--checkpoint", str(ckpt)],
+            "both": enhance + ["--wav", wav],
             # neural methods need a checkpoint
-            "y": ["--manifest", manifest, "--method", "nkf"],
+            "y": ["enhance", "--manifest", manifest, "--method", "nkf"],
             # the neural methods have no use for an oracle noise grid
-            "nkf": ["--checkpoint", str(ckpt), "--manifest", manifest,
-                    "--method", "nkf", "--oracle-noise"],
-            "lstm": ["--checkpoint", str(ckpt), "--manifest", manifest,
-                     "--method", "lstm", "--oracle-noise"],
+            "nkf": enhance + ["--method", "nkf", "--oracle-noise"],
+            "lstm": enhance + ["--method", "lstm", "--oracle-noise"],
             # a single wav has no noise file to take the oracle grid from
-            "wav": ["--wav", wav, "--method", "wiener", "--oracle-noise"],
+            "wav": ["enhance", "--wav", wav, "--method", "wiener", "--oracle-noise"],
+            # framing other than the checkpoint's (trained with hop 16)
+            "hop-nkf": ["--set", "hop=32"] + enhance + ["--method", "nkf"],
+            "hop-kf": ["--set", "hop=32"] + enhance + ["--method", "kf"],
+            "span-kf": ["--set", "variance_span=4"] + enhance + ["--method", "kf"],
+            # training takes at least one step
+            "steps0": ["train", "--corpus", str(corpus), "--max-steps", "0"],
+            "steps-5": ["train", "--corpus", str(corpus), "--max-steps", "-5"],
         }
         for name, argv in cases.items():
             out = tmp_path / name
-            assert main(TINY + ["enhance"] + argv + ["--out", str(out)]) == 1, name
+            assert main(TINY + argv + ["--out", str(out)]) == 1, name
             # rejected before anything is written
             assert not out.exists(), name
 
@@ -225,3 +231,9 @@ class TestGradcheckAndUsage:
     def test_bad_config_value(self, tmp_path):
         assert main(["--set", "window=13", "synth",
                      "--out", str(tmp_path / "c")]) == 1
+
+    def test_non_finite_config_is_usage_error(self, tmp_path):
+        out = tmp_path / "c"
+        assert main(TINY + ["--set", "utterance_seconds=nan", "synth",
+                            "--out", str(out)]) == 1
+        assert not out.exists()

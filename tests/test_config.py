@@ -1,7 +1,12 @@
+import math
+from pathlib import Path
+
 import pytest
 
 from nkf.config import RunConfig, load_config, parse_assignments, save_config
 from nkf.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestValidation:
@@ -24,6 +29,15 @@ class TestValidation:
             RunConfig(lr=0.0)
         with pytest.raises(ConfigError):
             RunConfig(utterance_seconds=0.01)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", math.nan), ("lr", math.inf), ("utterance_seconds", math.nan),
+        ("utterance_seconds", math.inf), ("test_snrs", (math.nan,)),
+        ("train_snrs", (0.0, -math.inf)), ("test_snrs", (5.0, math.inf)),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            RunConfig(**{field: value})
 
     def test_lp_segment_must_exceed_lp_order(self):
         # the KF baseline fits each LP model on one segment of lp_segment frames
@@ -81,6 +95,10 @@ class TestFiles:
         cfg = load_config(preset="full")
         assert cfg.lstm_units == 1024 and cfg.fnn_hidden == 1024
         assert cfg.batch == 16 and cfg.seq_len == 2048 and cfg.epochs == 20
+
+    def test_shipped_config_files_match_the_presets(self):
+        assert load_config(CONFIGS / "desk.cfg") == RunConfig()
+        assert load_config(CONFIGS / "full.cfg") == load_config(preset="full")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -6,7 +6,8 @@ from nkf import data_io
 from nkf.config import RunConfig
 from nkf.enhancer import (EnhancementResult, NkfFrameEstimates, enhance,
                           enhance_wiener, gradient_check, nkf_combine,
-                          nkf_forward, nkf_gain, nkf_loss, train, _forward_amp)
+                          nkf_forward, nkf_gain, nkf_loss, train, _batch_loss,
+                          _forward)
 from nkf.errors import DataError, NumericsError
 from nkf.networks import build_model
 from nkf.signal_core import Waveform, stft
@@ -95,7 +96,7 @@ class TestForward:
         rng = np.random.default_rng(3)
         amp = rng.uniform(0.5, 3.0, (6, 4))
         with ad.no_grad():
-            graph = _forward_amp(m, amp)
+            graph, = _forward(m, [(amp, None)])
         est = graph.estimates()
         sigma_v2 = np.log(2.0) + 1e-12  # softplus(0) + eps
         expected_gain = 1.0 / (1.0 + sigma_v2)
@@ -112,7 +113,7 @@ class TestForward:
         rng = np.random.default_rng(4)
         amp = rng.uniform(0.5, 3.0, (10, 4))
         with ad.no_grad():
-            graph = _forward_amp(m, amp)
+            graph, = _forward(m, [(amp, None)])
         tracks = VarianceTracks(sigma_y2=track_sigma_y(amp, m.variance_span),
                                 sigma_v2=graph.sigma_v2.values)
         np.testing.assert_allclose(graph.amp_wiener.values,
@@ -132,7 +133,7 @@ class TestForward:
         rng = np.random.default_rng(8)
         amp = rng.uniform(0, 3.0, (12, 4))
         with ad.no_grad():
-            graph = _forward_amp(m, amp)
+            graph, = _forward(m, [(amp, None)])
         est = graph.estimates()
         assert np.all((est.gain > 0) & (est.gain < 1))
         assert np.all(est.sigma_r2 > 0)
@@ -141,10 +142,24 @@ class TestForward:
         hi = np.maximum(est.amp_wiener, est.amp_lstm)
         assert np.all(est.amp_out >= lo) and np.all(est.amp_out <= hi)
 
+    def test_graph_runs_the_numpy_formulas_bit_for_bit(self):
+        # nkf_gain, nkf_combine and nkf_loss (acceptance criteria 5 and 6)
+        # are the formulas the trained graph computes, not near relatives
+        m = _tiny_model(seed=11)
+        rng = np.random.default_rng(12)
+        spec = stft(Waveform(rng.standard_normal(96) * 0.1), m.window, m.hop)
+        clean = rng.uniform(0.0, 0.5, spec.amplitude.shape)
+        graph = nkf_forward(m, spec, clean)
+        gain = nkf_gain(graph.sigma_r2.values, graph.sigma_v2.values)
+        amp_out = nkf_combine(gain, graph.amp_wiener.values, graph.amp_lstm.values)
+        np.testing.assert_array_equal(graph.gain.values, gain)
+        np.testing.assert_array_equal(graph.amp_out.values, amp_out)
+        assert float(graph.loss.values) == nkf_loss(amp_out, clean)
+
     def test_dimension_mismatch(self):
         m = _tiny_model()
         with pytest.raises(DataError):
-            _forward_amp(m, np.ones((5, 7)))
+            _forward(m, [(np.ones((5, 7)), None)])
 
     def test_spectrogram_entry_point(self):
         m = _tiny_model()
@@ -156,10 +171,11 @@ class TestForward:
 
 
 def _independent_gradient_check(model, noisy_amp, clean_amp, step=1e-5):
-    """Finite-difference oracle over every parameter of both networks."""
+    """Finite-difference oracle over every parameter of both networks, on the
+    batch loss that training differentiates."""
+    segments = [(noisy_amp, clean_amp)]
     model.zero_grad()
-    graph = _forward_amp(model, noisy_amp, clean_amp)
-    graph.loss.backward()
+    _batch_loss(model, segments).backward()
     worst = 0.0
     for name, p in model.parameters().items():
         analytic = p.grad if p.grad is not None else np.zeros_like(p.values)
@@ -168,10 +184,10 @@ def _independent_gradient_check(model, noisy_amp, clean_amp, step=1e-5):
             saved = flat[i]
             flat[i] = saved + step
             with ad.no_grad():
-                up = float(_forward_amp(model, noisy_amp, clean_amp).loss.values)
+                up = float(_batch_loss(model, segments).values)
             flat[i] = saved - step
             with ad.no_grad():
-                down = float(_forward_amp(model, noisy_amp, clean_amp).loss.values)
+                down = float(_batch_loss(model, segments).values)
             flat[i] = saved
             numeric = (up - down) / (2 * step)
             a = analytic.reshape(-1)[i]

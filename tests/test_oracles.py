@@ -1,16 +1,16 @@
 """The fused LSTM layer against the per-frame graph it replaced (kept in
-``oracles``), and finite-difference tests of the sigmoid, tanh and
-stack_rows ops that only the oracles use."""
+``oracles``), and finite-difference tests of the sigmoid and tanh ops that
+only the oracles use."""
 
 import numpy as np
 import pytest
 
 from nkf import autodiff as ad
-from nkf.enhancer import _batch_loss, _combine, _forward_amp
+from nkf.enhancer import _batch_loss, _combine, _forward
 from nkf.networks import LstmPredictor, build_model, lstm_forward
 from nkf.pipeline import lstm_features
 
-from oracles import lstm_forward_per_frame, sigmoid, stack_rows, tanh
+from oracles import lstm_forward_per_frame, sigmoid, tanh
 from test_autodiff import _fd_check
 
 FORWARD_ATOL = 1e-12
@@ -29,16 +29,6 @@ class TestOracleOps:
         y = sigmoid(x)
         y.backward()
         assert x.grad == pytest.approx(0.25)
-
-    def test_stack_rows(self):
-        rng = np.random.default_rng(11)
-        rows = [rng.standard_normal(4) for _ in range(3)]
-        _fd_check(lambda xs: stack_rows(xs), rows)
-
-    def test_stack_rows_shared_node(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal(4)
-        _fd_check(lambda xs: stack_rows([xs[0], xs[0]]), [x])
 
 
 def _loss(amp, res, amp_target, res_target):
@@ -116,7 +106,7 @@ def test_padded_batch_equals_each_utterance_alone():
     alone = []
     for b, ((noisy, clean), f) in enumerate(zip(segments, feats)):
         padded = _combine(m, noisy, f, amp[b, :len(f)], res[b, :len(f)], clean)
-        single = _forward_amp(m, noisy, clean)
+        single, = _forward(m, [(noisy, clean)])
         np.testing.assert_allclose(float(padded.loss.values), float(single.loss.values),
                                    rtol=1e-13, atol=0)
         m.zero_grad()
