@@ -196,6 +196,8 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
 
     Returns the trained model and the per-step loss history.
     """
+    if max_steps is not None and max_steps < 1:
+        raise DataError("max_steps must be at least 1")
     entries = [e for e in manifest.entries if e.split == "train"]
     if not entries:
         raise DataError("manifest has no train entries")

@@ -7,6 +7,11 @@ prediction-error covariance against the noise variance. The full baseline
 enhancer Wiener-prefilters the noisy amplitudes, fits LP models on short
 segments of that output, then runs the recursion over the raw noisy
 amplitudes and resynthesizes with the noisy phase.
+
+``filter_bins`` runs the recursion for all bins at once; ``KfState`` with
+``kf_predict`` / ``kf_gain`` / ``kf_update`` is the one-bin reference it is
+tested against, and ``autocorrelate`` / ``levinson_durbin`` /
+``transition_matrix`` stay importable from here as the matching LP reference.
 """
 
 from __future__ import annotations
@@ -18,10 +23,7 @@ import numpy as np
 from . import pipeline, signal_core
 from .errors import DataError, NumericsError
 from .linear_prediction import LpModel, TransitionMatrix, autocorrelate, \
-    levinson_durbin, transition_matrix
-
-#: Autocorrelation floor below which a segment is treated as silence.
-_SILENT_R0 = 1e-14
+    fit_lp_bins, levinson_durbin, transition_matrix
 
 
 @dataclass
@@ -55,12 +57,19 @@ def kf_predict(s: KfState) -> KfState:
 
 
 def kf_gain(s_pred: KfState, sigma_v2: float) -> KfGain:
-    """Gain that weighs the noisy observation against the prediction."""
+    """Gain that weighs the noisy observation against the prediction.
+
+    A zero denominator (no noise variance and ree[0, 0] = 0, so for a PSD
+    covariance a zero first column) gives g = 0, the limit as sigma_v2 -> 0+:
+    the prediction is kept.
+    """
     if sigma_v2 < 0:
         raise DataError("noise variance must be nonnegative")
     denom = sigma_v2 + s_pred.ree[0, 0]
-    if denom <= 0:
-        raise NumericsError("degenerate gain: zero residual and noise variance")
+    if denom < 0:
+        raise NumericsError("degenerate gain: negative denominator")
+    if denom == 0:
+        return KfGain(g=np.zeros(len(s_pred.x)))
     return KfGain(g=s_pred.ree[:, 0] / denom)
 
 
@@ -75,28 +84,47 @@ def kf_update(s_pred: KfState, g: KfGain, y_amp: float) -> KfState:
     return KfState(x=x, ree=ree, trans=s_pred.trans, sigma_w2=s_pred.sigma_w2)
 
 
-def _filter_track(noisy_amp, sigma_v2, segments, order: int):
-    """The KF recursion over one amplitude track, seeded as in ``run_kf``.
+def filter_bins(noisy_amp, sigma_v2, segments, order: int):
+    """The KF recursion over the T x F amplitude tracks of all bins at once.
 
-    ``segments`` yields ``(start, stop, LpModel)`` in frame order; state and
-    covariance carry across segment boundaries. Returns the filtered track
-    and the first gain component per frame.
+    ``segments`` yields ``(start, stop, coeffs F x P, residual_var F)`` in
+    frame order; state and covariance carry across segment boundaries. The
+    state of each bin is seeded from its first P noisy amplitudes (newest
+    first) with covariance sigma_v2[0] * I; those frames pass through
+    unchanged. Each frame runs ``kf_predict``, ``kf_gain`` and ``kf_update``
+    for every bin as F-batched array ops. Returns the filtered tracks and
+    the first gain component per frame and bin.
     """
     out = noisy_amp.copy()
-    gains = np.zeros(len(noisy_amp))
-    if len(noisy_amp) <= order:
+    gains = np.zeros(noisy_amp.shape)
+    n_frames, n_bins = noisy_amp.shape
+    if n_frames <= order:
         return out, gains
-    x, ree = noisy_amp[:order][::-1].copy(), sigma_v2[0] * np.eye(order)
-    for start, stop, lp in segments:
-        state = KfState(x=x, ree=ree, trans=transition_matrix(lp),
-                        sigma_w2=lp.residual_var)
+    if np.any(sigma_v2[order:] < 0):
+        raise DataError("noise variance must be nonnegative")
+    x = noisy_amp[:order][::-1].T.copy()
+    ree = sigma_v2[0][:, None, None] * np.eye(order)
+    a = np.zeros((n_bins, order, order))
+    a[:, np.arange(1, order), np.arange(order - 1)] = 1.0
+    for start, stop, coeffs, sigma_w2 in segments:
+        a[:, 0, :] = coeffs
+        a_t = a.transpose(0, 2, 1)
         for t in range(max(start, order), stop):
-            state = kf_predict(state)
-            gain = kf_gain(state, sigma_v2[t])
-            state = kf_update(state, gain, noisy_amp[t])
-            out[t] = state.amplitude
-            gains[t] = gain.g[0]
-        x, ree = state.x, state.ree
+            x = (a @ x[..., None])[..., 0]
+            ree = a @ ree @ a_t
+            ree[:, 0, 0] += sigma_w2
+            ree = 0.5 * (ree + ree.transpose(0, 2, 1))
+            denom = sigma_v2[t] + ree[:, 0, 0]
+            if np.any(denom < 0):
+                raise NumericsError(
+                    f"degenerate gain: negative denominator at frame {t}, "
+                    f"bins {np.flatnonzero(denom < 0).tolist()}")
+            # a zero denominator gives g = 0 (see kf_gain): x / inf == 0
+            g = ree[:, :, 0] / np.where(denom == 0, np.inf, denom)[:, None]
+            x = x + g * (noisy_amp[t][:, None] - x[:, :1])
+            ree = ree - g[:, :, None] * ree[:, None, 0, :]
+            out[t] = np.maximum(x[:, 0], 0.0)
+            gains[t] = g[:, 0]
     return out, gains
 
 
@@ -110,22 +138,31 @@ def run_kf(noisy_amp: np.ndarray, lp: LpModel, sigma_v2: np.ndarray) -> np.ndarr
     sigma_v2 = np.asarray(sigma_v2, dtype=np.float64)
     if noisy_amp.shape != sigma_v2.shape or noisy_amp.ndim != 1:
         raise DataError("amplitude and noise-variance tracks must match")
-    return _filter_track(noisy_amp, sigma_v2, [(0, len(noisy_amp), lp)],
-                         lp.order)[0]
+    segment = (0, len(noisy_amp), lp.coeffs[None], np.array([lp.residual_var]))
+    return filter_bins(noisy_amp[:, None], sigma_v2[:, None], [segment],
+                       lp.order)[0][:, 0]
 
 
-def _segment_model(track_segment: np.ndarray, order: int) -> LpModel:
-    """LP fit for one segment; silent segments degrade to a white model."""
-    r = autocorrelate(track_segment, order)
-    if r[0] <= _SILENT_R0:
-        return LpModel(order=order, coeffs=np.zeros(order),
-                       residual_var=max(float(r[0]), 0.0))
-    return levinson_durbin(r, order)
+def filter_segmented(noisy_amp, lp_track, sigma_v2, order: int, seg_len: int):
+    """``filter_bins`` with LP models fit on ``seg_len``-frame segments of
+    ``lp_track`` (T x F, like the other grids).
+
+    A tail of ``order`` frames or fewer is too short for LP analysis and is
+    merged into the previous segment.
+    """
+    n = len(noisy_amp)
+    starts = list(range(0, n, seg_len))
+    if len(starts) > 1 and n - starts[-1] <= order:
+        starts.pop()
+    # each segment's LP models are fit when the recursion reaches it
+    segments = ((lo, hi, *fit_lp_bins(lp_track[lo:hi], order, lo))
+                for lo, hi in zip(starts, starts[1:] + [n]))
+    return filter_bins(noisy_amp, sigma_v2, segments, order)
 
 
 def enhance_kf_baseline(noisy: signal_core.Waveform, cfg, sigma_v2_grid=None,
                         model=None) -> pipeline.EnhancementResult:
-    """Wiener-prefilter, per-segment LP, per-bin KF, noisy-phase resynthesis.
+    """Wiener-prefilter, per-segment LP, bin-batched KF, noisy-phase resynthesis.
 
     The noise variance grid comes from mixing metadata (oracle) when given,
     else from a trained model's noise estimator; one of the two is required.
@@ -133,20 +170,8 @@ def enhance_kf_baseline(noisy: signal_core.Waveform, cfg, sigma_v2_grid=None,
     def estimate(spec):
         sigma_v2, wiener_amp = pipeline.wiener_estimate(
             spec, cfg.variance_span, sigma_v2_grid, model)
-        n, order = spec.n_frames, cfg.lp_order
-        starts = list(range(0, n, cfg.lp_segment))
-        # merge a tail too short for LP analysis into the previous segment
-        if len(starts) > 1 and n - starts[-1] <= order:
-            starts.pop()
-        bounds = list(zip(starts, starts[1:] + [n]))
-        enhanced = np.empty_like(spec.amplitude)
-        gains = np.empty_like(spec.amplitude)
-        for f in range(spec.n_bins):
-            # each LP model is fit when the recursion reaches its segment
-            segments = ((lo, hi, _segment_model(wiener_amp[lo:hi, f], order))
-                        for lo, hi in bounds)
-            enhanced[:, f], gains[:, f] = _filter_track(
-                spec.amplitude[:, f], sigma_v2[:, f], segments, order)
+        enhanced, gains = filter_segmented(spec.amplitude, wiener_amp, sigma_v2,
+                                           cfg.lp_order, cfg.lp_segment)
         return enhanced, pipeline.NkfFrameEstimates(
             amp_lstm=None, amp_wiener=wiener_amp, sigma_r2=None,
             sigma_v2=sigma_v2, gain=gains, amp_out=enhanced)

@@ -3,6 +3,8 @@
 The biased autocorrelation estimator (divide by N, not N-k) keeps the
 Toeplitz normal equations positive semidefinite, so the Levinson-Durbin
 recursion below is well defined for any finite input with r(0) > 0.
+``fit_lp_bins`` runs the same analysis on every column of a segment at once;
+``autocorrelate`` and ``levinson_durbin`` are its one-track reference.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericsError
+
+#: Autocorrelation floor below which a segment is treated as silence.
+_SILENT_R0 = 1e-14
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,43 @@ def levinson_durbin(r: np.ndarray, order: int) -> LpModel:
         a[m - 1] = k
         err *= 1.0 - k * k
     return LpModel(order=order, coeffs=a, residual_var=max(err, 0.0))
+
+
+def fit_lp_bins(segment: np.ndarray, order: int, frame: int = 0):
+    """LP models for every column (frequency bin) of an L x F segment at once.
+
+    The autocorrelation lags are column sums and the Levinson-Durbin
+    recursion carries a bin axis. Silent bins (r(0) at or below the floor)
+    get zero coefficients and residual max(r(0), 0). ``frame`` is the
+    segment's first frame, named in errors.
+
+    Returns
+    -------
+    coeffs : ndarray, F x P
+    residual_var : ndarray, F
+    """
+    seg = np.asarray(segment, dtype=np.float64)
+    n = seg.shape[0]
+    if n <= order:
+        raise DataError("sequence too short for requested lag")
+    r = np.stack([np.sum(seg[k:] * seg[:n - k], axis=0)
+                  for k in range(order + 1)], axis=1) / n
+    r0 = r[:, 0].copy()
+    silent = r0 <= _SILENT_R0
+    r[silent] = 0.0   # with err = 1 below, silent bins get k = 0 at every order
+    a = np.zeros((seg.shape[1], order))
+    err = np.where(silent, 1.0, r0)
+    for m in range(1, order + 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = (r[:, m] - np.sum(a[:, :m - 1] * r[:, m - 1:0:-1], axis=1)) / err
+        bad = np.flatnonzero(~np.isfinite(k))
+        if bad.size:
+            raise NumericsError(f"non-finite reflection coefficient in the "
+                                f"segment at frame {frame}, bins {bad.tolist()}")
+        a[:, :m - 1] = a[:, :m - 1] - k[:, None] * a[:, :m - 1][:, ::-1]
+        a[:, m - 1] = k
+        err = err * (1.0 - k * k)
+    return a, np.where(silent, np.maximum(r0, 0.0), np.maximum(err, 0.0))
 
 
 def transition_matrix(m: LpModel) -> TransitionMatrix:

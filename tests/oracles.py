@@ -8,12 +8,20 @@ single-frame noise net that ``networks.noise_fnn_forward_grid`` runs for all
 frames at once. Both are built on 1 x K rows, since the library's ``matmul``
 takes no 1-D operands. ``sigmoid``, ``tanh`` and ``concat`` are the autodiff
 ops only these oracles use.
+
+``segmented_kf`` is the conventional KF baseline as one bin's loop over the
+scalar reference API: ``levinson_durbin(autocorrelate(...))`` per segment with
+the silence branch, then ``kf_predict`` / ``kf_gain`` / ``kf_update`` per
+frame, which ``kalman.filter_segmented`` runs for all bins at once.
 """
 
 import numpy as np
 
 from nkf import autodiff as ad
 from nkf.errors import DataError
+from nkf.kalman import KfState, kf_gain, kf_predict, kf_update
+from nkf.linear_prediction import LpModel, autocorrelate, levinson_durbin, \
+    transition_matrix
 from nkf.networks import LOGVAR_LIMIT, NOISE_VAR_EPS, LstmPredictor, NoiseFnn
 
 
@@ -99,3 +107,50 @@ def noise_fnn_forward(n: NoiseFnn, amp_context, sigma_y2_frame) -> ad.DiffArray:
     h2 = ad.relu(ad.add_rowvec(ad.matmul(h1, n.params["fnn.w2"]), n.params["fnn.b2"]))
     z = ad.add_rowvec(ad.matmul(h2, n.params["fnn.w3"]), n.params["fnn.b3"])
     return ad.add(ad.softplus(z), NOISE_VAR_EPS)[0]
+
+
+def segment_bounds(n: int, seg_len: int, order: int):
+    """LP segments as (start, stop); a tail of <= order frames is merged.
+    With n <= order there are none: every frame passes through."""
+    if n <= order:
+        return []
+    starts = list(range(0, n, seg_len))
+    if len(starts) > 1 and n - starts[-1] <= order:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def segment_model(segment, order: int) -> LpModel:
+    r = autocorrelate(segment, order)
+    if r[0] <= 1e-14:
+        return LpModel(order, np.zeros(order), max(float(r[0]), 0.0))
+    return levinson_durbin(r, order)
+
+
+def kf_track(noisy, sigma_v2, order: int, models):
+    """One bin's KF loop; ``models`` is a list of (start, stop, LpModel)."""
+    n = len(noisy)
+    out, gains = noisy.copy(), np.zeros(n)
+    if n <= order:
+        return out, gains
+    state = KfState(x=noisy[:order][::-1].copy(),
+                    ree=sigma_v2[0] * np.eye(order),
+                    trans=transition_matrix(LpModel(order, np.zeros(order), 0.0)),
+                    sigma_w2=0.0)
+    for start, stop, model in models:
+        state.trans = transition_matrix(model)
+        state.sigma_w2 = model.residual_var
+        for t in range(max(start, order), stop):
+            state = kf_predict(state)
+            gain = kf_gain(state, sigma_v2[t])
+            state = kf_update(state, gain, noisy[t])
+            out[t] = state.amplitude
+            gains[t] = gain.g[0]
+    return out, gains
+
+
+def segmented_kf(noisy, lp_track, sigma_v2, order: int, seg_len: int):
+    """Per-segment LP fit on ``lp_track``, then the KF loop; one bin."""
+    models = [(lo, hi, segment_model(lp_track[lo:hi], order))
+              for lo, hi in segment_bounds(len(noisy), seg_len, order)]
+    return kf_track(noisy, sigma_v2, order, models)

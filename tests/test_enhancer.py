@@ -268,6 +268,19 @@ class TestTrainingLoop:
         assert (out / "epoch000.nkf").exists()
         assert (out / "loss_history.csv").exists()
 
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_max_steps_below_one_rejected_before_any_step(self, corpus, tmp_path,
+                                                          max_steps):
+        cfg, manifest = corpus
+        model = self._model(cfg)
+        before = {k: p.values.copy() for k, p in model.parameters().items()}
+        out = tmp_path / "never"
+        with pytest.raises(DataError, match="max_steps"):
+            train(model, manifest, cfg, out_dir=out, max_steps=max_steps)
+        assert not out.exists()
+        for k, p in model.parameters().items():
+            assert np.array_equal(p.values, before[k]), k
+
     def test_checkpoints_and_history_written(self, corpus, tmp_path):
         cfg, manifest = corpus
         out = tmp_path / "ok"

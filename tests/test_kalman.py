@@ -3,9 +3,9 @@ import pytest
 
 from nkf.config import RunConfig
 from nkf.errors import DataError, NumericsError
-from nkf.kalman import (KfState, enhance_kf_baseline, kf_gain, kf_predict,
-                        kf_update, run_kf)
-from nkf.linear_prediction import LpModel, transition_matrix
+from nkf.kalman import (KfState, enhance_kf_baseline, filter_bins, kf_gain,
+                        kf_predict, kf_update, run_kf)
+from nkf.linear_prediction import LpModel, fit_lp_bins, transition_matrix
 from nkf.metrics import segsnr
 from nkf.signal_core import Waveform
 from nkf.wiener import wiener_gain
@@ -64,9 +64,16 @@ class TestGain:
 
     def test_zero_covariance_full_prediction_trust(self):
         s = _state([1.0, 0.0], np.zeros((2, 2)), [0.5, 0.1], 0.0)
+        # a zero denominator keeps the prediction: g = 0, its sigma_v2 -> 0+ limit
+        g = kf_gain(s, 0.0)
+        assert np.array_equal(g.g, np.zeros(2))
+        np.testing.assert_array_equal(kf_update(s, g, 9.0).x, s.x)
+        assert np.all(kf_gain(s, 1.0).g == 0)
+
+    def test_negative_denominator_raises(self):
+        s = _state([1.0], [[-1e-3]], [0.5], 0.0)
         with pytest.raises(NumericsError):
             kf_gain(s, 0.0)
-        assert np.all(kf_gain(s, 1.0).g == 0)
 
     def test_balanced(self):
         s = _state([1.0], [[1.0]], [0.5], 0.0)
@@ -227,8 +234,46 @@ class TestBaseline:
         assert np.all(result.grids.amp_out >= 0)
         assert np.all((result.grids.gain >= 0) & (result.grids.gain <= 1))
 
+    def test_digital_silence_lead_in_with_zero_oracle_noise(self):
+        # the noise variance is exactly zero over the lead-in, and so is the
+        # LP residual of the silent first segment: zero gain denominators
+        cfg = self._cfg()
+        rng = np.random.default_rng(9)
+        speech = Waveform(data_io._synth_speech(rng, 8000, 16000))
+        noise = Waveform(data_io._synth_noise(rng, "white", 16000, 16000))
+        noisy, scaled = data_io.mix_at_snr(speech, noise, 5.0, rng)
+        lead = np.zeros(3200)
+        noisy = Waveform(np.concatenate([lead, noisy.samples]))
+        grid = data_io.oracle_noise_variance(
+            Waveform(np.concatenate([lead, scaled.samples[:8000]])), cfg)
+        lead_frames = 1 + (3200 - cfg.window) // cfg.hop
+        assert np.all(grid[:lead_frames] == 0)
+        result = enhance_kf_baseline(noisy, cfg, sigma_v2_grid=grid)
+        assert np.all(np.isfinite(result.waveform.samples))
+        gains = result.grids.gain
+        assert np.all((gains >= 0) & (gains <= 1))
+        assert np.all(result.grids.amp_out[:lead_frames] == 0)
+
     def test_needs_noise_source(self):
         cfg = self._cfg()
         w = Waveform(np.sin(np.linspace(0, 100, 16000)) * 0.1)
         with pytest.raises(DataError):
             enhance_kf_baseline(w, cfg)
+
+
+class TestErrorsNameFrameAndBins:
+    def test_negative_gain_denominator(self):
+        # a negative residual variance (no LP fit makes one) drives the
+        # predicted covariance below zero where the noise variance is zero
+        amp = np.ones((10, 3))
+        sigma_v2 = np.ones((10, 3))
+        sigma_v2[4:, 1] = 0.0
+        segment = (0, 10, np.zeros((3, 1)), np.array([0.5, -1.0, 0.5]))
+        with pytest.raises(NumericsError, match=r"frame 4, bins \[1\]"):
+            filter_bins(amp, sigma_v2, [segment], 1)
+
+    def test_non_finite_reflection_coefficient(self):
+        track = np.ones((12, 4))
+        track[3, 2] = np.nan
+        with pytest.raises(NumericsError, match=r"frame 40, bins \[2\]"):
+            fit_lp_bins(track, 2, frame=40)

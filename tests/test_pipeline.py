@@ -2,9 +2,12 @@
 
 The references below spell out each method's pipeline step by step (STFT,
 the method's amplitude estimate, recombination with the noisy phase and a
-frame-by-frame overlap-add), with the conventional KF as the segmented
-predict/gain/update loop. The shared shell and the single KF recursion must
-reproduce them bit for bit.
+frame-by-frame overlap-add), with the conventional KF as the per-bin
+segmented predict/gain/update loop. The shared shell must reproduce them bit
+for bit. The bin-batched KF baseline sums its LP autocorrelation lags in a
+different order than the per-bin dot product, so its LP coefficients differ
+in the last bits; it must match within ``KF_TOL`` of each array's largest
+magnitude.
 """
 
 import numpy as np
@@ -14,18 +17,17 @@ from nkf import autodiff as ad
 from nkf import data_io
 from nkf.config import RunConfig
 from nkf.enhancer import enhance, enhance_wiener, nkf_forward
-from nkf.kalman import KfState, enhance_kf_baseline, kf_gain, kf_predict, \
-    kf_update
-from nkf.linear_prediction import LpModel, autocorrelate, levinson_durbin, \
-    transition_matrix
+from nkf.kalman import enhance_kf_baseline
 from nkf.networks import build_model, noise_fnn_forward_grid
 from nkf.pipeline import wiener_estimate
 from nkf.signal_core import Waveform, recombine, stft
 from nkf.wiener import VarianceTracks, apply_wiener, track_sigma_y
 
+from oracles import segmented_kf
 from test_signal_core import _istft_loop_oracle
 
 CFG = RunConfig(window=64, hop=16, variance_span=8, utterance_seconds=0.5)
+KF_TOL = 1e-12
 
 
 def _model():
@@ -58,40 +60,6 @@ def _wiener_amp(spec, sigma_v2):
     return apply_wiener(spec.amplitude, tracks)
 
 
-def _segment_model(segment, order):
-    r = autocorrelate(segment, order)
-    if r[0] <= 1e-14:
-        return LpModel(order, np.zeros(order), max(float(r[0]), 0.0))
-    return levinson_durbin(r, order)
-
-
-def _segmented_kf_oracle(noisy, wiener, sigma_v2, order, seg_len):
-    """Per-segment LP fit on the Wiener track, then the KF loop per segment."""
-    n = len(noisy)
-    out, gains = noisy.copy(), np.zeros(n)
-    if n <= order:
-        return out, gains
-    starts = list(range(0, n, seg_len))
-    if len(starts) > 1 and n - starts[-1] <= order:
-        starts.pop()
-    state = KfState(x=noisy[:order][::-1].copy(),
-                    ree=sigma_v2[0] * np.eye(order),
-                    trans=transition_matrix(LpModel(order, np.zeros(order), 0.0)),
-                    sigma_w2=0.0)
-    for si, start in enumerate(starts):
-        stop = starts[si + 1] if si + 1 < len(starts) else n
-        model = _segment_model(wiener[start:stop], order)
-        state.trans = transition_matrix(model)
-        state.sigma_w2 = model.residual_var
-        for t in range(max(start, order), stop):
-            state = kf_predict(state)
-            gain = kf_gain(state, sigma_v2[t])
-            state = kf_update(state, gain, noisy[t])
-            out[t] = state.amplitude
-            gains[t] = gain.g[0]
-    return out, gains
-
-
 def _kf_reference(noisy, sigma_v2=None, model=None):
     spec = stft(noisy, CFG.window, CFG.hop)
     if sigma_v2 is None:
@@ -104,7 +72,7 @@ def _kf_reference(noisy, sigma_v2=None, model=None):
     enhanced = np.empty_like(spec.amplitude)
     gains = np.empty_like(spec.amplitude)
     for f in range(spec.n_bins):
-        enhanced[:, f], gains[:, f] = _segmented_kf_oracle(
+        enhanced[:, f], gains[:, f] = segmented_kf(
             spec.amplitude[:, f], wiener[:, f], sigma_v2[:, f],
             CFG.lp_order, CFG.lp_segment)
     grids = dict(amp_wiener=wiener, sigma_v2=sigma_v2, gain=gains,
@@ -112,12 +80,18 @@ def _kf_reference(noisy, sigma_v2=None, model=None):
     return _resynthesize(noisy, spec, enhanced), grids
 
 
-def _assert_same(result, waveform, grids):
-    assert np.array_equal(result.waveform.samples, waveform)
+def _assert_same(result, waveform, grids, tol=0.0):
+    """Bit-identical, or with ``tol`` within tol * max|reference| per array."""
+    def same(got, want):
+        if tol == 0.0:
+            return np.array_equal(got, want)
+        return np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    assert same(result.waveform.samples, waveform)
     got = {k: v for k, v in vars(result.grids).items() if v is not None}
     assert set(got) == set(grids)
     for name, grid in grids.items():
-        assert np.array_equal(got[name], grid), name
+        assert same(got[name], grid), name
 
 
 @pytest.mark.parametrize("method,grid_name", [
@@ -145,14 +119,14 @@ def test_oracle_wiener(utterance):
 def test_kf_baseline_oracle_noise(utterance):
     noisy, grid = utterance
     _assert_same(enhance_kf_baseline(noisy, CFG, sigma_v2_grid=grid),
-                 *_kf_reference(noisy, sigma_v2=grid))
+                 *_kf_reference(noisy, sigma_v2=grid), tol=KF_TOL)
 
 
 def test_kf_baseline_model_noise(utterance):
     noisy, _ = utterance
     m = _model()
     _assert_same(enhance_kf_baseline(noisy, CFG, model=m),
-                 *_kf_reference(noisy, model=m))
+                 *_kf_reference(noisy, model=m), tol=KF_TOL)
 
 
 def test_oracle_grid_wins_over_model():
