@@ -14,8 +14,10 @@ node, a handful of activations, basic slicing (the one operator overload),
 row broadcast, a fused mean-square reduction and a fused LSTM layer. No
 general broadcasting.
 
-Values are treated as immutable once wrapped; mutating ``values`` in place
-invalidates recorded gradients.
+Values must not change while a graph that reads them is alive: backward
+reuses them, so mutating ``values`` in place invalidates the gradients of
+any graph recorded before. ``networks.optimizer_step`` updates parameter
+values in place, between one step's backward and the next forward.
 """
 
 from __future__ import annotations
@@ -329,8 +331,12 @@ def lstm_layer(x, wx, wh, b) -> DiffArray:
             act, tanh_c = gates[:, t], tanh_cs[:, t]
             dh = dh + g[:, t]
             dc = dc + dh * act[:, o_] * (1.0 - tanh_c * tanh_c)
-            dz[:, t] = dact[:, t] * np.hstack(
-                [dc * act[:, g_], dc * c_prev[:, t], dc * act[:, i_], dh * tanh_c])
+            dz_t = dz[:, t]
+            np.multiply(dc, act[:, g_], out=dz_t[:, i_])
+            np.multiply(dc, c_prev[:, t], out=dz_t[:, f_])
+            np.multiply(dc, act[:, i_], out=dz_t[:, g_])
+            np.multiply(dh, tanh_c, out=dz_t[:, o_])
+            dz_t *= dact[:, t]
             dc = dc * act[:, f_]
             dh = dz[:, t] @ wh.values.T
         dz = dz.reshape(-1, 4 * u)

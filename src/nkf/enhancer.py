@@ -216,10 +216,14 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
                 entry = entries[int(j)]
                 noisy = data_io.read_wav(entry.noisy_path)
                 clean = data_io.read_wav(entry.clean_path)
-                nspec = signal_core.stft(noisy, cfg.window, cfg.hop)
-                cspec = signal_core.stft(clean, cfg.window, cfg.hop)
-                t0, t1 = _segment_bounds(nspec.n_frames, cfg.seq_len, rng)
-                segments.append((nspec.amplitude[t0:t1], cspec.amplitude[t0:t1]))
+                t0, t1 = _segment_bounds(
+                    signal_core.frame_count(len(noisy), cfg.window, cfg.hop),
+                    cfg.seq_len, rng)
+                # a clean file shorter than the noisy one yields fewer
+                # frames, which _combine rejects as a shape mismatch
+                segments.append(tuple(
+                    signal_core.stft_amplitude(w, cfg.window, cfg.hop, t0, t1)
+                    for w in (noisy, clean)))
             loss = _batch_loss(m, segments)
             loss_val = float(loss.values)
             if not np.isfinite(loss_val):

@@ -92,39 +92,72 @@ def filter_bins(noisy_amp, sigma_v2, segments, order: int):
     state of each bin is seeded from its first P noisy amplitudes (newest
     first) with covariance sigma_v2[0] * I; those frames pass through
     unchanged. Each frame runs ``kf_predict``, ``kf_gain`` and ``kf_update``
-    for every bin as F-batched array ops. Returns the filtered tracks and
-    the first gain component per frame and bin.
+    for every bin, with the bin axis last: the state is P x F and the
+    covariance P x P x F, so every component is one contiguous F-vector and
+    the companion matrix is applied as a weighted sum plus a shift instead
+    of a matrix product. Returns the filtered tracks and the first gain
+    component per frame and bin.
     """
     out = noisy_amp.copy()
     gains = np.zeros(noisy_amp.shape)
     n_frames, n_bins = noisy_amp.shape
     if n_frames <= order:
         return out, gains
-    if np.any(sigma_v2[order:] < 0):
+    if np.any(sigma_v2[0] < 0) or np.any(sigma_v2[order:] < 0):
         raise DataError("noise variance must be nonnegative")
-    x = noisy_amp[:order][::-1].T.copy()
-    ree = sigma_v2[0][:, None, None] * np.eye(order)
-    a = np.zeros((n_bins, order, order))
-    a[:, np.arange(1, order), np.arange(order - 1)] = 1.0
+    # s = [ree | x | ree^T], P x (2P + 1) x F: one weighted sum over its
+    # rows gives (A ree)[0, :], (A x)[0] and (ree A^T)[:, 0], and one outer
+    # product updates ree and x. s and s_next alternate each frame; every
+    # buffer is preallocated and whole-buffer ops run on contiguous memory
+    p = order
+    s, s_next, prod, c_wide = np.zeros((4, p, 2 * p + 1, n_bins))
+    s[:, :p] = s[:, p + 1:] = np.eye(p)[:, :, None] * sigma_v2[0]
+    s[:, p] = noisy_amp[:p][::-1]
+    head, row = np.zeros((2, 2 * p + 1, n_bins))   # row[p + 1:] stays 0
+    corner, g = np.zeros((2, p, n_bins))
+    denom = np.zeros(n_bins)
     for start, stop, coeffs, sigma_w2 in segments:
-        a[:, 0, :] = coeffs
-        a_t = a.transpose(0, 2, 1)
-        for t in range(max(start, order), stop):
-            x = (a @ x[..., None])[..., 0]
-            ree = a @ ree @ a_t
-            ree[:, 0, 0] += sigma_w2
-            ree = 0.5 * (ree + ree.transpose(0, 2, 1))
-            denom = sigma_v2[t] + ree[:, 0, 0]
-            if np.any(denom < 0):
+        c = np.ascontiguousarray(coeffs.T)
+        c_wide[:] = c[:, None, :]
+        first = max(start, p)
+        for t in range(first, stop):
+            # predict: A ree A^T is ree shifted down and right under row and
+            # column 0 from the weighted sums. Symmetrising it as
+            # 0.5 * (P + P^T) leaves P[0, 0] exact, so that is written after
+            # the halving. x shifts down under its new first component.
+            np.multiply(c_wide, s, out=prod)
+            np.add.reduce(prod, 0, out=head)
+            np.add(s[:-1, :p - 1], s[:-1, p + 1:-1], out=s_next[1:, 1:p])
+            np.add(head[:p - 1], head[p + 1:-1], out=s_next[0, 1:p])
+            s_next[1:, 0] = s_next[0, 1:p]
+            s_next *= 0.5
+            np.multiply(head[:p], c, out=corner)
+            np.add.reduce(corner, 0, out=s_next[0, 0])
+            s_next[0, 0] += sigma_w2
+            s_next[1:, p] = s[:-1, p]
+            s_next[0, p] = head[p]
+            s, s_next = s_next, s
+            # gain
+            np.add(sigma_v2[t], s[0, 0], out=denom)
+            # NaN-blind like denom < 0, and defined for zero bins
+            lowest = np.fmin.reduce(denom, initial=np.inf)
+            if lowest < 0:
                 raise NumericsError(
                     f"degenerate gain: negative denominator at frame {t}, "
                     f"bins {np.flatnonzero(denom < 0).tolist()}")
             # a zero denominator gives g = 0 (see kf_gain): x / inf == 0
-            g = ree[:, :, 0] / np.where(denom == 0, np.inf, denom)[:, None]
-            x = x + g * (noisy_amp[t][:, None] - x[:, :1])
-            ree = ree - g[:, :, None] * ree[:, None, 0, :]
-            out[t] = np.maximum(x[:, 0], 0.0)
-            gains[t] = g[:, 0]
+            np.divide(s[:, 0], denom if lowest != 0
+                      else np.where(denom == 0, np.inf, denom), out=g)
+            # update: ree - g ree[0, :] and x - g (x[0] - y) as one product,
+            # then ree^T copied afresh
+            row[:p + 1] = s[0, :p + 1]
+            row[p] -= noisy_amp[t]
+            np.multiply(g[:, None], row, out=prod)
+            s -= prod
+            s[:, p + 1:] = s[:, :p].transpose(1, 0, 2)
+            out[t] = s[0, p]
+            gains[t] = g[0]
+        np.maximum(out[first:stop], 0.0, out=out[first:stop])
     return out, gains
 
 

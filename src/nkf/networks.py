@@ -196,7 +196,12 @@ def build_model(n_bins: int, *, lstm_units=(64, 64), fnn_hidden: int = 128,
 def optimizer_step(m: NkfModel, grads: dict[str, np.ndarray],
                    lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                    eps: float = 1e-8) -> NkfModel:
-    """One Adam update over every parameter; raises on non-finite gradients."""
+    """One Adam update over every parameter; raises on non-finite gradients.
+
+    Moments and parameters are updated in place, bit-identical to
+    ``m = beta1 * m + (1 - beta1) * g``, ``v = beta2 * v + (1 - beta2) * g * g``
+    and ``p = p - lr * m_hat / (sqrt(v_hat) + eps)``.
+    """
     params = m.parameters()
     for name in params:
         if name not in grads:
@@ -205,12 +210,20 @@ def optimizer_step(m: NkfModel, grads: dict[str, np.ndarray],
             raise NumericsError("diverged: non-finite gradient")
     t = m.adam_step + 1
     for name, p in params.items():
-        g = grads[name]
-        m.adam_m[name] = beta1 * m.adam_m[name] + (1.0 - beta1) * g
-        m.adam_v[name] = beta2 * m.adam_v[name] + (1.0 - beta2) * g * g
-        m_hat = m.adam_m[name] / (1.0 - beta1 ** t)
-        v_hat = m.adam_v[name] / (1.0 - beta2 ** t)
-        p.values = p.values - lr * m_hat / (np.sqrt(v_hat) + eps)
+        g, mom, var = grads[name], m.adam_m[name], m.adam_v[name]
+        mom *= beta1
+        mom += (1.0 - beta1) * g
+        g2 = (1.0 - beta2) * g
+        g2 *= g
+        var *= beta2
+        var += g2
+        step = mom / (1.0 - beta1 ** t)
+        step *= lr
+        denom = var / (1.0 - beta2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p.values -= step
     m.adam_step = t
     return m
 

@@ -13,12 +13,21 @@ ops only these oracles use.
 scalar reference API: ``levinson_durbin(autocorrelate(...))`` per segment with
 the silence branch, then ``kf_predict`` / ``kf_gain`` / ``kf_update`` per
 frame, which ``kalman.filter_segmented`` runs for all bins at once.
+
+``adam_step`` is Adam as the out-of-place expressions that
+``networks.optimizer_step`` evaluates in place.
+
+``filter_bins_matmul`` is the bins-first recursion that ``kalman.filter_bins``
+replaced: ``F x P`` states, ``F x P x P`` covariances and three batched
+companion-matrix products per frame. It reproduces ``kf_track`` bit for bit;
+the bins-last recursion sums in another order and matches it within a
+tolerance.
 """
 
 import numpy as np
 
 from nkf import autodiff as ad
-from nkf.errors import DataError
+from nkf.errors import DataError, NumericsError
 from nkf.kalman import KfState, kf_gain, kf_predict, kf_update
 from nkf.linear_prediction import LpModel, autocorrelate, levinson_durbin, \
     transition_matrix
@@ -109,6 +118,16 @@ def noise_fnn_forward(n: NoiseFnn, amp_context, sigma_y2_frame) -> ad.DiffArray:
     return ad.add(ad.softplus(z), NOISE_VAR_EPS)[0]
 
 
+def adam_step(values, m, v, g, t: int, lr: float = 1e-3, beta1: float = 0.9,
+              beta2: float = 0.999, eps: float = 1e-8):
+    """One Adam update of one parameter; returns new (values, m, v)."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    return values - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
 def segment_bounds(n: int, seg_len: int, order: int):
     """LP segments as (start, stop); a tail of <= order frames is merged.
     With n <= order there are none: every frame passes through."""
@@ -154,3 +173,37 @@ def segmented_kf(noisy, lp_track, sigma_v2, order: int, seg_len: int):
     models = [(lo, hi, segment_model(lp_track[lo:hi], order))
               for lo, hi in segment_bounds(len(noisy), seg_len, order)]
     return kf_track(noisy, sigma_v2, order, models)
+
+
+def filter_bins_matmul(noisy_amp, sigma_v2, segments, order: int):
+    """``kalman.filter_bins`` as one batched matmul recursion over F x P x P."""
+    out = noisy_amp.copy()
+    gains = np.zeros(noisy_amp.shape)
+    n_frames, n_bins = noisy_amp.shape
+    if n_frames <= order:
+        return out, gains
+    if np.any(sigma_v2[order:] < 0):
+        raise DataError("noise variance must be nonnegative")
+    x = noisy_amp[:order][::-1].T.copy()
+    ree = sigma_v2[0][:, None, None] * np.eye(order)
+    a = np.zeros((n_bins, order, order))
+    a[:, np.arange(1, order), np.arange(order - 1)] = 1.0
+    for start, stop, coeffs, sigma_w2 in segments:
+        a[:, 0, :] = coeffs
+        a_t = a.transpose(0, 2, 1)
+        for t in range(max(start, order), stop):
+            x = (a @ x[..., None])[..., 0]
+            ree = a @ ree @ a_t
+            ree[:, 0, 0] += sigma_w2
+            ree = 0.5 * (ree + ree.transpose(0, 2, 1))
+            denom = sigma_v2[t] + ree[:, 0, 0]
+            if np.any(denom < 0):
+                raise NumericsError(
+                    f"degenerate gain: negative denominator at frame {t}, "
+                    f"bins {np.flatnonzero(denom < 0).tolist()}")
+            g = ree[:, :, 0] / np.where(denom == 0, np.inf, denom)[:, None]
+            x = x + g * (noisy_amp[t][:, None] - x[:, :1])
+            ree = ree - g[:, :, None] * ree[:, None, 0, :]
+            out[t] = np.maximum(x[:, 0], 0.0)
+            gains[t] = g[:, 0]
+    return out, gains

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,25 @@ class TestTrainingLoop:
         assert not out.exists()
         for k, p in model.parameters().items():
             assert np.array_equal(p.values, before[k]), k
+
+    # training STFTs only the drawn segment's samples of each file; a clean
+    # file that ends early must fail as it does on a full-file STFT
+    @pytest.mark.parametrize("extra,message", [
+        (-1, "too short for one analysis window"),
+        (3, "clean grid shape differs from noisy grid")])
+    def test_clean_shorter_than_noisy_rejected(self, corpus, tmp_path, extra,
+                                               message):
+        cfg, manifest = corpus
+        entries = []
+        for e in manifest.split_entries("train"):
+            clean = data_io.read_wav(e.clean_path)
+            path = str(tmp_path / f"{e.utt_id}.wav")
+            data_io.write_wav(Waveform(clean.samples[:cfg.window + extra],
+                                       clean.sample_rate), path)
+            entries.append(dataclasses.replace(e, clean_path=path))
+        with pytest.raises(DataError, match=message):
+            train(self._model(cfg), data_io.CorpusManifest(entries), cfg,
+                  max_steps=1)
 
     def test_checkpoints_and_history_written(self, corpus, tmp_path):
         cfg, manifest = corpus

@@ -192,6 +192,15 @@ class TestRunKf:
         with pytest.raises(DataError):
             run_kf(np.ones(10), lp, np.ones(9))
 
+    # frame 0 seeds the covariance, frame 6 is filtered
+    @pytest.mark.parametrize("frame,value", [(0, -0.1), (0, -5.0), (6, -0.1)])
+    def test_negative_noise_variance_rejected(self, frame, value):
+        lp = LpModel(order=2, coeffs=np.array([0.5, 0.2]), residual_var=0.1)
+        sigma_v2 = np.ones(10)
+        sigma_v2[frame] = value
+        with pytest.raises(DataError, match="noise variance must be nonnegative"):
+            run_kf(np.ones(10), lp, sigma_v2)
+
 
 class TestBaseline:
     def _cfg(self):

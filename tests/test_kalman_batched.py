@@ -3,8 +3,11 @@
 ``kalman.filter_segmented`` (batched LP fit plus batched recursion) must match
 ``oracles.segmented_kf`` run bin by bin. The batched autocorrelation sums
 in a different order than the scalar dot product, so LP coefficients, gains
-and amplitudes are compared within ``TOL``; given the same LP models, the
-batched recursion must reproduce the scalar loop bit for bit.
+and amplitudes are compared within ``TOL``. Given the same LP models, the
+bins-first matmul recursion ``oracles.filter_bins_matmul`` reproduces the
+scalar loop bit for bit, and ``kalman.filter_bins``, which applies the
+companion matrix as sums and shifts on bins-last buffers, matches that
+oracle within ``RECURSION_TOL`` of the largest reference magnitude.
 """
 
 import numpy as np
@@ -14,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 from nkf.kalman import filter_bins, filter_segmented
 from nkf.linear_prediction import fit_lp_bins
 
-from oracles import kf_track, segment_bounds, segment_model, segmented_kf
+from oracles import filter_bins_matmul, kf_track, segment_bounds, \
+    segment_model, segmented_kf
 
 TOL = 1e-10
+RECURSION_TOL = 1e-12
 
 
 @st.composite
@@ -89,12 +94,25 @@ def test_recursion_bit_identical_given_the_same_models(case):
                  np.stack([models[f][i][2].coeffs for f in range(n_bins)]),
                  np.array([models[f][i][2].residual_var for f in range(n_bins)]))
                 for i, (lo, hi) in enumerate(bounds)]
-    out, gains = filter_bins(noisy, sigma_v2, segments, order)
+    out, gains = filter_bins_matmul(noisy, sigma_v2, segments, order)
     for f in range(n_bins):
         want_out, want_gains = kf_track(noisy[:, f], sigma_v2[:, f], order,
                                         models[f])
         assert np.array_equal(out[:, f], want_out)
         assert np.array_equal(gains[:, f], want_gains)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kf_cases())
+def test_companion_recursion_matches_matmul_oracle(case):
+    noisy, lp_track, sigma_v2, order, seg_len = case
+    segments = [(lo, hi, *fit_lp_bins(lp_track[lo:hi], order, lo))
+                for lo, hi in segment_bounds(len(noisy), seg_len, order)]
+    out, gains = filter_bins(noisy, sigma_v2, segments, order)
+    want_out, want_gains = filter_bins_matmul(noisy, sigma_v2, segments, order)
+    for got, want in ((out, want_out), (gains, want_gains)):
+        err = np.max(np.abs(got - want), initial=0.0)
+        assert err <= RECURSION_TOL * np.max(np.abs(want), initial=0.0)
 
 
 def test_silent_segment_with_zero_noise_keeps_the_prediction():

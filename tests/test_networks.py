@@ -11,7 +11,7 @@ from nkf.networks import (LstmPredictor, NkfModel, NoiseFnn, build_model,
                           noise_fnn_forward_grid, optimizer_step,
                           save_checkpoint, NOISE_VAR_EPS)
 
-from oracles import noise_fnn_forward
+from oracles import adam_step, noise_fnn_forward
 
 
 def _zero_params(net):
@@ -217,6 +217,21 @@ class TestOptimizer:
         for k in m1.parameters():
             np.testing.assert_array_equal(m1.parameters()[k].values,
                                           m2.parameters()[k].values)
+
+    def test_in_place_update_matches_out_of_place_expressions(self):
+        m = self._tiny_model(5)
+        want = {k: (p.values.copy(), np.zeros_like(p.values),
+                    np.zeros_like(p.values)) for k, p in m.parameters().items()}
+        rng = np.random.default_rng(13)
+        for t, lr in enumerate((1e-3, 1e-3, 3e-2, 1e-4, 1e-3), start=1):
+            grads = {k: rng.standard_normal(p.values.shape) * 10.0 ** rng.integers(-6, 3)
+                     for k, p in m.parameters().items()}
+            optimizer_step(m, grads, lr=lr)
+            for k, p in m.parameters().items():
+                want[k] = adam_step(*want[k], grads[k], t, lr=lr)
+                assert np.array_equal(p.values, want[k][0]), k
+                assert np.array_equal(m.adam_m[k], want[k][1]), k
+                assert np.array_equal(m.adam_v[k], want[k][2]), k
 
     def test_nonfinite_gradient_raises(self):
         m = self._tiny_model()

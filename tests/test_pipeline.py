@@ -60,8 +60,8 @@ def _wiener_amp(spec, sigma_v2):
     return apply_wiener(spec.amplitude, tracks)
 
 
-def _kf_reference(noisy, sigma_v2=None, model=None):
-    spec = stft(noisy, CFG.window, CFG.hop)
+def _kf_reference(noisy, sigma_v2=None, model=None, cfg=CFG):
+    spec = stft(noisy, cfg.window, cfg.hop)
     if sigma_v2 is None:
         feats = spec.amplitude   # the test model reads raw amplitudes
         with ad.no_grad():
@@ -74,7 +74,7 @@ def _kf_reference(noisy, sigma_v2=None, model=None):
     for f in range(spec.n_bins):
         enhanced[:, f], gains[:, f] = segmented_kf(
             spec.amplitude[:, f], wiener[:, f], sigma_v2[:, f],
-            CFG.lp_order, CFG.lp_segment)
+            cfg.lp_order, cfg.lp_segment)
     grids = dict(amp_wiener=wiener, sigma_v2=sigma_v2, gain=gains,
                  amp_out=enhanced)
     return _resynthesize(noisy, spec, enhanced), grids
@@ -120,6 +120,15 @@ def test_kf_baseline_oracle_noise(utterance):
     noisy, grid = utterance
     _assert_same(enhance_kf_baseline(noisy, CFG, sigma_v2_grid=grid),
                  *_kf_reference(noisy, sigma_v2=grid), tol=KF_TOL)
+
+
+# CFG runs order 2; these cover the first order, a middle one and the last
+@pytest.mark.parametrize("order", [1, 4, 8])
+def test_kf_baseline_lp_orders(utterance, order):
+    noisy, grid = utterance
+    cfg = CFG.replace(lp_order=order)
+    _assert_same(enhance_kf_baseline(noisy, cfg, sigma_v2_grid=grid),
+                 *_kf_reference(noisy, sigma_v2=grid, cfg=cfg), tol=KF_TOL)
 
 
 def test_kf_baseline_model_noise(utterance):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nkf.errors import DataError
-from nkf.signal_core import Spectrogram, Waveform, hann_window, istft, \
-    recombine, stft
+from nkf.signal_core import Spectrogram, Waveform, frame_count, hann_window, \
+    istft, recombine, stft, stft_amplitude
 
 
 def _dft_oracle(frame):
@@ -60,9 +60,32 @@ class TestStft:
         np.testing.assert_allclose(
             s.frames[frame_index], _dft_oracle(windowed), atol=1e-10)
 
+    def test_framing_matches_index_gather(self):
+        # the frames stft transforms are the hop-spaced windows of the signal
+        rng = np.random.default_rng(8)
+        for n, window_len, hop in [(256, 256, 64), (1000, 64, 16), (777, 8, 3),
+                                   (999, 128, 128)]:
+            x = rng.standard_normal(n)
+            n_frames = frame_count(n, window_len, hop)
+            idx = hop * np.arange(n_frames)[:, None] + np.arange(window_len)
+            want = np.fft.rfft(x[idx] * hann_window(window_len), axis=1)
+            assert np.array_equal(stft(Waveform(x), window_len, hop).frames, want)
+
+    def test_amplitude_of_a_frame_range_is_the_slice(self):
+        rng = np.random.default_rng(9)
+        w = Waveform(rng.standard_normal(3000))
+        full = stft(w, 256, 64).amplitude   # 43 frames
+        for start, stop in [(0, 43), (5, 20), (42, 43), (30, 60), (43, 50),
+                            (10, 10)]:
+            got = stft_amplitude(w, 256, 64, start, stop)
+            assert got.shape == full[start:stop].shape
+            assert np.array_equal(got, full[start:stop])
+
     def test_too_short_signal(self):
         with pytest.raises(DataError, match="too short"):
             stft(Waveform(np.zeros(100)), window_len=256, hop=64)
+        with pytest.raises(DataError, match="too short"):
+            stft_amplitude(Waveform(np.zeros(100)), 256, 64, 0, 1)
 
     def test_bad_framing_parameters(self):
         w = Waveform(np.zeros(1024))
