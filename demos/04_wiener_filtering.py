@@ -30,7 +30,7 @@ tracks = VarianceTracks(
     sigma_v2=data_io.oracle_noise_variance(scaled, cfg),
 )
 filtered = apply_wiener(spec.amplitude, tracks)
-out = istft(recombine(filtered, spec.phase, cfg.window, cfg.hop), len(noisy))
+out = istft(recombine(spec, filtered), len(noisy))
 
 print(f"\nutterance at 5 dB input SNR with the oracle noise variance:")
 print(f"  segmental SNR noisy:    {segsnr(speech, noisy):6.2f} dB")

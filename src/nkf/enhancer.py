@@ -229,7 +229,8 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
             if not np.isfinite(loss_val):
                 if out_dir is not None:
                     _write_history(history, os.path.join(out_dir, "loss_history.csv"))
-                raise NumericsError("diverged: non-finite training loss")
+                raise NumericsError(  # numbered like loss_history.csv
+                    f"diverged: non-finite training loss at step {len(history)}")
             m.zero_grad()
             loss.backward()
             del loss   # the batch graph goes before the next step builds one

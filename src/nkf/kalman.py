@@ -63,7 +63,7 @@ def kf_gain(s_pred: KfState, sigma_v2: float) -> KfGain:
     covariance a zero first column) gives g = 0, the limit as sigma_v2 -> 0+:
     the prediction is kept.
     """
-    if sigma_v2 < 0:
+    if not sigma_v2 >= 0:   # NaN too
         raise DataError("noise variance must be nonnegative")
     denom = sigma_v2 + s_pred.ree[0, 0]
     if denom < 0:
@@ -103,7 +103,8 @@ def filter_bins(noisy_amp, sigma_v2, segments, order: int):
     n_frames, n_bins = noisy_amp.shape
     if n_frames <= order:
         return out, gains
-    if np.any(sigma_v2[0] < 0) or np.any(sigma_v2[order:] < 0):
+    # the frames the recursion reads; written to reject NaN too
+    if not (np.all(sigma_v2[0] >= 0) and np.all(sigma_v2[order:] >= 0)):
         raise DataError("noise variance must be nonnegative")
     # s = [ree | x | ree^T], P x (2P + 1) x F: one weighted sum over its
     # rows gives (A ree)[0, :], (A x)[0] and (ree A^T)[:, 0], and one outer

@@ -203,12 +203,13 @@ def optimizer_step(m: NkfModel, grads: dict[str, np.ndarray],
     and ``p = p - lr * m_hat / (sqrt(v_hat) + eps)``.
     """
     params = m.parameters()
+    t = m.adam_step + 1
     for name in params:
         if name not in grads:
             raise DataError(f"missing gradient for parameter {name}")
         if not np.all(np.isfinite(grads[name])):
-            raise NumericsError("diverged: non-finite gradient")
-    t = m.adam_step + 1
+            raise NumericsError(
+                f"diverged: non-finite gradient for {name} at Adam step {t}")
     for name, p in params.items():
         g, mom, var = grads[name], m.adam_m[name], m.adam_v[name]
         mom *= beta1
@@ -334,8 +335,9 @@ def load_checkpoint(path) -> NkfModel:
     if sorted(targets) != sorted(expected):
         raise DataError("malformed checkpoint: tensor set mismatch")
     for name, p in params.items():
-        if targets[name].shape != p.values.shape:
-            raise DataError(f"malformed checkpoint: shape mismatch for {name}")
+        for key in (name, f"adam_m.{name}", f"adam_v.{name}"):
+            if targets[key].shape != p.values.shape:
+                raise DataError(f"malformed checkpoint: shape mismatch for {key}")
         p.values = targets[name]
         model.adam_m[name] = targets[f"adam_m.{name}"]
         model.adam_v[name] = targets[f"adam_v.{name}"]

@@ -1,6 +1,6 @@
 """What every enhancement method shares: the result types, the source of
 the noise-variance grid (oracle or model estimate) and the shell
-stft -> amplitude estimate -> recombine with the noisy phase -> istft.
+stft -> amplitude estimate -> noisy frames rescaled to it -> istft.
 """
 
 from __future__ import annotations
@@ -80,6 +80,6 @@ def enhance_with(noisy: signal_core.Waveform, window: int, hop: int,
     phase to exactly ``len(noisy)`` samples."""
     spec = signal_core.stft(noisy, window, hop)
     amplitude, grids = estimate(spec)
-    out_spec = signal_core.recombine(amplitude, spec.phase, window, hop)
+    out_spec = signal_core.recombine(spec, amplitude)
     waveform = signal_core.istft(out_spec, len(noisy), noisy.sample_rate)
     return EnhancementResult(waveform=waveform, grids=grids)

@@ -19,6 +19,8 @@ from .errors import DataError
 
 #: Guard against division by zero in the overlap-add envelope.
 _OLA_FLOOR = 1e-12
+#: Smallest normal float64.
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -48,20 +50,19 @@ class Waveform:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Complex STFT frames with derived amplitude and phase grids.
+    """Complex STFT frames and their amplitude grid.
 
-    ``frames``, ``amplitude`` and ``phase`` are all T x F with
-    F = window_len/2 + 1 (non-redundant bins of a real transform).
+    ``frames`` and ``amplitude`` are both T x F with F = window_len/2 + 1
+    (non-redundant bins of a real transform).
     """
 
     frames: np.ndarray
     amplitude: np.ndarray
-    phase: np.ndarray
     window_len: int
     hop: int
 
     def __post_init__(self):
-        if not (self.frames.shape == self.amplitude.shape == self.phase.shape):
+        if self.frames.shape != self.amplitude.shape:
             raise DataError("spectrogram grids must share one shape")
         if self.frames.shape[1] != self.window_len // 2 + 1:
             raise DataError("bin count inconsistent with window length")
@@ -81,17 +82,13 @@ def hann_window(window_len: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / window_len)
 
 
-def _check_framing(window_len: int, hop: int):
+def frame_count(n_samples: int, window_len: int, hop: int) -> int:
+    """T = 1 + floor((n_samples - window_len) / hop), the frames ``stft``
+    makes; a signal shorter than one window is an error."""
     if window_len <= 0 or window_len % 2 != 0:
         raise DataError("window length must be a positive even number")
     if not 0 < hop <= window_len:
         raise DataError("hop must satisfy 0 < hop <= window length")
-
-
-def frame_count(n_samples: int, window_len: int, hop: int) -> int:
-    """T = 1 + floor((n_samples - window_len) / hop), the frames ``stft``
-    makes; a signal shorter than one window is an error."""
-    _check_framing(window_len, hop)
     if n_samples < window_len:
         raise DataError("utterance too short for one analysis window")
     return 1 + (n_samples - window_len) // hop
@@ -104,20 +101,11 @@ def _rfft_frames(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
 
 
 def stft(w: Waveform, window_len: int = 256, hop: int = 64) -> Spectrogram:
-    """Short-time Fourier transform without center padding.
-
-    Produces T = 1 + floor((len(w) - window_len) / hop) frames; a signal
-    shorter than one window is an error.
-    """
+    """Short-time Fourier transform without center padding, in the
+    ``frame_count(len(w), window_len, hop)`` frames that fit."""
     frame_count(len(w), window_len, hop)
     frames = _rfft_frames(w.samples, window_len, hop)
-    return Spectrogram(
-        frames=frames,
-        amplitude=np.abs(frames),
-        phase=np.angle(frames),
-        window_len=window_len,
-        hop=hop,
-    )
+    return Spectrogram(frames, np.abs(frames), window_len, hop)
 
 
 def stft_amplitude(w: Waveform, window_len: int, hop: int, start: int,
@@ -161,21 +149,28 @@ def istft(s: Spectrogram, out_len: int, sample_rate: int = 16000) -> Waveform:
     return Waveform(out, sample_rate)
 
 
-def recombine(amplitude: np.ndarray, phase: np.ndarray,
-              window_len: int, hop: int) -> Spectrogram:
-    """Rebuild a spectrogram from amplitude and phase grids."""
+def recombine(spec: Spectrogram, amplitude: np.ndarray) -> Spectrogram:
+    """``spec`` with its frames rescaled to ``amplitude``: each bin keeps its
+    phase, and a zero bin of ``spec`` takes phase 0.
+
+    Real and imaginary parts are divided by ``spec``'s amplitude, then
+    multiplied by the new one. Zero and subnormal bins (whose amplitude has
+    too few bits to divide by) are first lifted by an exact power of two,
+    which keeps their phase; a zero bin becomes 1 + 0j.
+    """
     amplitude = np.asarray(amplitude, dtype=np.float64)
-    phase = np.asarray(phase, dtype=np.float64)
-    if amplitude.shape != phase.shape:
-        raise DataError("amplitude and phase grids must share one shape")
+    if amplitude.shape != spec.amplitude.shape:
+        raise DataError("amplitude grid must match the spectrogram's shape")
     if np.any(amplitude < 0):
         raise DataError("amplitude grid must be nonnegative")
-    _check_framing(window_len, hop)
-    frames = amplitude * np.exp(1j * phase)
-    return Spectrogram(
-        frames=frames,
-        amplitude=amplitude.copy(),
-        phase=phase.copy(),
-        window_len=window_len,
-        hop=hop,
-    )
+    frames, norm = spec.frames, spec.amplitude
+    low = norm < _TINY
+    if low.any():
+        lifted = frames[low] * 2.0 ** 600
+        lifted[lifted == 0] = 1.0
+        frames, norm = frames.copy(), norm.copy()
+        frames[low], norm[low] = lifted, np.abs(lifted)
+    out = np.empty(frames.shape, dtype=np.complex128)
+    out.real = frames.real / norm * amplitude
+    out.imag = frames.imag / norm * amplitude
+    return Spectrogram(out, amplitude, spec.window_len, spec.hop)

@@ -22,6 +22,10 @@ replaced: ``F x P`` states, ``F x P x P`` covariances and three batched
 companion-matrix products per frame. It reproduces ``kf_track`` bit for bit;
 the bins-last recursion sums in another order and matches it within a
 tolerance.
+
+``recombine_polar`` is the noisy-phase resynthesis that
+``signal_core.recombine`` replaced: the phase grid ``np.angle(frames)`` put
+back in polar form under the new amplitudes.
 """
 
 import numpy as np
@@ -207,3 +211,8 @@ def filter_bins_matmul(noisy_amp, sigma_v2, segments, order: int):
             out[t] = np.maximum(x[:, 0], 0.0)
             gains[t] = g[:, 0]
     return out, gains
+
+
+def recombine_polar(spec, amplitude) -> np.ndarray:
+    """``amplitude * exp(1j * phase)`` with the phase of ``spec``'s frames."""
+    return amplitude * np.exp(1j * np.angle(spec.frames))

@@ -79,6 +79,12 @@ class TestGain:
         s = _state([1.0], [[1.0]], [0.5], 0.0)
         assert kf_gain(s, 1.0).g[0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("sigma_v2", [-0.1, np.nan])
+    def test_invalid_noise_variance_rejected(self, sigma_v2):
+        s = _state([1.0], [[1.0]], [0.5], 0.0)
+        with pytest.raises(DataError, match="noise variance must be nonnegative"):
+            kf_gain(s, sigma_v2)
+
 
 class TestUpdate:
     def test_midpoint(self):
@@ -192,8 +198,10 @@ class TestRunKf:
         with pytest.raises(DataError):
             run_kf(np.ones(10), lp, np.ones(9))
 
-    # frame 0 seeds the covariance, frame 6 is filtered
-    @pytest.mark.parametrize("frame,value", [(0, -0.1), (0, -5.0), (6, -0.1)])
+    # frame 0 seeds the covariance, frames 4 and 6 are filtered; NaN is no
+    # variance either, and would turn every later amplitude into NaN
+    @pytest.mark.parametrize("frame,value", [(0, -0.1), (0, -5.0), (6, -0.1),
+                                             (0, np.nan), (4, np.nan)])
     def test_negative_noise_variance_rejected(self, frame, value):
         lp = LpModel(order=2, coeffs=np.array([0.5, 0.2]), residual_var=0.1)
         sigma_v2 = np.ones(10)

@@ -236,9 +236,17 @@ class TestOptimizer:
     def test_nonfinite_gradient_raises(self):
         m = self._tiny_model()
         grads = {k: np.zeros_like(p.values) for k, p in m.parameters().items()}
+        optimizer_step(m, grads)
+        before = {k: p.values.copy() for k, p in m.parameters().items()}
+        # the first parameter in declared order is named, with the step
         grads["head_amp.b"][0] = np.nan
-        with pytest.raises(NumericsError, match="diverged"):
+        grads["fnn.w3"][0, 0] = np.inf
+        with pytest.raises(NumericsError, match=r"diverged: non-finite gradient "
+                           r"for head_amp\.b at Adam step 2$"):
             optimizer_step(m, grads)
+        assert m.adam_step == 1
+        for k, p in m.parameters().items():
+            assert np.array_equal(p.values, before[k]), k
 
 
 class TestDeterminismAndCheckpoints:
@@ -293,6 +301,16 @@ class TestDeterminismAndCheckpoints:
         save_checkpoint(m, path)
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(DataError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("moment", ["adam_m", "adam_v"])
+    def test_moment_shape_mismatch_rejected(self, tmp_path, moment):
+        m = build_model(5, lstm_units=(2,), fnn_hidden=3, context=2, seed=0)
+        getattr(m, moment)["fnn.b3"] = np.zeros(7)   # fnn.b3 has shape (5,)
+        path = tmp_path / "model.nkf"
+        save_checkpoint(m, path)
+        with pytest.raises(DataError, match=rf"malformed checkpoint: shape "
+                           rf"mismatch for {moment}\.fnn\.b3$"):
             load_checkpoint(path)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):

@@ -49,7 +49,7 @@ def utterance(request):
 
 
 def _resynthesize(noisy, spec, amplitude):
-    out_spec = recombine(amplitude, spec.phase, spec.window_len, spec.hop)
+    out_spec = recombine(spec, amplitude)
     return _istft_loop_oracle(out_spec, len(noisy))
 
 

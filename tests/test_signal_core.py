@@ -5,6 +5,10 @@ from nkf.errors import DataError
 from nkf.signal_core import Spectrogram, Waveform, frame_count, hann_window, \
     istft, recombine, stft, stft_amplitude
 
+from oracles import recombine_polar
+
+EPS = np.finfo(np.float64).eps
+
 
 def _dft_oracle(frame):
     """Naive O(N^2) DFT of one windowed frame, non-redundant bins."""
@@ -96,12 +100,10 @@ class TestStft:
         with pytest.raises(DataError):
             stft(w, window_len=256, hop=512)
 
-    def test_phase_range_and_amplitude_sign(self):
+    def test_amplitude_sign(self):
         rng = np.random.default_rng(3)
         s = stft(Waveform(rng.standard_normal(4000)), 256, 64)
         assert np.all(s.amplitude >= 0)
-        assert np.all(s.phase > -np.pi - 1e-12)
-        assert np.all(s.phase <= np.pi)
 
     def test_parseval_energy(self):
         # one-sided spectrum energy (doubling interior bins) equals
@@ -127,10 +129,8 @@ class TestIstft:
             # hop // 2 samples past the last frame come back as zeros
             out_len = window_len + (n_frames - 1) * hop + hop // 2
             s = stft(Waveform(rng.standard_normal(out_len)), window_len, hop)
-            # a recombined grid makes frames that are not a consistent STFT
-            s = recombine(rng.uniform(0, 2, s.frames.shape),
-                          rng.uniform(-np.pi, np.pi, s.frames.shape),
-                          window_len, hop)
+            # rescaled frames are not a consistent STFT
+            s = recombine(s, rng.uniform(0, 2, s.frames.shape))
             assert np.array_equal(istft(s, out_len).samples,
                                   _istft_loop_oracle(s, out_len))
 
@@ -150,7 +150,7 @@ class TestIstft:
         rng = np.random.default_rng(1)
         x = rng.standard_normal(4000)
         s = stft(Waveform(x), 256, 64)
-        s2 = recombine(s.amplitude, s.phase, 256, 64)
+        s2 = recombine(s, s.amplitude)
         np.testing.assert_allclose(istft(s2, 4000).samples,
                                    istft(s, 4000).samples, atol=1e-12)
 
@@ -169,30 +169,68 @@ class TestIstft:
         assert np.all(y.samples[-10:] == 0)
 
 
+def _spectrogram(frames, window_len=256, hop=64):
+    frames = np.asarray(frames, dtype=np.complex128)
+    return Spectrogram(frames, np.abs(frames), window_len, hop)
+
+
 class TestRecombine:
     def test_unit_amplitude_zero_phase(self):
-        s = recombine(np.ones((4, 129)), np.zeros((4, 129)), 256, 64)
-        np.testing.assert_allclose(s.frames, 1.0 + 0.0j)
+        # positive real frames and zero frames both have phase 0
+        for frames in (np.full((4, 129), 3.0), np.zeros((4, 129))):
+            s = recombine(_spectrogram(frames), np.ones((4, 129)))
+            assert np.array_equal(s.frames, np.ones((4, 129), dtype=complex))
 
     def test_quarter_turn(self):
-        amp = np.full((2, 129), 2.0)
-        ph = np.full((2, 129), np.pi / 2)
-        s = recombine(amp, ph, 256, 64)
+        s = recombine(_spectrogram(np.full((2, 129), 0.5j)), np.full((2, 129), 2.0))
         np.testing.assert_allclose(s.frames, 2.0j, atol=1e-12)
 
     def test_inverse_of_decomposition(self):
         rng = np.random.default_rng(5)
         s = stft(Waveform(rng.standard_normal(2000)), 256, 64)
-        s2 = recombine(s.amplitude, s.phase, 256, 64)
-        np.testing.assert_allclose(s2.frames, s.frames, atol=1e-12)
+        s2 = recombine(s, s.amplitude)
+        assert np.all(np.abs(s2.frames - s.frames) <= 2 * EPS * s.amplitude)
+        assert (s2.window_len, s2.hop) == (s.window_len, s.hop)
+        assert s2.amplitude is s.amplitude
+
+    @pytest.mark.parametrize("case", ["random", "lead_in", "subnormal"])
+    def test_matches_polar_oracle(self, case):
+        rng = np.random.default_rng(17)
+        if case == "random":
+            # random frames, with exact zeros and subnormal bins among them
+            frames = (rng.standard_normal((50, 129))
+                      + 1j * rng.standard_normal((50, 129)))
+            frames *= 10.0 ** rng.integers(-320, 300, frames.shape)
+            frames[rng.random(frames.shape) < 0.1] = 0.0
+            s = _spectrogram(frames)
+        else:
+            x = rng.standard_normal(8000)
+            if case == "lead_in":
+                x[:3200] = 0.0   # digital silence: 47 all-zero frames
+            else:
+                x *= 1e-315
+            s = stft(Waveform(x), 256, 64)
+        if case == "subnormal":
+            assert np.all(s.amplitude < np.finfo(np.float64).tiny)
+        else:
+            assert np.any(s.amplitude == 0)
+        amplitude = rng.uniform(0, 2, s.amplitude.shape)
+        amplitude[0] = 0.0
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = recombine(s, amplitude)
+        assert np.all(np.isfinite(out.frames))
+        want = recombine_polar(s, amplitude)
+        assert np.all(np.abs(out.frames - want) <= 4 * EPS * amplitude)
 
     def test_shape_mismatch(self):
-        with pytest.raises(DataError):
-            recombine(np.ones((4, 129)), np.zeros((5, 129)), 256, 64)
+        s = stft(Waveform(np.zeros(448)), 256, 64)   # 4 frames
+        with pytest.raises(DataError, match="shape"):
+            recombine(s, np.ones((5, 129)))
 
     def test_negative_amplitude_rejected(self):
-        with pytest.raises(DataError):
-            recombine(-np.ones((4, 129)), np.zeros((4, 129)), 256, 64)
+        s = stft(Waveform(np.zeros(448)), 256, 64)
+        with pytest.raises(DataError, match="nonnegative"):
+            recombine(s, -np.ones((4, 129)))
 
 
 class TestWaveform:
