@@ -192,6 +192,8 @@ def cmd_eval(cfg, args) -> int:
 
 
 def cmd_gradcheck(cfg, args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
     err = enhancer.gradient_check(seed=args.seed)
     print(f"max relative gradient error: {err:.3e}")
     if not err < GRADCHECK_TOLERANCE:

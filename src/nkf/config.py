@@ -63,6 +63,8 @@ class RunConfig:
                      "train_count", "dev_count", "test_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.lp_segment <= self.lp_order:
             raise ConfigError("lp_segment must be greater than lp_order")
         if not 0 < self.lr < math.inf:

@@ -214,8 +214,8 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
             segments = []
             for j in batch:
                 entry = entries[int(j)]
-                noisy = data_io.read_wav(entry.noisy_path)
-                clean = data_io.read_wav(entry.clean_path)
+                noisy = data_io.read_wav(entry.noisy_path, cfg.sample_rate)
+                clean = data_io.read_wav(entry.clean_path, cfg.sample_rate)
                 t0, t1 = _segment_bounds(
                     signal_core.frame_count(len(noisy), cfg.window, cfg.hop),
                     cfg.seq_len, rng)

@@ -92,54 +92,37 @@ def filter_bins(noisy_amp, sigma_v2, segments, order: int):
     state of each bin is seeded from its first P noisy amplitudes (newest
     first) with covariance sigma_v2[0] * I; those frames pass through
     unchanged. Each frame runs ``kf_predict``, ``kf_gain`` and ``kf_update``
-    for every bin, with the bin axis last: the state is P x F and the
-    covariance P x P x F, so every component is one contiguous F-vector and
-    the companion matrix is applied as a weighted sum plus a shift instead
-    of a matrix product. Returns the filtered tracks and the first gain
-    component per frame and bin.
+    for every bin, with the bin axis last: the state x is P x F and the
+    covariance ree P x P x F, so every component is one contiguous F-vector.
+    ree is used as symmetric, so the prediction computes only the first row
+    of A ree; the rest of A ree A^T is ree shifted. Returns the filtered
+    tracks and the first gain component per frame and bin.
     """
     out = noisy_amp.copy()
     gains = np.zeros(noisy_amp.shape)
-    n_frames, n_bins = noisy_amp.shape
+    n_frames, _ = noisy_amp.shape
     if n_frames <= order:
         return out, gains
     # the frames the recursion reads; written to reject NaN too
     if not (np.all(sigma_v2[0] >= 0) and np.all(sigma_v2[order:] >= 0)):
         raise DataError("noise variance must be nonnegative")
-    # s = [ree | x | ree^T], P x (2P + 1) x F: one weighted sum over its
-    # rows gives (A ree)[0, :], (A x)[0] and (ree A^T)[:, 0], and one outer
-    # product updates ree and x. s and s_next alternate each frame; every
-    # buffer is preallocated and whole-buffer ops run on contiguous memory
-    p = order
-    s, s_next, prod, c_wide = np.zeros((4, p, 2 * p + 1, n_bins))
-    s[:, :p] = s[:, p + 1:] = np.eye(p)[:, :, None] * sigma_v2[0]
-    s[:, p] = noisy_amp[:p][::-1]
-    head, row = np.zeros((2, 2 * p + 1, n_bins))   # row[p + 1:] stays 0
-    corner, g = np.zeros((2, p, n_bins))
-    denom = np.zeros(n_bins)
+    x = noisy_amp[order - 1::-1].copy()
+    ree = np.eye(order)[:, :, None] * sigma_v2[0]
+    pred = np.empty_like(ree)
     for start, stop, coeffs, sigma_w2 in segments:
         c = np.ascontiguousarray(coeffs.T)
-        c_wide[:] = c[:, None, :]
-        first = max(start, p)
+        first = max(start, order)
         for t in range(first, stop):
-            # predict: A ree A^T is ree shifted down and right under row and
-            # column 0 from the weighted sums. Symmetrising it as
-            # 0.5 * (P + P^T) leaves P[0, 0] exact, so that is written after
-            # the halving. x shifts down under its new first component.
-            np.multiply(c_wide, s, out=prod)
-            np.add.reduce(prod, 0, out=head)
-            np.add(s[:-1, :p - 1], s[:-1, p + 1:-1], out=s_next[1:, 1:p])
-            np.add(head[:p - 1], head[p + 1:-1], out=s_next[0, 1:p])
-            s_next[1:, 0] = s_next[0, 1:p]
-            s_next *= 0.5
-            np.multiply(head[:p], c, out=corner)
-            np.add.reduce(corner, 0, out=s_next[0, 0])
-            s_next[0, 0] += sigma_w2
-            s_next[1:, p] = s[:-1, p]
-            s_next[0, p] = head[p]
-            s, s_next = s_next, s
+            # predict: row = (A ree)[0]. ree is symmetric, so A ree A^T is
+            # ree shifted down and right, bordered by row on both sides, and
+            # x shifts down under its new first component
+            row = np.add.reduce(c[:, None] * ree, 0)
+            pred[1:, 1:] = ree[:-1, :-1]
+            pred[0, 1:] = pred[1:, 0] = row[:-1]
+            pred[0, 0] = np.add.reduce(c * row, 0) + sigma_w2
+            x[1:], x[0] = x[:-1], np.add.reduce(c * x, 0)
             # gain
-            np.add(sigma_v2[t], s[0, 0], out=denom)
+            denom = sigma_v2[t] + pred[0, 0]
             # NaN-blind like denom < 0, and defined for zero bins
             lowest = np.fmin.reduce(denom, initial=np.inf)
             if lowest < 0:
@@ -147,16 +130,12 @@ def filter_bins(noisy_amp, sigma_v2, segments, order: int):
                     f"degenerate gain: negative denominator at frame {t}, "
                     f"bins {np.flatnonzero(denom < 0).tolist()}")
             # a zero denominator gives g = 0 (see kf_gain): x / inf == 0
-            np.divide(s[:, 0], denom if lowest != 0
-                      else np.where(denom == 0, np.inf, denom), out=g)
-            # update: ree - g ree[0, :] and x - g (x[0] - y) as one product,
-            # then ree^T copied afresh
-            row[:p + 1] = s[0, :p + 1]
-            row[p] -= noisy_amp[t]
-            np.multiply(g[:, None], row, out=prod)
-            s -= prod
-            s[:, p + 1:] = s[:, :p].transpose(1, 0, 2)
-            out[t] = s[0, p]
+            g = pred[:, 0] / (denom if lowest != 0
+                              else np.where(denom == 0, np.inf, denom))
+            # update
+            x += g * (noisy_amp[t] - x[0])
+            np.subtract(pred, g[:, None] * pred[0], out=ree)
+            out[t] = x[0]
             gains[t] = g[0]
         np.maximum(out[first:stop], 0.0, out=out[first:stop])
     return out, gains

@@ -48,6 +48,10 @@ def lstm_features(amplitude: np.ndarray, log_features: bool) -> np.ndarray:
 
 def estimate_noise_grid(m: NkfModel, spec: signal_core.Spectrogram) -> np.ndarray:
     """Noise-variance grid from the trained estimator (no gradient tracking)."""
+    if (spec.window_len, spec.hop) != (m.window, m.hop):
+        raise DataError(f"spectrogram framing (window {spec.window_len}, hop "
+                        f"{spec.hop}) differs from the model's (window "
+                        f"{m.window}, hop {m.hop})")
     feats = lstm_features(spec.amplitude, m.log_features)
     sigma_y2 = wiener.track_sigma_y(spec.amplitude, m.variance_span)
     with ad.no_grad():

@@ -138,6 +138,8 @@ class TestEnhance:
             # training takes at least one step
             "steps0": ["train", "--corpus", str(corpus), "--max-steps", "0"],
             "steps-5": ["train", "--corpus", str(corpus), "--max-steps", "-5"],
+            # numpy's generators take only nonnegative seeds
+            "seed-1": ["--set", "seed=-1", "synth"],
         }
         for name, argv in cases.items():
             out = tmp_path / name
@@ -224,6 +226,10 @@ class TestGradcheckAndUsage:
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "max relative gradient error" in out
+
+    def test_gradcheck_negative_seed_is_usage_error(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 1
+        assert "--seed must be nonnegative" in capsys.readouterr().err
 
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 1

@@ -29,6 +29,9 @@ class TestValidation:
             RunConfig(lr=0.0)
         with pytest.raises(ConfigError):
             RunConfig(utterance_seconds=0.01)
+        # numpy's generators take only nonnegative seeds
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            RunConfig(seed=-1)
 
     @pytest.mark.parametrize("field, value", [
         ("lr", math.nan), ("lr", math.inf), ("utterance_seconds", math.nan),

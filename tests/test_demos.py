@@ -1,6 +1,8 @@
 """The narrative demos run to completion against the installed package.
 
-``06_train_and_evaluate.py`` trains for 600 steps and is left out.
+``06_train_and_evaluate.py`` trains for 600 steps (about 20 s on two cores)
+and is left out of Tier-1 to keep its wall time down; CI runs it as a step
+of its own.
 """
 
 import os

@@ -306,6 +306,12 @@ class TestTrainingLoop:
             train(self._model(cfg), data_io.CorpusManifest(entries), cfg,
                   max_steps=1)
 
+    def test_trains_at_the_configured_sample_rate(self, tmp_path):
+        cfg = _training_cfg(sample_rate=8000, train_count=2)
+        manifest = data_io.synth_corpus(cfg, tmp_path)
+        _, history = train(self._model(cfg), manifest, cfg, max_steps=1)
+        assert len(history) == 1 and np.isfinite(history[0])
+
     def test_checkpoints_and_history_written(self, corpus, tmp_path):
         cfg, manifest = corpus
         out = tmp_path / "ok"

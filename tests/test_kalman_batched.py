@@ -5,9 +5,11 @@
 in a different order than the scalar dot product, so LP coefficients, gains
 and amplitudes are compared within ``TOL``. Given the same LP models, the
 bins-first matmul recursion ``oracles.filter_bins_matmul`` reproduces the
-scalar loop bit for bit, and ``kalman.filter_bins``, which applies the
-companion matrix as sums and shifts on bins-last buffers, matches that
-oracle within ``RECURSION_TOL`` of the largest reference magnitude.
+scalar loop bit for bit. ``kalman.filter_bins`` runs the same recursion with
+the bin axis last and uses the covariance as symmetric, so the prediction
+is one weighted sum of its rows plus a shift instead of two matrix products.
+It must match that oracle within ``RECURSION_TOL`` of the largest reference
+magnitude, on the drawn cases and on 1500-frame, 129-bin tracks.
 """
 
 import numpy as np
@@ -113,6 +115,29 @@ def test_companion_recursion_matches_matmul_oracle(case):
     for got, want in ((out, want_out), (gains, want_gains)):
         err = np.max(np.abs(got - want), initial=0.0)
         assert err <= RECURSION_TOL * np.max(np.abs(want), initial=0.0)
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 8])
+def test_long_wide_track_matches_matmul_oracle(order):
+    # 1500 frames of 129 bins in 32-frame segments: drift over hundreds of
+    # frames at a real bin count, which the drawn cases are too short to show
+    rng = np.random.default_rng(order)
+    n_frames, n_bins, seg_len = 1500, 129, 32
+    noisy = rng.uniform(0.05, 3.0, (n_frames, n_bins))
+    lp_track = rng.uniform(0.05, 3.0, (n_frames, n_bins))
+    sigma_v2 = rng.uniform(0.01, 2.0, (n_frames, n_bins))
+    sigma_v2[:, ::7] = 0.0
+    bounds = segment_bounds(n_frames, seg_len, order)
+    for i, (lo, hi) in enumerate(bounds):
+        # digital silence and a level under the silence floor, in turn
+        lp_track[lo:hi, i % 5::5] *= (0.0, 1e-9)[i % 2]
+    segments = [(lo, hi, *fit_lp_bins(lp_track[lo:hi], order, lo))
+                for lo, hi in bounds]
+    out, gains = filter_bins(noisy, sigma_v2, segments, order)
+    want_out, want_gains = filter_bins_matmul(noisy, sigma_v2, segments, order)
+    for got, want in ((out, want_out), (gains, want_gains)):
+        err = np.max(np.abs(got - want))
+        assert err <= RECURSION_TOL * np.max(np.abs(want))
 
 
 def test_silent_segment_with_zero_noise_keeps_the_prediction():

@@ -17,6 +17,7 @@ from nkf import autodiff as ad
 from nkf import data_io
 from nkf.config import RunConfig
 from nkf.enhancer import enhance, enhance_wiener, nkf_forward
+from nkf.errors import DataError
 from nkf.kalman import enhance_kf_baseline
 from nkf.networks import build_model, noise_fnn_forward_grid
 from nkf.pipeline import wiener_estimate
@@ -136,6 +137,14 @@ def test_kf_baseline_model_noise(utterance):
     m = _model()
     _assert_same(enhance_kf_baseline(noisy, CFG, model=m),
                  *_kf_reference(noisy, model=m), tol=KF_TOL)
+
+
+@pytest.mark.parametrize("framing", [dict(hop=32), dict(window=128)])
+def test_kf_baseline_model_framing_mismatch(utterance, framing):
+    # the noise net must only see frames of the framing it was trained on
+    noisy, _ = utterance
+    with pytest.raises(DataError, match="framing .* differs from the model"):
+        enhance_kf_baseline(noisy, CFG.replace(**framing), model=_model())
 
 
 def test_oracle_grid_wins_over_model():
