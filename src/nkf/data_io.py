@@ -14,7 +14,12 @@ Corpus layout under the output directory:
     {train,dev,test}/noise/<utt>.wav      (the scaled noise actually added)
 
 WAV files are mono 16 kHz, PCM 16-bit or IEEE float32; the corpus is written
-as float32 so re-measured mix SNRs stay within micro-dB of the request.
+as float32 so re-measured mix SNRs stay within micro-dB of the request. The
+reader takes little-endian RIFF/WAVE with format tag 1 (16-bit) or 3 (32-bit),
+plain or inside WAVE_FORMAT_EXTENSIBLE, skips other chunks and ignores what
+follows the data chunk. The writer emits the bytes scipy.io.wavfile.write
+does: a 16-byte ``fmt `` chunk for PCM16; an 18-byte one and a ``fact`` chunk
+for float32.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 from . import signal_core, wiener
 from .errors import DataError
@@ -64,25 +68,59 @@ class CorpusManifest:
 
 # -- WAV ---------------------------------------------------------------------
 
+_PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+#: Bytes 4-15 of the KSDATAFORMAT_SUBTYPE GUIDs that carry a format tag.
+_SUBTYPE_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+#: (format tag, bits per sample, block align) -> sample type: all that is read.
+_SAMPLE_TYPES = {(_PCM, 16, 2): np.dtype("<i2"), (_FLOAT, 32, 4): np.dtype("<f4")}
+
+
+def _parse_wav(buf: memoryview):
+    """(tag, channels, rate, block align, bits) and a view of the data chunk."""
+    if buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+        raise ValueError("not a little-endian RIFF/WAVE file")
+    fmt, pos = None, 12
+    while pos + 8 <= len(buf):
+        chunk_id, size = struct.unpack_from("<4sI", buf, pos)
+        body = buf[pos + 8:pos + 8 + size]
+        if len(body) < size:
+            raise ValueError(f"{chunk_id!r} chunk holds {len(body)} of {size} bytes")
+        if chunk_id == b"fmt ":
+            if size < 16:
+                raise ValueError(f"fmt chunk of {size} bytes")
+            tag, channels, rate, _, align, bits = struct.unpack_from("<HHIIHH", body)
+            if tag == _EXTENSIBLE and size >= 40 and body[28:40] == _SUBTYPE_TAIL:
+                (tag,) = struct.unpack_from("<I", body, 24)
+            fmt = (tag, channels, rate, align, bits)
+        elif chunk_id == b"data":
+            if fmt is None:
+                raise ValueError("data chunk before fmt chunk")
+            return fmt, body
+        pos += 8 + size + size % 2  # an odd-sized chunk is followed by a pad byte
+    raise ValueError("no data chunk")
+
 
 def read_wav(path, expected_rate: int = 16000) -> signal_core.Waveform:
     """Read a mono PCM16 or float32 WAV at the expected sample rate."""
     try:
-        rate, data = wavfile.read(path)
-    except (ValueError, EOFError, struct.error) as exc:
-        raise DataError(f"malformed header in {path}: {exc}") from exc
+        with open(path, "rb") as fh:
+            buf = memoryview(fh.read())
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if data.ndim != 1:
+    try:
+        (tag, channels, rate, align, bits), data = _parse_wav(buf)
+    except ValueError as exc:
+        raise DataError(f"malformed header in {path}: {exc}") from exc
+    if channels != 1:
         raise DataError(f"{path}: only mono audio is supported")
     if rate != expected_rate:
         raise DataError(f"{path}: unsupported sample rate {rate}")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise DataError(f"{path}: unsupported encoding {data.dtype}")
+    dtype = _SAMPLE_TYPES.get((tag, bits, align))
+    if dtype is None:
+        raise DataError(f"{path}: unsupported encoding: format {tag:#x}, {bits}-bit")
+    samples = np.frombuffer(data, dtype, len(data) // dtype.itemsize).astype(np.float64)
+    if dtype.kind == "i":
+        samples /= 32768.0
     if not np.all(np.isfinite(samples)):
         raise DataError(f"{path}: non-finite samples")
     return signal_core.Waveform(samples, rate)
@@ -91,12 +129,23 @@ def read_wav(path, expected_rate: int = 16000) -> signal_core.Waveform:
 def write_wav(w: signal_core.Waveform, path, encoding: str = "float32"):
     """Write PCM 16-bit (within one LSB of the input) or exact float32."""
     if encoding == "pcm16":
-        data = np.clip(np.rint(w.samples * 32768.0), -32768, 32767).astype(np.int16)
+        data = np.clip(np.rint(w.samples * 32768.0), -32768, 32767).astype("<i2")
     elif encoding == "float32":
-        data = w.samples.astype(np.float32)
+        data = w.samples.astype("<f4")
     else:
         raise DataError(f"unsupported encoding {encoding!r}")
-    wavfile.write(path, w.sample_rate, data)
+    rate, width = w.sample_rate, data.itemsize
+    if not (float(rate).is_integer() and rate * width <= 0xFFFFFFFF):
+        raise DataError(f"sample rate {rate} does not fit a {encoding} WAV header")
+    tag = _PCM if width == 2 else _FLOAT
+    chunks = struct.pack("<4sIHHIIHH", b"fmt ", 14 + width, tag, 1, int(rate),
+                         int(rate) * width, width, 8 * width)
+    if width == 4:  # float32: cbSize 0 ends its 18-byte fmt chunk; then fact
+        chunks += struct.pack("<H4sII", 0, b"fact", 4, len(data))
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 12 + len(chunks) + data.nbytes) + b"WAVE"
+                 + chunks + b"data" + struct.pack("<I", data.nbytes))
+        fh.write(data)
 
 
 # -- mixing -------------------------------------------------------------------

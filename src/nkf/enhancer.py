@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data_io, kalman, signal_core, wiener
-from .errors import DataError, NumericsError
+from .errors import ConfigError, DataError, NumericsError
 from .networks import NkfModel, build_model, lstm_forward, \
     noise_fnn_forward_grid, optimizer_step, save_checkpoint
 from .pipeline import EnhancementResult, NkfFrameEstimates, enhance_with, \
@@ -258,6 +258,8 @@ def gradient_check(model: NkfModel | None = None, n_frames: int = 5,
     Uses a tiny configuration by default so the full check stays fast;
     returns the maximum relative error over all parameter entries.
     """
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     if model is None:
         model = build_model(4, lstm_units=(2,), fnn_hidden=8, context=3,
                             window=6, hop=3, variance_span=4, seed=seed)

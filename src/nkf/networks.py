@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, NumericsError
+from .errors import ConfigError, DataError, NumericsError
 
 #: Additive floor keeping the estimated noise variance strictly positive.
 NOISE_VAR_EPS = 1e-12
@@ -185,6 +185,8 @@ def build_model(n_bins: int, *, lstm_units=(64, 64), fnn_hidden: int = 128,
                 variance_span: int = 20, sample_rate: int = 16000,
                 log_features: bool = False, seed: int = 0) -> NkfModel:
     """Deterministically initialize a model: same seed, same bits."""
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     predictor = LstmPredictor(n_bins, units=lstm_units, rng=rng)
     noise_net = NoiseFnn(n_bins, context=context, hidden=fnn_hidden, rng=rng)

@@ -1,6 +1,14 @@
+import os
+import struct
+import subprocess
+import sys
+import textwrap
+import warnings
+
 import numpy as np
 import pytest
 
+import nkf
 from nkf import data_io
 from nkf.config import RunConfig
 from nkf.errors import DataError
@@ -37,6 +45,37 @@ class TestWavIo:
         with pytest.raises(DataError, match="malformed"):
             data_io.read_wav(path)
 
+    @pytest.mark.parametrize("cut", [1, 100])
+    def test_truncated_data_chunk_is_malformed(self, tmp_path, cut):
+        path = tmp_path / "x.wav"
+        data_io.write_wav(Waveform(np.zeros(1000)), path, encoding="pcm16")
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(DataError, match="malformed header"):
+            data_io.read_wav(path)
+
+    def test_data_before_fmt_is_malformed(self, tmp_path):
+        path = tmp_path / "x.wav"
+        path.write_bytes(_riff(_chunk(b"data", b"\0\0"), _fmt(1, 16)))
+        with pytest.raises(DataError, match="malformed header"):
+            data_io.read_wav(path)
+
+    @pytest.mark.parametrize("rate,encoding", [(16000.5, "float32"),
+                                               (2 ** 32, "pcm16"),
+                                               (2 ** 30, "float32")])
+    def test_rate_a_header_cannot_hold_rejected(self, tmp_path, rate, encoding):
+        path = tmp_path / "x.wav"
+        with pytest.raises(DataError, match=f"sample rate {rate}"):
+            data_io.write_wav(Waveform(np.zeros(10), sample_rate=rate), path,
+                              encoding=encoding)
+        assert not path.exists()
+
+    def test_rate_fitting_pcm16_byte_rate_roundtrips(self, tmp_path):
+        # 2**30 fits as a PCM16 byte rate (2**31) but not as float32's (2**32)
+        path = tmp_path / "x.wav"
+        data_io.write_wav(Waveform(np.zeros(10), sample_rate=2 ** 30), path,
+                          encoding="pcm16")
+        assert data_io.read_wav(path, 2 ** 30).sample_rate == 2 ** 30
+
     def test_not_a_wav_is_malformed(self, tmp_path):
         path = tmp_path / "x.wav"
         path.write_bytes(b"this is not audio at all, not even close")
@@ -62,6 +101,118 @@ class TestWavIo:
         wavfile.write(path, 16000, np.zeros(100, dtype=np.int32))
         with pytest.raises(DataError, match="encoding"):
             data_io.read_wav(path)
+
+
+def _chunk(chunk_id: bytes, payload: bytes) -> bytes:
+    pad = b"\0" if len(payload) % 2 else b""
+    return chunk_id + struct.pack("<I", len(payload)) + payload + pad
+
+
+def _riff(*chunks, trailing=b""):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body + trailing
+
+
+def _fmt(tag, bits, extensible=False, rate=16000):
+    width = bits // 8
+    head = (0xFFFE if extensible else tag, 1, rate, rate * width, width, bits)
+    body = struct.pack("<HHIIHH", *head)
+    if extensible:  # cbSize, valid bits, channel mask, SubFormat GUID
+        body += struct.pack("<HHII", 22, bits, 4, tag) \
+            + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return _chunk(b"fmt ", body)
+
+
+def _scipy_read(path):
+    from scipy.io import wavfile
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # WavFileWarning on unknown chunks
+        rate, data = wavfile.read(path)
+    assert data.dtype in (np.int16, np.float32) and data.ndim == 1
+    scale = 32768.0 if data.dtype == np.int16 else 1.0
+    return rate, data.astype(np.float64) / scale
+
+
+class TestWavAgainstScipy:
+    """scipy.io.wavfile is the oracle for the numpy-only reader and writer."""
+
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    @pytest.mark.parametrize("rate", [8000, 16000])
+    @pytest.mark.parametrize("n", [0, 1, 3, 40001])
+    def test_write_bytes_equal_scipy(self, tmp_path, encoding, rate, n):
+        from scipy.io import wavfile
+        w = Waveform(np.random.default_rng(n).uniform(-1.2, 1.2, n), rate)
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "scipy.wav"
+        data_io.write_wav(w, ours, encoding=encoding)
+        if encoding == "pcm16":
+            data = np.clip(np.rint(w.samples * 32768.0), -32768, 32767) \
+                .astype(np.int16)
+        else:
+            data = w.samples.astype(np.float32)
+        wavfile.write(theirs, rate, data)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    @pytest.mark.parametrize("case", ["list_before_fmt", "odd_chunk_pad",
+                                      "extensible_pcm16", "extensible_float32",
+                                      "trailing_bytes"])
+    def test_read_equals_scipy_on_hand_built_files(self, tmp_path, case):
+        rng = np.random.default_rng(12)
+        pcm = rng.integers(-32768, 32768, 301).astype("<i2").tobytes()
+        flt = rng.uniform(-1, 1, 301).astype("<f4").tobytes()
+        info = _chunk(b"LIST", b"INFO" + _chunk(b"ISFT", b"nkf\0"))
+        files = {
+            "list_before_fmt": _riff(info, _fmt(1, 16), _chunk(b"data", pcm)),
+            "odd_chunk_pad": _riff(_fmt(3, 32), _chunk(b"abcd", b"xyz"),
+                                   _chunk(b"data", flt)),
+            "extensible_pcm16": _riff(_fmt(1, 16, extensible=True),
+                                      _chunk(b"data", pcm)),
+            "extensible_float32": _riff(_fmt(3, 32, extensible=True), info,
+                                        _chunk(b"data", flt)),
+            "trailing_bytes": _riff(_fmt(1, 16), _chunk(b"data", pcm),
+                                    trailing=b"\x01\x02\x03"),
+        }
+        path = tmp_path / "x.wav"
+        path.write_bytes(files[case])
+        rate, want = _scipy_read(path)
+        got = data_io.read_wav(path)
+        assert got.sample_rate == rate == 16000
+        np.testing.assert_array_equal(got.samples, want)
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, nkf, nkf.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_cli_runs_without_scipy(self, tmp_path):
+        code = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None
+            from nkf.cli import main
+            out, tiny = sys.argv[1], ["--set", "window=64", "--set", "hop=16",
+                "--set", "variance_span=8", "--set", "train_count=1",
+                "--set", "dev_count=1", "--set", "test_count=2",
+                "--set", "utterance_seconds=0.5"]
+            manifest = out + "/c/manifest.csv"
+            print(main(tiny + ["synth", "--out", out + "/c"]),
+                  main(tiny + ["enhance", "--manifest", manifest,
+                               "--method", "wiener", "--oracle-noise",
+                               "--out", out + "/e"]),
+                  main(tiny + ["eval", "--manifest", manifest,
+                               "--enhanced", out + "/e", "--out", out + "/r.csv"]))
+            """)
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             env=_child_env(), capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip().splitlines()[-1] == "0 0 0", out.stderr
+        assert (tmp_path / "r.csv").exists()
+
+
+def _child_env():
+    src = os.path.dirname(os.path.dirname(nkf.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 class TestMixAtSnr:

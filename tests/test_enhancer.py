@@ -10,7 +10,7 @@ from nkf.enhancer import (EnhancementResult, NkfFrameEstimates, enhance,
                           enhance_wiener, gradient_check, nkf_combine,
                           nkf_forward, nkf_gain, nkf_loss, train, _batch_loss,
                           _forward)
-from nkf.errors import DataError, NumericsError
+from nkf.errors import ConfigError, DataError, NumericsError
 from nkf.networks import build_model
 from nkf.signal_core import Waveform, stft
 from nkf.wiener import apply_wiener, track_sigma_y, VarianceTracks
@@ -209,6 +209,12 @@ class TestEndToEndGradients:
 
     def test_package_gradcheck_agrees(self):
         assert gradient_check(seed=0) < 1e-4
+
+    def test_negative_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            gradient_check(_tiny_model(), seed=-1)
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            gradient_check(seed=-1)
 
 
 def _training_cfg(**kw):

@@ -5,7 +5,7 @@ import pytest
 
 from nkf import autodiff as ad
 from nkf import networks
-from nkf.errors import DataError, NumericsError
+from nkf.errors import ConfigError, DataError, NumericsError
 from nkf.networks import (LstmPredictor, NkfModel, NoiseFnn, build_model,
                           fnn_context_matrix, load_checkpoint, lstm_forward,
                           noise_fnn_forward_grid, optimizer_step,
@@ -250,6 +250,10 @@ class TestOptimizer:
 
 
 class TestDeterminismAndCheckpoints:
+    def test_negative_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            build_model(9, lstm_units=(4,), fnn_hidden=6, context=3, seed=-1)
+
     def test_same_seed_same_bits(self):
         m1 = build_model(9, lstm_units=(4, 4), fnn_hidden=6, context=3, seed=42)
         m2 = build_model(9, lstm_units=(4, 4), fnn_hidden=6, context=3, seed=42)
