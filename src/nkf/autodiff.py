@@ -7,6 +7,15 @@ the constants made by ``lift``; inner nodes drop theirs once propagated.
 Gradients on leaves persist across backward calls (call ``zero_grad`` on the
 leaves to reset), which is what batched gradient accumulation relies on.
 
+Gradient buffers are written once where possible. A node's first gradient
+contribution becomes its ``grad`` buffer when the op made it fresh for that
+node (``matmul``, ``lstm_layer``, the elementwise products and activations);
+later contributions are added into that buffer in place. A contribution that
+aliases the gradient of the node passing it on (``add``, ``sub`` and
+``add_rowvec`` hand their own ``g`` to an operand) is borrowed and copied on
+first use, so no two nodes ever share a buffer. Slicing scatters into a
+zeroed buffer of the source's shape.
+
 The op set is deliberately small, just what the NKF graph uses: elementwise
 arithmetic on equal shapes (a python scalar or other 0-d operand may meet an
 array only as a constant), products of a 2-D or B x T x K node with a K x N
@@ -68,12 +77,19 @@ class DiffArray:
 
     # -- graph construction -------------------------------------------
 
-    def _accumulate(self, delta):
+    def _accumulate(self, delta, borrowed=False):
+        """Add ``delta`` into ``grad``; a first contribution of this node's
+        shape becomes ``grad`` itself, copied if ``borrowed``."""
         if self.constant:
             return
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += delta
+        elif type(delta) is np.ndarray and delta.shape == self.values.shape \
+                and delta.dtype == np.float64:
+            self.grad = delta.copy() if borrowed else delta
+        else:   # a numpy scalar, or a delta that broadcasts
             self.grad = np.zeros_like(self.values)
-        self.grad += delta
+            self.grad += delta
 
     def backward(self):
         """Seed this scalar node with gradient 1 and backpropagate."""
@@ -135,8 +151,8 @@ def add(a, b) -> DiffArray:
     out = a.values + b.values
 
     def backward(g):
-        a._accumulate(g)
-        b._accumulate(g)
+        a._accumulate(g, borrowed=True)
+        b._accumulate(g, borrowed=True)
 
     return _node(out, (a, b), backward)
 
@@ -147,7 +163,7 @@ def sub(a, b) -> DiffArray:
     out = a.values - b.values
 
     def backward(g):
-        a._accumulate(g)
+        a._accumulate(g, borrowed=True)
         b._accumulate(-g)
 
     return _node(out, (a, b), backward)
@@ -250,6 +266,8 @@ def take(x, key) -> DiffArray:
     out = x.values[key]
 
     def backward(g):
+        if x.constant:
+            return
         if x.grad is None:
             x.grad = np.zeros_like(x.values)
         x.grad[key] += g
@@ -265,7 +283,7 @@ def add_rowvec(x, b) -> DiffArray:
     out = x.values + b.values
 
     def backward(g):
-        x._accumulate(g)
+        x._accumulate(g, borrowed=True)
         b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
 
     return _node(out, (x, b), backward)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import os
+import shutil
 import struct
 from dataclasses import dataclass
 
@@ -252,7 +253,33 @@ def _utterance_seed(master_seed: int, split_index: int, index: int) -> int:
 
 
 def synth_corpus(cfg, out_dir, seed: int | None = None) -> CorpusManifest:
-    """Generate the deterministic synthetic corpus and write its manifest."""
+    """Generate the deterministic synthetic corpus and write its manifest.
+
+    A call that fails removes the directories it created, with what it
+    wrote in them; directories that existed before are left in place.
+    """
+    created = []
+    try:
+        return _synth_corpus(cfg, out_dir, seed, created)
+    except BaseException:
+        for path in created:   # outermost first: one rmtree takes the rest
+            shutil.rmtree(path, ignore_errors=True)
+        raise
+
+
+def _makedirs(path, created: list):
+    """``os.makedirs`` that appends each directory it makes to ``created``,
+    outermost first."""
+    missing = []
+    head = os.path.abspath(path)
+    while not os.path.isdir(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    created.extend(reversed(missing))
+
+
+def _synth_corpus(cfg, out_dir, seed, created) -> CorpusManifest:
     seed = cfg.seed if seed is None else seed
     counts = {"train": cfg.train_count, "dev": cfg.dev_count, "test": cfg.test_count}
     grids = {"train": cfg.train_snrs, "dev": cfg.train_snrs, "test": cfg.test_snrs}
@@ -260,7 +287,7 @@ def synth_corpus(cfg, out_dir, seed: int | None = None) -> CorpusManifest:
     entries = []
     for split_index, split in enumerate(SPLITS):
         for sub in ("clean", "noisy", "noise"):
-            os.makedirs(os.path.join(out_dir, split, sub), exist_ok=True)
+            _makedirs(os.path.join(out_dir, split, sub), created)
         for i in range(counts[split]):
             useed = _utterance_seed(seed, split_index, i)
             rng = np.random.default_rng(useed)

@@ -224,6 +224,7 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
                 segments.append(tuple(
                     signal_core.stft_amplitude(w, cfg.window, cfg.hop, t0, t1)
                     for w in (noisy, clean)))
+            m.zero_grad()   # the last step's gradients go before this graph is built
             loss = _batch_loss(m, segments)
             loss_val = float(loss.values)
             if not np.isfinite(loss_val):
@@ -231,7 +232,6 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
                     _write_history(history, os.path.join(out_dir, "loss_history.csv"))
                 raise NumericsError(  # numbered like loss_history.csv
                     f"diverged: non-finite training loss at step {len(history)}")
-            m.zero_grad()
             loss.backward()
             del loss   # the batch graph goes before the next step builds one
             optimizer_step(m, m.gradients(), lr=cfg.lr)

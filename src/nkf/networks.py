@@ -21,6 +21,7 @@ import os
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, NumericsError
@@ -114,17 +115,25 @@ class NoiseFnn:
         }
 
 
-def fnn_context_matrix(amplitude: np.ndarray, context: int) -> np.ndarray:
+def fnn_context_matrix(amplitude: np.ndarray, context: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Left-side context features: frames t-context+1..t flattened per row.
 
     The window includes the current frame; indices before the utterance
     start repeat frame 0. Within a row, frames are ordered oldest first.
+    The rows are written into ``out`` when given: a T x context·F array or
+    a column block of a wider one.
     """
     amplitude = np.asarray(amplitude, dtype=np.float64)
-    n_frames = amplitude.shape[0]
-    offsets = np.arange(context - 1, -1, -1)
-    idx = np.maximum(np.arange(n_frames)[:, None] - offsets[None, :], 0)
-    return amplitude[idx].reshape(n_frames, context * amplitude.shape[1])
+    n_frames, n_bins = amplitude.shape
+    if out is None:
+        out = np.empty((n_frames, context * n_bins))
+    if n_frames:
+        padded = np.concatenate(
+            [np.repeat(amplitude[:1], context - 1, axis=0), amplitude])
+        out.reshape(n_frames, context, n_bins)[...] = \
+            sliding_window_view(padded, context, axis=0).transpose(0, 2, 1)
+    return out
 
 
 def noise_fnn_forward_grid(n: NoiseFnn, amplitude: np.ndarray,
@@ -134,8 +143,9 @@ def noise_fnn_forward_grid(n: NoiseFnn, amplitude: np.ndarray,
     sigma_y2 = np.asarray(sigma_y2, dtype=np.float64)
     if amplitude.shape != sigma_y2.shape or amplitude.shape[1] != n.n_bins:
         raise DataError("amplitude / variance grids inconsistent with model")
-    features = np.concatenate(
-        [fnn_context_matrix(amplitude, n.context), sigma_y2], axis=1)
+    features = np.empty((len(amplitude), (n.context + 1) * n.n_bins))
+    fnn_context_matrix(amplitude, n.context, out=features[:, :-n.n_bins])
+    features[:, -n.n_bins:] = sigma_y2
     h1 = ad.relu(ad.add_rowvec(
         ad.matmul(ad.lift(features), n.params["fnn.w1"]), n.params["fnn.b1"]))
     h2 = ad.relu(ad.add_rowvec(
@@ -195,38 +205,61 @@ def build_model(n_bins: int, *, lstm_units=(64, 64), fnn_hidden: int = 128,
                     log_features=log_features)
 
 
+#: Elements per block of the Adam update: two float64 work buffers of this
+#: size (512 KiB) stay in cache while each block goes through every pass.
+_ADAM_CHUNK = 1 << 15
+
+
 def optimizer_step(m: NkfModel, grads: dict[str, np.ndarray],
                    lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                    eps: float = 1e-8) -> NkfModel:
-    """One Adam update over every parameter; raises on non-finite gradients.
+    """One Adam update over every parameter; raises on bad gradients.
 
-    Moments and parameters are updated in place, bit-identical to
+    Every gradient is checked (present, shaped like its parameter, finite)
+    before anything moves. Moments and parameters are then updated in place,
+    in blocks of ``_ADAM_CHUNK`` elements of each flattened tensor, with two
+    block-sized work buffers, bit-identical to
     ``m = beta1 * m + (1 - beta1) * g``, ``v = beta2 * v + (1 - beta2) * g * g``
     and ``p = p - lr * m_hat / (sqrt(v_hat) + eps)``.
     """
     params = m.parameters()
     t = m.adam_step + 1
-    for name in params:
+    flat = []   # per parameter: gradient, first moment, second moment, values
+    for name, p in params.items():
         if name not in grads:
             raise DataError(f"missing gradient for parameter {name}")
-        if not np.all(np.isfinite(grads[name])):
+        g = np.asarray(grads[name])
+        if g.shape != p.values.shape:
+            raise DataError(f"gradient for {name} has shape {g.shape}, "
+                            f"parameter has {p.values.shape}")
+        # min and max propagate NaN and show an infinity, without a temporary
+        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise NumericsError(
                 f"diverged: non-finite gradient for {name} at Adam step {t}")
-    for name, p in params.items():
-        g, mom, var = grads[name], m.adam_m[name], m.adam_v[name]
-        mom *= beta1
-        mom += (1.0 - beta1) * g
-        g2 = (1.0 - beta2) * g
-        g2 *= g
-        var *= beta2
-        var += g2
-        step = mom / (1.0 - beta1 ** t)
-        step *= lr
-        denom = var / (1.0 - beta2 ** t)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step /= denom
-        p.values -= step
+        state = (m.adam_m[name], m.adam_v[name], p.values)
+        if any(a.shape != g.shape or not a.flags.c_contiguous for a in state):
+            raise DataError(f"Adam state of {name} must be C-contiguous {g.shape} arrays")
+        flat.append([a.reshape(-1) for a in (g, *state)])
+    correct1, correct2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    work = np.empty((2, min(_ADAM_CHUNK, max(p.values.size for p in params.values()))))
+    for arrays in flat:
+        for lo in range(0, arrays[0].size, _ADAM_CHUNK):
+            g, mom, var, val = (a[lo:lo + _ADAM_CHUNK] for a in arrays)
+            step, denom = work[:, :g.size]
+            mom *= beta1
+            np.multiply(1.0 - beta1, g, out=step)
+            mom += step
+            np.multiply(1.0 - beta2, g, out=step)
+            step *= g
+            var *= beta2
+            var += step
+            np.divide(mom, correct1, out=step)
+            step *= lr
+            np.divide(var, correct2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
+            val -= step
     m.adam_step = t
     return m
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,44 @@ class TestGraphMechanics:
         ad.mul(x, x).backward()
         assert float(x.grad) == pytest.approx(2 * first)
 
+    def test_leaf_reached_twice_through_add_owns_its_gradient(self):
+        # add hands both operands its own gradient; each leaf must copy it
+        rng = np.random.default_rng(3)
+        x = ad.DiffArray(rng.standard_normal((3, 2)))
+        z = ad.DiffArray(rng.standard_normal((3, 2)))
+        target = rng.standard_normal((3, 2))
+        y = ad.add(ad.add(x, z), x)          # 2x + z
+        ad.mean_square(y, ad.lift(target)).backward()
+        g = 2.0 * (y.values - target) / 6
+        np.testing.assert_allclose(x.grad, 2 * g, rtol=1e-15)
+        np.testing.assert_allclose(z.grad, g, rtol=1e-15)
+        assert not np.shares_memory(x.grad, z.grad)
+
+    def test_fresh_first_contribution_becomes_the_buffer(self):
+        # matmul's weight gradient is made for w alone: it is kept, not added
+        # into a zeroed copy, and a second backward adds into that buffer
+        rng = np.random.default_rng(5)
+        w = ad.DiffArray(rng.standard_normal((512, 512)))
+        x = ad.lift(rng.standard_normal((8, 512)))
+
+        def loss():
+            return ad.mean_square(ad.matmul(x, w), ad.lift(np.zeros((8, 512))))
+
+        first_loss = loss()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            first_loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * w.values.nbytes
+        first = w.grad
+        want = 2 * first
+        loss().backward()
+        assert w.grad is first
+        np.testing.assert_array_equal(w.grad, want)
+
     def test_backward_from_nonscalar_rejected(self):
         x = ad.DiffArray(np.ones(3))
         with pytest.raises(ValueError):
@@ -216,6 +256,12 @@ class TestGraphMechanics:
         assert x.constant and x.grad is None
         assert h.grad is None
         np.testing.assert_allclose(w.grad, x.values.T @ (2 * h.values / 6), rtol=1e-12)
+
+    def test_sliced_constant_gets_no_gradient(self):
+        c = ad.lift(np.ones(4))
+        ad.mean_square(ad.add(c[:2], ad.DiffArray(np.ones(2))),
+                       ad.lift(np.zeros(2))).backward()
+        assert c.grad is None
 
     def test_no_grad_mode_records_nothing(self):
         x = ad.DiffArray(np.array([1.0, 2.0]))

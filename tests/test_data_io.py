@@ -357,6 +357,36 @@ class TestSynthCorpus:
         loaded = data_io.load_manifest(tmp_path / "manifest.csv")
         assert loaded.entries == manifest.entries
 
+    @staticmethod
+    def _fail_on_write(monkeypatch, n):
+        real, calls = data_io.write_wav, []
+
+        def write_wav(wave, path):
+            calls.append(path)
+            if len(calls) == n:
+                raise DataError("disk full")
+            real(wave, path)
+
+        monkeypatch.setattr(data_io, "write_wav", write_wav)
+
+    def test_failed_call_removes_the_directories_it_made(self, tmp_path,
+                                                          monkeypatch):
+        # the 11th write is the first dev file, after the whole train split
+        self._fail_on_write(monkeypatch, 11)
+        out = tmp_path / "new" / "corpus"
+        with pytest.raises(DataError, match="disk full"):
+            data_io.synth_corpus(self._cfg(), out)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_call_keeps_directories_that_were_there(self, tmp_path,
+                                                           monkeypatch):
+        (tmp_path / "train").mkdir()
+        (tmp_path / "train" / "notes.txt").write_text("keep")
+        self._fail_on_write(monkeypatch, 2)
+        with pytest.raises(DataError, match="disk full"):
+            data_io.synth_corpus(self._cfg(), tmp_path)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["notes.txt", "train"]
+
     def test_manifest_missing_file_rejected(self, tmp_path):
         cfg = self._cfg()
         data_io.synth_corpus(cfg, tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nkf import autodiff as ad
-from nkf import data_io
+from nkf import data_io, enhancer
 from nkf.config import RunConfig
 from nkf.enhancer import (EnhancementResult, NkfFrameEstimates, enhance,
                           enhance_wiener, gradient_check, nkf_combine,
@@ -240,6 +240,21 @@ class TestTrainingLoop:
                            fnn_hidden=cfg.fnn_hidden, context=cfg.context,
                            window=cfg.window, hop=cfg.hop,
                            variance_span=cfg.variance_span, seed=cfg.seed)
+
+    def test_last_step_gradients_released_before_the_graph_is_built(
+            self, corpus, monkeypatch):
+        cfg, manifest = corpus
+        model = self._model(cfg)
+        held = []
+        build = enhancer._batch_loss
+
+        def recording(m, segments):
+            held.append(sum(p.grad is not None for p in m.parameters().values()))
+            return build(m, segments)
+
+        monkeypatch.setattr(enhancer, "_batch_loss", recording)
+        train(model, manifest, cfg.replace(epochs=2), max_steps=3)
+        assert held == [0, 0, 0]
 
     def test_zero_learning_rate_keeps_parameters(self, corpus):
         cfg, manifest = corpus

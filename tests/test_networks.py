@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,19 @@ class TestNoiseFnn:
             row = noise_fnn_forward(n, ctx[t], sigma_y2[t])
             np.testing.assert_allclose(grid.values[t], row.values, atol=1e-12)
 
+    @pytest.mark.parametrize("n_frames", [1, 2, 3, 7])
+    def test_context_matrix_written_into_column_block(self, n_frames):
+        # fewer frames than the context window repeat frame 0 throughout
+        amp = np.random.default_rng(n_frames).uniform(0, 3, (n_frames, 4))
+        idx = np.maximum(np.arange(n_frames)[:, None] - np.arange(2, -1, -1), 0)
+        want = amp[idx].reshape(n_frames, 12)
+        wide = np.full((n_frames, 16), -1.0)
+        out = fnn_context_matrix(amp, 3, out=wide[:, :12])
+        assert np.shares_memory(out, wide)
+        np.testing.assert_array_equal(wide[:, :12], want)
+        np.testing.assert_array_equal(wide[:, 12:], -1.0)
+        np.testing.assert_array_equal(fnn_context_matrix(amp, 3), want)
+
     def test_context_matrix_repeats_first_frame(self):
         amp = np.arange(8.0).reshape(4, 2)
         ctx = fnn_context_matrix(amp, 3)
@@ -247,6 +261,93 @@ class TestOptimizer:
         assert m.adam_step == 1
         for k, p in m.parameters().items():
             assert np.array_equal(p.values, before[k]), k
+
+    def _model_with_big_last_parameter(self, size, seed=0):
+        # fnn.b3 is the last parameter in declared order
+        m = self._tiny_model(seed)
+        m.noise_net.params["fnn.b3"] = ad.DiffArray(
+            np.random.default_rng(seed).standard_normal(size))
+        m.adam_m["fnn.b3"], m.adam_v["fnn.b3"] = np.zeros((2, size))
+        return m
+
+    def test_chunked_update_matches_out_of_place_expressions(self):
+        # one block plus a 3-element tail
+        m = self._model_with_big_last_parameter(networks._ADAM_CHUNK + 3, seed=2)
+        want = {k: (p.values.copy(), np.zeros_like(p.values),
+                    np.zeros_like(p.values)) for k, p in m.parameters().items()}
+        rng = np.random.default_rng(17)
+        for t, lr in enumerate((1e-3, 3e-2, 1e-4), start=1):
+            grads = {k: rng.standard_normal(p.values.shape) * 10.0 ** rng.integers(-6, 3)
+                     for k, p in m.parameters().items()}
+            optimizer_step(m, grads, lr=lr)
+            for k, p in m.parameters().items():
+                want[k] = adam_step(*want[k], grads[k], t, lr=lr)
+                assert np.array_equal(p.values, want[k][0]), k
+                assert np.array_equal(m.adam_m[k], want[k][1]), k
+                assert np.array_equal(m.adam_v[k], want[k][2]), k
+
+    def _snapshot(self, m):
+        return {k: (p.values.copy(), m.adam_m[k].copy(), m.adam_v[k].copy())
+                for k, p in m.parameters().items()}
+
+    def _assert_unmoved(self, m, before, step):
+        assert m.adam_step == step
+        for k, p in m.parameters().items():
+            for now, then in zip((p.values, m.adam_m[k], m.adam_v[k]), before[k]):
+                assert np.array_equal(now, then), k
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_in_last_block_of_last_parameter_moves_nothing(self, bad):
+        m = self._model_with_big_last_parameter(networks._ADAM_CHUNK + 3)
+        rng = np.random.default_rng(4)
+        grads = {k: rng.standard_normal(p.values.shape)
+                 for k, p in m.parameters().items()}
+        optimizer_step(m, grads)
+        before = self._snapshot(m)
+        grads["fnn.b3"][-1] = bad
+        with pytest.raises(NumericsError, match=r"non-finite gradient for fnn\.b3 "
+                           r"at Adam step 2$"):
+            optimizer_step(m, grads)
+        self._assert_unmoved(m, before, 1)
+
+    @pytest.mark.parametrize("shape", [(), (1, 3), (2,)])
+    def test_misshaped_gradient_rejected_before_anything_moves(self, shape):
+        # fnn.b3 is (3,) and comes last, so every other parameter would
+        # already have moved if it were checked during the update
+        m = self._tiny_model()
+        grads = {k: np.ones_like(p.values) for k, p in m.parameters().items()}
+        optimizer_step(m, grads)
+        before = self._snapshot(m)
+        grads["fnn.b3"] = np.ones(shape)
+        with pytest.raises(DataError, match=r"gradient for fnn\.b3 has shape"):
+            optimizer_step(m, grads)
+        self._assert_unmoved(m, before, 1)
+
+    def test_strided_moment_rejected_before_anything_moves(self):
+        # a flat view of a strided array would be a copy, losing the update
+        m = self._tiny_model()
+        m.adam_m["fnn.b3"] = np.zeros((3, 2)).T[0]
+        before = self._snapshot(m)
+        with pytest.raises(DataError, match=r"Adam state of fnn\.b3 must be C-contiguous"):
+            optimizer_step(m, m.gradients())
+        self._assert_unmoved(m, before, 0)
+
+    def test_transient_memory_is_a_few_blocks(self):
+        m = self._model_with_big_last_parameter(1 << 20)
+        rng = np.random.default_rng(6)
+        grads = {k: rng.standard_normal(p.values.shape)
+                 for k, p in m.parameters().items()}
+        optimizer_step(m, grads)   # warm up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            optimizer_step(m, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two work blocks of float64, plus bookkeeping; one full-size
+        # temporary of the 1M-element tensor alone would be 8 MiB
+        assert peak - base <= 3 * networks._ADAM_CHUNK * 8
 
 
 class TestDeterminismAndCheckpoints:
