@@ -350,21 +350,25 @@ def load_manifest(path) -> CorpusManifest:
                     tuple(reader.fieldnames) != _MANIFEST_FIELDS:
                 raise DataError(f"{path}: unexpected manifest header")
             for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                # DictReader files extra fields under None, missing ones as None
+                if None in row or None in row.values():
+                    raise DataError(f"{where}: expected {len(_MANIFEST_FIELDS)} fields")
                 paths = {key: os.path.join(root, row[key])
                          for key in ("clean", "noisy", "noise")}
                 for p in paths.values():
                     if not os.path.exists(p):
                         raise DataError(f"manifest references missing file {p}")
+                try:
+                    mix = MixSpec(snr_db=float(row["snr_db"]), seed=int(row["seed"]),
+                                  speech_id=row["speech_id"], noise_id=row["noise_id"])
+                except ValueError as exc:
+                    raise DataError(f"{where}: {exc}") from exc
                 entries.append(ManifestEntry(
                     utt_id=row["utt_id"], split=row["split"],
                     clean_path=paths["clean"], noisy_path=paths["noisy"],
-                    noise_path=paths["noise"],
-                    mix=MixSpec(snr_db=float(row["snr_db"]),
-                                seed=int(row["seed"]),
-                                speech_id=row["speech_id"],
-                                noise_id=row["noise_id"]),
-                ))
-    except OSError as exc:
+                    noise_path=paths["noise"], mix=mix))
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     ids = [e.utt_id for e in entries]
     if len(set(ids)) != len(ids):

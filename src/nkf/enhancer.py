@@ -119,34 +119,36 @@ def nkf_forward(m: NkfModel, noisy: signal_core.Spectrogram,
     return _forward(m, [(noisy.amplitude, clean_amp)])[0]
 
 
-#: The amplitude grid each model method resynthesizes.
-_OUTPUT_GRID = {"nkf": "amp_out", "wiener": "amp_wiener", "lstm": "amp_lstm"}
-
-
 def enhance(m: NkfModel, noisy: signal_core.Waveform,
             method: str = "nkf") -> EnhancementResult:
-    """Enhance one utterance; ``method`` selects the output grid."""
-    if method not in _OUTPUT_GRID:
+    """Enhance one utterance, computing only what ``method``'s output reads:
+    ``nkf`` the whole graph, ``lstm`` the predictor alone, ``wiener``
+    ``enhance_wiener`` with the model's noise net and framing."""
+    if method == "wiener":
+        return enhance_wiener(noisy, m, model=m)   # the model carries its framing
+    if method not in ("nkf", "lstm"):
         raise DataError(f"unknown enhancement method {method!r}")
 
     def estimate(spec):
         with ad.no_grad():
+            if method == "lstm":
+                amp = lstm_forward(m.predictor, lstm_features(
+                    spec.amplitude, m.log_features))[0].values
+                return amp, NkfFrameEstimates(amp_lstm=amp, amp_out=amp)
             est = nkf_forward(m, spec).estimates()
-        return getattr(est, _OUTPUT_GRID[method]), est
+        return est.amp_out, est
 
     return enhance_with(noisy, m.window, m.hop, estimate)
 
 
-def enhance_wiener(noisy: signal_core.Waveform, cfg,
-                   sigma_v2_grid: np.ndarray) -> EnhancementResult:
-    """Instantaneous Wiener pipeline with an externally supplied noise grid.
-
-    Used for oracle-noise ablations; no model involved.
-    """
+def enhance_wiener(noisy: signal_core.Waveform, cfg, sigma_v2_grid=None,
+                   model: NkfModel | None = None) -> EnhancementResult:
+    """Instantaneous Wiener pipeline with an oracle noise grid, else the
+    model's noise estimate; ``cfg`` gives window, hop and variance span, which
+    must be the model's. Same inputs as ``kalman.enhance_kf_baseline``."""
     def estimate(spec):
-        sigma_v2, amp = wiener_estimate(spec, cfg.variance_span, sigma_v2_grid)
-        return amp, NkfFrameEstimates(amp_lstm=None, amp_wiener=amp, sigma_r2=None,
-                                      sigma_v2=sigma_v2, gain=None, amp_out=amp)
+        sigma_v2, amp = wiener_estimate(spec, cfg.variance_span, sigma_v2_grid, model)
+        return amp, NkfFrameEstimates(amp_wiener=amp, sigma_v2=sigma_v2, amp_out=amp)
 
     return enhance_with(noisy, cfg.window, cfg.hop, estimate)
 
@@ -157,8 +159,7 @@ METHODS = {
     "nkf": (lambda m, noisy, cfg, grid: enhance(m, noisy, "nkf"), False),
     "kf": (lambda m, noisy, cfg, grid: kalman.enhance_kf_baseline(
         noisy, cfg, sigma_v2_grid=grid, model=m), True),
-    "wiener": (lambda m, noisy, cfg, grid: enhance(m, noisy, "wiener")
-               if grid is None else enhance_wiener(noisy, cfg, grid), True),
+    "wiener": (lambda m, noisy, cfg, grid: enhance_wiener(noisy, cfg, grid, m), True),
     "lstm": (lambda m, noisy, cfg, grid: enhance(m, noisy, "lstm"), False),
 }
 

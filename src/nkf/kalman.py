@@ -186,7 +186,6 @@ def enhance_kf_baseline(noisy: signal_core.Waveform, cfg, sigma_v2_grid=None,
         enhanced, gains = filter_segmented(spec.amplitude, wiener_amp, sigma_v2,
                                            cfg.lp_order, cfg.lp_segment)
         return enhanced, pipeline.NkfFrameEstimates(
-            amp_lstm=None, amp_wiener=wiener_amp, sigma_r2=None,
-            sigma_v2=sigma_v2, gain=gains, amp_out=enhanced)
+            amp_wiener=wiener_amp, sigma_v2=sigma_v2, gain=gains, amp_out=enhanced)
 
     return pipeline.enhance_with(noisy, cfg.window, cfg.hop, estimate)

@@ -17,6 +17,7 @@ at the bottom of this file.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -307,6 +308,14 @@ class _Reader:
         self.off += size
         return vals
 
+    def floats(self, shape) -> np.ndarray:
+        """A read-only view of the next ``shape`` float64 values."""
+        size = 8 * math.prod(shape)   # exact: a wrapped product could pass the check
+        if self.off + size > len(self.blob):
+            raise DataError("malformed checkpoint: truncated")
+        self.off += size
+        return np.frombuffer(self.blob, "<f8", size // 8, self.off - size).reshape(shape)
+
 
 def save_checkpoint(m: NkfModel, path):
     """Write ``m`` to a temporary file beside ``path``, then move it over
@@ -336,7 +345,25 @@ def save_checkpoint(m: NkfModel, path):
             os.remove(tmp)
 
 
+def _param_shapes(n_bins: int, units, context: int, hidden: int) -> dict:
+    """Every parameter's shape, in declared order, as ``build_model`` makes it."""
+    shapes, in_dim = {}, n_bins
+    for layer, u in enumerate(units):
+        shapes.update({f"lstm{layer}.wx": (in_dim, 4 * u),
+                       f"lstm{layer}.wh": (u, 4 * u), f"lstm{layer}.b": (4 * u,)})
+        in_dim = u
+    for head in ("head_amp", "head_res"):
+        shapes.update({f"{head}.w": (in_dim, n_bins), f"{head}.b": (n_bins,)})
+    fnn_in = (context + 1) * n_bins
+    shapes.update({"fnn.w1": (fnn_in, hidden), "fnn.b1": (hidden,),
+                   "fnn.w2": (hidden, hidden), "fnn.b2": (hidden,),
+                   "fnn.w3": (hidden, n_bins), "fnn.b3": (n_bins,)})
+    return shapes
+
+
 def load_checkpoint(path) -> NkfModel:
+    """Read a checkpoint; its header's dimensions must match its tensors'
+    shapes before a model of that size is built."""
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
     if reader.take(f"{len(_MAGIC)}s")[0] != _MAGIC:
@@ -349,31 +376,33 @@ def load_checkpoint(path) -> NkfModel:
     (n_layers,) = reader.take("<I")
     units = reader.take(f"<{n_layers}I")
     (adam_step,) = reader.take("<Q")
+    targets: dict[str, np.ndarray] = {}
+    (n_tensors,) = reader.take("<I")
+    for _ in range(n_tensors):
+        (name_len,) = reader.take("<H")
+        try:
+            name = reader.take(f"{name_len}s")[0].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError("malformed checkpoint: tensor name is not UTF-8") from exc
+        (ndim,) = reader.take("<B")
+        shape = reader.take(f"<{ndim}I") if ndim else ()
+        # a view, copied once the model is built: parsing copies nothing
+        targets[name] = reader.floats(shape)
+    shapes = _param_shapes(n_bins, units, context, hidden)
+    expected = {prefix + name: shape for prefix in ("", "adam_m.", "adam_v.")
+                for name, shape in shapes.items()}
+    if sorted(targets) != sorted(expected):
+        raise DataError("malformed checkpoint: tensor set mismatch")
+    for key, shape in expected.items():
+        if targets[key].shape != shape:
+            raise DataError(f"malformed checkpoint: shape mismatch for {key}")
     model = build_model(
         n_bins, lstm_units=units, fnn_hidden=hidden, context=context,
         window=window, hop=hop, variance_span=span, sample_rate=sample_rate,
         log_features=bool(log_features), seed=0)
     model.adam_step = adam_step
-    targets: dict[str, np.ndarray] = {}
-    (n_tensors,) = reader.take("<I")
-    for _ in range(n_tensors):
-        (name_len,) = reader.take("<H")
-        name = reader.take(f"{name_len}s")[0].decode("utf-8")
-        (ndim,) = reader.take("<B")
-        shape = reader.take(f"<{ndim}I") if ndim else ()
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        data = np.frombuffer(reader.take(f"{8 * count}s")[0], dtype="<f8")
-        targets[name] = data.reshape(shape).astype(np.float64)
-    params = model.parameters()
-    expected = list(params) + [f"adam_m.{n}" for n in params] + \
-        [f"adam_v.{n}" for n in params]
-    if sorted(targets) != sorted(expected):
-        raise DataError("malformed checkpoint: tensor set mismatch")
-    for name, p in params.items():
-        for key in (name, f"adam_m.{name}", f"adam_v.{name}"):
-            if targets[key].shape != p.values.shape:
-                raise DataError(f"malformed checkpoint: shape mismatch for {key}")
-        p.values = targets[name]
-        model.adam_m[name] = targets[f"adam_m.{name}"]
-        model.adam_v[name] = targets[f"adam_v.{name}"]
+    for name, p in model.parameters().items():
+        p.values = targets[name].astype(np.float64)
+        model.adam_m[name] = targets[f"adam_m.{name}"].astype(np.float64)
+        model.adam_v[name] = targets[f"adam_v.{name}"].astype(np.float64)
     return model

@@ -17,15 +17,15 @@ from .networks import NkfModel, noise_fnn_forward_grid
 
 @dataclass
 class NkfFrameEstimates:
-    """Per-utterance inspection grids, each T x F (or None when a pipeline
-    variant does not produce it)."""
+    """Per-utterance inspection grids, each T x F, or None where the method
+    that produced them does not compute that grid."""
 
-    amp_lstm: np.ndarray | None
-    amp_wiener: np.ndarray | None
-    sigma_r2: np.ndarray | None
-    sigma_v2: np.ndarray | None
-    gain: np.ndarray | None
-    amp_out: np.ndarray | None
+    amp_lstm: np.ndarray | None = None
+    amp_wiener: np.ndarray | None = None
+    sigma_r2: np.ndarray | None = None
+    sigma_v2: np.ndarray | None = None
+    gain: np.ndarray | None = None
+    amp_out: np.ndarray | None = None
 
     def __post_init__(self):
         if self.gain is not None and (np.any(self.gain < 0) or np.any(self.gain > 1)):
@@ -46,35 +46,31 @@ def lstm_features(amplitude: np.ndarray, log_features: bool) -> np.ndarray:
     return np.log1p(amplitude) if log_features else amplitude
 
 
-def estimate_noise_grid(m: NkfModel, spec: signal_core.Spectrogram) -> np.ndarray:
-    """Noise-variance grid from the trained estimator (no gradient tracking)."""
-    if (spec.window_len, spec.hop) != (m.window, m.hop):
-        raise DataError(f"spectrogram framing (window {spec.window_len}, hop "
-                        f"{spec.hop}) differs from the model's (window "
-                        f"{m.window}, hop {m.hop})")
-    feats = lstm_features(spec.amplitude, m.log_features)
-    sigma_y2 = wiener.track_sigma_y(spec.amplitude, m.variance_span)
-    with ad.no_grad():
-        return noise_fnn_forward_grid(m.noise_net, feats, sigma_y2).values
-
-
 def wiener_estimate(spec: signal_core.Spectrogram, span: int, sigma_v2_grid=None,
                     model: NkfModel | None = None):
     """Noise-variance grid and the noisy amplitudes Wiener-filtered with it.
 
     The grid is the oracle one when given (shape-checked), else the model's
-    estimate; with neither there is no noise variance to filter with.
+    noise-net estimate, which needs the framing and variance span the model
+    was trained with; with neither there is no noise variance to filter with.
     """
+    sigma_y2 = wiener.track_sigma_y(spec.amplitude, span)
     if sigma_v2_grid is not None:
         sigma_v2 = np.asarray(sigma_v2_grid, dtype=np.float64)
         if sigma_v2.shape != spec.amplitude.shape:
             raise DataError("noise grid shape differs from spectrogram")
     elif model is not None:
-        sigma_v2 = estimate_noise_grid(model, spec)
+        framing = (spec.window_len, spec.hop, span)
+        if framing != (model.window, model.hop, model.variance_span):
+            raise DataError(f"spectrogram framing (window, hop, variance span) "
+                            f"{framing} differs from the model's "
+                            f"{(model.window, model.hop, model.variance_span)}")
+        feats = lstm_features(spec.amplitude, model.log_features)
+        with ad.no_grad():
+            sigma_v2 = noise_fnn_forward_grid(model.noise_net, feats, sigma_y2).values
     else:
         raise DataError("an oracle noise grid or a model is needed")
-    tracks = wiener.VarianceTracks(
-        sigma_y2=wiener.track_sigma_y(spec.amplitude, span), sigma_v2=sigma_v2)
+    tracks = wiener.VarianceTracks(sigma_y2=sigma_y2, sigma_v2=sigma_v2)
     return sigma_v2, wiener.apply_wiener(spec.amplitude, tracks)
 
 

@@ -53,10 +53,12 @@ def track_sigma_y(amplitude: np.ndarray, span: int = 20) -> np.ndarray:
 
 
 def wiener_gain(sigma_v2, sigma_y2):
-    """MMSE gain 1 - noise/observed variance, clamped to [0, 1]."""
+    """MMSE gain 1 - noise/observed variance, clamped to [0, 1], rounded as
+    the NKF graph's Wiener branch: sigma_v2 * (1 / max(sigma_y2, floor))."""
     sigma_v2 = np.asarray(sigma_v2, dtype=np.float64)
     sigma_y2 = np.asarray(sigma_y2, dtype=np.float64)
-    return np.clip(1.0 - sigma_v2 / np.maximum(sigma_y2, VARIANCE_FLOOR), 0.0, 1.0)
+    inv_sy = 1.0 / np.maximum(sigma_y2, VARIANCE_FLOOR)
+    return np.clip(1.0 - sigma_v2 * inv_sy, 0.0, 1.0)
 
 
 def apply_wiener(amplitude: np.ndarray, v: VarianceTracks) -> np.ndarray:

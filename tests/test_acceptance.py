@@ -1,8 +1,12 @@
 """Acceptance gate: one test per shipping criterion, each printing a
 pass/fail line with its measured quantities. Run with ``pytest -s
-tests/test_acceptance.py`` to see the lines as they pass."""
+tests/test_acceptance.py`` to see the lines as they pass. The figures that
+criteria 1, 3, 4, 8 and 9 measure come from module fixtures, which
+``test_pinned_figures`` also holds to ``expected_figures.json``."""
 
 import contextlib
+import json
+import os
 import time
 
 import numpy as np
@@ -31,6 +35,9 @@ def _report(number, name):
     print(f"ACCEPTANCE {number} ({name}): PASS")
 
 
+EXPECTED_FIGURES = os.path.join(os.path.dirname(__file__), "expected_figures.json")
+
+
 # -- shared desk-scale corpus and trained model -------------------------------
 
 DESK_TRAIN_STEPS = 200
@@ -57,15 +64,20 @@ def trained_desk_model(desk_corpus):
     return model, history, synth_seconds + (time.time() - t0)
 
 
-def test_criterion_01_stft_perfect_reconstruction():
+@pytest.fixture(scope="module")
+def stft_reconstruction():
+    t0 = time.time()
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(16000)
+    y = istft(stft(Waveform(x), 256, 64), 16000).samples
+    interior = slice(256, 16000 - 256)
+    err = np.max(np.abs(y[interior] - x[interior])) / np.max(np.abs(x))
+    return float(err), time.time() - t0
+
+
+def test_criterion_01_stft_perfect_reconstruction(stft_reconstruction):
     with _report(1, "STFT perfect reconstruction"):
-        t0 = time.time()
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(16000)
-        y = istft(stft(Waveform(x), 256, 64), 16000).samples
-        interior = slice(256, 16000 - 256)
-        err = np.max(np.abs(y[interior] - x[interior])) / np.max(np.abs(x))
-        elapsed = time.time() - t0
+        err, elapsed = stft_reconstruction
         print(f"  interior relative error {err:.2e} in {elapsed:.2f}s", end=" ")
         assert err < 1e-6
         assert elapsed < 1.0
@@ -92,56 +104,66 @@ def test_criterion_02_levinson_against_normal_equations():
         assert elapsed < 5.0
 
 
-def test_criterion_03_scalar_kalman_equivalence():
+@pytest.fixture(scope="module")
+def scalar_kf_deviation():
+    t0 = time.time()
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(50):
+        a = rng.uniform(-0.95, 0.95)
+        q = rng.uniform(1e-3, 0.5)
+        y = rng.uniform(0, 3, 1000)
+        sv = rng.uniform(0.01, 2.0, 1000)
+        got = run_kf(y, LpModel(1, np.array([a]), q), sv)
+        # independently coded textbook scalar recursion
+        x, p = y[0], sv[0]
+        want = np.empty(1000)
+        want[0] = y[0]
+        for t in range(1, 1000):
+            x = a * x
+            p = a * a * p + q
+            k = p / (sv[t] + p)
+            x = x + k * (y[t] - x)
+            p = (1 - k) * p
+            want[t] = max(0.0, x)
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    return worst, time.time() - t0
+
+
+def test_criterion_03_scalar_kalman_equivalence(scalar_kf_deviation):
     with _report(3, "scalar-KF equivalence"):
-        t0 = time.time()
-        rng = np.random.default_rng(3)
-        worst = 0.0
-        for _ in range(50):
-            a = rng.uniform(-0.95, 0.95)
-            q = rng.uniform(1e-3, 0.5)
-            y = rng.uniform(0, 3, 1000)
-            sv = rng.uniform(0.01, 2.0, 1000)
-            got = run_kf(y, LpModel(1, np.array([a]), q), sv)
-            # independently coded textbook scalar recursion
-            x, p = y[0], sv[0]
-            want = np.empty(1000)
-            want[0] = y[0]
-            for t in range(1, 1000):
-                x = a * x
-                p = a * a * p + q
-                k = p / (sv[t] + p)
-                x = x + k * (y[t] - x)
-                p = (1 - k) * p
-                want[t] = max(0.0, x)
-            worst = max(worst, float(np.max(np.abs(got - want))))
-        elapsed = time.time() - t0
+        worst, elapsed = scalar_kf_deviation
         print(f"  max track deviation {worst:.2e} in {elapsed:.2f}s", end=" ")
         assert worst < 1e-10
         assert elapsed < 10.0
 
 
-def test_criterion_04_kf_reduces_mse_on_ar2():
+@pytest.fixture(scope="module")
+def kf_ar2_wins():
+    t0 = time.time()
+    rng = np.random.default_rng(4)
+    wins = 0
+    for _ in range(100):
+        radius = rng.uniform(0.3, 0.95)
+        theta = rng.uniform(0.1, np.pi - 0.1)
+        a1, a2 = 2 * radius * np.cos(theta), -radius * radius
+        sw = rng.uniform(0.05, 0.3)
+        x = np.zeros(800)
+        w = sw * rng.standard_normal(800)
+        for t in range(2, 800):
+            x[t] = a1 * x[t - 1] + a2 * x[t - 2] + w[t]
+        x = x[200:]
+        sv2 = float(np.var(x))  # 0 dB
+        y = x + np.sqrt(sv2) * rng.standard_normal(len(x))
+        lp = LpModel(2, np.array([a1, a2]), sw * sw)
+        est = run_kf(y, lp, np.full(len(x), sv2))
+        wins += np.mean((est - x) ** 2) < np.mean((y - x) ** 2)
+    return int(wins), time.time() - t0
+
+
+def test_criterion_04_kf_reduces_mse_on_ar2(kf_ar2_wins):
     with _report(4, "KF MMSE sanity"):
-        t0 = time.time()
-        rng = np.random.default_rng(4)
-        wins = 0
-        for _ in range(100):
-            radius = rng.uniform(0.3, 0.95)
-            theta = rng.uniform(0.1, np.pi - 0.1)
-            a1, a2 = 2 * radius * np.cos(theta), -radius * radius
-            sw = rng.uniform(0.05, 0.3)
-            x = np.zeros(800)
-            w = sw * rng.standard_normal(800)
-            for t in range(2, 800):
-                x[t] = a1 * x[t - 1] + a2 * x[t - 2] + w[t]
-            x = x[200:]
-            sv2 = float(np.var(x))  # 0 dB
-            y = x + np.sqrt(sv2) * rng.standard_normal(len(x))
-            lp = LpModel(2, np.array([a1, a2]), sw * sw)
-            est = run_kf(y, lp, np.full(len(x), sv2))
-            wins += np.mean((est - x) ** 2) < np.mean((y - x) ** 2)
-        elapsed = time.time() - t0
+        wins, elapsed = kf_ar2_wins
         print(f"  KF beat the observations in {wins}/100 trials "
               f"in {elapsed:.1f}s", end=" ")
         assert wins >= 95
@@ -212,6 +234,11 @@ def test_criterion_07_end_to_end_gradient_check():
         assert elapsed < 60.0
 
 
+def _smoothed_losses(history):
+    h = np.array(history)
+    return np.convolve(h, np.ones(10) / 10, mode="valid")
+
+
 def test_criterion_08_training_smoke(trained_desk_model):
     with _report(8, "training smoke"):
         model, history, elapsed = trained_desk_model
@@ -220,7 +247,7 @@ def test_criterion_08_training_smoke(trained_desk_model):
         assert np.all(np.isfinite(h))
         for p in model.parameters().values():
             assert np.all(np.isfinite(p.values))
-        smoothed = np.convolve(h, np.ones(10) / 10, mode="valid")
+        smoothed = _smoothed_losses(history)
         ratio = smoothed[-1] / smoothed[0]
         print(f"  smoothed loss {smoothed[0]:.4f} -> {smoothed[-1]:.4f} "
               f"(ratio {ratio:.3f}) in {elapsed:.0f}s", end=" ")
@@ -228,30 +255,69 @@ def test_criterion_08_training_smoke(trained_desk_model):
         assert elapsed < 600.0
 
 
-def test_criterion_09_enhancement_beats_noisy(desk_corpus, trained_desk_model):
+@pytest.fixture(scope="module")
+def desk_fwsegsnr(desk_corpus, trained_desk_model):
+    """Mean test-split FwSegSNR (dB) of the noisy input, the model's Wiener
+    branch and the NKF, and the seconds it took."""
+    cfg, manifest, _ = desk_corpus
+    model, _, _ = trained_desk_model
+    t0 = time.time()
+    nkf_scores, wiener_scores, noisy_scores = [], [], []
+    for e in manifest.split_entries("test"):
+        assert e.mix.snr_db == 5.0
+        clean = data_io.read_wav(e.clean_path)
+        noisy = data_io.read_wav(e.noisy_path)
+        nkf_out = enhancer.enhance(model, noisy, method="nkf").waveform
+        wiener_out = enhancer.enhance(model, noisy, method="wiener").waveform
+        nkf_scores.append(metrics.fwsegsnr(clean, nkf_out))
+        wiener_scores.append(metrics.fwsegsnr(clean, wiener_out))
+        noisy_scores.append(metrics.fwsegsnr(clean, noisy))
+    scores = {"noisy": noisy_scores, "wiener": wiener_scores, "nkf": nkf_scores}
+    return {k: float(np.mean(v)) for k, v in scores.items()}, time.time() - t0
+
+
+def test_criterion_09_enhancement_beats_noisy(desk_fwsegsnr):
     with _report(9, "end-to-end enhancement gain"):
-        cfg, manifest, _ = desk_corpus
-        model, _, _ = trained_desk_model
-        t0 = time.time()
-        nkf_scores, wiener_scores, noisy_scores = [], [], []
-        for e in manifest.split_entries("test"):
-            assert e.mix.snr_db == 5.0
-            clean = data_io.read_wav(e.clean_path)
-            noisy = data_io.read_wav(e.noisy_path)
-            nkf_out = enhancer.enhance(model, noisy, method="nkf").waveform
-            wiener_out = enhancer.enhance(model, noisy, method="wiener").waveform
-            nkf_scores.append(metrics.fwsegsnr(clean, nkf_out))
-            wiener_scores.append(metrics.fwsegsnr(clean, wiener_out))
-            noisy_scores.append(metrics.fwsegsnr(clean, noisy))
-        elapsed = time.time() - t0
-        nkf_db = float(np.mean(nkf_scores))
-        wiener_db = float(np.mean(wiener_scores))
-        noisy_db = float(np.mean(noisy_scores))
-        print(f"  FwSegSNR noisy {noisy_db:.2f} dB, wiener {wiener_db:.2f} dB, "
-              f"nkf {nkf_db:.2f} dB in {elapsed:.0f}s", end=" ")
-        assert nkf_db > noisy_db + 1.0
-        assert nkf_db >= wiener_db
+        db, elapsed = desk_fwsegsnr
+        print(f"  FwSegSNR noisy {db['noisy']:.2f} dB, wiener {db['wiener']:.2f} dB, "
+              f"nkf {db['nkf']:.2f} dB in {elapsed:.0f}s", end=" ")
+        assert db["nkf"] > db["noisy"] + 1.0
+        assert db["nkf"] >= db["wiener"]
         assert elapsed < 300.0
+
+
+def test_pinned_figures(stft_reconstruction, scalar_kf_deviation, kf_ar2_wins,
+                        trained_desk_model, desk_fwsegsnr):
+    """The figures criteria 1, 3, 4, 8 and 9 print stay where
+    ``expected_figures.json`` pins them, not only above their thresholds."""
+    smoothed = _smoothed_losses(trained_desk_model[1])
+    db = desk_fwsegsnr[0]
+    figures = {
+        "criterion_01.interior_relative_error": stft_reconstruction[0],
+        "criterion_03.max_track_deviation": scalar_kf_deviation[0],
+        "criterion_04.kf_wins_of_100": kf_ar2_wins[0],
+        "criterion_08.smoothed_loss_start": smoothed[0],
+        "criterion_08.smoothed_loss_end": smoothed[-1],
+        "criterion_08.smoothed_loss_ratio": smoothed[-1] / smoothed[0],
+        "criterion_09.fwsegsnr_noisy_db": db["noisy"],
+        "criterion_09.fwsegsnr_wiener_db": db["wiener"],
+        "criterion_09.fwsegsnr_nkf_db": db["nkf"],
+    }
+    with open(EXPECTED_FIGURES, encoding="utf-8") as fh:
+        expected = json.load(fh)["figures"]
+    assert set(figures) == set(expected)
+    off = []
+    for name, got in figures.items():
+        pin = expected[name]
+        if "max" in pin:
+            ok = got <= pin["max"]
+        elif "rel" in pin:
+            ok = abs(got - pin["value"]) <= pin["rel"] * abs(pin["value"])
+        else:
+            ok = abs(got - pin["value"]) <= pin["abs"]
+        if not ok:
+            off.append(f"{name}: {got!r}, pinned {pin}")
+    assert not off, "; ".join(off)
 
 
 def test_criterion_10_determinism(tmp_path):

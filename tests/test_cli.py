@@ -221,6 +221,21 @@ class TestEval:
         assert rc == 2
 
 
+    def test_malformed_manifest_is_data_error(self, workspace, tmp_path, capsys):
+        # a row cut short is a data error naming its line, not a traceback
+        root, corpus, ckpt = workspace
+        lines = (corpus / "manifest.csv").read_text(encoding="utf-8").splitlines()
+        bad = tmp_path / "short_row.csv"
+        bad.write_text("\n".join(lines[:1] + [lines[1].rsplit(",", 1)[0]]) + "\n",
+                       encoding="utf-8")
+        for command in (["eval", "--enhanced", str(tmp_path)],
+                        ["enhance", "--checkpoint", str(ckpt)]):
+            rc = main(TINY + command + ["--manifest", str(bad),
+                                        "--out", str(tmp_path / "out")])
+            assert rc == 2
+            assert "line 2: expected 9 fields" in capsys.readouterr().err
+
+
 class TestGradcheckAndUsage:
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck"]) == 0

@@ -387,6 +387,22 @@ class TestSynthCorpus:
             data_io.synth_corpus(self._cfg(), tmp_path)
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["notes.txt", "train"]
 
+    # each edits the fields of the manifest's line 3, its second utterance
+    @pytest.mark.parametrize("edit,match", [
+        (lambda f: f[:-1], "line 3: expected 9 fields"),
+        (lambda f: f + ["extra"], "line 3: expected 9 fields"),
+        (lambda f: f[:2] + ["loud"] + f[3:], "line 3: could not convert"),
+        (lambda f: f[:3] + ["1.5"] + f[4:], "line 3: invalid literal"),
+    ], ids=["too-few-fields", "extra-field", "non-numeric-snr", "non-integer-seed"])
+    def test_malformed_manifest_row_rejected(self, tmp_path, edit, match):
+        data_io.synth_corpus(self._cfg(), tmp_path)
+        path = tmp_path / "manifest.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=match):
+            data_io.load_manifest(path)
+
     def test_manifest_missing_file_rejected(self, tmp_path):
         cfg = self._cfg()
         data_io.synth_corpus(cfg, tmp_path)

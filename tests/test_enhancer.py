@@ -13,7 +13,8 @@ from nkf.enhancer import (EnhancementResult, NkfFrameEstimates, enhance,
 from nkf.errors import ConfigError, DataError, NumericsError
 from nkf.networks import build_model
 from nkf.signal_core import Waveform, stft
-from nkf.wiener import apply_wiener, track_sigma_y, VarianceTracks
+from nkf.wiener import (VARIANCE_FLOOR, VarianceTracks, apply_wiener,
+                        track_sigma_y, wiener_gain)
 
 
 def _tiny_model(seed=0, **kw):
@@ -111,15 +112,23 @@ class TestForward:
         assert expected_gain == pytest.approx(0.5906, abs=2e-4)
 
     def test_wiener_branch_matches_numpy_module(self):
+        # bit for bit, also where the noisy variance is zero or below
+        # VARIANCE_FLOOR: the first frames are silent, the next ones tiny
         m = _tiny_model(seed=5)
         rng = np.random.default_rng(4)
         amp = rng.uniform(0.5, 3.0, (10, 4))
+        amp[:2] = 0.0
+        amp[2:4] = 1e-9
         with ad.no_grad():
             graph, = _forward(m, [(amp, None)])
-        tracks = VarianceTracks(sigma_y2=track_sigma_y(amp, m.variance_span),
-                                sigma_v2=graph.sigma_v2.values)
-        np.testing.assert_allclose(graph.amp_wiener.values,
-                                   apply_wiener(amp, tracks), rtol=1e-12)
+        sigma_y2 = track_sigma_y(amp, m.variance_span)
+        assert np.any(sigma_y2 == 0) and np.any((sigma_y2 > 0) & (sigma_y2 < VARIANCE_FLOOR))
+        gain = wiener_gain(graph.sigma_v2.values, sigma_y2)
+        assert np.any((gain > 0) & (gain < 1))
+        np.testing.assert_array_equal(graph.amp_wiener.values, gain * amp)
+        tracks = VarianceTracks(sigma_y2=sigma_y2, sigma_v2=graph.sigma_v2.values)
+        np.testing.assert_array_equal(graph.amp_wiener.values,
+                                      apply_wiener(amp, tracks))
 
     def test_gain_limit_ratios(self):
         # as sigma_r2/sigma_v2 -> 0 output approaches the LSTM estimate and

@@ -1,4 +1,5 @@
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -406,6 +407,48 @@ class TestDeterminismAndCheckpoints:
         save_checkpoint(m, path)
         path.write_bytes(path.read_bytes()[:40])
         with pytest.raises(DataError, match="truncated"):
+            load_checkpoint(path)
+
+    # header offsets of u32 fields: n_bins, context, fnn_hidden, first layer's units
+    @pytest.mark.parametrize("offset", [24, 28, 36, 45],
+                             ids=["n_bins", "context", "fnn_hidden", "units"])
+    def test_header_dimensions_checked_before_building(self, tmp_path,
+                                                       monkeypatch, offset):
+        # the claim is one more than the tensors hold: harmless even if it were
+        # built, but load must reject it from the tensor shapes alone
+        path = tmp_path / "model.nkf"
+        save_checkpoint(build_model(5, lstm_units=(2,), fnn_hidden=3, context=2,
+                                    seed=0), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, offset, struct.unpack_from("<I", blob, offset)[0] + 1)
+        path.write_bytes(bytes(blob))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a model from an unchecked header")
+
+        monkeypatch.setattr(networks, "build_model", refuse)
+        with pytest.raises(DataError, match="malformed checkpoint: shape mismatch"):
+            load_checkpoint(path)
+
+    def test_huge_tensor_shape_is_truncation(self, tmp_path):
+        # four dimensions of 2^32 - 1: the product overflows 64 bits
+        path = tmp_path / "model.nkf"
+        save_checkpoint(build_model(5, lstm_units=(2,), fnn_hidden=3, context=2,
+                                    seed=0), path)
+        blob = path.read_bytes()
+        at = blob.index(b"lstm0.wx") + len(b"lstm0.wx")
+        path.write_bytes(blob[:at] + struct.pack("<B4I", 4, *[2**32 - 1] * 4)
+                         + blob[at + 9:])
+        with pytest.raises(DataError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_non_utf8_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "model.nkf"
+        save_checkpoint(build_model(5, lstm_units=(2,), fnn_hidden=3, context=2,
+                                    seed=0), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"lstm0.wx", b"\xfflstm0.x", 1))
+        with pytest.raises(DataError, match="tensor name is not UTF-8"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("moment", ["adam_m", "adam_v"])

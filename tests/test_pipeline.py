@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nkf import autodiff as ad
-from nkf import data_io
+from nkf import data_io, enhancer, pipeline
 from nkf.config import RunConfig
 from nkf.enhancer import enhance, enhance_wiener, nkf_forward
 from nkf.errors import DataError
@@ -22,7 +22,7 @@ from nkf.kalman import enhance_kf_baseline
 from nkf.networks import build_model, noise_fnn_forward_grid
 from nkf.pipeline import wiener_estimate
 from nkf.signal_core import Waveform, recombine, stft
-from nkf.wiener import VarianceTracks, apply_wiener, track_sigma_y
+from nkf.wiener import VARIANCE_FLOOR, VarianceTracks, apply_wiener, track_sigma_y
 
 from oracles import segmented_kf
 from test_signal_core import _istft_loop_oracle
@@ -95,18 +95,40 @@ def _assert_same(result, waveform, grids, tol=0.0):
         assert same(got[name], grid), name
 
 
+#: The graph grids each model method computes, besides its output amp_out
+METHOD_GRIDS = {"nkf": ("amp_lstm", "amp_wiener", "sigma_r2", "sigma_v2", "gain"),
+                "lstm": ("amp_lstm",), "wiener": ("amp_wiener", "sigma_v2")}
+
+
 @pytest.mark.parametrize("method,grid_name", [
     ("nkf", "amp_out"), ("lstm", "amp_lstm"), ("wiener", "amp_wiener")])
 def test_model_methods(utterance, method, grid_name):
+    # each method resynthesizes one grid of the whole graph, bit for bit, and
+    # reports the graph grids it computed on its way there
     noisy, _ = utterance
     m = _model()
     spec = stft(noisy, m.window, m.hop)
     with ad.no_grad():
         graph = nkf_forward(m, spec)
-    grids = {k: getattr(graph, k).values for k in (
-        "amp_lstm", "amp_wiener", "sigma_r2", "sigma_v2", "gain", "amp_out")}
+    grids = {k: getattr(graph, k).values for k in METHOD_GRIDS[method]}
+    grids["amp_out"] = getattr(graph, grid_name).values
     _assert_same(enhance(m, noisy, method),
-                 _resynthesize(noisy, spec, grids[grid_name]), grids)
+                 _resynthesize(noisy, spec, grids["amp_out"]), grids)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this method must not run this network")
+
+
+@pytest.mark.parametrize("method,unused", [
+    ("lstm", "noise_fnn_forward_grid"), ("wiener", "lstm_forward")])
+def test_model_methods_skip_the_other_network(utterance, monkeypatch, method,
+                                              unused):
+    noisy, _ = utterance
+    for module in (enhancer, pipeline):
+        if hasattr(module, unused):
+            monkeypatch.setattr(module, unused, _refuse)
+    enhance(_model(), noisy, method)
 
 
 def test_oracle_wiener(utterance):
@@ -139,12 +161,39 @@ def test_kf_baseline_model_noise(utterance):
                  *_kf_reference(noisy, model=m), tol=KF_TOL)
 
 
-@pytest.mark.parametrize("framing", [dict(hop=32), dict(window=128)])
+def test_kf_baseline_prefilter_is_the_graph_wiener_branch(utterance):
+    # one Wiener formula: the KF's prefilter is the NKF graph's Wiener branch
+    # bit for bit, also where the noisy variance is below VARIANCE_FLOOR (a
+    # digitally silent start and a stretch at -200 dB)
+    noisy, _ = utterance
+    samples = noisy.samples.copy()
+    samples[:160] = 0.0
+    samples[160:320] *= 1e-10
+    noisy = Waveform(samples)
+    m = _model()
+    m.noise_net.params["fnn.b3"].values[:] = -8.0   # gains inside (0, 1)
+    spec = stft(noisy, m.window, m.hop)
+    with ad.no_grad():
+        graph = nkf_forward(m, spec)
+    sigma_y2 = track_sigma_y(spec.amplitude, m.variance_span)
+    assert np.any((sigma_y2 > 0) & (sigma_y2 < VARIANCE_FLOOR))
+    h = graph.amp_wiener.values[spec.amplitude > 0] / spec.amplitude[spec.amplitude > 0]
+    assert np.any((h > 0) & (h < 1))
+    grids = enhance_kf_baseline(noisy, CFG, model=m).grids
+    assert np.array_equal(grids.amp_wiener, graph.amp_wiener.values)
+    assert np.array_equal(grids.sigma_v2, graph.sigma_v2.values)
+
+
+@pytest.mark.parametrize("framing", [dict(hop=32), dict(window=128),
+                                     dict(variance_span=4)])
 def test_kf_baseline_model_framing_mismatch(utterance, framing):
-    # the noise net must only see frames of the framing it was trained on
+    # the noise net must only see frames and noisy variances of the framing
+    # it was trained on
     noisy, _ = utterance
     with pytest.raises(DataError, match="framing .* differs from the model"):
         enhance_kf_baseline(noisy, CFG.replace(**framing), model=_model())
+    with pytest.raises(DataError, match="framing .* differs from the model"):
+        enhance_wiener(noisy, CFG.replace(**framing), model=_model())
 
 
 def test_oracle_grid_wins_over_model():
