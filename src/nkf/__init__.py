@@ -17,9 +17,8 @@ from .kalman import (KfGain, KfState, enhance_kf_baseline, kf_gain, kf_predict,
 from .linear_prediction import (LpModel, TransitionMatrix, autocorrelate,
                                 levinson_durbin, transition_matrix)
 from .metrics import MetricReport, amplitude_mse, fwsegsnr, segsnr
-from .networks import (LstmPredictor, NkfModel, NoiseFnn, build_model,
-                       load_checkpoint, lstm_forward, optimizer_step,
-                       save_checkpoint)
+from .networks import (NkfModel, build_model, load_checkpoint, lstm_forward,
+                       optimizer_step, save_checkpoint)
 from .pipeline import EnhancementResult, NkfFrameEstimates
 from .signal_core import Spectrogram, Waveform, istft, recombine, stft
 from .wiener import VarianceTracks, apply_wiener, track_sigma_y, wiener_gain

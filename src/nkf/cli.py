@@ -6,9 +6,9 @@ model, writing per-epoch checkpoints and a loss history), ``enhance``
 metric rows plus per-condition aggregates), and ``gradcheck`` (full
 finite-difference verification of the training gradients).
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-divergence. Every command echoes its fully-resolved configuration next to
-its outputs.
+Exit codes: 0 success, 1 usage/config error, 2 data error or a file that
+cannot be read or written, 3 numerical divergence. Every command echoes its
+fully-resolved configuration next to its outputs.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except NkfError as exc:
+    except (NkfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

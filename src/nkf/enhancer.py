@@ -84,7 +84,7 @@ def _forward(m: NkfModel, segments) -> list[NkfGraph]:
         raise DataError(f"model expects T x {m.n_bins} amplitudes")
     feats = [lstm_features(n, m.log_features) for n in noisy]
     n_frames = max(len(f) for f in feats)
-    amp, res = lstm_forward(m.predictor, np.stack(
+    amp, res = lstm_forward(m, np.stack(
         [np.pad(f, ((0, n_frames - len(f)), (0, 0))) for f in feats]))
     return [_combine(m, n, f, amp[b, :len(f)], res[b, :len(f)], clean)
             for b, (n, f, (_, clean)) in enumerate(zip(noisy, feats, segments))]
@@ -93,7 +93,7 @@ def _forward(m: NkfModel, segments) -> list[NkfGraph]:
 def _combine(m: NkfModel, noisy_amp, feats, amp_lstm, res_logvar, clean_amp) -> NkfGraph:
     """The pipeline after the LSTM: noise net, Wiener branch, gain, loss."""
     sigma_y2 = wiener.track_sigma_y(noisy_amp, m.variance_span)
-    sigma_v2 = noise_fnn_forward_grid(m.noise_net, feats, sigma_y2)
+    sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2)
     inv_sy = 1.0 / np.maximum(sigma_y2, wiener.VARIANCE_FLOOR)
     h = ad.clamp(ad.sub(1.0, ad.mul(sigma_v2, ad.lift(inv_sy))), 0.0, 1.0)
     amp_wiener = ad.mul(h, ad.lift(noisy_amp))
@@ -132,7 +132,7 @@ def enhance(m: NkfModel, noisy: signal_core.Waveform,
     def estimate(spec):
         with ad.no_grad():
             if method == "lstm":
-                amp = lstm_forward(m.predictor, lstm_features(
+                amp = lstm_forward(m, lstm_features(
                     spec.amplitude, m.log_features))[0].values
                 return amp, NkfFrameEstimates(amp_lstm=amp, amp_out=amp)
             est = nkf_forward(m, spec).estimates()
@@ -217,11 +217,15 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
                 entry = entries[int(j)]
                 noisy = data_io.read_wav(entry.noisy_path, cfg.sample_rate)
                 clean = data_io.read_wav(entry.clean_path, cfg.sample_rate)
+                # checked on whole files: the segment drawn below could end
+                # before a longer clean file does
+                if len(clean) != len(noisy):
+                    raise DataError(f"train utterance {entry.utt_id}: clean and noisy "
+                                    f"waveforms must have equal length, got "
+                                    f"{len(clean)} and {len(noisy)} samples")
                 t0, t1 = _segment_bounds(
                     signal_core.frame_count(len(noisy), cfg.window, cfg.hop),
                     cfg.seq_len, rng)
-                # a clean file shorter than the noisy one yields fewer
-                # frames, which _combine rejects as a shape mismatch
                 segments.append(tuple(
                     signal_core.stft_amplitude(w, cfg.window, cfg.hop, t0, t1)
                     for w in (noisy, clean)))

@@ -1,18 +1,18 @@
-"""The two learnable components and their plumbing.
+"""The two learnable components, as one parameter table, and their plumbing.
 
-``LstmPredictor`` is a stacked LSTM over noisy amplitude frames with two
+The predictor is a stacked LSTM over noisy amplitude frames with two
 fully-connected heads reading the top hidden state: one predicts the clean
 amplitude per bin (ReLU, so nonnegative), the other the log variance of the
 prediction residual (clamped to +-12 so its exponential stays finite).
-``NoiseFnn`` is a three-layer ReLU feed-forward net mapping a left-side
-context window of amplitudes plus the current running noisy variance to a
-strictly positive noise variance per bin (softplus output).
+The noise net is three ReLU feed-forward layers mapping a left-side context
+window of amplitudes plus the current running noisy variance to a strictly
+positive noise variance per bin (softplus output).
 
-Parameters are ``DiffArray`` leaves; forward functions build the reverse-mode
-graph, so one ``backward()`` on a downstream loss yields exact gradients for
-every weight. Training state (Adam moments, step count) lives on ``NkfModel``
-and round-trips bit-exactly through the binary checkpoint format documented
-at the bottom of this file.
+``_param_shapes`` declares every weight once; ``NkfModel`` holds them as
+``DiffArray`` leaves, so one ``backward()`` on a downstream loss yields exact
+gradients for every weight. Training state (Adam moments, step count) lives
+on ``NkfModel`` and round-trips bit-exactly through the binary checkpoint
+format documented at the bottom of this file.
 """
 
 from __future__ import annotations
@@ -34,45 +34,30 @@ NOISE_VAR_EPS = 1e-12
 LOGVAR_LIMIT = 12.0
 
 
-def _uniform_init(rng, shape, fan_in):
-    k = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-k, k, size=shape)
-
-
-class LstmPredictor:
-    """Stacked LSTM with fused gate weights and two output heads.
-
-    Per layer: ``wx`` (in_dim, 4U), ``wh`` (U, 4U) and ``b`` (4U,), with the
-    gate blocks ordered input, forget, cell, output along the 4U axis. The
-    forget-gate bias block starts at 1.0; everything else is uniform
-    (-1/sqrt(fan_in), +1/sqrt(fan_in)).
+def _param_shapes(n_bins: int, units, context: int, hidden: int) -> dict:
+    """Every parameter's name and shape, in the order that initialization,
+    Adam and the checkpoint use. Per LSTM layer of U units: ``wx``, ``wh``
+    and ``b`` with the input, forget, cell and output gate blocks along 4U.
     """
-
-    def __init__(self, n_bins: int, units=(64, 64), rng=None):
-        if n_bins < 1 or len(units) < 1 or any(u < 1 for u in units):
-            raise DataError("predictor dimensions must be positive")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.n_bins = int(n_bins)
-        self.units = tuple(int(u) for u in units)
-        self.params: dict[str, ad.DiffArray] = {}
-        in_dim = self.n_bins
-        for layer, u in enumerate(self.units):
-            b = np.zeros(4 * u)
-            b[u:2 * u] = 1.0
-            self.params[f"lstm{layer}.wx"] = ad.DiffArray(
-                _uniform_init(rng, (in_dim, 4 * u), in_dim))
-            self.params[f"lstm{layer}.wh"] = ad.DiffArray(
-                _uniform_init(rng, (u, 4 * u), u))
-            self.params[f"lstm{layer}.b"] = ad.DiffArray(b)
-            in_dim = u
-        top = self.units[-1]
-        for head in ("head_amp", "head_res"):
-            self.params[f"{head}.w"] = ad.DiffArray(
-                _uniform_init(rng, (top, self.n_bins), top))
-            self.params[f"{head}.b"] = ad.DiffArray(np.zeros(self.n_bins))
+    if n_bins < 1 or len(units) < 1 or any(u < 1 for u in units):
+        raise DataError("predictor dimensions must be positive")
+    if context < 1 or hidden < 1:
+        raise DataError("noise net dimensions must be positive")
+    shapes, in_dim = {}, n_bins
+    for layer, u in enumerate(units):
+        shapes.update({f"lstm{layer}.wx": (in_dim, 4 * u),
+                       f"lstm{layer}.wh": (u, 4 * u), f"lstm{layer}.b": (4 * u,)})
+        in_dim = u
+    for head in ("head_amp", "head_res"):
+        shapes.update({f"{head}.w": (in_dim, n_bins), f"{head}.b": (n_bins,)})
+    fnn_in = (context + 1) * n_bins
+    shapes.update({"fnn.w1": (fnn_in, hidden), "fnn.b1": (hidden,),
+                   "fnn.w2": (hidden, hidden), "fnn.b2": (hidden,),
+                   "fnn.w3": (hidden, n_bins), "fnn.b3": (n_bins,)})
+    return shapes
 
 
-def lstm_forward(p: LstmPredictor, noisy_amp) -> tuple[ad.DiffArray, ad.DiffArray]:
+def lstm_forward(m: NkfModel, noisy_amp) -> tuple[ad.DiffArray, ad.DiffArray]:
     """Run the predictor over a T x F sequence or a B x T x F batch.
 
     Returns the nonnegative amplitude prediction and the clamped residual
@@ -81,39 +66,18 @@ def lstm_forward(p: LstmPredictor, noisy_amp) -> tuple[ad.DiffArray, ad.DiffArra
     up to t, so a sequence zero-padded at its end keeps its outputs.
     """
     x = np.asarray(noisy_amp, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-1] != p.n_bins or x.shape[-2] < 1:
-        raise DataError(f"predictor expects [B x] T x {p.n_bins}, T >= 1, got {x.shape}")
+    if x.ndim not in (2, 3) or x.shape[-1] != m.n_bins or x.shape[-2] < 1:
+        raise DataError(f"predictor expects [B x] T x {m.n_bins}, T >= 1, got {x.shape}")
     layer_in = x if x.ndim == 3 else x[None]
-    for layer in range(len(p.units)):
-        layer_in = ad.lstm_layer(layer_in, p.params[f"lstm{layer}.wx"],
-                                 p.params[f"lstm{layer}.wh"], p.params[f"lstm{layer}.b"])
+    for layer in range(len(m.units)):
+        layer_in = ad.lstm_layer(layer_in, m.params[f"lstm{layer}.wx"],
+                                 m.params[f"lstm{layer}.wh"], m.params[f"lstm{layer}.b"])
     amp = ad.relu(ad.add_rowvec(
-        ad.matmul(layer_in, p.params["head_amp.w"]), p.params["head_amp.b"]))
+        ad.matmul(layer_in, m.params["head_amp.w"]), m.params["head_amp.b"]))
     res_logvar = ad.clamp(ad.add_rowvec(
-        ad.matmul(layer_in, p.params["head_res.w"]), p.params["head_res.b"]),
+        ad.matmul(layer_in, m.params["head_res.w"]), m.params["head_res.b"]),
         -LOGVAR_LIMIT, LOGVAR_LIMIT)
     return (amp, res_logvar) if x.ndim == 3 else (amp[0], res_logvar[0])
-
-
-class NoiseFnn:
-    """Three fully-connected layers; ReLU hidden, softplus output."""
-
-    def __init__(self, n_bins: int, context: int = 30, hidden: int = 128, rng=None):
-        if n_bins < 1 or context < 1 or hidden < 1:
-            raise DataError("noise net dimensions must be positive")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.n_bins = int(n_bins)
-        self.context = int(context)
-        self.hidden = int(hidden)
-        in_dim = self.context * self.n_bins + self.n_bins
-        self.params = {
-            "fnn.w1": ad.DiffArray(_uniform_init(rng, (in_dim, hidden), in_dim)),
-            "fnn.b1": ad.DiffArray(np.zeros(hidden)),
-            "fnn.w2": ad.DiffArray(_uniform_init(rng, (hidden, hidden), hidden)),
-            "fnn.b2": ad.DiffArray(np.zeros(hidden)),
-            "fnn.w3": ad.DiffArray(_uniform_init(rng, (hidden, n_bins), hidden)),
-            "fnn.b3": ad.DiffArray(np.zeros(n_bins)),
-        }
 
 
 def fnn_context_matrix(amplitude: np.ndarray, context: int,
@@ -137,73 +101,88 @@ def fnn_context_matrix(amplitude: np.ndarray, context: int,
     return out
 
 
-def noise_fnn_forward_grid(n: NoiseFnn, amplitude: np.ndarray,
+def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray,
                            sigma_y2: np.ndarray) -> ad.DiffArray:
     """Noise variance estimate for every frame of a T x F grid."""
     amplitude = np.asarray(amplitude, dtype=np.float64)
     sigma_y2 = np.asarray(sigma_y2, dtype=np.float64)
-    if amplitude.shape != sigma_y2.shape or amplitude.shape[1] != n.n_bins:
+    if amplitude.shape != sigma_y2.shape or amplitude.shape[1] != m.n_bins:
         raise DataError("amplitude / variance grids inconsistent with model")
-    features = np.empty((len(amplitude), (n.context + 1) * n.n_bins))
-    fnn_context_matrix(amplitude, n.context, out=features[:, :-n.n_bins])
-    features[:, -n.n_bins:] = sigma_y2
+    features = np.empty((len(amplitude), (m.context + 1) * m.n_bins))
+    fnn_context_matrix(amplitude, m.context, out=features[:, :-m.n_bins])
+    features[:, -m.n_bins:] = sigma_y2
     h1 = ad.relu(ad.add_rowvec(
-        ad.matmul(ad.lift(features), n.params["fnn.w1"]), n.params["fnn.b1"]))
+        ad.matmul(ad.lift(features), m.params["fnn.w1"]), m.params["fnn.b1"]))
     h2 = ad.relu(ad.add_rowvec(
-        ad.matmul(h1, n.params["fnn.w2"]), n.params["fnn.b2"]))
-    z = ad.add_rowvec(ad.matmul(h2, n.params["fnn.w3"]), n.params["fnn.b3"])
+        ad.matmul(h1, m.params["fnn.w2"]), m.params["fnn.b2"]))
+    z = ad.add_rowvec(ad.matmul(h2, m.params["fnn.w3"]), m.params["fnn.b3"])
     return ad.add(ad.softplus(z), NOISE_VAR_EPS)
 
 
 class NkfModel:
-    """Predictor + noise net + optimizer state + framing metadata."""
+    """The parameter table in ``_param_shapes`` order, the dimensions that
+    lay it out, Adam state and framing metadata."""
 
-    def __init__(self, predictor: LstmPredictor, noise_net: NoiseFnn, *,
-                 window: int = 256, hop: int = 64, variance_span: int = 20,
-                 sample_rate: int = 16000, log_features: bool = False):
-        self.predictor = predictor
-        self.noise_net = noise_net
+    def __init__(self, params: dict[str, ad.DiffArray], adam_m: dict[str, np.ndarray],
+                 adam_v: dict[str, np.ndarray], *, n_bins: int, units, context: int,
+                 hidden: int, window: int, hop: int, variance_span: int,
+                 sample_rate: int, log_features: bool, adam_step: int = 0):
+        self.params = params
+        self.adam_m = adam_m
+        self.adam_v = adam_v
+        self.adam_step = adam_step
+        self.n_bins = int(n_bins)
+        self.units = tuple(int(u) for u in units)
+        self.context = int(context)
+        self.hidden = int(hidden)
         self.window = int(window)
         self.hop = int(hop)
         self.variance_span = int(variance_span)
         self.sample_rate = int(sample_rate)
         self.log_features = bool(log_features)
-        self.adam_m = {k: np.zeros_like(p.values) for k, p in self.parameters().items()}
-        self.adam_v = {k: np.zeros_like(p.values) for k, p in self.parameters().items()}
-        self.adam_step = 0
-
-    @property
-    def n_bins(self) -> int:
-        return self.predictor.n_bins
 
     def parameters(self) -> dict[str, ad.DiffArray]:
-        merged = dict(self.predictor.params)
-        merged.update(self.noise_net.params)
-        return merged
+        return self.params
 
     def zero_grad(self):
-        for p in self.parameters().values():
+        for p in self.params.values():
             p.grad = None
 
     def gradients(self) -> dict[str, np.ndarray]:
         """Accumulated gradients (zero where untouched)."""
         return {name: p.grad if p.grad is not None else np.zeros_like(p.values)
-                for name, p in self.parameters().items()}
+                for name, p in self.params.items()}
 
 
 def build_model(n_bins: int, *, lstm_units=(64, 64), fnn_hidden: int = 128,
                 context: int = 30, window: int = 256, hop: int = 64,
                 variance_span: int = 20, sample_rate: int = 16000,
                 log_features: bool = False, seed: int = 0) -> NkfModel:
-    """Deterministically initialize a model: same seed, same bits."""
+    """Deterministically initialize a model: same seed, same bits.
+
+    Weights are drawn in declared order, uniform in +-1/sqrt(fan_in), their
+    first dimension; biases are zero, but the LSTM forget-gate blocks are 1.0.
+    """
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
-    predictor = LstmPredictor(n_bins, units=lstm_units, rng=rng)
-    noise_net = NoiseFnn(n_bins, context=context, hidden=fnn_hidden, rng=rng)
-    return NkfModel(predictor, noise_net, window=window, hop=hop,
-                    variance_span=variance_span, sample_rate=sample_rate,
-                    log_features=log_features)
+    shapes = _param_shapes(n_bins, lstm_units, context, fnn_hidden)
+    params = {}
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            k = 1.0 / np.sqrt(shape[0])
+            values = rng.uniform(-k, k, size=shape)
+        else:
+            values = np.zeros(shape)
+            if name.startswith("lstm"):   # lstm<layer>.b: its forget-gate block
+                values[shape[0] // 4:shape[0] // 2] = 1.0
+        params[name] = ad.DiffArray(values)
+    return NkfModel(
+        params, {name: np.zeros_like(p.values) for name, p in params.items()},
+        {name: np.zeros_like(p.values) for name, p in params.items()},
+        n_bins=n_bins, units=lstm_units, context=context, hidden=fnn_hidden,
+        window=window, hop=hop, variance_span=variance_span,
+        sample_rate=sample_rate, log_features=log_features)
 
 
 #: Elements per block of the Adam update: two float64 work buffers of this
@@ -324,10 +303,9 @@ def save_checkpoint(m: NkfModel, path):
     blob = [_MAGIC, struct.pack("<I", _VERSION)]
     blob.append(struct.pack(
         "<7I", m.window, m.hop, m.sample_rate, m.n_bins,
-        m.noise_net.context, m.variance_span, m.noise_net.hidden))
+        m.context, m.variance_span, m.hidden))
     blob.append(struct.pack("<B", int(m.log_features)))
-    units = m.predictor.units
-    blob.append(struct.pack(f"<I{len(units)}I", len(units), *units))
+    blob.append(struct.pack(f"<I{len(m.units)}I", len(m.units), *m.units))
     blob.append(struct.pack("<Q", m.adam_step))
     tensors = [(name, p.values) for name, p in params.items()]
     tensors += [(f"adam_m.{name}", m.adam_m[name]) for name in params]
@@ -345,27 +323,14 @@ def save_checkpoint(m: NkfModel, path):
             os.remove(tmp)
 
 
-def _param_shapes(n_bins: int, units, context: int, hidden: int) -> dict:
-    """Every parameter's shape, in declared order, as ``build_model`` makes it."""
-    shapes, in_dim = {}, n_bins
-    for layer, u in enumerate(units):
-        shapes.update({f"lstm{layer}.wx": (in_dim, 4 * u),
-                       f"lstm{layer}.wh": (u, 4 * u), f"lstm{layer}.b": (4 * u,)})
-        in_dim = u
-    for head in ("head_amp", "head_res"):
-        shapes.update({f"{head}.w": (in_dim, n_bins), f"{head}.b": (n_bins,)})
-    fnn_in = (context + 1) * n_bins
-    shapes.update({"fnn.w1": (fnn_in, hidden), "fnn.b1": (hidden,),
-                   "fnn.w2": (hidden, hidden), "fnn.b2": (hidden,),
-                   "fnn.w3": (hidden, n_bins), "fnn.b3": (n_bins,)})
-    return shapes
-
-
 def load_checkpoint(path) -> NkfModel:
     """Read a checkpoint; its header's dimensions must match its tensors'
-    shapes before a model of that size is built."""
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
+    shapes, and the file must end with the last tensor."""
+    try:
+        with open(path, "rb") as fh:
+            reader = _Reader(fh.read())
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if reader.take(f"{len(_MAGIC)}s")[0] != _MAGIC:
         raise DataError("malformed checkpoint: bad magic string")
     (version,) = reader.take("<I")
@@ -384,10 +349,14 @@ def load_checkpoint(path) -> NkfModel:
             name = reader.take(f"{name_len}s")[0].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError("malformed checkpoint: tensor name is not UTF-8") from exc
+        if name in targets:
+            raise DataError(f"malformed checkpoint: duplicate tensor {name}")
         (ndim,) = reader.take("<B")
         shape = reader.take(f"<{ndim}I") if ndim else ()
-        # a view, copied once the model is built: parsing copies nothing
+        # a view, copied once every check has passed: parsing copies nothing
         targets[name] = reader.floats(shape)
+    if reader.off != len(reader.blob):
+        raise DataError("malformed checkpoint: trailing bytes after the last tensor")
     shapes = _param_shapes(n_bins, units, context, hidden)
     expected = {prefix + name: shape for prefix in ("", "adam_m.", "adam_v.")
                 for name, shape in shapes.items()}
@@ -396,13 +365,10 @@ def load_checkpoint(path) -> NkfModel:
     for key, shape in expected.items():
         if targets[key].shape != shape:
             raise DataError(f"malformed checkpoint: shape mismatch for {key}")
-    model = build_model(
-        n_bins, lstm_units=units, fnn_hidden=hidden, context=context,
-        window=window, hop=hop, variance_span=span, sample_rate=sample_rate,
-        log_features=bool(log_features), seed=0)
-    model.adam_step = adam_step
-    for name, p in model.parameters().items():
-        p.values = targets[name].astype(np.float64)
-        model.adam_m[name] = targets[f"adam_m.{name}"].astype(np.float64)
-        model.adam_v[name] = targets[f"adam_v.{name}"].astype(np.float64)
-    return model
+    data = {key: targets[key].astype(np.float64) for key in expected}
+    return NkfModel(
+        {name: ad.DiffArray(data[name]) for name in shapes},
+        {name: data[f"adam_m.{name}"] for name in shapes},
+        {name: data[f"adam_v.{name}"] for name in shapes}, n_bins=n_bins, units=units,
+        context=context, hidden=hidden, window=window, hop=hop, variance_span=span,
+        sample_rate=sample_rate, log_features=log_features, adam_step=adam_step)

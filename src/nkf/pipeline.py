@@ -67,7 +67,7 @@ def wiener_estimate(spec: signal_core.Spectrogram, span: int, sigma_v2_grid=None
                             f"{(model.window, model.hop, model.variance_span)}")
         feats = lstm_features(spec.amplitude, model.log_features)
         with ad.no_grad():
-            sigma_v2 = noise_fnn_forward_grid(model.noise_net, feats, sigma_y2).values
+            sigma_v2 = noise_fnn_forward_grid(model, feats, sigma_y2).values
     else:
         raise DataError("an oracle noise grid or a model is needed")
     tracks = wiener.VarianceTracks(sigma_y2=sigma_y2, sigma_v2=sigma_v2)

@@ -9,6 +9,11 @@ frames at once. Both are built on 1 x K rows, since the library's ``matmul``
 takes no 1-D operands. ``sigmoid``, ``tanh`` and ``concat`` are the autodiff
 ops only these oracles use.
 
+``init_params`` is the initialization as the separate predictor and noise-net
+constructors drew it, each from its own generator, before
+``networks.build_model`` walked one shape table; ``reference_model`` puts its
+values in a model.
+
 ``segmented_kf`` is the conventional KF baseline as one bin's loop over the
 scalar reference API: ``levinson_durbin(autocorrelate(...))`` per segment with
 the silence branch, then ``kf_predict`` / ``kf_gain`` / ``kf_update`` per
@@ -35,7 +40,7 @@ from nkf.errors import DataError, NumericsError
 from nkf.kalman import KfState, kf_gain, kf_predict, kf_update
 from nkf.linear_prediction import LpModel, autocorrelate, levinson_durbin, \
     transition_matrix
-from nkf.networks import LOGVAR_LIMIT, NOISE_VAR_EPS, LstmPredictor, NoiseFnn
+from nkf.networks import LOGVAR_LIMIT, NOISE_VAR_EPS, NkfModel, build_model
 
 
 def sigmoid(x) -> ad.DiffArray:
@@ -72,7 +77,57 @@ def concat(parts, axis: int = 0) -> ad.DiffArray:
     return ad._node(out, tuple(parts), backward)
 
 
-def lstm_forward_per_frame(p: LstmPredictor, noisy_amp):
+def _uniform_init(rng, shape, fan_in):
+    k = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-k, k, size=shape)
+
+
+def init_params(n_bins: int, units, context: int, hidden: int, lstm_rng,
+                fnn_rng) -> dict[str, np.ndarray]:
+    """Initial values in declared order: the predictor's layers and heads
+    drawn from ``lstm_rng``, then the noise net from ``fnn_rng``. The forget
+    gate bias block starts at 1.0, every other bias at zero, and weights are
+    uniform (-1/sqrt(fan_in), +1/sqrt(fan_in)). With one generator passed as
+    both, this is ``build_model`` with that generator's seed."""
+    params, in_dim = {}, n_bins
+    for layer, u in enumerate(units):
+        b = np.zeros(4 * u)
+        b[u:2 * u] = 1.0
+        params[f"lstm{layer}.wx"] = _uniform_init(lstm_rng, (in_dim, 4 * u), in_dim)
+        params[f"lstm{layer}.wh"] = _uniform_init(lstm_rng, (u, 4 * u), u)
+        params[f"lstm{layer}.b"] = b
+        in_dim = u
+    top = units[-1]
+    for head in ("head_amp", "head_res"):
+        params[f"{head}.w"] = _uniform_init(lstm_rng, (top, n_bins), top)
+        params[f"{head}.b"] = np.zeros(n_bins)
+    in_dim = context * n_bins + n_bins
+    params.update({
+        "fnn.w1": _uniform_init(fnn_rng, (in_dim, hidden), in_dim),
+        "fnn.b1": np.zeros(hidden),
+        "fnn.w2": _uniform_init(fnn_rng, (hidden, hidden), hidden),
+        "fnn.b2": np.zeros(hidden),
+        "fnn.w3": _uniform_init(fnn_rng, (hidden, n_bins), hidden),
+        "fnn.b3": np.zeros(n_bins),
+    })
+    return params
+
+
+def reference_model(n_bins: int, units=(1,), context: int = 1, hidden: int = 1,
+                    lstm_rng=None, fnn_rng=None) -> NkfModel:
+    """A model holding ``init_params`` values; a generator not given is
+    ``default_rng(0)``, so tests of one component draw only from their own."""
+    m = build_model(n_bins, lstm_units=units, fnn_hidden=hidden, context=context)
+    values = init_params(
+        n_bins, units, context, hidden,
+        lstm_rng if lstm_rng is not None else np.random.default_rng(0),
+        fnn_rng if fnn_rng is not None else np.random.default_rng(0))
+    for name, p in m.params.items():
+        p.values = values[name]
+    return m
+
+
+def lstm_forward_per_frame(p: NkfModel, noisy_amp):
     """``networks.lstm_forward`` on one T x F sequence, one cell at a time."""
     x = ad.lift(noisy_amp)
     if x.ndim != 2 or x.shape[1] != p.n_bins:
@@ -107,7 +162,7 @@ def lstm_forward_per_frame(p: LstmPredictor, noisy_amp):
     return amp, res_logvar
 
 
-def noise_fnn_forward(n: NoiseFnn, amp_context, sigma_y2_frame) -> ad.DiffArray:
+def noise_fnn_forward(n: NkfModel, amp_context, sigma_y2_frame) -> ad.DiffArray:
     """Single-frame noise variance estimate from a filled context window."""
     amp_context = np.asarray(amp_context, dtype=np.float64)
     sigma_y2_frame = np.asarray(sigma_y2_frame, dtype=np.float64)

@@ -38,6 +38,13 @@ class TestSynth:
         manifest = data_io.load_manifest(corpus / "manifest.csv")
         assert len(manifest.entries) == 7
 
+    def test_unwritable_output_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        # a directory inside a regular file cannot be made
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(TINY + ["synth", "--out", str(blocker / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestTrain:
     def test_outputs(self, workspace):
@@ -153,6 +160,14 @@ class TestEnhance:
                           str(tmp_path / "missing.wav"),
                           "--out", str(tmp_path / "z")])
         assert rc == 2
+
+    def test_missing_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
+        root, corpus, _ = workspace
+        missing = tmp_path / "missing.nkf"
+        rc = main(TINY + ["enhance", "--checkpoint", str(missing), "--manifest",
+                          str(corpus / "manifest.csv"), "--out", str(tmp_path / "z")])
+        assert rc == 2
+        assert f"data error: cannot read checkpoint {missing}" in capsys.readouterr().err
 
 
 class TestEval:

@@ -317,22 +317,24 @@ class TestTrainingLoop:
         for k, p in model.parameters().items():
             assert np.array_equal(p.values, before[k]), k
 
-    # training STFTs only the drawn segment's samples of each file; a clean
-    # file that ends early must fail as it does on a full-file STFT
-    @pytest.mark.parametrize("extra,message", [
-        (-1, "too short for one analysis window"),
-        (3, "clean grid shape differs from noisy grid")])
-    def test_clean_shorter_than_noisy_rejected(self, corpus, tmp_path, extra,
-                                               message):
+    # training STFTs only the drawn segment's samples of each file, so the
+    # whole files are compared first: a clean file that ends early or late
+    # is rejected as eval rejects it
+    @pytest.mark.parametrize("length", ["window-1", "window+3", "noisy+4000"])
+    def test_clean_noisy_length_mismatch_rejected(self, corpus, tmp_path, length):
         cfg, manifest = corpus
         entries = []
         for e in manifest.split_entries("train"):
             clean = data_io.read_wav(e.clean_path)
+            samples = {"window-1": clean.samples[:cfg.window - 1],
+                       "window+3": clean.samples[:cfg.window + 3],
+                       "noisy+4000": np.concatenate([clean.samples,
+                                                     clean.samples[:4000]])}[length]
             path = str(tmp_path / f"{e.utt_id}.wav")
-            data_io.write_wav(Waveform(clean.samples[:cfg.window + extra],
-                                       clean.sample_rate), path)
+            data_io.write_wav(Waveform(samples, clean.sample_rate), path)
             entries.append(dataclasses.replace(e, clean_path=path))
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=r"train utterance train_\d+: clean and "
+                           r"noisy waveforms must have equal length, got \d+ and 8000"):
             train(self._model(cfg), data_io.CorpusManifest(entries), cfg,
                   max_steps=1)
 
@@ -391,8 +393,8 @@ class TestEnhance:
         m = _tiny_model()
         for p in m.parameters().values():
             p.values = np.zeros_like(p.values)
-        m.noise_net.params["fnn.b3"].values[:] = -40.0   # softplus -> ~4e-18
-        m.predictor.params["head_res.b"].values[:] = 12.0  # sigma_r2 = e^12
+        m.params["fnn.b3"].values[:] = -40.0   # softplus -> ~4e-18
+        m.params["head_res.b"].values[:] = 12.0  # sigma_r2 = e^12
         rng = np.random.default_rng(21)
         clean = Waveform(0.2 * np.sin(2 * np.pi * 0.07 * np.arange(300))
                          + 0.01 * rng.standard_normal(300))

@@ -8,12 +8,11 @@ import pytest
 from nkf import autodiff as ad
 from nkf import networks
 from nkf.errors import ConfigError, DataError, NumericsError
-from nkf.networks import (LstmPredictor, NkfModel, NoiseFnn, build_model,
-                          fnn_context_matrix, load_checkpoint, lstm_forward,
-                          noise_fnn_forward_grid, optimizer_step,
+from nkf.networks import (build_model, fnn_context_matrix, load_checkpoint,
+                          lstm_forward, noise_fnn_forward_grid, optimizer_step,
                           save_checkpoint, NOISE_VAR_EPS)
 
-from oracles import adam_step, noise_fnn_forward
+from oracles import adam_step, init_params, noise_fnn_forward, reference_model
 
 
 def _zero_params(net):
@@ -37,7 +36,7 @@ def _manual_lstm_cell(params, layer, u, x, h, c):
 
 class TestLstmForward:
     def test_zero_parameters_zero_outputs(self):
-        p = LstmPredictor(n_bins=6, units=(4,), rng=np.random.default_rng(0))
+        p = reference_model(6, units=(4,), lstm_rng=np.random.default_rng(0))
         _zero_params(p)
         amp, res = lstm_forward(p, np.random.default_rng(1).uniform(0, 2, (7, 6)))
         assert np.all(amp.values == 0)
@@ -45,7 +44,7 @@ class TestLstmForward:
 
     def test_single_frame_equals_one_cell_step(self):
         rng = np.random.default_rng(2)
-        p = LstmPredictor(n_bins=5, units=(3,), rng=rng)
+        p = reference_model(5, units=(3,), lstm_rng=rng)
         x = rng.uniform(0, 2, (1, 5))
         amp, res = lstm_forward(p, x)
         h, _ = _manual_lstm_cell(p.params, 0, 3, x[0], np.zeros(3), np.zeros(3))
@@ -59,7 +58,7 @@ class TestLstmForward:
 
     def test_recurrence_matches_manual_two_layers(self):
         rng = np.random.default_rng(3)
-        p = LstmPredictor(n_bins=4, units=(3, 2), rng=rng)
+        p = reference_model(4, units=(3, 2), lstm_rng=rng)
         x = rng.uniform(0, 2, (6, 4))
         amp, _ = lstm_forward(p, x)
         h1, c1 = np.zeros(3), np.zeros(3)
@@ -76,7 +75,7 @@ class TestLstmForward:
 
     def test_causality(self):
         rng = np.random.default_rng(4)
-        p = LstmPredictor(n_bins=4, units=(3,), rng=rng)
+        p = reference_model(4, units=(3,), lstm_rng=rng)
         x = rng.uniform(0, 2, (8, 4))
         amp0, res0 = lstm_forward(p, x)
         x2 = x.copy()
@@ -88,7 +87,7 @@ class TestLstmForward:
 
     def test_outputs_respect_ranges(self):
         rng = np.random.default_rng(5)
-        p = LstmPredictor(n_bins=4, units=(3,), rng=rng)
+        p = reference_model(4, units=(3,), lstm_rng=rng)
         # inflate the residual head so the clamp actually engages
         p.params["head_res.w"].values *= 1e4
         amp, res = lstm_forward(p, rng.uniform(0, 5, (20, 4)))
@@ -96,12 +95,12 @@ class TestLstmForward:
         assert np.all(np.abs(res.values) <= 12)
 
     def test_dimension_mismatch(self):
-        p = LstmPredictor(n_bins=4, units=(3,))
+        p = reference_model(4, units=(3,))
         with pytest.raises(DataError):
             lstm_forward(p, np.zeros((5, 7)))
 
     def test_forget_gate_bias_init(self):
-        p = LstmPredictor(n_bins=4, units=(3,), rng=np.random.default_rng(0))
+        p = build_model(4, lstm_units=(3,), fnn_hidden=1, context=1)
         b = p.params["lstm0.b"].values
         np.testing.assert_array_equal(b[3:6], 1.0)
         np.testing.assert_array_equal(b[:3], 0.0)
@@ -110,7 +109,7 @@ class TestLstmForward:
 
 class TestNoiseFnn:
     def test_zero_parameters_give_softplus_zero(self):
-        n = NoiseFnn(n_bins=5, context=3, hidden=4)
+        n = reference_model(5, context=3, hidden=4)
         _zero_params(n)
         out = noise_fnn_forward(n, np.zeros(15), np.zeros(5))
         np.testing.assert_allclose(out.values, np.log(2.0) + NOISE_VAR_EPS)
@@ -120,15 +119,15 @@ class TestNoiseFnn:
         for draw in range(10000):
             # cheap draw: rescale one shared network rather than rebuilding
             if draw % 100 == 0:
-                n = NoiseFnn(n_bins=3, context=2, hidden=4,
-                             rng=np.random.default_rng(draw))
+                n = reference_model(3, context=2, hidden=4,
+                                    fnn_rng=np.random.default_rng(draw))
             x = rng.uniform(-5, 5, 6)
             s = rng.uniform(0, 5, 3)
             assert np.all(noise_fnn_forward(n, x, s).values > 0)
 
     def test_grid_matches_per_frame_loop(self):
         rng = np.random.default_rng(7)
-        n = NoiseFnn(n_bins=4, context=3, hidden=5, rng=rng)
+        n = reference_model(4, context=3, hidden=5, fnn_rng=rng)
         amp = rng.uniform(0, 3, (6, 4))
         sigma_y2 = rng.uniform(0, 2, (6, 4))
         grid = noise_fnn_forward_grid(n, amp, sigma_y2)
@@ -162,7 +161,7 @@ class TestNoiseFnn:
         # seed chosen so every hidden unit is live and no ReLU preactivation
         # sits within finite-difference reach of its kink
         rng = np.random.default_rng(19)
-        n = NoiseFnn(n_bins=3, context=2, hidden=8, rng=rng)
+        n = reference_model(3, context=2, hidden=8, fnn_rng=rng)
         amp = rng.uniform(0.1, 2, (5, 3))
         sigma_y2 = rng.uniform(0.1, 2, (5, 3))
         target = rng.uniform(0.1, 1, (5, 3))
@@ -172,12 +171,13 @@ class TestNoiseFnn:
                 out = noise_fnn_forward_grid(n, amp, sigma_y2)
                 return float(ad.mean_square(out, ad.lift(target)).values)
 
-        for p in n.params.values():
-            p.grad = None
+        n.zero_grad()
         ad.mean_square(noise_fnn_forward_grid(n, amp, sigma_y2),
                        ad.lift(target)).backward()
         step = 1e-5
         for name, p in n.params.items():
+            if not name.startswith("fnn."):
+                continue
             analytic = p.grad if p.grad is not None else np.zeros_like(p.values)
             flat = p.values.reshape(-1)
             for i in range(flat.size):
@@ -192,7 +192,7 @@ class TestNoiseFnn:
                 assert abs(a - numeric) / max(abs(a), abs(numeric), 1e-6) < 1e-5
 
     def test_dimension_mismatch(self):
-        n = NoiseFnn(n_bins=3, context=2, hidden=4)
+        n = reference_model(3, context=2, hidden=4)
         with pytest.raises(DataError):
             noise_fnn_forward(n, np.zeros(5), np.zeros(3))
 
@@ -266,7 +266,7 @@ class TestOptimizer:
     def _model_with_big_last_parameter(self, size, seed=0):
         # fnn.b3 is the last parameter in declared order
         m = self._tiny_model(seed)
-        m.noise_net.params["fnn.b3"] = ad.DiffArray(
+        m.params["fnn.b3"] = ad.DiffArray(
             np.random.default_rng(seed).standard_normal(size))
         m.adam_m["fnn.b3"], m.adam_v["fnn.b3"] = np.zeros((2, size))
         return m
@@ -365,11 +365,38 @@ class TestDeterminismAndCheckpoints:
         rng = np.random.default_rng(10)
         amp = rng.uniform(0, 2, (5, 9))
         with ad.no_grad():
-            a1, _ = lstm_forward(m1.predictor, amp)
-            a2, _ = lstm_forward(m2.predictor, amp)
+            a1, _ = lstm_forward(m1, amp)
+            a2, _ = lstm_forward(m2, amp)
         np.testing.assert_array_equal(a1.values, a2.values)
 
-    def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
+    @pytest.mark.parametrize("shape", [
+        dict(n_bins=9, lstm_units=(4, 4), fnn_hidden=6, context=3, seed=42),
+        dict(n_bins=5, lstm_units=(3,), fnn_hidden=4, context=2, window=8, hop=4,
+             log_features=True, seed=7),
+        dict(n_bins=129, lstm_units=(64, 64), fnn_hidden=128, context=30, seed=0),
+    ], ids=["two-layer", "log-features", "desk"])
+    def test_build_model_draws_as_the_per_component_constructors(self, tmp_path, shape):
+        m = build_model(**shape)
+        rng = np.random.default_rng(shape["seed"])
+        want = init_params(shape["n_bins"], shape["lstm_units"], shape["context"],
+                           shape["fnn_hidden"], rng, rng)
+        assert list(m.parameters()) == list(want)
+        for k, p in m.parameters().items():
+            assert np.array_equal(p.values, want[k]), k
+            assert np.array_equal(m.adam_m[k], np.zeros_like(want[k])), k
+            assert np.array_equal(m.adam_v[k], np.zeros_like(want[k])), k
+        save_checkpoint(m, tmp_path / "a.nkf")
+        save_checkpoint(load_checkpoint(tmp_path / "a.nkf"), tmp_path / "b.nkf")
+        assert (tmp_path / "a.nkf").read_bytes() == (tmp_path / "b.nkf").read_bytes()
+
+    @pytest.mark.parametrize("units, context, hidden, what", [
+        ((0,), 2, 3, "predictor"), ((), 2, 3, "predictor"),
+        ((2,), 0, 3, "noise net"), ((2,), 2, 0, "noise net")])
+    def test_nonpositive_dimensions_rejected(self, units, context, hidden, what):
+        with pytest.raises(DataError, match=f"{what} dimensions must be positive"):
+            build_model(5, lstm_units=units, fnn_hidden=hidden, context=context)
+
+    def test_checkpoint_roundtrip_bit_exact(self, tmp_path, monkeypatch):
         m = build_model(9, lstm_units=(4, 3), fnn_hidden=6, context=3,
                         window=16, hop=4, variance_span=7, log_features=True,
                         seed=11)
@@ -380,12 +407,17 @@ class TestDeterminismAndCheckpoints:
         optimizer_step(m, grads)
         path = tmp_path / "model.nkf"
         save_checkpoint(m, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load drew a model only to overwrite it")
+
+        monkeypatch.setattr(networks, "build_model", refuse)
         loaded = load_checkpoint(path)
         assert loaded.window == 16 and loaded.hop == 4
         assert loaded.variance_span == 7 and loaded.log_features is True
         assert loaded.adam_step == 1
-        assert loaded.predictor.units == (4, 3)
-        assert loaded.noise_net.context == 3
+        assert loaded.units == (4, 3)
+        assert loaded.context == 3 and loaded.hidden == 6 and loaded.n_bins == 9
         for k, p in m.parameters().items():
             np.testing.assert_array_equal(loaded.parameters()[k].values, p.values)
             np.testing.assert_array_equal(loaded.adam_m[k], m.adam_m[k])
@@ -428,6 +460,33 @@ class TestDeterminismAndCheckpoints:
 
         monkeypatch.setattr(networks, "build_model", refuse)
         with pytest.raises(DataError, match="malformed checkpoint: shape mismatch"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("tail", ["garbage", "second copy"])
+    def test_trailing_bytes_rejected(self, tmp_path, tail):
+        path = tmp_path / "model.nkf"
+        save_checkpoint(build_model(5, lstm_units=(2,), fnn_hidden=3, context=2,
+                                    seed=0), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob + (bytes(range(24)) if tail == "garbage" else blob))
+        with pytest.raises(DataError, match="malformed checkpoint: trailing bytes"):
+            load_checkpoint(path)
+
+    def test_duplicate_tensor_rejected(self, tmp_path):
+        # one more tensor in the count, and a second fnn.b3 after the first
+        path = tmp_path / "model.nkf"
+        save_checkpoint(build_model(5, lstm_units=(2,), fnn_hidden=3, context=2,
+                                    seed=0), path)
+        blob = bytearray(path.read_bytes())
+        at = len(b"NKFCKPT1") + 4 + 7 * 4 + 1 + 4 + 4 + 8   # one LSTM layer
+        struct.pack_into("<I", blob, at, struct.unpack_from("<I", blob, at)[0] + 1)
+        path.write_bytes(bytes(blob) + networks._pack_tensor("fnn.b3", np.full(5, 123.0)))
+        with pytest.raises(DataError, match=r"duplicate tensor fnn\.b3$"):
+            load_checkpoint(path)
+
+    def test_unreadable_checkpoint_names_its_path(self, tmp_path):
+        path = tmp_path / "missing.nkf"
+        with pytest.raises(DataError, match=f"cannot read checkpoint {path}"):
             load_checkpoint(path)
 
     def test_huge_tensor_shape_is_truncation(self, tmp_path):

@@ -7,10 +7,10 @@ import pytest
 
 from nkf import autodiff as ad
 from nkf.enhancer import _batch_loss, _combine, _forward
-from nkf.networks import LstmPredictor, build_model, lstm_forward
+from nkf.networks import build_model, lstm_forward
 from nkf.pipeline import lstm_features
 
-from oracles import lstm_forward_per_frame, sigmoid, tanh
+from oracles import lstm_forward_per_frame, reference_model, sigmoid, tanh
 from test_autodiff import _fd_check
 
 FORWARD_ATOL = 1e-12
@@ -36,10 +36,10 @@ def _loss(amp, res, amp_target, res_target):
                   ad.mean_square(res, ad.lift(res_target)))
 
 
-def _grads(p):
-    out = {k: v.grad.copy() for k, v in p.params.items()}
-    for v in p.params.values():
-        v.grad = None
+def _grads(m):
+    """The predictor's gradients; the noise net is not in these graphs."""
+    out = {k: v.grad.copy() for k, v in m.params.items() if not k.startswith("fnn.")}
+    m.zero_grad()
     return out
 
 
@@ -55,7 +55,7 @@ def _assert_grads_close(got, want):
 def test_fused_matches_per_frame_oracle(units, lengths):
     n_bins = 5
     rng = np.random.default_rng(len(units) * 100 + sum(lengths))
-    p = LstmPredictor(n_bins, units=units, rng=rng)
+    p = reference_model(n_bins, units=units, lstm_rng=rng)
     seqs = [rng.uniform(0, 2, (n, n_bins)) for n in lengths]
     targets = [(rng.uniform(0, 2, s.shape), rng.uniform(-1, 1, s.shape)) for s in seqs]
 
@@ -83,7 +83,7 @@ def test_fused_matches_per_frame_oracle(units, lengths):
 
 def test_single_sequence_matches_batch_of_one():
     rng = np.random.default_rng(21)
-    p = LstmPredictor(4, units=(3, 2), rng=rng)
+    p = reference_model(4, units=(3, 2), lstm_rng=rng)
     x = rng.uniform(0, 2, (6, 4))
     amp, res = lstm_forward(p, x)
     bamp, bres = lstm_forward(p, x[None])
@@ -102,7 +102,7 @@ def test_padded_batch_equals_each_utterance_alone():
     batch = np.zeros((3, 11, 6))
     for b, f in enumerate(feats):
         batch[b, :len(f)] = f
-    amp, res = lstm_forward(m.predictor, batch)
+    amp, res = lstm_forward(m, batch)
     alone = []
     for b, ((noisy, clean), f) in enumerate(zip(segments, feats)):
         padded = _combine(m, noisy, f, amp[b, :len(f)], res[b, :len(f)], clean)

@@ -67,7 +67,7 @@ def _kf_reference(noisy, sigma_v2=None, model=None, cfg=CFG):
         feats = spec.amplitude   # the test model reads raw amplitudes
         with ad.no_grad():
             sigma_v2 = noise_fnn_forward_grid(
-                model.noise_net, feats,
+                model, feats,
                 track_sigma_y(spec.amplitude, model.variance_span)).values
     wiener = _wiener_amp(spec, sigma_v2)
     enhanced = np.empty_like(spec.amplitude)
@@ -171,7 +171,7 @@ def test_kf_baseline_prefilter_is_the_graph_wiener_branch(utterance):
     samples[160:320] *= 1e-10
     noisy = Waveform(samples)
     m = _model()
-    m.noise_net.params["fnn.b3"].values[:] = -8.0   # gains inside (0, 1)
+    m.params["fnn.b3"].values[:] = -8.0   # gains inside (0, 1)
     spec = stft(noisy, m.window, m.hop)
     with ad.no_grad():
         graph = nkf_forward(m, spec)
