@@ -16,7 +16,7 @@ from .kalman import (KfGain, KfState, enhance_kf_baseline, kf_gain, kf_predict,
                      kf_update, run_kf)
 from .linear_prediction import (LpModel, TransitionMatrix, autocorrelate,
                                 levinson_durbin, transition_matrix)
-from .metrics import MetricReport, amplitude_mse, fwsegsnr, segsnr
+from .metrics import amplitude_mse, fwsegsnr, segsnr
 from .networks import (NkfModel, build_model, load_checkpoint, lstm_forward,
                        optimizer_step, save_checkpoint)
 from .pipeline import EnhancementResult, NkfFrameEstimates

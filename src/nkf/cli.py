@@ -74,12 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _model_from_cfg(cfg, seed=None):
+def _model_from_cfg(cfg):
     return build_model(
         cfg.n_bins, lstm_units=cfg.lstm_unit_list, fnn_hidden=cfg.fnn_hidden,
         context=cfg.context, window=cfg.window, hop=cfg.hop,
         variance_span=cfg.variance_span, sample_rate=cfg.sample_rate,
-        log_features=cfg.log_features, seed=cfg.seed if seed is None else seed)
+        log_features=cfg.log_features, seed=cfg.seed)
 
 
 def cmd_synth(cfg, args) -> int:
@@ -128,11 +128,8 @@ def cmd_enhance(cfg, args) -> int:
     if args.oracle_noise and not args.manifest:
         raise ConfigError("--oracle-noise needs --manifest")
     model = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    differ = [f"{k} = {getattr(cfg, k)} (checkpoint {getattr(model, k)})"
-              for k in ("window", "hop", "sample_rate", "variance_span")
-              if model is not None and getattr(cfg, k) != getattr(model, k)]
-    if differ:
-        raise ConfigError("framing differs from the checkpoint: " + ", ".join(differ))
+    if model is not None:
+        enhancer.check_framing(cfg, model)
     os.makedirs(args.out, exist_ok=True)
     save_config(cfg, os.path.join(args.out, "resolved.cfg"))
     count = 0
@@ -171,7 +168,7 @@ def cmd_eval(cfg, args) -> int:
         rows.append(row)
     if not rows:
         raise DataError("no enhanced utterances found to evaluate")
-    report = metrics.summarize_rows(rows)
+    per_snr = metrics.summarize_rows(rows)
     fields = ["utt_id", "snr_db", "fwsegsnr", "segsnr", "amp_mse",
               "fwsegsnr_noisy", "segsnr_noisy", "amp_mse_noisy"]
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
@@ -180,12 +177,12 @@ def cmd_eval(cfg, args) -> int:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-        for snr, agg in report.per_condition.items():
+        for snr, agg in per_snr.items():
             summary = {"utt_id": f"MEAN@{snr:g}dB", "snr_db": snr}
             summary.update(agg)
             writer.writerow(summary)
     save_config(cfg, os.path.splitext(args.out)[0] + ".cfg")
-    for snr, agg in report.per_condition.items():
+    for snr, agg in per_snr.items():
         print(f"condition {snr:g} dB: fwsegsnr {agg['fwsegsnr']:.2f} dB, "
               f"segsnr {agg['segsnr']:.2f} dB, amp_mse {agg['amp_mse']:.5f}")
     return 0

@@ -340,7 +340,8 @@ def write_manifest(manifest: CorpusManifest, path):
 
 
 def load_manifest(path) -> CorpusManifest:
-    """Read a manifest; paths must exist and utterance ids be unique."""
+    """Read a manifest; splits must be in ``SPLITS``, paths must exist and
+    utterance ids be unique."""
     root = os.path.dirname(os.path.abspath(path))
     entries = []
     try:
@@ -354,6 +355,9 @@ def load_manifest(path) -> CorpusManifest:
                 # DictReader files extra fields under None, missing ones as None
                 if None in row or None in row.values():
                     raise DataError(f"{where}: expected {len(_MANIFEST_FIELDS)} fields")
+                if row["split"] not in SPLITS:
+                    raise DataError(f"{where}: split {row['split']!r} "
+                                    f"is not one of {SPLITS}")
                 paths = {key: os.path.join(root, row[key])
                          for key in ("clean", "noisy", "noise")}
                 for p in paths.values():

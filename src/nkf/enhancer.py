@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import functools
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,29 +25,6 @@ from .networks import NkfModel, build_model, lstm_forward, \
     noise_fnn_forward_grid, optimizer_step, save_checkpoint
 from .pipeline import EnhancementResult, NkfFrameEstimates, enhance_with, \
     lstm_features, wiener_estimate
-
-
-@dataclass
-class NkfGraph:
-    """Live graph nodes from one forward pass."""
-
-    amp_lstm: ad.DiffArray
-    amp_wiener: ad.DiffArray
-    sigma_r2: ad.DiffArray
-    sigma_v2: ad.DiffArray
-    gain: ad.DiffArray
-    amp_out: ad.DiffArray
-    loss: ad.DiffArray | None
-
-    def estimates(self) -> NkfFrameEstimates:
-        return NkfFrameEstimates(
-            amp_lstm=self.amp_lstm.values.copy(),
-            amp_wiener=self.amp_wiener.values.copy(),
-            sigma_r2=self.sigma_r2.values.copy(),
-            sigma_v2=self.sigma_v2.values.copy(),
-            gain=self.gain.values.copy(),
-            amp_out=self.amp_out.values.copy(),
-        )
 
 
 def nkf_gain(sigma_r2, sigma_v2):
@@ -75,10 +51,14 @@ def nkf_loss(amp_out, clean_amp) -> float:
     return float(np.mean((amp_out - clean_amp) ** 2))
 
 
-def _forward(m: NkfModel, segments) -> list[NkfGraph]:
+def _forward(m: NkfModel, segments) -> list:
     """Build the differentiable pipeline over (noisy, clean or None) amplitude
     grids: the LSTM runs once on them zero-padded at the end to the longest
-    (exact: the LSTM is causal), the rest of the graph per utterance."""
+    (exact: the LSTM is causal), the rest of the graph per utterance.
+
+    Returns per utterance the loss node (None without a clean grid) and the
+    grids. The grids are the graph nodes' own ``values``, not copies: no op
+    writes a node's values once it is made (see ``autodiff``)."""
     noisy = [np.asarray(n, dtype=np.float64) for n, _ in segments]
     if any(n.ndim != 2 or n.shape[1] != m.n_bins for n in noisy):
         raise DataError(f"model expects T x {m.n_bins} amplitudes")
@@ -90,7 +70,8 @@ def _forward(m: NkfModel, segments) -> list[NkfGraph]:
             for b, (n, f, (_, clean)) in enumerate(zip(noisy, feats, segments))]
 
 
-def _combine(m: NkfModel, noisy_amp, feats, amp_lstm, res_logvar, clean_amp) -> NkfGraph:
+def _combine(m: NkfModel, noisy_amp, feats, amp_lstm, res_logvar,
+             clean_amp) -> tuple[ad.DiffArray | None, NkfFrameEstimates]:
     """The pipeline after the LSTM: noise net, Wiener branch, gain, loss."""
     sigma_y2 = wiener.track_sigma_y(noisy_amp, m.variance_span)
     sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2)
@@ -106,17 +87,15 @@ def _combine(m: NkfModel, noisy_amp, feats, amp_lstm, res_logvar, clean_amp) -> 
         if clean_amp.shape != noisy_amp.shape:
             raise DataError("clean grid shape differs from noisy grid")
         loss = ad.mean_square(amp_out, ad.lift(clean_amp))
-    return NkfGraph(amp_lstm=amp_lstm, amp_wiener=amp_wiener,
-                    sigma_r2=sigma_r2, sigma_v2=sigma_v2, gain=gain,
-                    amp_out=amp_out, loss=loss)
+    return loss, NkfFrameEstimates(
+        amp_lstm=amp_lstm.values, amp_wiener=amp_wiener.values,
+        sigma_r2=sigma_r2.values, sigma_v2=sigma_v2.values, gain=gain.values,
+        amp_out=amp_out.values)
 
 
-def nkf_forward(m: NkfModel, noisy: signal_core.Spectrogram,
-                clean_amp: np.ndarray | None = None) -> NkfGraph:
-    """Differentiable forward pass over a noisy spectrogram."""
-    if noisy.n_bins != m.n_bins:
-        raise DataError("spectrogram bin count differs from model")
-    return _forward(m, [(noisy.amplitude, clean_amp)])[0]
+def nkf_forward(m: NkfModel, noisy: signal_core.Spectrogram) -> NkfFrameEstimates:
+    """The NKF grids of a noisy spectrogram."""
+    return _forward(m, [(noisy.amplitude, None)])[0][1]
 
 
 def enhance(m: NkfModel, noisy: signal_core.Waveform,
@@ -135,10 +114,10 @@ def enhance(m: NkfModel, noisy: signal_core.Waveform,
                 amp = lstm_forward(m, lstm_features(
                     spec.amplitude, m.log_features))[0].values
                 return amp, NkfFrameEstimates(amp_lstm=amp, amp_out=amp)
-            est = nkf_forward(m, spec).estimates()
+            est = nkf_forward(m, spec)
         return est.amp_out, est
 
-    return enhance_with(noisy, m.window, m.hop, estimate)
+    return enhance_with(noisy, m.window, m.hop, estimate, m)
 
 
 def enhance_wiener(noisy: signal_core.Waveform, cfg, sigma_v2_grid=None,
@@ -150,7 +129,7 @@ def enhance_wiener(noisy: signal_core.Waveform, cfg, sigma_v2_grid=None,
         sigma_v2, amp = wiener_estimate(spec, cfg.variance_span, sigma_v2_grid, model)
         return amp, NkfFrameEstimates(amp_wiener=amp, sigma_v2=sigma_v2, amp_out=amp)
 
-    return enhance_with(noisy, cfg.window, cfg.hop, estimate)
+    return enhance_with(noisy, cfg.window, cfg.hop, estimate, model)
 
 
 #: ``nkf enhance --method`` name -> (run(model, noisy, cfg, oracle noise grid
@@ -164,6 +143,15 @@ METHODS = {
 }
 
 
+def check_framing(cfg, m: NkfModel):
+    """Raise ``ConfigError`` where ``cfg``'s framing differs from the model's."""
+    differ = [f"{k} = {getattr(cfg, k)} (model {getattr(m, k)})"
+              for k in ("window", "hop", "sample_rate", "variance_span")
+              if getattr(cfg, k) != getattr(m, k)]
+    if differ:
+        raise ConfigError("framing differs from the model's: " + ", ".join(differ))
+
+
 def _segment_bounds(n_frames: int, seq_len: int, rng) -> tuple[int, int]:
     if n_frames <= seq_len:
         return 0, n_frames
@@ -173,7 +161,7 @@ def _segment_bounds(n_frames: int, seq_len: int, rng) -> tuple[int, int]:
 
 def _batch_loss(m: NkfModel, segments) -> ad.DiffArray:
     """Mean loss over (noisy, clean) amplitude segments."""
-    losses = [graph.loss for graph in _forward(m, segments)]
+    losses = [loss for loss, _ in _forward(m, segments)]
     return ad.div(functools.reduce(ad.add, losses), float(len(losses)))
 
 
@@ -189,16 +177,17 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
           out_dir=None, max_steps: int | None = None):
     """Minibatch training over the manifest's train split.
 
-    Sequences longer than ``cfg.seq_len`` frames contribute one random
-    truncated segment per visit (state reset per segment); one backward pass
-    on the batch-mean loss precedes each Adam step. Checkpoints are written
-    per epoch; a non-finite loss halts training with the last good
-    checkpoint still on disk.
+    ``cfg``'s framing must be the model's. Sequences longer than
+    ``cfg.seq_len`` frames contribute one random truncated segment per visit
+    (state reset per segment); one backward pass on the batch-mean loss
+    precedes each Adam step. Checkpoints are written per epoch; a non-finite
+    loss halts training with the last good checkpoint still on disk.
 
     Returns the trained model and the per-step loss history.
     """
     if max_steps is not None and max_steps < 1:
         raise DataError("max_steps must be at least 1")
+    check_framing(cfg, m)
     entries = [e for e in manifest.entries if e.split == "train"]
     if not entries:
         raise DataError("manifest has no train entries")
@@ -255,25 +244,26 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
     return m, history
 
 
-def gradient_check(model: NkfModel | None = None, n_frames: int = 5,
-                   seed: int = 0, step: float = 1e-5) -> float:
+#: gradient_check's segment length and central-difference step
+_GRADCHECK_FRAMES, _GRADCHECK_STEP = 5, 1e-5
+
+
+def gradient_check(seed: int = 0) -> float:
     """Compare every parameter's analytic gradient with central differences.
 
-    Differentiates the training loss (``_batch_loss``) on one random segment.
-    Uses a tiny configuration by default so the full check stays fast;
+    Differentiates the training loss (``_batch_loss``) of a tiny model drawn
+    from ``seed`` on one random segment, so the full check stays fast;
     returns the maximum relative error over all parameter entries.
     """
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
-    if model is None:
-        model = build_model(4, lstm_units=(2,), fnn_hidden=8, context=3,
-                            window=6, hop=3, variance_span=4, seed=seed)
+    model = build_model(4, lstm_units=(2,), fnn_hidden=8, context=3,
+                        window=6, hop=3, variance_span=4, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    noisy_amp = rng.uniform(0.5, 3.0, (n_frames, model.n_bins))
-    clean_amp = rng.uniform(0.1, 2.5, (n_frames, model.n_bins))
+    noisy_amp = rng.uniform(0.5, 3.0, (_GRADCHECK_FRAMES, model.n_bins))
+    clean_amp = rng.uniform(0.1, 2.5, (_GRADCHECK_FRAMES, model.n_bins))
 
     segments = [(noisy_amp, clean_amp)]
-    model.zero_grad()
     _batch_loss(model, segments).backward()
     analytic = model.gradients()
 
@@ -286,12 +276,12 @@ def gradient_check(model: NkfModel | None = None, n_frames: int = 5,
         flat = p.values.reshape(-1)
         for i in range(flat.size):
             saved = flat[i]
-            flat[i] = saved + step
+            flat[i] = saved + _GRADCHECK_STEP
             up = loss_at()
-            flat[i] = saved - step
+            flat[i] = saved - _GRADCHECK_STEP
             down = loss_at()
             flat[i] = saved
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * _GRADCHECK_STEP)
             a = analytic[name].reshape(-1)[i]
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
             worst = max(worst, err)

@@ -188,4 +188,4 @@ def enhance_kf_baseline(noisy: signal_core.Waveform, cfg, sigma_v2_grid=None,
         return enhanced, pipeline.NkfFrameEstimates(
             amp_wiener=wiener_amp, sigma_v2=sigma_v2, gain=gains, amp_out=enhanced)
 
-    return pipeline.enhance_with(noisy, cfg.window, cfg.hop, estimate)
+    return pipeline.enhance_with(noisy, cfg.window, cfg.hop, estimate, model)

@@ -7,8 +7,6 @@ guards against silence dominating the average.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import signal_core
@@ -18,14 +16,8 @@ SNR_FLOOR_DB = -10.0
 SNR_CEIL_DB = 35.0
 _SILENCE = 1e-10
 _TINY = 1e-300
-
-
-@dataclass
-class MetricReport:
-    fwsegsnr: float
-    segsnr: float
-    amp_mse: float
-    per_condition: dict = field(default_factory=dict)
+#: Exponent of the clean amplitude in FwSegSNR's per-bin weights
+FW_GAMMA = 0.2
 
 
 def _check_pair(clean: signal_core.Waveform, test: signal_core.Waveform):
@@ -62,22 +54,22 @@ def _amplitudes(clean, test, window, hop, clean_spec=None):
 
 
 def fwsegsnr(clean: signal_core.Waveform, test: signal_core.Waveform,
-             window: int = 256, hop: int = 64, gamma: float = 0.2) -> float:
+             window: int = 256, hop: int = 64) -> float:
     """Frequency-weighted segmental SNR in dB.
 
     Per frame, each bin's SNR 10*log10(|X|^2 / (|X| - |Xhat|)^2) is clamped
-    to [-10, 35] and averaged with weights |X|^gamma; frames are then
+    to [-10, 35] and averaged with weights |X|^FW_GAMMA; frames are then
     averaged uniformly over the non-silent clean frames.
     """
-    return _fwsegsnr(*_amplitudes(clean, test, window, hop), gamma)
+    return _fwsegsnr(*_amplitudes(clean, test, window, hop))
 
 
-def _fwsegsnr(cx: np.ndarray, tx: np.ndarray, gamma: float = 0.2) -> float:
+def _fwsegsnr(cx: np.ndarray, tx: np.ndarray) -> float:
     err2 = (cx - tx) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         snr = 10.0 * np.log10((cx * cx + _TINY) / (err2 + _TINY))
     snr = np.clip(snr, SNR_FLOOR_DB, SNR_CEIL_DB)
-    weights = cx ** gamma
+    weights = cx ** FW_GAMMA
     values = []
     for j in range(cx.shape[0]):
         if float(cx[j] @ cx[j]) < _SILENCE:
@@ -110,16 +102,14 @@ def evaluate_pair(clean: signal_core.Waveform, test: signal_core.Waveform,
     }
 
 
-def summarize_rows(rows: list[dict]) -> MetricReport:
-    """Aggregate per-utterance rows (keyed by ``snr_db``) into a report."""
+def summarize_rows(rows: list[dict]) -> dict:
+    """Mean of each measure per ``snr_db`` over per-utterance rows:
+    ``{snr_db: {measure: mean}}`` in increasing SNR."""
     if not rows:
         raise DataError("nothing to summarize")
     keys = ("fwsegsnr", "segsnr", "amp_mse")
-    per_condition = {}
+    table = {}
     for snr in sorted({row["snr_db"] for row in rows}):
         group = [row for row in rows if row["snr_db"] == snr]
-        per_condition[snr] = {k: float(np.mean([r[k] for r in group]))
-                              for k in keys}
-    overall = {k: float(np.mean([r[k] for r in rows])) for k in keys}
-    return MetricReport(fwsegsnr=overall["fwsegsnr"], segsnr=overall["segsnr"],
-                        amp_mse=overall["amp_mse"], per_condition=per_condition)
+        table[snr] = {k: float(np.mean([r[k] for r in group])) for k in keys}
+    return table

@@ -188,11 +188,12 @@ def build_model(n_bins: int, *, lstm_units=(64, 64), fnn_hidden: int = 128,
 #: Elements per block of the Adam update: two float64 work buffers of this
 #: size (512 KiB) stay in cache while each block goes through every pass.
 _ADAM_CHUNK = 1 << 15
+#: Adam's moment decay rates and the denominator's guard
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def optimizer_step(m: NkfModel, grads: dict[str, np.ndarray],
-                   lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> NkfModel:
+                   lr: float = 1e-3) -> NkfModel:
     """One Adam update over every parameter; raises on bad gradients.
 
     Every gradient is checked (present, shaped like its parameter, finite)
@@ -200,7 +201,8 @@ def optimizer_step(m: NkfModel, grads: dict[str, np.ndarray],
     in blocks of ``_ADAM_CHUNK`` elements of each flattened tensor, with two
     block-sized work buffers, bit-identical to
     ``m = beta1 * m + (1 - beta1) * g``, ``v = beta2 * v + (1 - beta2) * g * g``
-    and ``p = p - lr * m_hat / (sqrt(v_hat) + eps)``.
+    and ``p = p - lr * m_hat / (sqrt(v_hat) + eps)`` (``_ADAM_BETA1``,
+    ``_ADAM_BETA2``, ``_ADAM_EPS``).
     """
     params = m.parameters()
     t = m.adam_step + 1
@@ -220,24 +222,24 @@ def optimizer_step(m: NkfModel, grads: dict[str, np.ndarray],
         if any(a.shape != g.shape or not a.flags.c_contiguous for a in state):
             raise DataError(f"Adam state of {name} must be C-contiguous {g.shape} arrays")
         flat.append([a.reshape(-1) for a in (g, *state)])
-    correct1, correct2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    correct1, correct2 = 1.0 - _ADAM_BETA1 ** t, 1.0 - _ADAM_BETA2 ** t
     work = np.empty((2, min(_ADAM_CHUNK, max(p.values.size for p in params.values()))))
     for arrays in flat:
         for lo in range(0, arrays[0].size, _ADAM_CHUNK):
             g, mom, var, val = (a[lo:lo + _ADAM_CHUNK] for a in arrays)
             step, denom = work[:, :g.size]
-            mom *= beta1
-            np.multiply(1.0 - beta1, g, out=step)
+            mom *= _ADAM_BETA1
+            np.multiply(1.0 - _ADAM_BETA1, g, out=step)
             mom += step
-            np.multiply(1.0 - beta2, g, out=step)
+            np.multiply(1.0 - _ADAM_BETA2, g, out=step)
             step *= g
-            var *= beta2
+            var *= _ADAM_BETA2
             var += step
             np.divide(mom, correct1, out=step)
             step *= lr
             np.divide(var, correct2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += eps
+            denom += _ADAM_EPS
             step /= denom
             val -= step
     m.adam_step = t

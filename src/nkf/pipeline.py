@@ -74,10 +74,14 @@ def wiener_estimate(spec: signal_core.Spectrogram, span: int, sigma_v2_grid=None
     return sigma_v2, wiener.apply_wiener(spec.amplitude, tracks)
 
 
-def enhance_with(noisy: signal_core.Waveform, window: int, hop: int,
-                 estimate) -> EnhancementResult:
+def enhance_with(noisy: signal_core.Waveform, window: int, hop: int, estimate,
+                 model: NkfModel | None) -> EnhancementResult:
     """Resynthesize ``estimate(spec) -> (amplitude, grids)`` with the noisy
-    phase to exactly ``len(noisy)`` samples."""
+    phase to exactly ``len(noisy)`` samples; the ``model`` enhanced with, if
+    any, must be at ``noisy``'s sample rate."""
+    if model is not None and model.sample_rate != noisy.sample_rate:
+        raise DataError(f"waveform sample rate {noisy.sample_rate} Hz differs "
+                        f"from the model's {model.sample_rate} Hz")
     spec = signal_core.stft(noisy, window, hop)
     amplitude, grids = estimate(spec)
     out_spec = signal_core.recombine(spec, amplitude)

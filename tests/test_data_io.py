@@ -393,7 +393,9 @@ class TestSynthCorpus:
         (lambda f: f + ["extra"], "line 3: expected 9 fields"),
         (lambda f: f[:2] + ["loud"] + f[3:], "line 3: could not convert"),
         (lambda f: f[:3] + ["1.5"] + f[4:], "line 3: invalid literal"),
-    ], ids=["too-few-fields", "extra-field", "non-numeric-snr", "non-integer-seed"])
+        (lambda f: f[:1] + ["trian"] + f[2:], "line 3: split 'trian' is not one of"),
+    ], ids=["too-few-fields", "extra-field", "non-numeric-snr", "non-integer-seed",
+            "unknown-split"])
     def test_malformed_manifest_row_rejected(self, tmp_path, edit, match):
         data_io.synth_corpus(self._cfg(), tmp_path)
         path = tmp_path / "manifest.csv"

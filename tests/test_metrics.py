@@ -3,8 +3,8 @@ import pytest
 
 from nkf import data_io
 from nkf.errors import DataError
-from nkf.metrics import (MetricReport, amplitude_mse, evaluate_pair, fwsegsnr,
-                         segsnr, summarize_rows)
+from nkf.metrics import (amplitude_mse, evaluate_pair, fwsegsnr, segsnr,
+                         summarize_rows)
 from nkf.signal_core import Waveform
 
 
@@ -120,11 +120,12 @@ class TestReporting:
             {"snr_db": 0.0, "fwsegsnr": 12.0, "segsnr": 7.0, "amp_mse": 3.0},
             {"snr_db": 5.0, "fwsegsnr": 20.0, "segsnr": 9.0, "amp_mse": 0.5},
         ]
-        report = summarize_rows(rows)
-        assert isinstance(report, MetricReport)
-        assert report.per_condition[0.0]["fwsegsnr"] == pytest.approx(11.0)
-        assert report.per_condition[5.0]["segsnr"] == pytest.approx(9.0)
-        assert report.fwsegsnr == pytest.approx(14.0)
+        table = summarize_rows(rows)
+        assert list(table) == [0.0, 5.0]
+        assert table[0.0] == pytest.approx(
+            {"fwsegsnr": 11.0, "segsnr": 6.0, "amp_mse": 2.0})
+        assert table[5.0] == pytest.approx(
+            {"fwsegsnr": 20.0, "segsnr": 9.0, "amp_mse": 0.5})
 
     def test_summarize_empty_rejected(self):
         with pytest.raises(DataError):

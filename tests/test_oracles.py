@@ -105,12 +105,12 @@ def test_padded_batch_equals_each_utterance_alone():
     amp, res = lstm_forward(m, batch)
     alone = []
     for b, ((noisy, clean), f) in enumerate(zip(segments, feats)):
-        padded = _combine(m, noisy, f, amp[b, :len(f)], res[b, :len(f)], clean)
-        single, = _forward(m, [(noisy, clean)])
-        np.testing.assert_allclose(float(padded.loss.values), float(single.loss.values),
+        padded, _ = _combine(m, noisy, f, amp[b, :len(f)], res[b, :len(f)], clean)
+        (single, _), = _forward(m, [(noisy, clean)])
+        np.testing.assert_allclose(float(padded.values), float(single.values),
                                    rtol=1e-13, atol=0)
         m.zero_grad()
-        single.loss.backward()
+        single.backward()
         alone.append(m.gradients())
 
     m.zero_grad()

@@ -109,9 +109,9 @@ def test_model_methods(utterance, method, grid_name):
     m = _model()
     spec = stft(noisy, m.window, m.hop)
     with ad.no_grad():
-        graph = nkf_forward(m, spec)
-    grids = {k: getattr(graph, k).values for k in METHOD_GRIDS[method]}
-    grids["amp_out"] = getattr(graph, grid_name).values
+        est = nkf_forward(m, spec)
+    grids = {k: getattr(est, k) for k in METHOD_GRIDS[method]}
+    grids["amp_out"] = getattr(est, grid_name)
     _assert_same(enhance(m, noisy, method),
                  _resynthesize(noisy, spec, grids["amp_out"]), grids)
 
@@ -174,14 +174,14 @@ def test_kf_baseline_prefilter_is_the_graph_wiener_branch(utterance):
     m.params["fnn.b3"].values[:] = -8.0   # gains inside (0, 1)
     spec = stft(noisy, m.window, m.hop)
     with ad.no_grad():
-        graph = nkf_forward(m, spec)
+        est = nkf_forward(m, spec)
     sigma_y2 = track_sigma_y(spec.amplitude, m.variance_span)
     assert np.any((sigma_y2 > 0) & (sigma_y2 < VARIANCE_FLOOR))
-    h = graph.amp_wiener.values[spec.amplitude > 0] / spec.amplitude[spec.amplitude > 0]
+    h = est.amp_wiener[spec.amplitude > 0] / spec.amplitude[spec.amplitude > 0]
     assert np.any((h > 0) & (h < 1))
     grids = enhance_kf_baseline(noisy, CFG, model=m).grids
-    assert np.array_equal(grids.amp_wiener, graph.amp_wiener.values)
-    assert np.array_equal(grids.sigma_v2, graph.sigma_v2.values)
+    assert np.array_equal(grids.amp_wiener, est.amp_wiener)
+    assert np.array_equal(grids.sigma_v2, est.sigma_v2)
 
 
 @pytest.mark.parametrize("framing", [dict(hop=32), dict(window=128),
@@ -194,6 +194,18 @@ def test_kf_baseline_model_framing_mismatch(utterance, framing):
         enhance_kf_baseline(noisy, CFG.replace(**framing), model=_model())
     with pytest.raises(DataError, match="framing .* differs from the model"):
         enhance_wiener(noisy, CFG.replace(**framing), model=_model())
+
+
+def test_model_waveform_rate_mismatch_rejected():
+    # a model runs only on waveforms at the rate it was trained at
+    noisy = Waveform(np.random.default_rng(1).standard_normal(800) * 0.1, 8000)
+    m = _model()
+    for run in (lambda: enhance(m, noisy, "nkf"), lambda: enhance(m, noisy, "lstm"),
+                lambda: enhance(m, noisy, "wiener"),
+                lambda: enhance_wiener(noisy, CFG, model=m),
+                lambda: enhance_kf_baseline(noisy, CFG, model=m)):
+        with pytest.raises(DataError, match="8000 Hz differs from the model's 16000 Hz"):
+            run()
 
 
 def test_oracle_grid_wins_over_model():
