@@ -104,13 +104,11 @@ def _parse_scalar(field_type, raw: str):
         return int(raw)
     if field_type is float:
         return float(raw)
-    if field_type is tuple:
-        return tuple(float(v) for v in raw.split(",") if v.strip())
-    return raw
+    return tuple(float(v) for v in raw.split(",") if v.strip())
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_TYPE_MAP = {"int": int, "float": float, "bool": bool, "tuple": tuple}
+#: each field's parser type: its default's, one of bool, int, float and tuple
+_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
 
 
 def parse_assignments(pairs) -> dict:
@@ -123,9 +121,8 @@ def parse_assignments(pairs) -> dict:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        ftype = _TYPE_MAP.get(_FIELD_TYPES[key], _FIELD_TYPES[key])
         try:
-            out[key] = _parse_scalar(ftype, raw)
+            out[key] = _parse_scalar(_FIELD_TYPES[key], raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 import os
+import shutil
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from . import data_io, kalman, signal_core, wiener
 from .errors import ConfigError, DataError, NumericsError
 from .networks import NkfModel, build_model, lstm_forward, \
     noise_fnn_forward_grid, optimizer_step, save_checkpoint
-from .pipeline import EnhancementResult, NkfFrameEstimates, enhance_with, \
-    lstm_features, wiener_estimate
+from .pipeline import EnhancementResult, NkfFrameEstimates, check_framing, \
+    enhance_with, lstm_features, wiener_estimate
 
 
 def nkf_gain(sigma_r2, sigma_v2):
@@ -117,19 +118,19 @@ def enhance(m: NkfModel, noisy: signal_core.Waveform,
             est = nkf_forward(m, spec)
         return est.amp_out, est
 
-    return enhance_with(noisy, m.window, m.hop, estimate, m)
+    return enhance_with(noisy, m, estimate, m)
 
 
 def enhance_wiener(noisy: signal_core.Waveform, cfg, sigma_v2_grid=None,
                    model: NkfModel | None = None) -> EnhancementResult:
     """Instantaneous Wiener pipeline with an oracle noise grid, else the
-    model's noise estimate; ``cfg`` gives window, hop and variance span, which
-    must be the model's. Same inputs as ``kalman.enhance_kf_baseline``."""
+    model's noise estimate; ``cfg`` gives the framing, which must be the
+    model's. Same inputs as ``kalman.enhance_kf_baseline``."""
     def estimate(spec):
         sigma_v2, amp = wiener_estimate(spec, cfg.variance_span, sigma_v2_grid, model)
         return amp, NkfFrameEstimates(amp_wiener=amp, sigma_v2=sigma_v2, amp_out=amp)
 
-    return enhance_with(noisy, cfg.window, cfg.hop, estimate, model)
+    return enhance_with(noisy, cfg, estimate, model)
 
 
 #: ``nkf enhance --method`` name -> (run(model, noisy, cfg, oracle noise grid
@@ -143,20 +144,20 @@ METHODS = {
 }
 
 
-def check_framing(cfg, m: NkfModel):
-    """Raise ``ConfigError`` where ``cfg``'s framing differs from the model's."""
-    differ = [f"{k} = {getattr(cfg, k)} (model {getattr(m, k)})"
-              for k in ("window", "hop", "sample_rate", "variance_span")
-              if getattr(cfg, k) != getattr(m, k)]
-    if differ:
-        raise ConfigError("framing differs from the model's: " + ", ".join(differ))
-
-
-def _segment_bounds(n_frames: int, seq_len: int, rng) -> tuple[int, int]:
-    if n_frames <= seq_len:
-        return 0, n_frames
-    t0 = int(rng.integers(0, n_frames - seq_len + 1))
-    return t0, t0 + seq_len
+def _segment(entry, cfg, rng) -> tuple[np.ndarray, np.ndarray]:
+    """``entry``'s (noisy, clean) amplitudes over ``cfg.seq_len`` frames from
+    a random start, or over all of them if there are no more; one draw at most."""
+    noisy = data_io.read_wav(entry.noisy_path, cfg.sample_rate)
+    clean = data_io.read_wav(entry.clean_path, cfg.sample_rate)
+    if len(clean) != len(noisy):   # whole files: a segment may end before either
+        raise DataError(f"train utterance {entry.utt_id}: clean and noisy "
+                        f"waveforms must have equal length, got "
+                        f"{len(clean)} and {len(noisy)} samples")
+    n_frames = signal_core.frame_count(len(noisy), cfg.window, cfg.hop)
+    t0 = 0 if n_frames <= cfg.seq_len else int(
+        rng.integers(0, n_frames - cfg.seq_len + 1))
+    return tuple(signal_core.stft_amplitude(w, cfg.window, cfg.hop, t0, t0 + cfg.seq_len)
+                 for w in (noisy, clean))
 
 
 def _batch_loss(m: NkfModel, segments) -> ad.DiffArray:
@@ -167,10 +168,7 @@ def _batch_loss(m: NkfModel, segments) -> ad.DiffArray:
 
 def _write_history(history, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss"])
-        for i, value in enumerate(history):
-            writer.writerow([i, repr(value)])
+        csv.writer(fh).writerows([("step", "loss"), *enumerate(map(repr, history))])
 
 
 def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
@@ -180,67 +178,54 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
     ``cfg``'s framing must be the model's. Sequences longer than
     ``cfg.seq_len`` frames contribute one random truncated segment per visit
     (state reset per segment); one backward pass on the batch-mean loss
-    precedes each Adam step. Checkpoints are written per epoch; a non-finite
-    loss halts training with the last good checkpoint still on disk.
+    precedes each Adam step. ``epoch000.nkf`` (the model as given) and one
+    checkpoint per epoch go beside the history that led to them; ``model.nkf``
+    copies the last. A non-finite loss halts training and writes the history.
 
     Returns the trained model and the per-step loss history.
     """
     if max_steps is not None and max_steps < 1:
         raise DataError("max_steps must be at least 1")
     check_framing(cfg, m)
-    entries = [e for e in manifest.entries if e.split == "train"]
+    entries = manifest.split_entries("train")
     if not entries:
         raise DataError("manifest has no train entries")
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        save_checkpoint(m, os.path.join(out_dir, "epoch000.nkf"))
-    steps = 0
-    for epoch in range(cfg.epochs):
+
+    def save(checkpoint=None):
+        """Write the named checkpoint, if any, then the history that led to it."""
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            if checkpoint is not None:
+                save_checkpoint(m, os.path.join(out_dir, checkpoint))
+            _write_history(history, os.path.join(out_dir, "loss_history.csv"))
+
+    save("epoch000.nkf")
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(entries))
         for lo in range(0, len(order), cfg.batch):
-            batch = order[lo:lo + cfg.batch]
-            segments = []
-            for j in batch:
-                entry = entries[int(j)]
-                noisy = data_io.read_wav(entry.noisy_path, cfg.sample_rate)
-                clean = data_io.read_wav(entry.clean_path, cfg.sample_rate)
-                # checked on whole files: the segment drawn below could end
-                # before a longer clean file does
-                if len(clean) != len(noisy):
-                    raise DataError(f"train utterance {entry.utt_id}: clean and noisy "
-                                    f"waveforms must have equal length, got "
-                                    f"{len(clean)} and {len(noisy)} samples")
-                t0, t1 = _segment_bounds(
-                    signal_core.frame_count(len(noisy), cfg.window, cfg.hop),
-                    cfg.seq_len, rng)
-                segments.append(tuple(
-                    signal_core.stft_amplitude(w, cfg.window, cfg.hop, t0, t1)
-                    for w in (noisy, clean)))
+            if len(history) == max_steps:
+                break
+            segments = [_segment(entries[j], cfg, rng) for j in order[lo:lo + cfg.batch]]
             m.zero_grad()   # the last step's gradients go before this graph is built
             loss = _batch_loss(m, segments)
             loss_val = float(loss.values)
             if not np.isfinite(loss_val):
-                if out_dir is not None:
-                    _write_history(history, os.path.join(out_dir, "loss_history.csv"))
+                save()
                 raise NumericsError(  # numbered like loss_history.csv
                     f"diverged: non-finite training loss at step {len(history)}")
             loss.backward()
             del loss   # the batch graph goes before the next step builds one
             optimizer_step(m, m.gradients(), lr=cfg.lr)
             history.append(loss_val)
-            steps += 1
-            if max_steps is not None and steps >= max_steps:
-                break
-        if out_dir is not None:
-            save_checkpoint(m, os.path.join(out_dir, f"epoch{epoch + 1:03d}.nkf"))
-            _write_history(history, os.path.join(out_dir, "loss_history.csv"))
-        if max_steps is not None and steps >= max_steps:
+        save(f"epoch{epoch:03d}.nkf")
+        if len(history) == max_steps:
             break
-    if out_dir is not None:
-        save_checkpoint(m, os.path.join(out_dir, "model.nkf"))
-        _write_history(history, os.path.join(out_dir, "loss_history.csv"))
+    if out_dir is not None:   # moved into place whole, as save_checkpoint does
+        final = os.path.join(out_dir, "model.nkf")
+        shutil.copyfile(os.path.join(out_dir, f"epoch{epoch:03d}.nkf"), final + ".tmp")
+        os.replace(final + ".tmp", final)
     return m, history
 
 

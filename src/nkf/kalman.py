@@ -179,6 +179,9 @@ def enhance_kf_baseline(noisy: signal_core.Waveform, cfg, sigma_v2_grid=None,
 
     The noise variance grid comes from mixing metadata (oracle) when given,
     else from a trained model's noise estimator; one of the two is required.
+    An input inside one ``cfg.lp_segment``-frame LP segment gets an
+    ill-conditioned LP fit: its output reproduces only to about 1e-11 x
+    max|ref| across BLAS builds or rounding changes.
     """
     def estimate(spec):
         sigma_v2, wiener_amp = pipeline.wiener_estimate(
@@ -188,4 +191,4 @@ def enhance_kf_baseline(noisy: signal_core.Waveform, cfg, sigma_v2_grid=None,
         return enhanced, pipeline.NkfFrameEstimates(
             amp_wiener=wiener_amp, sigma_v2=sigma_v2, gain=gains, amp_out=enhanced)
 
-    return pipeline.enhance_with(noisy, cfg.window, cfg.hop, estimate, model)
+    return pipeline.enhance_with(noisy, cfg, estimate, model)

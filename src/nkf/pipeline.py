@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import signal_core, wiener
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .networks import NkfModel, noise_fnn_forward_grid
 
 
@@ -51,8 +51,8 @@ def wiener_estimate(spec: signal_core.Spectrogram, span: int, sigma_v2_grid=None
     """Noise-variance grid and the noisy amplitudes Wiener-filtered with it.
 
     The grid is the oracle one when given (shape-checked), else the model's
-    noise-net estimate, which needs the framing and variance span the model
-    was trained with; with neither there is no noise variance to filter with.
+    noise-net estimate on the model's own framing (``enhance_with`` checks
+    it); with neither there is no noise variance to filter with.
     """
     sigma_y2 = wiener.track_sigma_y(spec.amplitude, span)
     if sigma_v2_grid is not None:
@@ -60,11 +60,6 @@ def wiener_estimate(spec: signal_core.Spectrogram, span: int, sigma_v2_grid=None
         if sigma_v2.shape != spec.amplitude.shape:
             raise DataError("noise grid shape differs from spectrogram")
     elif model is not None:
-        framing = (spec.window_len, spec.hop, span)
-        if framing != (model.window, model.hop, model.variance_span):
-            raise DataError(f"spectrogram framing (window, hop, variance span) "
-                            f"{framing} differs from the model's "
-                            f"{(model.window, model.hop, model.variance_span)}")
         feats = lstm_features(spec.amplitude, model.log_features)
         with ad.no_grad():
             sigma_v2 = noise_fnn_forward_grid(model, feats, sigma_y2).values
@@ -74,15 +69,27 @@ def wiener_estimate(spec: signal_core.Spectrogram, span: int, sigma_v2_grid=None
     return sigma_v2, wiener.apply_wiener(spec.amplitude, tracks)
 
 
-def enhance_with(noisy: signal_core.Waveform, window: int, hop: int, estimate,
+def check_framing(cfg, m: NkfModel):
+    """Raise ``ConfigError`` where ``cfg``'s framing differs from the model's."""
+    differ = [f"{k} = {getattr(cfg, k)} (model {getattr(m, k)})"
+              for k in ("window", "hop", "sample_rate", "variance_span")
+              if getattr(cfg, k) != getattr(m, k)]
+    if differ:
+        raise ConfigError("framing differs from the model's: " + ", ".join(differ))
+
+
+def enhance_with(noisy: signal_core.Waveform, cfg, estimate,
                  model: NkfModel | None) -> EnhancementResult:
     """Resynthesize ``estimate(spec) -> (amplitude, grids)`` with the noisy
-    phase to exactly ``len(noisy)`` samples; the ``model`` enhanced with, if
-    any, must be at ``noisy``'s sample rate."""
-    if model is not None and model.sample_rate != noisy.sample_rate:
+    phase to exactly ``len(noisy)`` samples. ``cfg`` (a ``RunConfig``, or the
+    model itself) gives the framing, which must be the ``model``'s, if any,
+    and ``noisy``'s sample rate."""
+    if model is not None:
+        check_framing(cfg, model)
+    if noisy.sample_rate != cfg.sample_rate:
         raise DataError(f"waveform sample rate {noisy.sample_rate} Hz differs "
-                        f"from the model's {model.sample_rate} Hz")
-    spec = signal_core.stft(noisy, window, hop)
+                        f"from the framing's {cfg.sample_rate} Hz")
+    spec = signal_core.stft(noisy, cfg.window, cfg.hop)
     amplitude, grids = estimate(spec)
     out_spec = signal_core.recombine(spec, amplitude)
     waveform = signal_core.istft(out_spec, len(noisy), noisy.sample_rate)

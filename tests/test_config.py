@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from nkf.config import RunConfig, load_config, parse_assignments, save_config
+from nkf.config import (RunConfig, _FIELD_TYPES, load_config, parse_assignments,
+                        save_config)
 from nkf.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -68,6 +69,16 @@ class TestAssignments:
     def test_bad_value(self):
         with pytest.raises(ConfigError):
             parse_assignments(["window=ten"])
+
+    def test_every_field_parses_as_its_default(self):
+        # a field's parser is its default's type, so a default of a type
+        # _parse_scalar does not know would parse as a tuple of floats
+        assert set(_FIELD_TYPES.values()) == {bool, int, float, tuple}
+        cfg = RunConfig()
+        for name, ftype in _FIELD_TYPES.items():
+            value = getattr(cfg, name)
+            text = ",".join(map(str, value)) if ftype is tuple else str(value)
+            assert parse_assignments([f"{name}={text}"]) == {name: value}, name
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError):

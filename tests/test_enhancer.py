@@ -11,7 +11,7 @@ from nkf.enhancer import (EnhancementResult, NkfFrameEstimates, enhance,
                           nkf_forward, nkf_gain, nkf_loss, train, _batch_loss,
                           _forward)
 from nkf.errors import ConfigError, DataError, NumericsError
-from nkf.networks import build_model
+from nkf.networks import build_model, load_checkpoint
 from nkf.signal_core import Waveform, stft
 from nkf.wiener import (VARIANCE_FLOOR, VarianceTracks, apply_wiener,
                         track_sigma_y, wiener_gain)
@@ -364,6 +364,62 @@ class TestTrainingLoop:
         lines = (out / "loss_history.csv").read_text().strip().splitlines()
         assert lines[0] == "step,loss"
         assert len(lines) == 3
+
+    # every checkpoint in out_dir sits beside the loss history that led to
+    # it, and model.nkf is a copy of the last one
+    def test_out_dir_changes_no_bit_of_training(self, corpus, tmp_path):
+        cfg, manifest = corpus
+        cfg = cfg.replace(epochs=3)   # 2 steps per epoch: 5 stop inside the third
+        quiet, h_quiet = train(self._model(cfg), manifest, cfg, max_steps=5)
+        saved, h_saved = train(self._model(cfg), manifest, cfg,
+                               out_dir=tmp_path / "run", max_steps=5)
+        assert h_quiet == h_saved and len(h_quiet) == 5
+        for name, p in quiet.parameters().items():
+            assert np.array_equal(p.values, saved.parameters()[name].values), name
+
+    @pytest.mark.parametrize("max_steps, last", [(3, "epoch002.nkf"),
+                                                 (None, "epoch003.nkf")])
+    def test_model_file_is_the_last_checkpoint(self, corpus, tmp_path, max_steps,
+                                               last):
+        cfg, manifest = corpus
+        cfg = cfg.replace(epochs=3)
+        out = tmp_path / "run"
+        model, history = train(self._model(cfg), manifest, cfg, out_dir=out,
+                               max_steps=max_steps)
+        names = ["epoch000.nkf", "epoch001.nkf", "epoch002.nkf", "epoch003.nkf"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            names[:names.index(last) + 1] + ["loss_history.csv", "model.nkf"])
+        assert (out / "model.nkf").read_bytes() == (out / last).read_bytes()
+        loaded = load_checkpoint(out / "model.nkf")
+        assert loaded.adam_step == len(history)
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.values, loaded.parameters()[name].values), name
+
+    @pytest.mark.parametrize("stop_at, last, steps_saved", [(0, "epoch000.nkf", 0),
+                                                            (3, "epoch001.nkf", 2)])
+    def test_interrupted_run_leaves_checkpoint_beside_its_history(
+            self, corpus, tmp_path, monkeypatch, stop_at, last, steps_saved):
+        cfg, manifest = corpus
+        out = tmp_path / "run"
+        steps = []
+        step = enhancer.optimizer_step
+
+        def interrupted(*args, **kwargs):
+            if len(steps) == stop_at:
+                raise _Interrupt
+            steps.append(step(*args, **kwargs))
+
+        monkeypatch.setattr(enhancer, "optimizer_step", interrupted)
+        with pytest.raises(_Interrupt):
+            train(self._model(cfg), manifest, cfg.replace(epochs=3), out_dir=out)
+        assert not (out / "model.nkf").exists()
+        assert load_checkpoint(out / last).adam_step == steps_saved
+        rows = (out / "loss_history.csv").read_text().splitlines()
+        assert rows[0] == "step,loss" and len(rows) == 1 + steps_saved
+
+
+class _Interrupt(Exception):
+    """Stands for a run killed between two steps."""
 
 
 class TestEnhance:

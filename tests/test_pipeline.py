@@ -17,7 +17,7 @@ from nkf import autodiff as ad
 from nkf import data_io, enhancer, pipeline
 from nkf.config import RunConfig
 from nkf.enhancer import enhance, enhance_wiener, nkf_forward
-from nkf.errors import DataError
+from nkf.errors import ConfigError, DataError
 from nkf.kalman import enhance_kf_baseline
 from nkf.networks import build_model, noise_fnn_forward_grid
 from nkf.pipeline import wiener_estimate
@@ -190,9 +190,9 @@ def test_kf_baseline_model_framing_mismatch(utterance, framing):
     # the noise net must only see frames and noisy variances of the framing
     # it was trained on
     noisy, _ = utterance
-    with pytest.raises(DataError, match="framing .* differs from the model"):
+    with pytest.raises(ConfigError, match="framing differs from the model's"):
         enhance_kf_baseline(noisy, CFG.replace(**framing), model=_model())
-    with pytest.raises(DataError, match="framing .* differs from the model"):
+    with pytest.raises(ConfigError, match="framing differs from the model's"):
         enhance_wiener(noisy, CFG.replace(**framing), model=_model())
 
 
@@ -204,8 +204,18 @@ def test_model_waveform_rate_mismatch_rejected():
                 lambda: enhance(m, noisy, "wiener"),
                 lambda: enhance_wiener(noisy, CFG, model=m),
                 lambda: enhance_kf_baseline(noisy, CFG, model=m)):
-        with pytest.raises(DataError, match="8000 Hz differs from the model's 16000 Hz"):
+        with pytest.raises(DataError, match="8000 Hz differs from the framing's 16000 Hz"):
             run()
+
+
+@pytest.mark.parametrize("run", [enhance_kf_baseline, enhance_wiener])
+def test_oracle_noise_waveform_rate_mismatch_rejected(run):
+    # with oracle noise no model is there to compare rates with: the config's
+    # framing is for 16 kHz, so 8 kHz samples would be framed for the wrong rate
+    noisy = Waveform(np.random.default_rng(2).standard_normal(800) * 0.1, 8000)
+    grid = np.ones(stft(noisy, CFG.window, CFG.hop).amplitude.shape)
+    with pytest.raises(DataError, match="8000 Hz differs from the framing's 16000 Hz"):
+        run(noisy, CFG, grid)
 
 
 def test_oracle_grid_wins_over_model():
