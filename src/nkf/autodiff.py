@@ -315,9 +315,11 @@ def lstm_layer(x, wx, wh, b) -> DiffArray:
     """One LSTM layer over a B x T x In batch as a single node, B x T x U out.
 
     ``wx`` (In, 4U), ``wh`` (U, 4U) and ``b`` (4U,) hold the gate blocks i, f,
-    g, o in that order; states start at zero in every sequence. Backward runs
-    the time loop once, then takes each weight gradient as one matmul over
-    all frames. Inside ``no_grad`` nothing is cached for backward.
+    g, o in that order. The time loop writes each frame's gate activations
+    over its block of the input projection; hidden and cell states are
+    B x (T+1) x U arrays from a zero frame 0, the output a view from frame 1.
+    Backward keeps those three arrays, recomputes ``tanh`` of the cell
+    states, runs the loop once, then forms each weight gradient as one matmul.
     """
     x, wx, wh, b = lift(x), lift(wx), lift(wh), lift(b)
     n_b, n_t, n_in = x.shape
@@ -327,42 +329,35 @@ def lstm_layer(x, wx, wh, b) -> DiffArray:
     # on the i, f, o blocks and tanh on the g block; scaling the weights by
     # scale, a power of two, scales z exactly
     scale = np.where(np.arange(4 * u) // u == 2, 1.0, 0.5)
-    xp = x.values @ (wx.values * scale) + b.values * scale
+    gates = x.values @ (wx.values * scale) + b.values * scale
     wh_s = wh.values * scale
-    kept = n_t if _GRAD_ENABLED else 1   # frames whose activations backward needs
-    gates = np.empty((n_b, kept, 4 * u))
-    cs, tanh_cs = np.empty((2, n_b, kept, u))
-    hs = np.empty((n_b, n_t, u))
-    h, c = np.zeros((2, n_b, u))
+    hs, cs = np.zeros((n_b, n_t + 1, u)), np.zeros((n_b, n_t + 1, u))
+    h, c = hs[:, 0], cs[:, 0]
     for t in range(n_t):
-        act = gates[:, t % kept] = np.tanh(xp[:, t] + h @ wh_s) * scale + (1.0 - scale)
-        c = cs[:, t % kept] = act[:, f_] * c + act[:, i_] * act[:, g_]
-        tanh_c = tanh_cs[:, t % kept] = np.tanh(c)
-        h = hs[:, t] = act[:, o_] * tanh_c
+        act = gates[:, t] = np.tanh(gates[:, t] + h @ wh_s) * scale + (1.0 - scale)
+        c = cs[:, t + 1] = act[:, f_] * c + act[:, i_] * act[:, g_]
+        h = hs[:, t + 1] = act[:, o_] * np.tanh(c)
 
     def backward(g):
-        dact = np.where(scale == 1.0, 1.0 - gates * gates, gates * (1.0 - gates))
-        c_prev = np.concatenate([np.zeros((n_b, 1, u)), cs[:, :-1]], axis=1)
         dz = np.empty_like(gates)
         dh, dc = np.zeros((2, n_b, u))
         for t in range(n_t - 1, -1, -1):
-            act, tanh_c = gates[:, t], tanh_cs[:, t]
+            act, tanh_c = gates[:, t], np.tanh(cs[:, t + 1])
             dh = dh + g[:, t]
             dc = dc + dh * act[:, o_] * (1.0 - tanh_c * tanh_c)
             dz_t = dz[:, t]
             np.multiply(dc, act[:, g_], out=dz_t[:, i_])
-            np.multiply(dc, c_prev[:, t], out=dz_t[:, f_])
+            np.multiply(dc, cs[:, t], out=dz_t[:, f_])
             np.multiply(dc, act[:, i_], out=dz_t[:, g_])
             np.multiply(dh, tanh_c, out=dz_t[:, o_])
-            dz_t *= dact[:, t]
+            dz_t *= np.where(scale == 1.0, 1.0 - act * act, act * (1.0 - act))
             dc = dc * act[:, f_]
-            dh = dz[:, t] @ wh.values.T
+            dh = dz_t @ wh.values.T
         dz = dz.reshape(-1, 4 * u)
-        h_prev = np.concatenate([np.zeros((n_b, 1, u)), hs[:, :-1]], axis=1)
-        wh._accumulate(h_prev.reshape(-1, u).T @ dz)
+        wh._accumulate(hs[:, :-1].reshape(-1, u).T @ dz)
         wx._accumulate(x.values.reshape(-1, n_in).T @ dz)
         b._accumulate(dz.sum(axis=0))
         if not x.constant:
             x._accumulate((dz @ wx.values.T).reshape(x.shape))
 
-    return _node(hs, (x, wx, wh, b), backward)
+    return _node(hs[:, 1:], (x, wx, wh, b), backward)

@@ -341,7 +341,7 @@ def write_manifest(manifest: CorpusManifest, path):
 
 def load_manifest(path) -> CorpusManifest:
     """Read a manifest; splits must be in ``SPLITS``, paths must exist and
-    utterance ids be unique."""
+    utterance ids be unique file names without a directory part."""
     root = os.path.dirname(os.path.abspath(path))
     entries = []
     try:
@@ -355,6 +355,9 @@ def load_manifest(path) -> CorpusManifest:
                 # DictReader files extra fields under None, missing ones as None
                 if None in row or None in row.values():
                     raise DataError(f"{where}: expected {len(_MANIFEST_FIELDS)} fields")
+                if row["utt_id"] in ("", ".", "..") or \
+                        os.path.basename(row["utt_id"]) != row["utt_id"]:
+                    raise DataError(f"{where}: utt_id {row['utt_id']!r} is not a file name")
                 if row["split"] not in SPLITS:
                     raise DataError(f"{where}: split {row['split']!r} "
                                     f"is not one of {SPLITS}")

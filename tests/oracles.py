@@ -9,6 +9,14 @@ frames at once. Both are built on 1 x K rows, since the library's ``matmul``
 takes no 1-D operands. ``sigmoid``, ``tanh`` and ``concat`` are the autodiff
 ops only these oracles use.
 
+``lstm_layer_cached`` is the fused layer before its buffers were shared: the
+gates stored beside the input projection, cached ``tanh`` of the cell states
+and full-size backward temporaries. ``autodiff.lstm_layer`` reproduces its
+values and gradients bit for bit, except in a one-frame batch of two or more
+sequences through a one-unit layer: there a weight gradient's matmul reads a
+strided view that numpy sends to another kernel, which can round the last
+bit differently.
+
 ``init_params`` is the initialization as the separate predictor and noise-net
 constructors drew it, each from its own generator, before
 ``networks.build_model`` walked one shape table; ``reference_model`` puts its
@@ -160,6 +168,55 @@ def lstm_forward_per_frame(p: NkfModel, noisy_amp):
         ad.matmul(layer_in, p.params["head_res.w"]), p.params["head_res.b"]),
         -LOGVAR_LIMIT, LOGVAR_LIMIT)
     return amp, res_logvar
+
+
+def lstm_layer_cached(x, wx, wh, b) -> ad.DiffArray:
+    """The fused layer with separate gate, cell and ``tanh`` caches (one
+    frame of each inside ``no_grad``)."""
+    x, wx, wh, b = ad.lift(x), ad.lift(wx), ad.lift(wh), ad.lift(b)
+    n_b, n_t, n_in = x.shape
+    u = wh.shape[0]
+    i_, f_, g_, o_ = (slice(j * u, (j + 1) * u) for j in range(4))
+    scale = np.where(np.arange(4 * u) // u == 2, 1.0, 0.5)
+    xp = x.values @ (wx.values * scale) + b.values * scale
+    wh_s = wh.values * scale
+    kept = n_t if ad._GRAD_ENABLED else 1   # frames whose activations backward needs
+    gates = np.empty((n_b, kept, 4 * u))
+    cs, tanh_cs = np.empty((2, n_b, kept, u))
+    hs = np.empty((n_b, n_t, u))
+    h, c = np.zeros((2, n_b, u))
+    for t in range(n_t):
+        act = gates[:, t % kept] = np.tanh(xp[:, t] + h @ wh_s) * scale + (1.0 - scale)
+        c = cs[:, t % kept] = act[:, f_] * c + act[:, i_] * act[:, g_]
+        tanh_c = tanh_cs[:, t % kept] = np.tanh(c)
+        h = hs[:, t] = act[:, o_] * tanh_c
+
+    def backward(g):
+        dact = np.where(scale == 1.0, 1.0 - gates * gates, gates * (1.0 - gates))
+        c_prev = np.concatenate([np.zeros((n_b, 1, u)), cs[:, :-1]], axis=1)
+        dz = np.empty_like(gates)
+        dh, dc = np.zeros((2, n_b, u))
+        for t in range(n_t - 1, -1, -1):
+            act, tanh_c = gates[:, t], tanh_cs[:, t]
+            dh = dh + g[:, t]
+            dc = dc + dh * act[:, o_] * (1.0 - tanh_c * tanh_c)
+            dz_t = dz[:, t]
+            np.multiply(dc, act[:, g_], out=dz_t[:, i_])
+            np.multiply(dc, c_prev[:, t], out=dz_t[:, f_])
+            np.multiply(dc, act[:, i_], out=dz_t[:, g_])
+            np.multiply(dh, tanh_c, out=dz_t[:, o_])
+            dz_t *= dact[:, t]
+            dc = dc * act[:, f_]
+            dh = dz[:, t] @ wh.values.T
+        dz = dz.reshape(-1, 4 * u)
+        h_prev = np.concatenate([np.zeros((n_b, 1, u)), hs[:, :-1]], axis=1)
+        wh._accumulate(h_prev.reshape(-1, u).T @ dz)
+        wx._accumulate(x.values.reshape(-1, n_in).T @ dz)
+        b._accumulate(dz.sum(axis=0))
+        if not x.constant:
+            x._accumulate((dz @ wx.values.T).reshape(x.shape))
+
+    return ad._node(hs, (x, wx, wh, b), backward)
 
 
 def noise_fnn_forward(n: NkfModel, amp_context, sigma_y2_frame) -> ad.DiffArray:

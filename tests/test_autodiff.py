@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from nkf import autodiff as ad
 
-from oracles import concat
+from oracles import concat, lstm_layer_cached
 
 
 def _fd_check(build, arrays, rel=1e-6, step=1e-5, seed=0):
@@ -164,6 +165,64 @@ class TestLstmLayer:
             plain = ad.lstm_layer(x, *w)
         assert plain._parents == ()
         np.testing.assert_array_equal(plain.values, recorded.values)
+
+    @staticmethod
+    def _stack(layer, x, weights, grad):
+        """Output of stacked layers and, when recording, the gradients of x
+        and of every layer's wx, wh and b."""
+        leaves = [ad.DiffArray(x)] + [ad.DiffArray(w) for w in weights]
+        with contextlib.nullcontext() if grad else ad.no_grad():
+            out = leaves[0]
+            for j in range(0, len(weights), 3):
+                out = layer(out, *leaves[1 + j:4 + j])
+        if not grad:
+            assert out._parents == ()
+            return [out.values]
+        target = np.random.default_rng(0).standard_normal(out.shape)
+        ad.mean_square(out, ad.lift(target)).backward()
+        return [out.values] + [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("grad", [True, False])
+    @pytest.mark.parametrize("n_b, n_t, units", [
+        (1, 12, (3,)), (2, 9, (5,)), (3, 17, (6, 4)), (2, 2, (4, 4, 2))])
+    def test_bit_identical_to_cached_oracle(self, n_b, n_t, units, grad):
+        # a stacked layer reads the strided view hs[:, 1:] of the one below
+        rng = np.random.default_rng(19)
+        weights, n_in = [], 7
+        for u in units:
+            weights += [rng.standard_normal(s) * 0.5
+                        for s in ((n_in, 4 * u), (u, 4 * u), (4 * u,))]
+            n_in = u
+        x = rng.standard_normal((n_b, n_t, 7))
+        got = self._stack(ad.lstm_layer, x, weights, grad)
+        want = self._stack(lstm_layer_cached, x, weights, grad)
+        assert len(got) == len(want) == (2 + len(weights) if grad else 1)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_memory_within_three_gate_caches(self):
+        # the forward peak and the backward transient above the state forward
+        # leaves each stay within 3x the B x T x 4U gate cache; full-size
+        # copies of the gates or states beside it would exceed that
+        n_b, n_t, u, n_in = 2, 128, 256, 129
+        rng = np.random.default_rng(23)
+        x, wx, wh, b = (ad.DiffArray(rng.standard_normal(s) * 0.1) for s in
+                        ((n_b, n_t, n_in), (n_in, 4 * u), (u, 4 * u), (4 * u,)))
+        g = rng.standard_normal((n_b, n_t, u))
+        cache = n_b * n_t * 4 * u * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = ad.lstm_layer(x, wx, wh, b)
+            forward_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out._backward(g)
+            backward_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert forward_peak <= 3.0 * cache
+        assert backward_peak <= 3.0 * cache
 
 
 class TestMeanSquare:
