@@ -326,15 +326,16 @@ def lstm_layer(x, wx, wh, b) -> DiffArray:
     u = wh.shape[0]
     i_, f_, g_, o_ = (slice(j * u, (j + 1) * u) for j in range(4))
     # scale * tanh(scale * z) + 1 - scale is the logistic (1 + tanh(z/2)) / 2
-    # on the i, f, o blocks and tanh on the g block; scaling the weights by
-    # scale, a power of two, scales z exactly
+    # on the i, f, o blocks and tanh on the g block; scaling z by scale, a power
+    # of two, gives the bits scaled weights would, barring subnormal products
     scale = np.where(np.arange(4 * u) // u == 2, 1.0, 0.5)
-    gates = x.values @ (wx.values * scale) + b.values * scale
-    wh_s = wh.values * scale
+    gates = x.values @ wx.values
+    gates += b.values
     hs, cs = np.zeros((n_b, n_t + 1, u)), np.zeros((n_b, n_t + 1, u))
     h, c = hs[:, 0], cs[:, 0]
     for t in range(n_t):
-        act = gates[:, t] = np.tanh(gates[:, t] + h @ wh_s) * scale + (1.0 - scale)
+        act = gates[:, t] = np.tanh((gates[:, t] + h @ wh.values) * scale) * scale \
+            + (1.0 - scale)
         c = cs[:, t + 1] = act[:, f_] * c + act[:, i_] * act[:, g_]
         h = hs[:, t + 1] = act[:, o_] * np.tanh(c)
 

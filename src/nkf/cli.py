@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 
@@ -95,6 +96,8 @@ def cmd_train(cfg, args) -> int:
     if args.max_steps is not None and args.max_steps < 1:
         raise ConfigError("--max-steps must be at least 1")
     manifest = data_io.load_manifest(os.path.join(args.corpus, "manifest.csv"))
+    if not manifest.split_entries("train"):   # checked before --out is made
+        raise DataError("manifest has no train entries")
     model = _model_from_cfg(cfg)
     os.makedirs(args.out, exist_ok=True)
     save_config(cfg, os.path.join(args.out, "resolved.cfg"))
@@ -130,10 +133,16 @@ def cmd_enhance(cfg, args) -> int:
     model = load_checkpoint(args.checkpoint) if args.checkpoint else None
     if model is not None:
         enhancer.check_framing(cfg, model)
+    # the manifest and the first input are read before --out is made, so an
+    # input rejected there leaves no output directory
+    inputs = _enhance_inputs(cfg, args)
+    first = next(inputs, None)
+    if first is None:
+        raise DataError("no utterances to enhance")
     os.makedirs(args.out, exist_ok=True)
     save_config(cfg, os.path.join(args.out, "resolved.cfg"))
     count = 0
-    for utt_id, noisy, entry in _enhance_inputs(cfg, args):
+    for utt_id, noisy, entry in itertools.chain([first], inputs):
         grid = None
         if args.oracle_noise:
             noise = data_io.read_wav(entry.noise_path, cfg.sample_rate)
@@ -144,8 +153,6 @@ def cmd_enhance(cfg, args) -> int:
             grids = {k: v for k, v in vars(result.grids).items() if v is not None}
             np.savez(os.path.join(args.out, f"{utt_id}_grids.npz"), **grids)
         count += 1
-    if count == 0:
-        raise DataError("no utterances to enhance")
     print(f"enhanced {count} utterance(s) with method {args.method} into {args.out}")
     return 0
 

@@ -111,12 +111,11 @@ def enhance(m: NkfModel, noisy: signal_core.Waveform,
 
     def estimate(spec):
         with ad.no_grad():
-            if method == "lstm":
-                amp = lstm_forward(m, lstm_features(
-                    spec.amplitude, m.log_features))[0].values
-                return amp, NkfFrameEstimates(amp_lstm=amp, amp_out=amp)
-            est = nkf_forward(m, spec)
-        return est.amp_out, est
+            if method == "nkf":
+                return nkf_forward(m, spec)
+            amp = lstm_forward(m, lstm_features(
+                spec.amplitude, m.log_features)[None])[0].values[0]
+        return NkfFrameEstimates(amp_lstm=amp, amp_out=amp)
 
     return enhance_with(noisy, m, estimate, m)
 
@@ -128,7 +127,7 @@ def enhance_wiener(noisy: signal_core.Waveform, cfg, sigma_v2_grid=None,
     model's. Same inputs as ``kalman.enhance_kf_baseline``."""
     def estimate(spec):
         sigma_v2, amp = wiener_estimate(spec, cfg.variance_span, sigma_v2_grid, model)
-        return amp, NkfFrameEstimates(amp_wiener=amp, sigma_v2=sigma_v2, amp_out=amp)
+        return NkfFrameEstimates(amp_wiener=amp, sigma_v2=sigma_v2, amp_out=amp)
 
     return enhance_with(noisy, cfg, estimate, model)
 
@@ -156,8 +155,11 @@ def _segment(entry, cfg, rng) -> tuple[np.ndarray, np.ndarray]:
     n_frames = signal_core.frame_count(len(noisy), cfg.window, cfg.hop)
     t0 = 0 if n_frames <= cfg.seq_len else int(
         rng.integers(0, n_frames - cfg.seq_len + 1))
-    return tuple(signal_core.stft_amplitude(w, cfg.window, cfg.hop, t0, t0 + cfg.seq_len)
-                 for w in (noisy, clean))
+    # the samples frames t0 .. t1 - 1 cover, and no more, are transformed
+    t1 = min(n_frames, t0 + cfg.seq_len)
+    cut = slice(t0 * cfg.hop, (t1 - 1) * cfg.hop + cfg.window)
+    return tuple(signal_core.stft(signal_core.Waveform(w.samples[cut], w.sample_rate),
+                                  cfg.window, cfg.hop).amplitude for w in (noisy, clean))
 
 
 def _batch_loss(m: NkfModel, segments) -> ad.DiffArray:

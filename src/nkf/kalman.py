@@ -188,7 +188,7 @@ def enhance_kf_baseline(noisy: signal_core.Waveform, cfg, sigma_v2_grid=None,
             spec, cfg.variance_span, sigma_v2_grid, model)
         enhanced, gains = filter_segmented(spec.amplitude, wiener_amp, sigma_v2,
                                            cfg.lp_order, cfg.lp_segment)
-        return enhanced, pipeline.NkfFrameEstimates(
+        return pipeline.NkfFrameEstimates(
             amp_wiener=wiener_amp, sigma_v2=sigma_v2, gain=gains, amp_out=enhanced)
 
     return pipeline.enhance_with(noisy, cfg, estimate, model)

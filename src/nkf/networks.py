@@ -58,17 +58,17 @@ def _param_shapes(n_bins: int, units, context: int, hidden: int) -> dict:
 
 
 def lstm_forward(m: NkfModel, noisy_amp) -> tuple[ad.DiffArray, ad.DiffArray]:
-    """Run the predictor over a T x F sequence or a B x T x F batch.
+    """Run the predictor over a B x T x F batch of sequences.
 
     Returns the nonnegative amplitude prediction and the clamped residual
-    log variance, both shaped like the input. Hidden and cell states start
-    at zero in every sequence, and outputs at frame t depend only on frames
-    up to t, so a sequence zero-padded at its end keeps its outputs.
+    log variance, both B x T x F. Hidden and cell states start at zero in
+    every sequence, and outputs at frame t depend only on frames up to t, so
+    a sequence zero-padded at its end keeps its outputs.
     """
-    x = np.asarray(noisy_amp, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-1] != m.n_bins or x.shape[-2] < 1:
-        raise DataError(f"predictor expects [B x] T x {m.n_bins}, T >= 1, got {x.shape}")
-    layer_in = x if x.ndim == 3 else x[None]
+    layer_in = np.asarray(noisy_amp, dtype=np.float64)
+    if layer_in.ndim != 3 or layer_in.shape[2] != m.n_bins or layer_in.shape[1] < 1:
+        raise DataError(f"predictor expects B x T x {m.n_bins}, T >= 1, "
+                        f"got {layer_in.shape}")
     for layer in range(len(m.units)):
         layer_in = ad.lstm_layer(layer_in, m.params[f"lstm{layer}.wx"],
                                  m.params[f"lstm{layer}.wh"], m.params[f"lstm{layer}.b"])
@@ -77,28 +77,25 @@ def lstm_forward(m: NkfModel, noisy_amp) -> tuple[ad.DiffArray, ad.DiffArray]:
     res_logvar = ad.clamp(ad.add_rowvec(
         ad.matmul(layer_in, m.params["head_res.w"]), m.params["head_res.b"]),
         -LOGVAR_LIMIT, LOGVAR_LIMIT)
-    return (amp, res_logvar) if x.ndim == 3 else (amp[0], res_logvar[0])
+    return amp, res_logvar
 
 
-def fnn_context_matrix(amplitude: np.ndarray, context: int,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """Left-side context features: frames t-context+1..t flattened per row.
+def fnn_features(amplitude: np.ndarray, sigma_y2: np.ndarray,
+                 context: int) -> np.ndarray:
+    """The noise net's T x (context+1)·F input: per row, the amplitude frames
+    t-context+1..t oldest first, then frame t of ``sigma_y2``.
 
-    The window includes the current frame; indices before the utterance
-    start repeat frame 0. Within a row, frames are ordered oldest first.
-    The rows are written into ``out`` when given: a T x context·F array or
-    a column block of a wider one.
+    Indices before the utterance start repeat frame 0.
     """
-    amplitude = np.asarray(amplitude, dtype=np.float64)
     n_frames, n_bins = amplitude.shape
-    if out is None:
-        out = np.empty((n_frames, context * n_bins))
+    features = np.empty((n_frames, context + 1, n_bins))
     if n_frames:
         padded = np.concatenate(
             [np.repeat(amplitude[:1], context - 1, axis=0), amplitude])
-        out.reshape(n_frames, context, n_bins)[...] = \
-            sliding_window_view(padded, context, axis=0).transpose(0, 2, 1)
-    return out
+        features[:, :context] = sliding_window_view(
+            padded, context, axis=0).transpose(0, 2, 1)
+    features[:, context] = sigma_y2
+    return features.reshape(n_frames, (context + 1) * n_bins)
 
 
 def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray,
@@ -108,9 +105,7 @@ def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray,
     sigma_y2 = np.asarray(sigma_y2, dtype=np.float64)
     if amplitude.shape != sigma_y2.shape or amplitude.shape[1] != m.n_bins:
         raise DataError("amplitude / variance grids inconsistent with model")
-    features = np.empty((len(amplitude), (m.context + 1) * m.n_bins))
-    fnn_context_matrix(amplitude, m.context, out=features[:, :-m.n_bins])
-    features[:, -m.n_bins:] = sigma_y2
+    features = fnn_features(amplitude, sigma_y2, m.context)
     h1 = ad.relu(ad.add_rowvec(
         ad.matmul(ad.lift(features), m.params["fnn.w1"]), m.params["fnn.b1"]))
     h2 = ad.relu(ad.add_rowvec(

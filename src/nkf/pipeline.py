@@ -17,8 +17,9 @@ from .networks import NkfModel, noise_fnn_forward_grid
 
 @dataclass
 class NkfFrameEstimates:
-    """Per-utterance inspection grids, each T x F, or None where the method
-    that produced them does not compute that grid."""
+    """Per-utterance grids, each T x F, or None where the method that
+    produced them does not compute that grid; ``amp_out``, the method's
+    output amplitude, is what ``enhance_with`` resynthesizes."""
 
     amp_lstm: np.ndarray | None = None
     amp_wiener: np.ndarray | None = None
@@ -80,17 +81,17 @@ def check_framing(cfg, m: NkfModel):
 
 def enhance_with(noisy: signal_core.Waveform, cfg, estimate,
                  model: NkfModel | None) -> EnhancementResult:
-    """Resynthesize ``estimate(spec) -> (amplitude, grids)`` with the noisy
-    phase to exactly ``len(noisy)`` samples. ``cfg`` (a ``RunConfig``, or the
-    model itself) gives the framing, which must be the ``model``'s, if any,
-    and ``noisy``'s sample rate."""
+    """Resynthesize the ``amp_out`` of ``estimate(spec) -> NkfFrameEstimates``
+    with the noisy phase to exactly ``len(noisy)`` samples. ``cfg`` (a
+    ``RunConfig``, or the model itself) gives the framing, which must be the
+    ``model``'s, if any, and ``noisy``'s sample rate."""
     if model is not None:
         check_framing(cfg, model)
     if noisy.sample_rate != cfg.sample_rate:
         raise DataError(f"waveform sample rate {noisy.sample_rate} Hz differs "
                         f"from the framing's {cfg.sample_rate} Hz")
     spec = signal_core.stft(noisy, cfg.window, cfg.hop)
-    amplitude, grids = estimate(spec)
-    out_spec = signal_core.recombine(spec, amplitude)
+    grids = estimate(spec)
+    out_spec = signal_core.recombine(spec, grids.amp_out)
     waveform = signal_core.istft(out_spec, len(noisy), noisy.sample_rate)
     return EnhancementResult(waveform=waveform, grids=grids)

@@ -94,32 +94,13 @@ def frame_count(n_samples: int, window_len: int, hop: int) -> int:
     return 1 + (n_samples - window_len) // hop
 
 
-def _rfft_frames(x: np.ndarray, window_len: int, hop: int) -> np.ndarray:
-    """Windowed rfft of every whole hop-spaced frame of ``x``."""
-    frames = np.lib.stride_tricks.sliding_window_view(x, window_len)[::hop]
-    return np.fft.rfft(frames * hann_window(window_len), axis=1)
-
-
 def stft(w: Waveform, window_len: int = 256, hop: int = 64) -> Spectrogram:
     """Short-time Fourier transform without center padding, in the
     ``frame_count(len(w), window_len, hop)`` frames that fit."""
     frame_count(len(w), window_len, hop)
-    frames = _rfft_frames(w.samples, window_len, hop)
+    frames = np.lib.stride_tricks.sliding_window_view(w.samples, window_len)[::hop]
+    frames = np.fft.rfft(frames * hann_window(window_len), axis=1)
     return Spectrogram(frames, np.abs(frames), window_len, hop)
-
-
-def stft_amplitude(w: Waveform, window_len: int, hop: int, start: int,
-                   stop: int) -> np.ndarray:
-    """``stft(w, window_len, hop).amplitude[start:stop]``, bit for bit, from
-    a transform of only the samples those frames cover.
-
-    Like the slice, frames past the last one the signal holds are left out.
-    """
-    lo, hi, _ = slice(start, stop).indices(frame_count(len(w), window_len, hop))
-    if hi <= lo:
-        return np.zeros((0, window_len // 2 + 1))
-    x = w.samples[lo * hop:(hi - 1) * hop + window_len]
-    return np.abs(_rfft_frames(x, window_len, hop))
 
 
 def istft(s: Spectrogram, out_len: int, sample_rate: int = 16000) -> Waveform:

@@ -53,6 +53,20 @@ class TestTrain:
         assert (ckpt.parent / "loss_history.csv").exists()
         assert (ckpt.parent / "resolved.cfg").exists()
 
+    def test_manifest_without_train_rows_is_data_error(self, workspace, tmp_path,
+                                                       capsys):
+        root, corpus, _ = workspace
+        manifest = data_io.load_manifest(corpus / "manifest.csv")
+        (tmp_path / "corpus").mkdir()
+        data_io.write_manifest(
+            data_io.CorpusManifest([e for e in manifest.entries if e.split != "train"]),
+            tmp_path / "corpus" / "manifest.csv")
+        rc = main(TINY + ["train", "--corpus", str(tmp_path / "corpus"),
+                          "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "manifest has no train entries" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestEnhance:
     def test_manifest_methods(self, workspace, tmp_path):
@@ -160,6 +174,7 @@ class TestEnhance:
                           str(tmp_path / "missing.wav"),
                           "--out", str(tmp_path / "z")])
         assert rc == 2
+        assert not (tmp_path / "z").exists()
 
     def test_missing_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
         root, corpus, _ = workspace
@@ -244,11 +259,13 @@ class TestEval:
         bad.write_text("\n".join(lines[:1] + [lines[1].rsplit(",", 1)[0]]) + "\n",
                        encoding="utf-8")
         for command in (["eval", "--enhanced", str(tmp_path)],
-                        ["enhance", "--checkpoint", str(ckpt)]):
+                        ["enhance", "--checkpoint", str(ckpt)],
+                        ["enhance", "--method", "kf", "--oracle-noise"]):
             rc = main(TINY + command + ["--manifest", str(bad),
-                                        "--out", str(tmp_path / "out")])
+                                        "--out", str(tmp_path / "sub" / "out")])
             assert rc == 2
             assert "line 2: expected 9 fields" in capsys.readouterr().err
+            assert not (tmp_path / "sub").exists()
 
 
 class TestGradcheckAndUsage:

@@ -8,7 +8,7 @@ import pytest
 from nkf import autodiff as ad
 from nkf import networks
 from nkf.errors import ConfigError, DataError, NumericsError
-from nkf.networks import (build_model, fnn_context_matrix, load_checkpoint,
+from nkf.networks import (build_model, fnn_features, load_checkpoint,
                           lstm_forward, noise_fnn_forward_grid, optimizer_step,
                           save_checkpoint, NOISE_VAR_EPS)
 
@@ -38,7 +38,7 @@ class TestLstmForward:
     def test_zero_parameters_zero_outputs(self):
         p = reference_model(6, units=(4,), lstm_rng=np.random.default_rng(0))
         _zero_params(p)
-        amp, res = lstm_forward(p, np.random.default_rng(1).uniform(0, 2, (7, 6)))
+        amp, res = lstm_forward(p, np.random.default_rng(1).uniform(0, 2, (1, 7, 6)))
         assert np.all(amp.values == 0)
         assert np.all(res.values == 0)
 
@@ -46,21 +46,21 @@ class TestLstmForward:
         rng = np.random.default_rng(2)
         p = reference_model(5, units=(3,), lstm_rng=rng)
         x = rng.uniform(0, 2, (1, 5))
-        amp, res = lstm_forward(p, x)
+        amp, res = lstm_forward(p, x[None])
         h, _ = _manual_lstm_cell(p.params, 0, 3, x[0], np.zeros(3), np.zeros(3))
         want_amp = np.maximum(
             h @ p.params["head_amp.w"].values + p.params["head_amp.b"].values, 0)
         want_res = np.clip(
             h @ p.params["head_res.w"].values + p.params["head_res.b"].values,
             -12, 12)
-        np.testing.assert_allclose(amp.values[0], want_amp, atol=1e-12)
-        np.testing.assert_allclose(res.values[0], want_res, atol=1e-12)
+        np.testing.assert_allclose(amp.values[0, 0], want_amp, atol=1e-12)
+        np.testing.assert_allclose(res.values[0, 0], want_res, atol=1e-12)
 
     def test_recurrence_matches_manual_two_layers(self):
         rng = np.random.default_rng(3)
         p = reference_model(4, units=(3, 2), lstm_rng=rng)
         x = rng.uniform(0, 2, (6, 4))
-        amp, _ = lstm_forward(p, x)
+        amp, _ = lstm_forward(p, x[None])
         h1, c1 = np.zeros(3), np.zeros(3)
         h2, c2 = np.zeros(2), np.zeros(2)
         tops = []
@@ -71,33 +71,35 @@ class TestLstmForward:
         want = np.maximum(
             np.stack(tops) @ p.params["head_amp.w"].values
             + p.params["head_amp.b"].values, 0)
-        np.testing.assert_allclose(amp.values, want, atol=1e-12)
+        np.testing.assert_allclose(amp.values[0], want, atol=1e-12)
 
     def test_causality(self):
         rng = np.random.default_rng(4)
         p = reference_model(4, units=(3,), lstm_rng=rng)
         x = rng.uniform(0, 2, (8, 4))
-        amp0, res0 = lstm_forward(p, x)
+        amp0, res0 = lstm_forward(p, x[None])
         x2 = x.copy()
         x2[5] += 1.0
-        amp1, res1 = lstm_forward(p, x2)
-        np.testing.assert_array_equal(amp0.values[:5], amp1.values[:5])
-        np.testing.assert_array_equal(res0.values[:5], res1.values[:5])
-        assert not np.array_equal(amp0.values[5:], amp1.values[5:])
+        amp1, res1 = lstm_forward(p, x2[None])
+        np.testing.assert_array_equal(amp0.values[0, :5], amp1.values[0, :5])
+        np.testing.assert_array_equal(res0.values[0, :5], res1.values[0, :5])
+        assert not np.array_equal(amp0.values[0, 5:], amp1.values[0, 5:])
 
     def test_outputs_respect_ranges(self):
         rng = np.random.default_rng(5)
         p = reference_model(4, units=(3,), lstm_rng=rng)
         # inflate the residual head so the clamp actually engages
         p.params["head_res.w"].values *= 1e4
-        amp, res = lstm_forward(p, rng.uniform(0, 5, (20, 4)))
+        amp, res = lstm_forward(p, rng.uniform(0, 5, (1, 20, 4)))
         assert np.all(amp.values >= 0)
         assert np.all(np.abs(res.values) <= 12)
 
     def test_dimension_mismatch(self):
         p = reference_model(4, units=(3,))
         with pytest.raises(DataError):
-            lstm_forward(p, np.zeros((5, 7)))
+            lstm_forward(p, np.zeros((1, 5, 7)))
+        with pytest.raises(DataError, match="B x T x 4"):   # one unbatched sequence
+            lstm_forward(p, np.zeros((5, 4)))
 
     def test_forget_gate_bias_init(self):
         p = build_model(4, lstm_units=(3,), fnn_hidden=1, context=1)
@@ -131,31 +133,30 @@ class TestNoiseFnn:
         amp = rng.uniform(0, 3, (6, 4))
         sigma_y2 = rng.uniform(0, 2, (6, 4))
         grid = noise_fnn_forward_grid(n, amp, sigma_y2)
-        ctx = fnn_context_matrix(amp, 3)
+        features = fnn_features(amp, sigma_y2, 3)
         for t in range(6):
-            row = noise_fnn_forward(n, ctx[t], sigma_y2[t])
+            row = noise_fnn_forward(n, features[t, :12], sigma_y2[t])
             np.testing.assert_allclose(grid.values[t], row.values, atol=1e-12)
 
     @pytest.mark.parametrize("n_frames", [1, 2, 3, 7])
-    def test_context_matrix_written_into_column_block(self, n_frames):
-        # fewer frames than the context window repeat frame 0 throughout
-        amp = np.random.default_rng(n_frames).uniform(0, 3, (n_frames, 4))
+    def test_features_match_index_gather(self, n_frames):
+        # fewer frames than the context window repeat frame 0 throughout;
+        # the running variance of frame t fills the last F columns of row t
+        rng = np.random.default_rng(n_frames)
+        amp, sigma_y2 = rng.uniform(0, 3, (2, n_frames, 4))
         idx = np.maximum(np.arange(n_frames)[:, None] - np.arange(2, -1, -1), 0)
-        want = amp[idx].reshape(n_frames, 12)
-        wide = np.full((n_frames, 16), -1.0)
-        out = fnn_context_matrix(amp, 3, out=wide[:, :12])
-        assert np.shares_memory(out, wide)
-        np.testing.assert_array_equal(wide[:, :12], want)
-        np.testing.assert_array_equal(wide[:, 12:], -1.0)
-        np.testing.assert_array_equal(fnn_context_matrix(amp, 3), want)
+        features = fnn_features(amp, sigma_y2, 3)
+        assert features.shape == (n_frames, 16)
+        np.testing.assert_array_equal(features[:, :12], amp[idx].reshape(n_frames, 12))
+        np.testing.assert_array_equal(features[:, 12:], sigma_y2)
 
     def test_context_matrix_repeats_first_frame(self):
         amp = np.arange(8.0).reshape(4, 2)
-        ctx = fnn_context_matrix(amp, 3)
+        features = fnn_features(amp, -amp, 3)
         # frame 0 sees itself three times
-        np.testing.assert_array_equal(ctx[0], [0, 1, 0, 1, 0, 1])
+        np.testing.assert_array_equal(features[0], [0, 1, 0, 1, 0, 1, 0, -1])
         # frame 2 sees frames 0,1,2 oldest first
-        np.testing.assert_array_equal(ctx[2], [0, 1, 2, 3, 4, 5])
+        np.testing.assert_array_equal(features[2], [0, 1, 2, 3, 4, 5, -4, -5])
 
     def test_gradient_matches_finite_differences(self):
         # seed chosen so every hidden unit is live and no ReLU preactivation
@@ -363,7 +364,7 @@ class TestDeterminismAndCheckpoints:
             np.testing.assert_array_equal(m1.parameters()[k].values,
                                           m2.parameters()[k].values)
         rng = np.random.default_rng(10)
-        amp = rng.uniform(0, 2, (5, 9))
+        amp = rng.uniform(0, 2, (1, 5, 9))
         with ad.no_grad():
             a1, _ = lstm_forward(m1, amp)
             a2, _ = lstm_forward(m2, amp)

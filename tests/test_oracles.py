@@ -81,16 +81,6 @@ def test_fused_matches_per_frame_oracle(units, lengths):
     _assert_grads_close(fused, _grads(p))
 
 
-def test_single_sequence_matches_batch_of_one():
-    rng = np.random.default_rng(21)
-    p = reference_model(4, units=(3, 2), lstm_rng=rng)
-    x = rng.uniform(0, 2, (6, 4))
-    amp, res = lstm_forward(p, x)
-    bamp, bres = lstm_forward(p, x[None])
-    np.testing.assert_array_equal(amp.values, bamp.values[0])
-    np.testing.assert_array_equal(res.values, bres.values[0])
-
-
 def test_padded_batch_equals_each_utterance_alone():
     m = build_model(6, lstm_units=(4, 3), fnn_hidden=8, context=3, window=10,
                     hop=5, variance_span=4, seed=3)

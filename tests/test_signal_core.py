@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from nkf import data_io
+from nkf.enhancer import _segment
 from nkf.errors import DataError
 from nkf.signal_core import Spectrogram, Waveform, frame_count, hann_window, \
-    istft, recombine, stft, stft_amplitude
+    istft, recombine, stft
 
 from oracles import recombine_polar
 
@@ -19,6 +23,14 @@ def _dft_oracle(frame):
         for i in range(n):
             out[k] += frame[i] * np.exp(-2j * np.pi * k * i / n)
     return out
+
+
+def _train_entry(tmp_path, name, noisy, clean):
+    """A train manifest entry's fields for two waveforms written as WAVs."""
+    paths = [str(tmp_path / f"{name}_{kind}.wav") for kind in ("noisy", "clean")]
+    for w, path in zip((noisy, clean), paths):
+        data_io.write_wav(w, path)
+    return SimpleNamespace(utt_id=name, noisy_path=paths[0], clean_path=paths[1])
 
 
 def _istft_loop_oracle(s: Spectrogram, out_len: int) -> np.ndarray:
@@ -75,21 +87,35 @@ class TestStft:
             want = np.fft.rfft(x[idx] * hann_window(window_len), axis=1)
             assert np.array_equal(stft(Waveform(x), window_len, hop).frames, want)
 
-    def test_amplitude_of_a_frame_range_is_the_slice(self):
+    def test_amplitude_of_a_frame_range_is_the_slice(self, tmp_path):
+        # training transforms only the samples of its segment's frames; the
+        # amplitudes are the whole file's, bit for bit
+        cfg = SimpleNamespace(sample_rate=16000, window=256, hop=64, seq_len=16)
         rng = np.random.default_rng(9)
-        w = Waveform(rng.standard_normal(3000))
-        full = stft(w, 256, 64).amplitude   # 43 frames
-        for start, stop in [(0, 43), (5, 20), (42, 43), (30, 60), (43, 50),
-                            (10, 10)]:
-            got = stft_amplitude(w, 256, 64, start, stop)
-            assert got.shape == full[start:stop].shape
-            assert np.array_equal(got, full[start:stop])
+        for name, n_frames, seed in [("short", 11, 0), ("exact", 16, 1),
+                                     ("long", 43, 2)]:
+            n = (n_frames - 1) * cfg.hop + cfg.window + 37   # 37 samples unframed
+            noisy, clean = (Waveform(rng.standard_normal(n)) for _ in range(2))
+            entry = _train_entry(tmp_path, name, noisy, clean)
+            t0 = 0 if n_frames <= cfg.seq_len else int(np.random.default_rng(
+                seed).integers(0, n_frames - cfg.seq_len + 1))
+            assert (t0 > 0) == (name == "long")
+            got = _segment(entry, cfg, np.random.default_rng(seed))
+            for w, amp in zip((entry.noisy_path, entry.clean_path), got):
+                full = stft(data_io.read_wav(w), cfg.window, cfg.hop).amplitude
+                assert len(full) == n_frames
+                want = full[t0:t0 + cfg.seq_len]
+                assert amp.shape == (min(n_frames, cfg.seq_len), 129)
+                assert np.array_equal(amp, want)
 
-    def test_too_short_signal(self):
+    def test_too_short_signal(self, tmp_path):
         with pytest.raises(DataError, match="too short"):
             stft(Waveform(np.zeros(100)), window_len=256, hop=64)
+        cfg = SimpleNamespace(sample_rate=16000, window=256, hop=64, seq_len=16)
+        short = Waveform(np.zeros(100))
         with pytest.raises(DataError, match="too short"):
-            stft_amplitude(Waveform(np.zeros(100)), 256, 64, 0, 1)
+            _segment(_train_entry(tmp_path, "short", short, short), cfg,
+                     np.random.default_rng(0))
 
     def test_bad_framing_parameters(self):
         w = Waveform(np.zeros(1024))
