@@ -11,7 +11,7 @@ from nkf import data_io
 from nkf.config import RunConfig
 from nkf.metrics import segsnr
 from nkf.signal_core import Waveform, istft, recombine, stft
-from nkf.wiener import VarianceTracks, apply_wiener, track_sigma_y, wiener_gain
+from nkf.wiener import apply_wiener, track_sigma_y, wiener_gain
 
 print("gain as a function of noise share of the observed variance:")
 for share in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5):
@@ -25,11 +25,8 @@ noise = Waveform(data_io._synth_noise(rng, "white", 48000, cfg.sample_rate))
 noisy, scaled = data_io.mix_at_snr(speech, noise, 5.0, rng)
 
 spec = stft(noisy, cfg.window, cfg.hop)
-tracks = VarianceTracks(
-    sigma_y2=track_sigma_y(spec.amplitude, cfg.variance_span),
-    sigma_v2=data_io.oracle_noise_variance(scaled, cfg),
-)
-filtered = apply_wiener(spec.amplitude, tracks)
+filtered = apply_wiener(spec.amplitude, data_io.oracle_noise_variance(scaled, cfg),
+                        track_sigma_y(spec.amplitude, cfg.variance_span)).values
 out = istft(recombine(spec, filtered), len(noisy))
 
 print(f"\nutterance at 5 dB input SNR with the oracle noise variance:")

@@ -21,6 +21,6 @@ from .networks import (NkfModel, build_model, load_checkpoint, lstm_forward,
                        optimizer_step, save_checkpoint)
 from .pipeline import EnhancementResult, NkfFrameEstimates
 from .signal_core import Spectrogram, Waveform, istft, recombine, stft
-from .wiener import VarianceTracks, apply_wiener, track_sigma_y, wiener_gain
+from .wiener import apply_wiener, track_sigma_y, wiener_gain
 
 __version__ = "0.1.0"

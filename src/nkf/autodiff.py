@@ -130,7 +130,9 @@ def _toposort(root: DiffArray):
     return order
 
 
-def _node(values, parents, backward):
+def make_node(values, parents, backward):
+    """An op's node (every op's here, and ``wiener.apply_wiener``'s): ``values``
+    with the ``parents`` that ``backward(g)`` feeds, bare under ``no_grad``."""
     if not _GRAD_ENABLED:
         return DiffArray(values)
     return DiffArray(values, _parents=parents, _backward=backward)
@@ -154,7 +156,7 @@ def add(a, b) -> DiffArray:
         a._accumulate(g, borrowed=True)
         b._accumulate(g, borrowed=True)
 
-    return _node(out, (a, b), backward)
+    return make_node(out, (a, b), backward)
 
 
 def sub(a, b) -> DiffArray:
@@ -166,7 +168,7 @@ def sub(a, b) -> DiffArray:
         a._accumulate(g, borrowed=True)
         b._accumulate(-g)
 
-    return _node(out, (a, b), backward)
+    return make_node(out, (a, b), backward)
 
 
 def mul(a, b) -> DiffArray:
@@ -178,7 +180,7 @@ def mul(a, b) -> DiffArray:
         a._accumulate(g * b.values)
         b._accumulate(g * a.values)
 
-    return _node(out, (a, b), backward)
+    return make_node(out, (a, b), backward)
 
 
 def div(a, b) -> DiffArray:
@@ -190,7 +192,7 @@ def div(a, b) -> DiffArray:
         a._accumulate(g / b.values)
         b._accumulate(-g * out / b.values)
 
-    return _node(out, (a, b), backward)
+    return make_node(out, (a, b), backward)
 
 
 # -- matrix products ------------------------------------------------------
@@ -210,7 +212,7 @@ def matmul(a, b) -> DiffArray:
             a._accumulate(g @ b.values.T)
         b._accumulate(a.values.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1]))
 
-    return _node(out, (a, b), backward)
+    return make_node(out, (a, b), backward)
 
 
 # -- activations ----------------------------------------------------------
@@ -223,7 +225,7 @@ def relu(x) -> DiffArray:
     def backward(g):
         x._accumulate(g * (x.values > 0))
 
-    return _node(out, (x,), backward)
+    return make_node(out, (x,), backward)
 
 
 def exp(x) -> DiffArray:
@@ -233,7 +235,7 @@ def exp(x) -> DiffArray:
     def backward(g):
         x._accumulate(g * out)
 
-    return _node(out, (x,), backward)
+    return make_node(out, (x,), backward)
 
 
 def softplus(x) -> DiffArray:
@@ -243,7 +245,7 @@ def softplus(x) -> DiffArray:
     def backward(g):
         x._accumulate(g * (0.5 * (1.0 + np.tanh(0.5 * x.values))))
 
-    return _node(out, (x,), backward)
+    return make_node(out, (x,), backward)
 
 
 def clamp(x, lo: float, hi: float) -> DiffArray:
@@ -254,7 +256,7 @@ def clamp(x, lo: float, hi: float) -> DiffArray:
     def backward(g):
         x._accumulate(g * ((x.values >= lo) & (x.values <= hi)))
 
-    return _node(out, (x,), backward)
+    return make_node(out, (x,), backward)
 
 
 # -- shape ops --------------------------------------------------------------
@@ -272,7 +274,7 @@ def take(x, key) -> DiffArray:
             x.grad = np.zeros_like(x.values)
         x.grad[key] += g
 
-    return _node(out, (x,), backward)
+    return make_node(out, (x,), backward)
 
 
 def add_rowvec(x, b) -> DiffArray:
@@ -286,7 +288,7 @@ def add_rowvec(x, b) -> DiffArray:
         x._accumulate(g, borrowed=True)
         b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
 
-    return _node(out, (x, b), backward)
+    return make_node(out, (x, b), backward)
 
 
 # -- reductions --------------------------------------------------------------
@@ -305,7 +307,7 @@ def mean_square(a, b) -> DiffArray:
         a._accumulate(scale * diff)
         b._accumulate(-scale * diff)
 
-    return _node(out, (a, b), backward)
+    return make_node(out, (a, b), backward)
 
 
 # -- recurrent layers ----------------------------------------------------------
@@ -361,4 +363,4 @@ def lstm_layer(x, wx, wh, b) -> DiffArray:
         if not x.constant:
             x._accumulate((dz @ wx.values.T).reshape(x.shape))
 
-    return _node(hs[:, 1:], (x, wx, wh, b), backward)
+    return make_node(hs[:, 1:], (x, wx, wh, b), backward)

@@ -96,8 +96,11 @@ def cmd_train(cfg, args) -> int:
     if args.max_steps is not None and args.max_steps < 1:
         raise ConfigError("--max-steps must be at least 1")
     manifest = data_io.load_manifest(os.path.join(args.corpus, "manifest.csv"))
-    if not manifest.split_entries("train"):   # checked before --out is made
+    entries = manifest.split_entries("train")
+    if not entries:   # the train split is checked before --out is made
         raise DataError("manifest has no train entries")
+    for entry in entries:
+        enhancer.read_train_pair(entry, cfg)
     model = _model_from_cfg(cfg)
     os.makedirs(args.out, exist_ok=True)
     save_config(cfg, os.path.join(args.out, "resolved.cfg"))

@@ -122,9 +122,10 @@ def read_wav(path, expected_rate: int = 16000) -> signal_core.Waveform:
     samples = np.frombuffer(data, dtype, len(data) // dtype.itemsize).astype(np.float64)
     if dtype.kind == "i":
         samples /= 32768.0
-    if not np.all(np.isfinite(samples)):
-        raise DataError(f"{path}: non-finite samples")
-    return signal_core.Waveform(samples, rate)
+    try:
+        return signal_core.Waveform(samples, rate)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_wav(w: signal_core.Waveform, path, encoding: str = "float32"):

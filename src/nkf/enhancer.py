@@ -28,28 +28,22 @@ from .pipeline import EnhancementResult, NkfFrameEstimates, check_framing, \
     enhance_with, lstm_features, wiener_estimate
 
 
-def nkf_gain(sigma_r2, sigma_v2):
+def nkf_gain(sigma_r2, sigma_v2) -> ad.DiffArray:
     """Weight on the Wiener estimate: residual variance vs noise variance."""
-    sigma_r2 = np.asarray(sigma_r2, dtype=np.float64)
-    sigma_v2 = np.asarray(sigma_v2, dtype=np.float64)
-    if np.any(sigma_r2 <= 0) or np.any(sigma_v2 <= 0):
-        raise DataError("gain inputs must be strictly positive")
-    return sigma_r2 / (sigma_r2 + sigma_v2)
+    return ad.div(sigma_r2, ad.add(sigma_r2, sigma_v2))
 
 
-def nkf_combine(gain, amp_wiener, amp_lstm):
+def nkf_combine(gain, amp_wiener, amp_lstm) -> ad.DiffArray:
     """Convex per-bin combination of the two clean-amplitude estimates."""
-    gain = np.asarray(gain, dtype=np.float64)
-    return gain * np.asarray(amp_wiener) + (1.0 - gain) * np.asarray(amp_lstm)
+    return ad.add(ad.mul(gain, amp_wiener), ad.mul(ad.sub(1.0, gain), amp_lstm))
 
 
-def nkf_loss(amp_out, clean_amp) -> float:
+def nkf_loss(amp_out, clean_amp) -> ad.DiffArray:
     """Mean squared amplitude error over all time-frequency bins."""
-    amp_out = np.asarray(amp_out, dtype=np.float64)
-    clean_amp = np.asarray(clean_amp, dtype=np.float64)
+    amp_out, clean_amp = ad.lift(amp_out), ad.lift(clean_amp)
     if amp_out.shape != clean_amp.shape:
         raise DataError("loss grids must share one shape")
-    return float(np.mean((amp_out - clean_amp) ** 2))
+    return ad.mean_square(amp_out, clean_amp)
 
 
 def _forward(m: NkfModel, segments) -> list:
@@ -76,18 +70,11 @@ def _combine(m: NkfModel, noisy_amp, feats, amp_lstm, res_logvar,
     """The pipeline after the LSTM: noise net, Wiener branch, gain, loss."""
     sigma_y2 = wiener.track_sigma_y(noisy_amp, m.variance_span)
     sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2)
-    inv_sy = 1.0 / np.maximum(sigma_y2, wiener.VARIANCE_FLOOR)
-    h = ad.clamp(ad.sub(1.0, ad.mul(sigma_v2, ad.lift(inv_sy))), 0.0, 1.0)
-    amp_wiener = ad.mul(h, ad.lift(noisy_amp))
+    amp_wiener = wiener.apply_wiener(noisy_amp, sigma_v2, sigma_y2)
     sigma_r2 = ad.exp(res_logvar)
-    gain = ad.div(sigma_r2, ad.add(sigma_r2, sigma_v2))
-    amp_out = ad.add(ad.mul(gain, amp_wiener), ad.mul(ad.sub(1.0, gain), amp_lstm))
-    loss = None
-    if clean_amp is not None:
-        clean_amp = np.asarray(clean_amp, dtype=np.float64)
-        if clean_amp.shape != noisy_amp.shape:
-            raise DataError("clean grid shape differs from noisy grid")
-        loss = ad.mean_square(amp_out, ad.lift(clean_amp))
+    gain = nkf_gain(sigma_r2, sigma_v2)
+    amp_out = nkf_combine(gain, amp_wiener, amp_lstm)
+    loss = None if clean_amp is None else nkf_loss(amp_out, clean_amp)
     return loss, NkfFrameEstimates(
         amp_lstm=amp_lstm.values, amp_wiener=amp_wiener.values,
         sigma_r2=sigma_r2.values, sigma_v2=sigma_v2.values, gain=gain.values,
@@ -143,16 +130,25 @@ METHODS = {
 }
 
 
-def _segment(entry, cfg, rng) -> tuple[np.ndarray, np.ndarray]:
-    """``entry``'s (noisy, clean) amplitudes over ``cfg.seq_len`` frames from
-    a random start, or over all of them if there are no more; one draw at most."""
+def read_train_pair(entry, cfg):
+    """``entry``'s (noisy, clean) waveforms at ``cfg``'s rate and frame count:
+    whole files (a segment may end before either) of one length, one window at least."""
     noisy = data_io.read_wav(entry.noisy_path, cfg.sample_rate)
     clean = data_io.read_wav(entry.clean_path, cfg.sample_rate)
-    if len(clean) != len(noisy):   # whole files: a segment may end before either
+    if len(clean) != len(noisy):
         raise DataError(f"train utterance {entry.utt_id}: clean and noisy "
                         f"waveforms must have equal length, got "
                         f"{len(clean)} and {len(noisy)} samples")
-    n_frames = signal_core.frame_count(len(noisy), cfg.window, cfg.hop)
+    try:
+        return noisy, clean, signal_core.frame_count(len(noisy), cfg.window, cfg.hop)
+    except DataError as exc:
+        raise DataError(f"train utterance {entry.utt_id}: {exc}") from exc
+
+
+def _segment(entry, cfg, rng) -> tuple[np.ndarray, np.ndarray]:
+    """``entry``'s (noisy, clean) amplitudes over ``cfg.seq_len`` frames from
+    a random start, or over all of them if there are no more; one draw at most."""
+    noisy, clean, n_frames = read_train_pair(entry, cfg)
     t0 = 0 if n_frames <= cfg.seq_len else int(
         rng.integers(0, n_frames - cfg.seq_len + 1))
     # the samples frames t0 .. t1 - 1 cover, and no more, are transformed

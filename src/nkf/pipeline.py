@@ -51,23 +51,24 @@ def wiener_estimate(spec: signal_core.Spectrogram, span: int, sigma_v2_grid=None
                     model: NkfModel | None = None):
     """Noise-variance grid and the noisy amplitudes Wiener-filtered with it.
 
-    The grid is the oracle one when given (shape-checked), else the model's
-    noise-net estimate on the model's own framing (``enhance_with`` checks
-    it); with neither there is no noise variance to filter with.
+    The grid is the oracle one when given (checked: shape, finite, >= 0), else
+    the model's noise-net estimate on the model's own framing (``enhance_with``
+    checks it); with neither there is no noise variance to filter with.
     """
     sigma_y2 = wiener.track_sigma_y(spec.amplitude, span)
     if sigma_v2_grid is not None:
         sigma_v2 = np.asarray(sigma_v2_grid, dtype=np.float64)
         if sigma_v2.shape != spec.amplitude.shape:
             raise DataError("noise grid shape differs from spectrogram")
+        if not np.all(np.isfinite(sigma_v2)) or np.any(sigma_v2 < 0):
+            raise DataError("noise grid must be finite and nonnegative")
     elif model is not None:
         feats = lstm_features(spec.amplitude, model.log_features)
         with ad.no_grad():
             sigma_v2 = noise_fnn_forward_grid(model, feats, sigma_y2).values
     else:
         raise DataError("an oracle noise grid or a model is needed")
-    tracks = wiener.VarianceTracks(sigma_y2=sigma_y2, sigma_v2=sigma_v2)
-    return sigma_v2, wiener.apply_wiener(spec.amplitude, tracks)
+    return sigma_v2, wiener.apply_wiener(spec.amplitude, sigma_v2, sigma_y2).values
 
 
 def check_framing(cfg, m: NkfModel):

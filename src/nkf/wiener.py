@@ -8,29 +8,13 @@ sign of an amplitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import autodiff as ad
 from .errors import DataError
 
 #: Variance floor used when dividing by the observed variance.
 VARIANCE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class VarianceTracks:
-    """Running noisy variance and noise variance, both T x F and >= 0."""
-
-    sigma_y2: np.ndarray
-    sigma_v2: np.ndarray
-
-    def __post_init__(self):
-        if self.sigma_y2.shape != self.sigma_v2.shape:
-            raise DataError("variance grids must share one shape")
-        for grid in (self.sigma_y2, self.sigma_v2):
-            if not np.all(np.isfinite(grid)) or np.any(grid < 0):
-                raise DataError("variance grids must be finite and nonnegative")
 
 
 def track_sigma_y(amplitude: np.ndarray, span: int = 20) -> np.ndarray:
@@ -52,18 +36,30 @@ def track_sigma_y(amplitude: np.ndarray, span: int = 20) -> np.ndarray:
     return out / counts.reshape((-1,) + (1,) * (power.ndim - 1))
 
 
+def _unclamped_gain(sigma_v2, sigma_y2):
+    """1 / max(sigma_y2, floor) and the gain 1 - sigma_v2 times it, unclamped."""
+    inv_sy = 1.0 / np.maximum(np.asarray(sigma_y2, dtype=np.float64), VARIANCE_FLOOR)
+    return inv_sy, 1.0 - np.asarray(sigma_v2, dtype=np.float64) * inv_sy
+
+
 def wiener_gain(sigma_v2, sigma_y2):
-    """MMSE gain 1 - noise/observed variance, clamped to [0, 1], rounded as
-    the NKF graph's Wiener branch: sigma_v2 * (1 / max(sigma_y2, floor))."""
-    sigma_v2 = np.asarray(sigma_v2, dtype=np.float64)
-    sigma_y2 = np.asarray(sigma_y2, dtype=np.float64)
-    inv_sy = 1.0 / np.maximum(sigma_y2, VARIANCE_FLOOR)
-    return np.clip(1.0 - sigma_v2 * inv_sy, 0.0, 1.0)
+    """MMSE gain 1 - noise/observed variance, clamped to [0, 1]."""
+    _, x = _unclamped_gain(sigma_v2, sigma_y2)
+    return np.clip(x, 0.0, 1.0)
 
 
-def apply_wiener(amplitude: np.ndarray, v: VarianceTracks) -> np.ndarray:
-    """Scale each bin amplitude by its Wiener gain; never amplifies."""
+def apply_wiener(amplitude: np.ndarray, sigma_v2, sigma_y2: np.ndarray) -> ad.DiffArray:
+    """Scale each bin amplitude by its Wiener gain; never amplifies. One node;
+    only ``sigma_v2`` (a node or an array) gets a gradient, rounded as the
+    ``mul``, ``sub``, ``clamp``, ``mul`` chain rounds it (bounds pass through)."""
     amplitude = np.asarray(amplitude, dtype=np.float64)
-    if amplitude.shape != v.sigma_y2.shape:
-        raise DataError("amplitude grid shape differs from variance tracks")
-    return wiener_gain(v.sigma_v2, v.sigma_y2) * amplitude
+    sigma_v2 = ad.lift(sigma_v2)
+    if not amplitude.shape == sigma_v2.shape == np.shape(sigma_y2):
+        raise DataError("amplitude and variance grids must share one shape")
+    out = wiener_gain(sigma_v2.values, sigma_y2) * amplitude
+
+    def backward(g):
+        inv_sy, x = _unclamped_gain(sigma_v2.values, sigma_y2)
+        sigma_v2._accumulate(-((g * amplitude) * ((x >= 0.0) & (x <= 1.0))) * inv_sy)
+
+    return ad.make_node(out, (sigma_v2,), backward)

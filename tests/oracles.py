@@ -36,6 +36,11 @@ companion-matrix products per frame. It reproduces ``kf_track`` bit for bit;
 the bins-last recursion sums in another order and matches it within a
 tolerance.
 
+``wiener_branch_composed`` is the NKF graph's Wiener branch as the engine's
+ops composed it (``mul``, ``sub``, ``clamp``, ``mul``) before
+``wiener.apply_wiener`` became one node; that node's value and ``sigma_v2``
+gradient round as it does.
+
 ``recombine_polar`` is the noisy-phase resynthesis that
 ``signal_core.recombine`` replaced: the phase grid ``np.angle(frames)`` put
 back in polar form under the new amplitudes.
@@ -49,6 +54,7 @@ from nkf.kalman import KfState, kf_gain, kf_predict, kf_update
 from nkf.linear_prediction import LpModel, autocorrelate, levinson_durbin, \
     transition_matrix
 from nkf.networks import LOGVAR_LIMIT, NOISE_VAR_EPS, NkfModel, build_model
+from nkf.wiener import VARIANCE_FLOOR
 
 
 def sigmoid(x) -> ad.DiffArray:
@@ -58,7 +64,7 @@ def sigmoid(x) -> ad.DiffArray:
     def backward(g):
         x._accumulate(g * out * (1.0 - out))
 
-    return ad._node(out, (x,), backward)
+    return ad.make_node(out, (x,), backward)
 
 
 def tanh(x) -> ad.DiffArray:
@@ -68,7 +74,7 @@ def tanh(x) -> ad.DiffArray:
     def backward(g):
         x._accumulate(g * (1.0 - out * out))
 
-    return ad._node(out, (x,), backward)
+    return ad.make_node(out, (x,), backward)
 
 
 def concat(parts, axis: int = 0) -> ad.DiffArray:
@@ -82,7 +88,7 @@ def concat(parts, axis: int = 0) -> ad.DiffArray:
             idx = (slice(None),) * axis + (slice(lo, hi),)
             p._accumulate(g[idx])
 
-    return ad._node(out, tuple(parts), backward)
+    return ad.make_node(out, tuple(parts), backward)
 
 
 def _uniform_init(rng, shape, fan_in):
@@ -216,7 +222,7 @@ def lstm_layer_cached(x, wx, wh, b) -> ad.DiffArray:
         if not x.constant:
             x._accumulate((dz @ wx.values.T).reshape(x.shape))
 
-    return ad._node(hs, (x, wx, wh, b), backward)
+    return ad.make_node(hs, (x, wx, wh, b), backward)
 
 
 def noise_fnn_forward(n: NkfModel, amp_context, sigma_y2_frame) -> ad.DiffArray:
@@ -328,3 +334,9 @@ def filter_bins_matmul(noisy_amp, sigma_v2, segments, order: int):
 def recombine_polar(spec, amplitude) -> np.ndarray:
     """``amplitude * exp(1j * phase)`` with the phase of ``spec``'s frames."""
     return amplitude * np.exp(1j * np.angle(spec.frames))
+
+
+def wiener_branch_composed(amplitude, sigma_v2, sigma_y2) -> ad.DiffArray:
+    inv_sy = 1.0 / np.maximum(sigma_y2, VARIANCE_FLOOR)
+    h = ad.clamp(ad.sub(1.0, ad.mul(sigma_v2, ad.lift(inv_sy))), 0.0, 1.0)
+    return ad.mul(h, ad.lift(amplitude))

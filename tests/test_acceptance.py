@@ -178,7 +178,7 @@ def test_criterion_05_gain_unit_intervals_and_limits():
         gw = wiener_gain(rng.uniform(0, 10, n), rng.uniform(0, 10, n))
         assert np.all((gw >= 0) & (gw <= 1))
         # NKF gain
-        gn = nkf_gain(rng.uniform(1e-6, 1e3, n), rng.uniform(1e-6, 1e3, n))
+        gn = nkf_gain(rng.uniform(1e-6, 1e3, n), rng.uniform(1e-6, 1e3, n)).values
         assert np.all((gn > 0) & (gn < 1))
         # KF gain, full matrix path
         for _ in range(n // 50):
@@ -197,24 +197,24 @@ def test_criterion_05_gain_unit_intervals_and_limits():
                         trans=transition_matrix(LpModel(1, np.zeros(1), 0.0)),
                         sigma_w2=0.0)
         assert abs(kf_gain(state, 0.0).g[0] - 1.0) < 1e-6
-        assert abs(nkf_gain(1e-8, 1.0) - 0.0) < 1e-6
-        assert abs(nkf_gain(1.0, 1e-8) - 1.0) < 1e-6
+        assert abs(nkf_gain(1e-8, 1.0).values - 0.0) < 1e-6
+        assert abs(nkf_gain(1.0, 1e-8).values - 1.0) < 1e-6
 
 
 def test_criterion_06_convex_combination_exact():
     with _report(6, "convex combination"):
         rng = np.random.default_rng(6)
         n = 100000
-        g = nkf_gain(rng.uniform(1e-6, 1e2, n), rng.uniform(1e-6, 1e2, n))
+        g = nkf_gain(rng.uniform(1e-6, 1e2, n), rng.uniform(1e-6, 1e2, n)).values
         w = rng.uniform(0, 10, n)
         l = rng.uniform(0, 10, n)
-        out = nkf_combine(g, w, l)
+        out = nkf_combine(g, w, l).values
         lo, hi = np.minimum(w, l), np.maximum(w, l)
         assert np.all(out >= lo)
         assert np.all(out <= hi)
         # endpoints are exact identities
-        assert nkf_combine(0.0, 7.0, 3.0) == 3.0
-        assert nkf_combine(1.0, 7.0, 3.0) == 7.0
+        assert nkf_combine(0.0, 7.0, 3.0).values == 3.0
+        assert nkf_combine(1.0, 7.0, 3.0).values == 7.0
 
 
 def test_criterion_07_end_to_end_gradient_check():

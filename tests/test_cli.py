@@ -1,5 +1,6 @@
 import csv
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -65,6 +66,32 @@ class TestTrain:
                           "--out", str(tmp_path / "run")])
         assert rc == 2
         assert "manifest has no train entries" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("fault", ["noisy_cut_to_100_bytes",
+                                       "pair_shorter_than_a_window"])
+    def test_bad_train_row_is_data_error_before_out(self, workspace, tmp_path,
+                                                    capsys, fault):
+        # every train row is read and checked before --out is made, the
+        # last one too
+        _, corpus, _ = workspace
+        shutil.copytree(corpus, tmp_path / "corpus")
+        manifest = data_io.load_manifest(tmp_path / "corpus" / "manifest.csv")
+        last = manifest.split_entries("train")[-1]
+        if fault == "noisy_cut_to_100_bytes":
+            with open(last.noisy_path, "rb") as fh:
+                head = fh.read(100)
+            with open(last.noisy_path, "wb") as fh:
+                fh.write(head)
+            expected = f"malformed header in {last.noisy_path}"
+        else:
+            for path in (last.noisy_path, last.clean_path):
+                data_io.write_wav(Waveform(np.zeros(10)), path)
+            expected = f"train utterance {last.utt_id}: utterance too short"
+        rc = main(TINY + ["train", "--corpus", str(tmp_path / "corpus"),
+                          "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert expected in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
 

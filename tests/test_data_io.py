@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -51,6 +52,15 @@ class TestWavIo:
         data_io.write_wav(Waveform(np.zeros(1000)), path, encoding="pcm16")
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(DataError, match="malformed header"):
+            data_io.read_wav(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_float32_sample_names_the_file(self, tmp_path, bad):
+        path = tmp_path / "x.wav"
+        samples = np.array([0.0, 0.5, bad, -0.5], dtype="<f4")
+        path.write_bytes(_riff(_fmt(3, 32), _chunk(b"data", samples.tobytes())))
+        with pytest.raises(DataError, match=re.escape(f"{path}: waveform contains "
+                                                      "non-finite samples")):
             data_io.read_wav(path)
 
     def test_data_before_fmt_is_malformed(self, tmp_path):

@@ -22,7 +22,7 @@ from nkf.kalman import enhance_kf_baseline
 from nkf.networks import build_model, noise_fnn_forward_grid
 from nkf.pipeline import wiener_estimate
 from nkf.signal_core import Waveform, recombine, stft
-from nkf.wiener import VARIANCE_FLOOR, VarianceTracks, apply_wiener, track_sigma_y
+from nkf.wiener import VARIANCE_FLOOR, track_sigma_y, wiener_gain
 
 from oracles import segmented_kf
 from test_signal_core import _istft_loop_oracle
@@ -55,10 +55,8 @@ def _resynthesize(noisy, spec, amplitude):
 
 
 def _wiener_amp(spec, sigma_v2):
-    tracks = VarianceTracks(
-        sigma_y2=track_sigma_y(spec.amplitude, CFG.variance_span),
-        sigma_v2=sigma_v2)
-    return apply_wiener(spec.amplitude, tracks)
+    sigma_y2 = track_sigma_y(spec.amplitude, CFG.variance_span)
+    return wiener_gain(sigma_v2, sigma_y2) * spec.amplitude
 
 
 def _kf_reference(noisy, sigma_v2=None, model=None, cfg=CFG):
@@ -223,3 +221,19 @@ def test_oracle_grid_wins_over_model():
     oracle = np.ones(spec.amplitude.shape)
     sigma_v2, _ = wiener_estimate(spec, CFG.variance_span, oracle, _model())
     assert np.array_equal(sigma_v2, oracle)
+
+
+@pytest.mark.parametrize("fault", ["shape", "nan", "inf", "negative"])
+@pytest.mark.parametrize("run", [enhance_kf_baseline, enhance_wiener])
+def test_bad_oracle_noise_grid_is_data_error(run, fault):
+    # an oracle grid is the one variance grid that comes from outside: both
+    # oracle-noise methods check it where it enters, in wiener_estimate
+    noisy = Waveform(np.random.default_rng(3).standard_normal(800) * 0.1)
+    grid = np.ones(stft(noisy, CFG.window, CFG.hop).amplitude.shape)
+    if fault == "shape":
+        grid, message = grid[:-1], "noise grid shape differs from spectrogram"
+    else:
+        grid[2, 3] = {"nan": np.nan, "inf": np.inf, "negative": -1e-9}[fault]
+        message = "noise grid must be finite and nonnegative"
+    with pytest.raises(DataError, match=message):
+        run(noisy, CFG, grid)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from nkf import autodiff as ad
 from nkf.errors import DataError
-from nkf.wiener import VarianceTracks, apply_wiener, track_sigma_y, wiener_gain
+from nkf.wiener import VARIANCE_FLOOR, apply_wiener, track_sigma_y, wiener_gain
+
+from oracles import wiener_branch_composed
 
 
 class TestTrackSigmaY:
@@ -71,38 +74,77 @@ class TestApplyWiener:
     def test_zero_noise_identity(self):
         rng = np.random.default_rng(4)
         amp = rng.uniform(0, 5, (12, 6))
-        tracks = VarianceTracks(track_sigma_y(amp), np.zeros_like(amp))
-        np.testing.assert_array_equal(apply_wiener(amp, tracks), amp)
+        out = apply_wiener(amp, np.zeros_like(amp), track_sigma_y(amp))
+        np.testing.assert_array_equal(out.values, amp)
 
     def test_noise_dominates_everywhere(self):
         rng = np.random.default_rng(5)
         amp = rng.uniform(0, 5, (12, 6))
         sigma_y2 = track_sigma_y(amp)
-        tracks = VarianceTracks(sigma_y2, sigma_y2 + 1.0)
-        assert np.all(apply_wiener(amp, tracks) == 0)
+        assert np.all(apply_wiener(amp, sigma_y2 + 1.0, sigma_y2).values == 0)
 
     def test_elementwise_against_scalar_op(self):
         rng = np.random.default_rng(6)
         amp = rng.uniform(0, 5, (9, 4))
-        v = VarianceTracks(rng.uniform(0.1, 4, (9, 4)), rng.uniform(0, 4, (9, 4)))
-        out = apply_wiener(amp, v)
+        sigma_y2, sigma_v2 = rng.uniform(0.1, 4, (9, 4)), rng.uniform(0, 4, (9, 4))
+        out = apply_wiener(amp, sigma_v2, sigma_y2).values
         for t in range(9):
             for f in range(4):
-                expected = wiener_gain(v.sigma_v2[t, f], v.sigma_y2[t, f]) \
-                    * amp[t, f]
+                expected = wiener_gain(sigma_v2[t, f], sigma_y2[t, f]) * amp[t, f]
                 assert out[t, f] == pytest.approx(expected, rel=1e-12)
 
     def test_never_amplifies(self):
         rng = np.random.default_rng(7)
         amp = rng.uniform(0, 5, (50, 8))
-        v = VarianceTracks(rng.uniform(0, 5, (50, 8)), rng.uniform(0, 5, (50, 8)))
-        assert np.all(apply_wiener(amp, v) <= amp + 1e-15)
+        out = apply_wiener(amp, rng.uniform(0, 5, (50, 8)), rng.uniform(0, 5, (50, 8)))
+        assert np.all(out.values <= amp + 1e-15)
 
     def test_shape_mismatch(self):
-        v = VarianceTracks(np.ones((4, 4)), np.ones((4, 4)))
         with pytest.raises(DataError):
-            apply_wiener(np.ones((5, 4)), v)
+            apply_wiener(np.ones((5, 4)), np.ones((4, 4)), np.ones((4, 4)))
+        with pytest.raises(DataError):
+            apply_wiener(np.ones((4, 4)), np.ones((4, 4)), np.ones((4, 1)))
 
-    def test_variance_tracks_validate(self):
-        with pytest.raises(DataError):
-            VarianceTracks(np.ones((4, 4)), -np.ones((4, 4)))
+
+def _boundary_grids():
+    """Amplitude, noise and noisy variance grids whose gains are clipped at
+    0 and at 1, sit exactly on either bound, or divide by a zero or
+    sub-floor noisy variance."""
+    rng = np.random.default_rng(9)
+    amp = rng.uniform(0, 3, (24, 5))
+    sigma_y2 = rng.uniform(0.5, 4, (24, 5))
+    sigma_v2 = rng.uniform(0, 6, (24, 5))    # gains inside (0, 1) and clipped at 0
+    sigma_v2[:3] = -rng.uniform(0.1, 2, (3, 5))   # clipped at 1
+    sigma_v2[3:6] = 0.0                      # on the bound 1
+    sigma_y2[6:9] = sigma_v2[6:9] = 4.0      # on the bound 0
+    sigma_y2[9:12] = 0.0
+    sigma_y2[12:15] = 0.5 * VARIANCE_FLOOR
+    sigma_v2[12, :2] = 0.0
+    return amp, sigma_v2, sigma_y2
+
+
+class TestFusedNode:
+    """``apply_wiener`` is one node; the graph composition it replaced is the
+    oracle for its value and its ``sigma_v2`` gradient, bit for bit."""
+
+    @staticmethod
+    def _run(fn, amp, sigma_v2, sigma_y2, target):
+        v = ad.DiffArray(sigma_v2.copy())
+        out = fn(amp, v, sigma_y2)
+        ad.mean_square(out, target).backward()
+        return out.values, v.grad
+
+    def test_value_and_gradient_equal_the_composed_branch(self):
+        amp, sigma_v2, sigma_y2 = _boundary_grids()
+        x = 1.0 - sigma_v2 * (1.0 / np.maximum(sigma_y2, VARIANCE_FLOOR))
+        assert np.any(x < 0) and np.any(x > 1) and np.any(x == 0) and np.any(x == 1)
+        assert np.any((x > 0) & (x < 1))
+        target = np.random.default_rng(10).uniform(0, 3, amp.shape)
+        value, grad = self._run(apply_wiener, amp, sigma_v2, sigma_y2, target)
+        want_value, want_grad = self._run(wiener_branch_composed, amp, sigma_v2,
+                                          sigma_y2, target)
+        assert np.array_equal(value, want_value)
+        assert np.array_equal(grad, want_grad)
+        assert np.any(grad != 0) and np.any(grad == 0)
+        with ad.no_grad():
+            assert np.array_equal(apply_wiener(amp, sigma_v2, sigma_y2).values, value)
