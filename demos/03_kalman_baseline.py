@@ -12,7 +12,6 @@ import numpy as np
 from nkf import data_io
 from nkf.config import RunConfig
 from nkf.kalman import enhance_kf_baseline, run_kf
-from nkf.linear_prediction import LpModel
 from nkf.metrics import segsnr
 from nkf.signal_core import Waveform
 
@@ -26,7 +25,7 @@ for t in range(1, n):
     x[t] = a * x[t - 1] + np.sqrt(q) * rng.standard_normal()
 y = x + rng.standard_normal(n)  # 10*log10(var/1) dB observation noise
 
-est = run_kf(y, LpModel(1, np.array([a]), q), np.ones(n))
+est = run_kf(y, [a], q, np.ones(n))
 print("single track with oracle statistics:")
 print(f"  observation MSE {np.mean((y - x) ** 2):.4f}")
 print(f"  filtered MSE    {np.mean((est - x) ** 2):.4f}")

@@ -12,10 +12,9 @@ from .data_io import (CorpusManifest, ManifestEntry, MixSpec, load_manifest,
 from .enhancer import (enhance, enhance_wiener, gradient_check, nkf_combine,
                        nkf_forward, nkf_gain, nkf_loss, train)
 from .errors import ConfigError, DataError, NkfError, NumericsError
-from .kalman import (KfGain, KfState, enhance_kf_baseline, kf_gain, kf_predict,
-                     kf_update, run_kf)
-from .linear_prediction import (LpModel, TransitionMatrix, autocorrelate,
-                                levinson_durbin, transition_matrix)
+from .kalman import (enhance_kf_baseline, filter_bins, filter_segmented,
+                     kf_gain, kf_predict, kf_update, run_kf)
+from .linear_prediction import autocorrelate, levinson_durbin, transition_matrix
 from .metrics import amplitude_mse, fwsegsnr, segsnr
 from .networks import (NkfModel, build_model, load_checkpoint, lstm_forward,
                        optimizer_step, save_checkpoint)

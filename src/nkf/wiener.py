@@ -16,23 +16,36 @@ from .errors import DataError
 #: Variance floor used when dividing by the observed variance.
 VARIANCE_FLOOR = 1e-12
 
+#: Frames per block of ``track_sigma_y``'s restarted prefix sums; inputs of
+#: at most this many frames take one whole-input prefix sum.
+PREFIX_BLOCK = 1024
+
 
 def track_sigma_y(amplitude: np.ndarray, span: int = 20) -> np.ndarray:
     """Causal moving average of |Y|^2 over the previous ``span`` frames.
 
     Frame t averages frames max(0, t-span+1)..t, so the window always
-    includes the current frame and shrinks at the utterance start.
+    includes the current frame and shrinks at the utterance start. Window
+    sums are differences of prefix sums that restart every
+    max(PREFIX_BLOCK, span) frames, so a window touches at most two blocks
+    and its rounding error does not grow with the input's length.
     """
     if span < 1:
         raise DataError("span must be at least one frame")
     power = np.asarray(amplitude, dtype=np.float64) ** 2
-    csum = np.cumsum(power, axis=0)
+    n, block = power.shape[0], max(PREFIX_BLOCK, span)
+    csum = np.empty_like(power)
+    for lo in range(0, n, block):
+        np.cumsum(power[lo:lo + block], axis=0, out=csum[lo:lo + block])
     out = np.empty_like(csum)
     out[:span] = csum[:span]
-    if power.shape[0] > span:
+    if n > span:
         out[span:] = csum[span:] - csum[:-span]
-    t = np.arange(power.shape[0])
-    counts = np.minimum(t + 1, span)
+    # windows that start in the previous block add that block's tail
+    for lo in range(block, n, block):
+        hi = min(lo + span, n)
+        out[lo:hi] = csum[lo:hi] + (csum[lo - 1] - csum[lo - span:hi - span])
+    counts = np.minimum(np.arange(1, n + 1), span)
     return out / counts.reshape((-1,) + (1,) * (power.ndim - 1))
 
 

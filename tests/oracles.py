@@ -22,10 +22,11 @@ constructors drew it, each from its own generator, before
 ``networks.build_model`` walked one shape table; ``reference_model`` puts its
 values in a model.
 
-``segmented_kf`` is the conventional KF baseline as one bin's loop over the
-scalar reference API: ``levinson_durbin(autocorrelate(...))`` per segment with
-the silence branch, then ``kf_predict`` / ``kf_gain`` / ``kf_update`` per
-frame, which ``kalman.filter_segmented`` runs for all bins at once.
+``segmented_kf`` is the conventional KF baseline as one bin's plain numpy
+loop: ``segment_model`` fits each segment (lags as dot products, the silence
+branch, Levinson-Durbin), and ``kf_track`` runs the full-matrix predict
+(A x, A ree A^T plus sigma_w2, then symmetrised), gain and update per frame;
+``kalman.filter_segmented`` runs the same for all bins at once.
 
 ``adam_step`` is Adam as the out-of-place expressions that
 ``networks.optimizer_step`` evaluates in place.
@@ -41,6 +42,10 @@ ops composed it (``mul``, ``sub``, ``clamp``, ``mul``) before
 ``wiener.apply_wiener`` became one node; that node's value and ``sigma_v2``
 gradient round as it does.
 
+``track_sigma_y_whole`` is ``wiener.track_sigma_y`` with one prefix sum over
+the whole input, as it was before its prefix sums restarted every
+``PREFIX_BLOCK`` frames; up to that many frames the two are bit-identical.
+
 ``recombine_polar`` is the noisy-phase resynthesis that
 ``signal_core.recombine`` replaced: the phase grid ``np.angle(frames)`` put
 back in polar form under the new amplitudes.
@@ -50,9 +55,6 @@ import numpy as np
 
 from nkf import autodiff as ad
 from nkf.errors import DataError, NumericsError
-from nkf.kalman import KfState, kf_gain, kf_predict, kf_update
-from nkf.linear_prediction import LpModel, autocorrelate, levinson_durbin, \
-    transition_matrix
 from nkf.networks import LOGVAR_LIMIT, NOISE_VAR_EPS, NkfModel, build_model
 from nkf.wiener import VARIANCE_FLOOR
 
@@ -261,38 +263,48 @@ def segment_bounds(n: int, seg_len: int, order: int):
     return list(zip(starts, starts[1:] + [n]))
 
 
-def segment_model(segment, order: int) -> LpModel:
-    r = autocorrelate(segment, order)
+def segment_model(segment, order: int):
+    """One track's LP model: (coefficients, residual variance)."""
+    n = len(segment)
+    r = np.array([segment[k:] @ segment[:n - k] for k in range(order + 1)]) / n
     if r[0] <= 1e-14:
-        return LpModel(order, np.zeros(order), max(float(r[0]), 0.0))
-    return levinson_durbin(r, order)
+        return np.zeros(order), max(float(r[0]), 0.0)
+    a, err = np.zeros(order), r[0]
+    for m in range(1, order + 1):
+        k = (r[m] - a[:m - 1] @ r[1:m][::-1]) / err
+        a[:m - 1] = a[:m - 1] - k * a[:m - 1][::-1]
+        a[m - 1] = k
+        err *= 1.0 - k * k
+    return a, max(err, 0.0)
 
 
 def kf_track(noisy, sigma_v2, order: int, models):
-    """One bin's KF loop; ``models`` is a list of (start, stop, LpModel)."""
+    """One bin's KF loop; ``models`` is a list of (start, stop, coeffs,
+    residual variance)."""
     n = len(noisy)
     out, gains = noisy.copy(), np.zeros(n)
     if n <= order:
         return out, gains
-    state = KfState(x=noisy[:order][::-1].copy(),
-                    ree=sigma_v2[0] * np.eye(order),
-                    trans=transition_matrix(LpModel(order, np.zeros(order), 0.0)),
-                    sigma_w2=0.0)
-    for start, stop, model in models:
-        state.trans = transition_matrix(model)
-        state.sigma_w2 = model.residual_var
+    x, ree = noisy[:order][::-1].copy(), sigma_v2[0] * np.eye(order)
+    a = np.eye(order, k=-1)
+    for start, stop, coeffs, sigma_w2 in models:
+        a[0] = coeffs
         for t in range(max(start, order), stop):
-            state = kf_predict(state)
-            gain = kf_gain(state, sigma_v2[t])
-            state = kf_update(state, gain, noisy[t])
-            out[t] = state.amplitude
-            gains[t] = gain.g[0]
+            x = a @ x
+            ree = a @ ree @ a.T
+            ree[0, 0] += sigma_w2
+            ree = 0.5 * (ree + ree.T)
+            denom = sigma_v2[t] + ree[0, 0]
+            g = np.zeros(order) if denom == 0 else ree[:, 0] / denom
+            x = x + g * (noisy[t] - x[0])
+            ree = ree - np.outer(g, ree[0, :])
+            out[t], gains[t] = max(0.0, x[0]), g[0]
     return out, gains
 
 
 def segmented_kf(noisy, lp_track, sigma_v2, order: int, seg_len: int):
     """Per-segment LP fit on ``lp_track``, then the KF loop; one bin."""
-    models = [(lo, hi, segment_model(lp_track[lo:hi], order))
+    models = [(lo, hi, *segment_model(lp_track[lo:hi], order))
               for lo, hi in segment_bounds(len(noisy), seg_len, order)]
     return kf_track(noisy, sigma_v2, order, models)
 
@@ -329,6 +341,18 @@ def filter_bins_matmul(noisy_amp, sigma_v2, segments, order: int):
             out[t] = np.maximum(x[:, 0], 0.0)
             gains[t] = g[:, 0]
     return out, gains
+
+
+def track_sigma_y_whole(amplitude, span: int) -> np.ndarray:
+    """Causal ``span``-frame mean of |Y|^2 from one whole-input prefix sum."""
+    power = np.asarray(amplitude, dtype=np.float64) ** 2
+    csum = np.cumsum(power, axis=0)
+    out = np.empty_like(csum)
+    out[:span] = csum[:span]
+    if power.shape[0] > span:
+        out[span:] = csum[span:] - csum[:-span]
+    counts = np.minimum(np.arange(power.shape[0]) + 1, span)
+    return out / counts.reshape((-1,) + (1,) * (power.ndim - 1))
 
 
 def recombine_polar(spec, amplitude) -> np.ndarray:

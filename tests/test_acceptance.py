@@ -15,9 +15,8 @@ import pytest
 from nkf import data_io, enhancer, metrics
 from nkf.config import RunConfig
 from nkf.enhancer import nkf_combine, nkf_gain
-from nkf.kalman import KfState, kf_gain, run_kf
-from nkf.linear_prediction import (LpModel, autocorrelate, levinson_durbin,
-                                   transition_matrix)
+from nkf.kalman import kf_gain, run_kf
+from nkf.linear_prediction import autocorrelate, levinson_durbin
 from nkf.networks import build_model
 from nkf.signal_core import Waveform, istft, stft
 from nkf.wiener import wiener_gain
@@ -93,11 +92,11 @@ def test_criterion_02_levinson_against_normal_equations():
             x = np.convolve(rng.standard_normal(4096),
                             rng.uniform(0.2, 1.0, 4), mode="same")
             r = autocorrelate(x, order)
-            m = levinson_durbin(r, order)
+            coeffs, _ = levinson_durbin(r, order)
             toeplitz = np.array([[r[abs(i - j)] for j in range(order)]
                                  for i in range(order)])
             direct = np.linalg.solve(toeplitz, r[1:order + 1])
-            worst = max(worst, float(np.max(np.abs(m.coeffs - direct))))
+            worst = max(worst, float(np.max(np.abs(coeffs - direct))))
         elapsed = time.time() - t0
         print(f"  max coefficient error {worst:.2e} in {elapsed:.2f}s", end=" ")
         assert worst < 1e-8
@@ -114,7 +113,7 @@ def scalar_kf_deviation():
         q = rng.uniform(1e-3, 0.5)
         y = rng.uniform(0, 3, 1000)
         sv = rng.uniform(0.01, 2.0, 1000)
-        got = run_kf(y, LpModel(1, np.array([a]), q), sv)
+        got = run_kf(y, [a], q, sv)
         # independently coded textbook scalar recursion
         x, p = y[0], sv[0]
         want = np.empty(1000)
@@ -155,8 +154,7 @@ def kf_ar2_wins():
         x = x[200:]
         sv2 = float(np.var(x))  # 0 dB
         y = x + np.sqrt(sv2) * rng.standard_normal(len(x))
-        lp = LpModel(2, np.array([a1, a2]), sw * sw)
-        est = run_kf(y, lp, np.full(len(x), sv2))
+        est = run_kf(y, [a1, a2], sw * sw, np.full(len(x), sv2))
         wins += np.mean((est - x) ** 2) < np.mean((y - x) ** 2)
     return int(wins), time.time() - t0
 
@@ -180,23 +178,16 @@ def test_criterion_05_gain_unit_intervals_and_limits():
         # NKF gain
         gn = nkf_gain(rng.uniform(1e-6, 1e3, n), rng.uniform(1e-6, 1e3, n)).values
         assert np.all((gn > 0) & (gn < 1))
-        # KF gain, full matrix path
+        # KF gain, full matrix path: one bin per call
         for _ in range(n // 50):
             p = int(rng.integers(1, 5))
             m = rng.standard_normal((p, p))
-            state = KfState(x=np.zeros(p), ree=m @ m.T,
-                            trans=transition_matrix(
-                                LpModel(p, np.zeros(p), 0.0)),
-                            sigma_w2=0.0)
-            g = kf_gain(state, float(rng.uniform(0, 3)))
-            assert -1e-12 <= g.g[0] <= 1 + 1e-12
+            g = kf_gain((m @ m.T)[..., None], np.array([rng.uniform(0, 3)]), 0)
+            assert -1e-12 <= g[0, 0] <= 1 + 1e-12
         # limit cases hit the endpoints
         assert abs(wiener_gain(0.0, 2.0) - 1.0) < 1e-6
         assert abs(wiener_gain(2.0, 2.0) - 0.0) < 1e-6
-        state = KfState(x=np.zeros(1), ree=np.array([[0.5]]),
-                        trans=transition_matrix(LpModel(1, np.zeros(1), 0.0)),
-                        sigma_w2=0.0)
-        assert abs(kf_gain(state, 0.0).g[0] - 1.0) < 1e-6
+        assert abs(kf_gain(np.array([[[0.5]]]), np.zeros(1), 0)[0, 0] - 1.0) < 1e-6
         assert abs(nkf_gain(1e-8, 1.0).values - 0.0) < 1e-6
         assert abs(nkf_gain(1.0, 1e-8).values - 1.0) < 1e-6
 

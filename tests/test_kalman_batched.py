@@ -1,4 +1,4 @@
-"""The bin-batched KF baseline against the per-bin scalar reference.
+"""The bin-batched KF baseline against the per-bin plain numpy reference.
 
 ``kalman.filter_segmented`` (batched LP fit plus batched recursion) must match
 ``oracles.segmented_kf`` run bin by bin. The batched autocorrelation sums
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nkf.kalman import filter_bins, filter_segmented
-from nkf.linear_prediction import fit_lp_bins
+from nkf.linear_prediction import autocorrelate, levinson_durbin
 
 from oracles import filter_bins_matmul, kf_track, segment_bounds, \
     segment_model, segmented_kf
@@ -48,6 +48,12 @@ def kf_cases(draw):
     return noisy, lp_track, sigma_v2, order, seg_len
 
 
+def _fit(lp_track, order, bounds):
+    """Each segment's models, as ``filter_segmented`` fits them."""
+    return [(lo, hi, *levinson_durbin(autocorrelate(lp_track[lo:hi], order), order))
+            for lo, hi in bounds]
+
+
 def _scalar(noisy, lp_track, sigma_v2, order, seg_len):
     per_bin = [segmented_kf(noisy[:, f], lp_track[:, f], sigma_v2[:, f],
                             order, seg_len) for f in range(noisy.shape[1])]
@@ -73,14 +79,13 @@ def test_segmented_filter_matches_scalar_path(case):
 @given(kf_cases())
 def test_lp_fit_matches_scalar_levinson(case):
     _, lp_track, _, order, seg_len = case
-    for lo, hi in segment_bounds(len(lp_track), seg_len, order):
-        coeffs, residual = fit_lp_bins(lp_track[lo:hi], order, lo)
+    bounds = segment_bounds(len(lp_track), seg_len, order)
+    for lo, hi, coeffs, residual in _fit(lp_track, order, bounds):
         for f in range(lp_track.shape[1]):
-            want = segment_model(lp_track[lo:hi, f], order)
-            np.testing.assert_allclose(coeffs[f], want.coeffs, rtol=0, atol=TOL)
-            assert residual[f] == pytest.approx(want.residual_var, rel=TOL,
-                                                abs=1e-300)
-            if not np.any(want.coeffs):   # a silent segment
+            want_coeffs, want_residual = segment_model(lp_track[lo:hi, f], order)
+            np.testing.assert_allclose(coeffs[f], want_coeffs, rtol=0, atol=TOL)
+            assert residual[f] == pytest.approx(want_residual, rel=TOL, abs=1e-300)
+            if not np.any(want_coeffs):   # a silent segment
                 assert not np.any(coeffs[f])
 
 
@@ -90,11 +95,10 @@ def test_recursion_bit_identical_given_the_same_models(case):
     noisy, lp_track, sigma_v2, order, seg_len = case
     n_frames, n_bins = noisy.shape
     bounds = segment_bounds(n_frames, seg_len, order)
-    models = [[(lo, hi, segment_model(lp_track[lo:hi, f], order))
+    models = [[(lo, hi, *segment_model(lp_track[lo:hi, f], order))
                for lo, hi in bounds] for f in range(n_bins)]
-    segments = [(lo, hi,
-                 np.stack([models[f][i][2].coeffs for f in range(n_bins)]),
-                 np.array([models[f][i][2].residual_var for f in range(n_bins)]))
+    segments = [(lo, hi, np.stack([models[f][i][2] for f in range(n_bins)]),
+                 np.array([models[f][i][3] for f in range(n_bins)]))
                 for i, (lo, hi) in enumerate(bounds)]
     out, gains = filter_bins_matmul(noisy, sigma_v2, segments, order)
     for f in range(n_bins):
@@ -108,8 +112,7 @@ def test_recursion_bit_identical_given_the_same_models(case):
 @given(kf_cases())
 def test_companion_recursion_matches_matmul_oracle(case):
     noisy, lp_track, sigma_v2, order, seg_len = case
-    segments = [(lo, hi, *fit_lp_bins(lp_track[lo:hi], order, lo))
-                for lo, hi in segment_bounds(len(noisy), seg_len, order)]
+    segments = _fit(lp_track, order, segment_bounds(len(noisy), seg_len, order))
     out, gains = filter_bins(noisy, sigma_v2, segments, order)
     want_out, want_gains = filter_bins_matmul(noisy, sigma_v2, segments, order)
     for got, want in ((out, want_out), (gains, want_gains)):
@@ -131,8 +134,7 @@ def test_long_wide_track_matches_matmul_oracle(order):
     for i, (lo, hi) in enumerate(bounds):
         # digital silence and a level under the silence floor, in turn
         lp_track[lo:hi, i % 5::5] *= (0.0, 1e-9)[i % 2]
-    segments = [(lo, hi, *fit_lp_bins(lp_track[lo:hi], order, lo))
-                for lo, hi in bounds]
+    segments = _fit(lp_track, order, bounds)
     out, gains = filter_bins(noisy, sigma_v2, segments, order)
     want_out, want_gains = filter_bins_matmul(noisy, sigma_v2, segments, order)
     for got, want in ((out, want_out), (gains, want_gains)):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from nkf import autodiff as ad
 from nkf.errors import DataError
-from nkf.wiener import VARIANCE_FLOOR, apply_wiener, track_sigma_y, wiener_gain
+from nkf.wiener import (PREFIX_BLOCK, VARIANCE_FLOOR, apply_wiener, track_sigma_y,
+                        wiener_gain)
 
-from oracles import wiener_branch_composed
+from oracles import track_sigma_y_whole, wiener_branch_composed
 
 
 class TestTrackSigmaY:
@@ -37,6 +39,49 @@ class TestTrackSigmaY:
     def test_bad_span(self):
         with pytest.raises(DataError):
             track_sigma_y(np.ones((4, 4)), span=0)
+
+
+def _window_mean(amp, span):
+    """Each frame's causal window mean of a 1-D track, summed directly."""
+    power = np.concatenate([np.zeros(span - 1), amp ** 2])
+    return (sliding_window_view(power, span).sum(axis=1)
+            / np.minimum(np.arange(1, len(amp) + 1), span))
+
+
+class TestTrackSigmaYBlocks:
+    @pytest.mark.parametrize("n_frames", [997, PREFIX_BLOCK])
+    def test_one_block_is_the_whole_input_prefix_sum(self, n_frames):
+        amp = np.random.default_rng(n_frames).uniform(0, 3, (n_frames, 129))
+        for span in (1, 20, n_frames + 5):
+            assert np.array_equal(track_sigma_y(amp, span),
+                                  track_sigma_y_whole(amp, span))
+
+    @pytest.mark.parametrize("n_frames,span", [(2 * PREFIX_BLOCK + 7, 20),
+                                               (PREFIX_BLOCK + 1, 20),
+                                               (3000, PREFIX_BLOCK + 300)])
+    def test_windows_across_block_starts(self, n_frames, span):
+        # a span longer than PREFIX_BLOCK makes the blocks one span long
+        amp = np.random.default_rng(span).uniform(0, 2, n_frames)
+        np.testing.assert_allclose(track_sigma_y(amp, span), _window_mean(amp, span),
+                                   rtol=1e-12)
+        grid = track_sigma_y(np.stack([amp, 2 * amp], axis=1), span)
+        np.testing.assert_allclose(grid[:, 1], 4 * grid[:, 0], rtol=1e-12)
+
+    @pytest.mark.parametrize("seconds,db", [(4, -60), (60, -80), (600, -80)])
+    def test_quiet_frames_after_a_loud_stretch(self, seconds, db):
+        # one bin at 250 frames/s: white noise, then 3000 frames db quieter.
+        # A whole-input prefix sum carries the loud stretch's rounding into
+        # every later window: 4e-8 relative at 4 s, 1e-3 at 600 s
+        rng = np.random.default_rng(seconds)
+        loud, span = 250 * seconds, 20
+        amp = np.concatenate([rng.standard_normal(loud),
+                              10 ** (db / 20) * rng.standard_normal(3000)])
+        want = _window_mean(amp, span)
+        rel = (np.abs(track_sigma_y(amp, span) - want) / want)[loud:]
+        # past the block that holds the end of the loud stretch, none is left
+        assert rel[PREFIX_BLOCK + span:].max() <= 1e-12
+        # inside it, the error is that one block's, whatever the prefix length
+        assert rel.max() <= 2e-5
 
 
 class TestWienerGain:
