@@ -313,15 +313,19 @@ def mean_square(a, b) -> DiffArray:
 # -- recurrent layers ----------------------------------------------------------
 
 
-def lstm_layer(x, wx, wh, b) -> DiffArray:
-    """One LSTM layer over a B x T x In batch as a single node, B x T x U out.
+def lstm_layer(x, wx, wh, b, state=None) -> tuple[DiffArray, tuple]:
+    """One LSTM layer over a B x T x In batch as a single node, B x T x U out,
+    and the final ``(h, c)``, two B x U arrays.
 
     ``wx`` (In, 4U), ``wh`` (U, 4U) and ``b`` (4U,) hold the gate blocks i, f,
     g, o in that order. The time loop writes each frame's gate activations
     over its block of the input projection; hidden and cell states are
-    B x (T+1) x U arrays from a zero frame 0, the output a view from frame 1.
-    Backward keeps those three arrays, recomputes ``tanh`` of the cell
-    states, runs the loop once, then forms each weight gradient as one matmul.
+    B x (T+1) x U arrays from frame 0, the initial ``state`` (zeros if None;
+    it takes no gradient), the output a view from frame 1. So a sequence run
+    in two calls, the second from the first's final state, gives the outputs
+    of one call. Backward keeps those three arrays, recomputes ``tanh`` of
+    the cell states, runs the loop once, then forms each weight gradient as
+    one matmul.
     """
     x, wx, wh, b = lift(x), lift(wx), lift(wh), lift(b)
     n_b, n_t, n_in = x.shape
@@ -334,6 +338,8 @@ def lstm_layer(x, wx, wh, b) -> DiffArray:
     gates = x.values @ wx.values
     gates += b.values
     hs, cs = np.zeros((n_b, n_t + 1, u)), np.zeros((n_b, n_t + 1, u))
+    if state is not None:
+        hs[:, 0], cs[:, 0] = state
     h, c = hs[:, 0], cs[:, 0]
     for t in range(n_t):
         act = gates[:, t] = np.tanh((gates[:, t] + h @ wh.values) * scale) * scale \
@@ -363,4 +369,4 @@ def lstm_layer(x, wx, wh, b) -> DiffArray:
         if not x.constant:
             x._accumulate((dz @ wx.values.T).reshape(x.shape))
 
-    return make_node(hs[:, 1:], (x, wx, wh, b), backward)
+    return make_node(hs[:, 1:], (x, wx, wh, b), backward), (h, c)

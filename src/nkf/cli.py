@@ -18,6 +18,7 @@ import csv
 import itertools
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -144,20 +145,31 @@ def cmd_enhance(cfg, args) -> int:
         raise DataError("no utterances to enhance")
     os.makedirs(args.out, exist_ok=True)
     save_config(cfg, os.path.join(args.out, "resolved.cfg"))
-    count = 0
+    count, audio_s, run_s = 0, 0.0, 0.0
     for utt_id, noisy, entry in itertools.chain([first], inputs):
         grid = None
         if args.oracle_noise:
             noise = data_io.read_wav(entry.noise_path, cfg.sample_rate)
             grid = data_io.oracle_noise_variance(noise, cfg)
+        start = time.perf_counter()
         result = run(model, noisy, cfg, grid)
+        elapsed = time.perf_counter() - start
+        print(f"{utt_id}: {_timing(noisy.duration, elapsed)}")
+        audio_s, run_s = audio_s + noisy.duration, run_s + elapsed
         data_io.write_wav(result.waveform, os.path.join(args.out, f"{utt_id}.wav"))
         if args.dump_grids:
             grids = {k: v for k, v in vars(result.grids).items() if v is not None}
             np.savez(os.path.join(args.out, f"{utt_id}_grids.npz"), **grids)
         count += 1
-    print(f"enhanced {count} utterance(s) with method {args.method} into {args.out}")
+    print(f"enhanced {count} utterance(s) with method {args.method} into {args.out}: "
+          f"{_timing(audio_s, run_s)}")
     return 0
+
+
+def _timing(audio_s: float, run_s: float) -> str:
+    """Seconds of audio, seconds spent enhancing it and their ratio, the
+    real-time factor (RTF)."""
+    return f"{audio_s:.2f} s of audio in {run_s:.3f} s, RTF {run_s / audio_s:.4f}"
 
 
 def cmd_eval(cfg, args) -> int:

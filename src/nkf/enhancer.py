@@ -25,7 +25,7 @@ from .errors import ConfigError, DataError, NumericsError
 from .networks import NkfModel, build_model, lstm_forward, \
     noise_fnn_forward_grid, optimizer_step, save_checkpoint
 from .pipeline import EnhancementResult, NkfFrameEstimates, check_framing, \
-    enhance_with, lstm_features, wiener_estimate
+    enhance_with, lstm_features, run_blocks, wiener_estimate
 
 
 def nkf_gain(sigma_r2, sigma_v2) -> ad.DiffArray:
@@ -59,17 +59,20 @@ def _forward(m: NkfModel, segments) -> list:
         raise DataError(f"model expects T x {m.n_bins} amplitudes")
     feats = [lstm_features(n, m.log_features) for n in noisy]
     n_frames = max(len(f) for f in feats)
-    amp, res = lstm_forward(m, np.stack(
+    amp, res, _ = lstm_forward(m, np.stack(
         [np.pad(f, ((0, n_frames - len(f)), (0, 0))) for f in feats]))
-    return [_combine(m, n, f, amp[b, :len(f)], res[b, :len(f)], clean)
-            for b, (n, f, (_, clean)) in enumerate(zip(noisy, feats, segments))]
+    out = []
+    for b, (n, f, (_, clean)) in enumerate(zip(noisy, feats, segments)):
+        sigma_y2 = wiener.track_sigma_y(n, m.variance_span)
+        sigma_v2 = noise_fnn_forward_grid(m, f, sigma_y2)
+        out.append(_combine(n, sigma_y2, sigma_v2, amp[b, :len(f)], res[b, :len(f)],
+                            clean))
+    return out
 
 
-def _combine(m: NkfModel, noisy_amp, feats, amp_lstm, res_logvar,
-             clean_amp) -> tuple[ad.DiffArray | None, NkfFrameEstimates]:
-    """The pipeline after the LSTM: noise net, Wiener branch, gain, loss."""
-    sigma_y2 = wiener.track_sigma_y(noisy_amp, m.variance_span)
-    sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2)
+def _combine(noisy_amp, sigma_y2, sigma_v2, amp_lstm, res_logvar,
+             clean_amp=None) -> tuple[ad.DiffArray | None, NkfFrameEstimates]:
+    """The pipeline after the two networks: Wiener branch, gain, loss."""
     amp_wiener = wiener.apply_wiener(noisy_amp, sigma_v2, sigma_y2)
     sigma_r2 = ad.exp(res_logvar)
     gain = nkf_gain(sigma_r2, sigma_v2)
@@ -82,26 +85,46 @@ def _combine(m: NkfModel, noisy_amp, feats, amp_lstm, res_logvar,
 
 
 def nkf_forward(m: NkfModel, noisy: signal_core.Spectrogram) -> NkfFrameEstimates:
-    """The NKF grids of a noisy spectrogram."""
-    return _forward(m, [(noisy.amplitude, None)])[0][1]
+    """The NKF grids of a noisy spectrogram, inferred in ``pipeline.BLOCK``
+    frame blocks: the LSTM carries its state from block to block, the noise
+    net reads its context back into the previous block, and ``sigma_y2`` is
+    one whole-utterance grid. The same as the graph over the whole utterance."""
+    amplitude = noisy.amplitude
+    feats = lstm_features(amplitude, m.log_features)
+    sigma_y2 = wiener.track_sigma_y(amplitude, m.variance_span)
+
+    def step(lo, hi, state):
+        amp, res, state = lstm_forward(m, feats[None, lo:hi], state)
+        sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2, lo, hi)
+        _, est = _combine(amplitude[lo:hi], sigma_y2[lo:hi], sigma_v2, amp[0], res[0])
+        return tuple(vars(est).values()), state
+
+    with ad.no_grad():
+        return NkfFrameEstimates(*run_blocks(noisy.n_frames, step))
 
 
 def enhance(m: NkfModel, noisy: signal_core.Waveform,
             method: str = "nkf") -> EnhancementResult:
     """Enhance one utterance, computing only what ``method``'s output reads:
     ``nkf`` the whole graph, ``lstm`` the predictor alone, ``wiener``
-    ``enhance_wiener`` with the model's noise net and framing."""
+    ``enhance_wiener`` with the model's noise net and framing. The networks
+    run in blocks of frames (``nkf_forward``)."""
     if method == "wiener":
         return enhance_wiener(noisy, m, model=m)   # the model carries its framing
-    if method not in ("nkf", "lstm"):
+    if method == "nkf":
+        return enhance_with(noisy, m, functools.partial(nkf_forward, m), m)
+    if method != "lstm":
         raise DataError(f"unknown enhancement method {method!r}")
 
     def estimate(spec):
+        feats = lstm_features(spec.amplitude, m.log_features)
+
+        def step(lo, hi, state):
+            amp, _, state = lstm_forward(m, feats[None, lo:hi], state)
+            return (amp.values[0],), state
+
         with ad.no_grad():
-            if method == "nkf":
-                return nkf_forward(m, spec)
-            amp = lstm_forward(m, lstm_features(
-                spec.amplitude, m.log_features)[None])[0].values[0]
+            (amp,) = run_blocks(spec.n_frames, step)
         return NkfFrameEstimates(amp_lstm=amp, amp_out=amp)
 
     return enhance_with(noisy, m, estimate, m)

@@ -81,8 +81,13 @@ def filter_bins(noisy_amp, sigma_v2, segments, order: int):
     first) with covariance sigma_v2[0] * I; those frames pass through
     unchanged. Each frame runs ``kf_predict``, ``kf_gain`` and ``kf_update``.
     Returns the filtered tracks and the first gain component per frame and
-    bin.
+    bin. A non-finite amplitude raises, naming the first frame that holds one.
     """
+    finite = np.isfinite(noisy_amp).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise DataError(f"non-finite noisy amplitude at frame {bad}, bins "
+                        f"{np.flatnonzero(~np.isfinite(noisy_amp[bad])).tolist()}")
     out = noisy_amp.copy()
     gains = np.zeros(noisy_amp.shape)
     n_frames, _ = noisy_amp.shape

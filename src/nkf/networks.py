@@ -57,55 +57,66 @@ def _param_shapes(n_bins: int, units, context: int, hidden: int) -> dict:
     return shapes
 
 
-def lstm_forward(m: NkfModel, noisy_amp) -> tuple[ad.DiffArray, ad.DiffArray]:
+def lstm_forward(m: NkfModel, noisy_amp,
+                 state=None) -> tuple[ad.DiffArray, ad.DiffArray, list]:
     """Run the predictor over a B x T x F batch of sequences.
 
     Returns the nonnegative amplitude prediction and the clamped residual
-    log variance, both B x T x F. Hidden and cell states start at zero in
-    every sequence, and outputs at frame t depend only on frames up to t, so
-    a sequence zero-padded at its end keeps its outputs.
+    log variance, both B x T x F, and each layer's final ``(h, c)``. Hidden
+    and cell states start from ``state``, one ``(h, c)`` per layer as
+    returned here, or at zero in every sequence. Outputs at frame t depend
+    only on frames up to t, so a sequence zero-padded at its end keeps its
+    outputs, and one run in blocks, each from the last one's final state,
+    gets the outputs of one run.
     """
     layer_in = np.asarray(noisy_amp, dtype=np.float64)
     if layer_in.ndim != 3 or layer_in.shape[2] != m.n_bins or layer_in.shape[1] < 1:
         raise DataError(f"predictor expects B x T x {m.n_bins}, T >= 1, "
                         f"got {layer_in.shape}")
+    final = []
     for layer in range(len(m.units)):
-        layer_in = ad.lstm_layer(layer_in, m.params[f"lstm{layer}.wx"],
-                                 m.params[f"lstm{layer}.wh"], m.params[f"lstm{layer}.b"])
+        layer_in, layer_state = ad.lstm_layer(
+            layer_in, m.params[f"lstm{layer}.wx"], m.params[f"lstm{layer}.wh"],
+            m.params[f"lstm{layer}.b"], None if state is None else state[layer])
+        final.append(layer_state)
     amp = ad.relu(ad.add_rowvec(
         ad.matmul(layer_in, m.params["head_amp.w"]), m.params["head_amp.b"]))
     res_logvar = ad.clamp(ad.add_rowvec(
         ad.matmul(layer_in, m.params["head_res.w"]), m.params["head_res.b"]),
         -LOGVAR_LIMIT, LOGVAR_LIMIT)
-    return amp, res_logvar
+    return amp, res_logvar, final
 
 
-def fnn_features(amplitude: np.ndarray, sigma_y2: np.ndarray,
-                 context: int) -> np.ndarray:
-    """The noise net's T x (context+1)·F input: per row, the amplitude frames
+def fnn_features(amplitude: np.ndarray, sigma_y2: np.ndarray, context: int,
+                 lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The noise net's (hi-lo) x (context+1)·F input for frames lo..hi-1 of
+    the T x F grids (all of them by default): per row, the amplitude frames
     t-context+1..t oldest first, then frame t of ``sigma_y2``.
 
     Indices before the utterance start repeat frame 0.
     """
-    n_frames, n_bins = amplitude.shape
+    hi = len(amplitude) if hi is None else hi
+    n_frames, n_bins = hi - lo, amplitude.shape[1]
     features = np.empty((n_frames, context + 1, n_bins))
     if n_frames:
-        padded = np.concatenate(
-            [np.repeat(amplitude[:1], context - 1, axis=0), amplitude])
+        first = lo - (context - 1)
+        padded = np.concatenate([np.repeat(amplitude[:1], max(-first, 0), axis=0),
+                                 amplitude[max(first, 0):hi]])
         features[:, :context] = sliding_window_view(
             padded, context, axis=0).transpose(0, 2, 1)
-    features[:, context] = sigma_y2
+    features[:, context] = sigma_y2[lo:hi]
     return features.reshape(n_frames, (context + 1) * n_bins)
 
 
-def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray,
-                           sigma_y2: np.ndarray) -> ad.DiffArray:
-    """Noise variance estimate for every frame of a T x F grid."""
+def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndarray,
+                           lo: int = 0, hi: int | None = None) -> ad.DiffArray:
+    """Noise variance estimate for frames lo..hi-1 (every frame by default)
+    of a T x F grid; the context of frame lo reaches back into the grid."""
     amplitude = np.asarray(amplitude, dtype=np.float64)
     sigma_y2 = np.asarray(sigma_y2, dtype=np.float64)
     if amplitude.shape != sigma_y2.shape or amplitude.shape[1] != m.n_bins:
         raise DataError("amplitude / variance grids inconsistent with model")
-    features = fnn_features(amplitude, sigma_y2, m.context)
+    features = fnn_features(amplitude, sigma_y2, m.context, lo, hi)
     h1 = ad.relu(ad.add_rowvec(
         ad.matmul(ad.lift(features), m.params["fnn.w1"]), m.params["fnn.b1"]))
     h2 = ad.relu(ad.add_rowvec(
@@ -272,25 +283,34 @@ def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    """Reads a checkpoint file front to back, each tensor into its own array."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.off = 0
+
+    def _check(self, size: int):
+        if self.off + size > self.size:
+            raise DataError("malformed checkpoint: truncated")
+        self.off += size
 
     def take(self, fmt: str):
         size = struct.calcsize(fmt)
-        if self.off + size > len(self.blob):
+        self._check(size)
+        blob = self.fh.read(size)
+        if len(blob) != size:
             raise DataError("malformed checkpoint: truncated")
-        vals = struct.unpack_from(fmt, self.blob, self.off)
-        self.off += size
-        return vals
+        return struct.unpack(fmt, blob)
 
     def floats(self, shape) -> np.ndarray:
-        """A read-only view of the next ``shape`` float64 values."""
-        size = 8 * math.prod(shape)   # exact: a wrapped product could pass the check
-        if self.off + size > len(self.blob):
+        """The next ``shape`` float64 values, allocated once the file is
+        known to hold them."""
+        self._check(8 * math.prod(shape))   # exact: a wrapped product could pass
+        arr = np.empty(shape, "<f8")
+        if self.fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
             raise DataError("malformed checkpoint: truncated")
-        self.off += size
-        return np.frombuffer(self.blob, "<f8", size // 8, self.off - size).reshape(shape)
+        return arr
 
 
 def save_checkpoint(m: NkfModel, path):
@@ -322,18 +342,40 @@ def save_checkpoint(m: NkfModel, path):
 
 def load_checkpoint(path) -> NkfModel:
     """Read a checkpoint; its header's dimensions must match its tensors'
-    shapes, and the file must end with the last tensor."""
+    shapes, and the file must end with the last tensor. Each tensor is read
+    straight into its array, so loading holds the tensors once."""
     try:
         with open(path, "rb") as fh:
-            reader = _Reader(fh.read())
+            dims, log_features, units, adam_step, targets = _read_checkpoint(_Reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    window, hop, sample_rate, n_bins, context, span, hidden = dims
+    shapes = _param_shapes(n_bins, units, context, hidden)
+    expected = {prefix + name: shape for prefix in ("", "adam_m.", "adam_v.")
+                for name, shape in shapes.items()}
+    if sorted(targets) != sorted(expected):
+        raise DataError("malformed checkpoint: tensor set mismatch")
+    for key, shape in expected.items():
+        if targets[key].shape != shape:
+            raise DataError(f"malformed checkpoint: shape mismatch for {key}")
+    data = {key: targets[key].astype(np.float64, copy=False) for key in expected}
+    return NkfModel(
+        {name: ad.DiffArray(data[name]) for name in shapes},
+        {name: data[f"adam_m.{name}"] for name in shapes},
+        {name: data[f"adam_v.{name}"] for name in shapes}, n_bins=n_bins, units=units,
+        context=context, hidden=hidden, window=window, hop=hop, variance_span=span,
+        sample_rate=sample_rate, log_features=log_features, adam_step=adam_step)
+
+
+def _read_checkpoint(reader: _Reader):
+    """A checkpoint's seven u32 dimensions, log flag, units, Adam step and
+    named tensors, read to its end."""
     if reader.take(f"{len(_MAGIC)}s")[0] != _MAGIC:
         raise DataError("malformed checkpoint: bad magic string")
     (version,) = reader.take("<I")
     if version != _VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
-    window, hop, sample_rate, n_bins, context, span, hidden = reader.take("<7I")
+    dims = reader.take("<7I")
     (log_features,) = reader.take("<B")
     (n_layers,) = reader.take("<I")
     units = reader.take(f"<{n_layers}I")
@@ -350,22 +392,7 @@ def load_checkpoint(path) -> NkfModel:
             raise DataError(f"malformed checkpoint: duplicate tensor {name}")
         (ndim,) = reader.take("<B")
         shape = reader.take(f"<{ndim}I") if ndim else ()
-        # a view, copied once every check has passed: parsing copies nothing
         targets[name] = reader.floats(shape)
-    if reader.off != len(reader.blob):
+    if reader.off != reader.size:
         raise DataError("malformed checkpoint: trailing bytes after the last tensor")
-    shapes = _param_shapes(n_bins, units, context, hidden)
-    expected = {prefix + name: shape for prefix in ("", "adam_m.", "adam_v.")
-                for name, shape in shapes.items()}
-    if sorted(targets) != sorted(expected):
-        raise DataError("malformed checkpoint: tensor set mismatch")
-    for key, shape in expected.items():
-        if targets[key].shape != shape:
-            raise DataError(f"malformed checkpoint: shape mismatch for {key}")
-    data = {key: targets[key].astype(np.float64) for key in expected}
-    return NkfModel(
-        {name: ad.DiffArray(data[name]) for name in shapes},
-        {name: data[f"adam_m.{name}"] for name in shapes},
-        {name: data[f"adam_v.{name}"] for name in shapes}, n_bins=n_bins, units=units,
-        context=context, hidden=hidden, window=window, hop=hop, variance_span=span,
-        sample_rate=sample_rate, log_features=log_features, adam_step=adam_step)
+    return dims, log_features, units, adam_step, targets

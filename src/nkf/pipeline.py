@@ -1,5 +1,6 @@
 """What every enhancement method shares: the result types, the source of
-the noise-variance grid (oracle or model estimate) and the shell
+the noise-variance grid (oracle or model estimate), the block plan the
+networks run inference in, and the shell
 stft -> amplitude estimate -> noisy frames rescaled to it -> istft.
 """
 
@@ -42,6 +43,35 @@ class EnhancementResult:
     grids: NkfFrameEstimates
 
 
+#: Frames per inference block. Blocks are cut every ``BLOCK`` frames and the
+#: last absorbs the remainder, so each has BLOCK to 2·BLOCK - 1 frames (an
+#: input of fewer than 2·BLOCK frames is one block). A matrix product's row
+#: then rounds as in the whole-utterance product: scipy-openblas 0.3.31 sends
+#: products of fewer than about 124 rows to other kernels, which can round
+#: the last bit differently.
+BLOCK = 256
+
+
+def block_bounds(n_frames: int) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` frames of each inference block, in order."""
+    cuts = list(range(0, n_frames, BLOCK))[:max(1, n_frames // BLOCK)]
+    return list(zip(cuts, cuts[1:] + [n_frames]))
+
+
+def run_blocks(n_frames: int, step) -> tuple:
+    """Run ``step(lo, hi, state) -> (grids, state)`` on each block in order,
+    from state None, and write its ``hi - lo`` row grids into whole-utterance
+    grids allocated at the first block; returns those grids."""
+    whole, state = None, None
+    for lo, hi in block_bounds(n_frames):
+        grids, state = step(lo, hi, state)
+        if whole is None:
+            whole = tuple(np.empty((n_frames,) + g.shape[1:]) for g in grids)
+        for out, g in zip(whole, grids):
+            out[lo:hi] = g
+    return whole
+
+
 def lstm_features(amplitude: np.ndarray, log_features: bool) -> np.ndarray:
     """Network input features; raw amplitudes unless the log switch is on."""
     return np.log1p(amplitude) if log_features else amplitude
@@ -53,7 +83,8 @@ def wiener_estimate(spec: signal_core.Spectrogram, span: int, sigma_v2_grid=None
 
     The grid is the oracle one when given (checked: shape, finite, >= 0), else
     the model's noise-net estimate on the model's own framing (``enhance_with``
-    checks it); with neither there is no noise variance to filter with.
+    checks it), run in blocks; with neither there is no noise variance to
+    filter with.
     """
     sigma_y2 = wiener.track_sigma_y(spec.amplitude, span)
     if sigma_v2_grid is not None:
@@ -64,8 +95,12 @@ def wiener_estimate(spec: signal_core.Spectrogram, span: int, sigma_v2_grid=None
             raise DataError("noise grid must be finite and nonnegative")
     elif model is not None:
         feats = lstm_features(spec.amplitude, model.log_features)
+
+        def step(lo, hi, state):
+            return (noise_fnn_forward_grid(model, feats, sigma_y2, lo, hi).values,), state
+
         with ad.no_grad():
-            sigma_v2 = noise_fnn_forward_grid(model, feats, sigma_y2).values
+            (sigma_v2,) = run_blocks(spec.n_frames, step)
     else:
         raise DataError("an oracle noise grid or a model is needed")
     return sigma_v2, wiener.apply_wiener(spec.amplitude, sigma_v2, sigma_y2).values
@@ -83,9 +118,10 @@ def check_framing(cfg, m: NkfModel):
 def enhance_with(noisy: signal_core.Waveform, cfg, estimate,
                  model: NkfModel | None) -> EnhancementResult:
     """Resynthesize the ``amp_out`` of ``estimate(spec) -> NkfFrameEstimates``
-    with the noisy phase to exactly ``len(noisy)`` samples. ``cfg`` (a
-    ``RunConfig``, or the model itself) gives the framing, which must be the
-    ``model``'s, if any, and ``noisy``'s sample rate."""
+    with the noisy phase to exactly ``len(noisy)`` samples (``istft`` of
+    ``recombine``, block by block). ``cfg`` (a ``RunConfig``, or the model
+    itself) gives the framing, which must be the ``model``'s, if any, and
+    ``noisy``'s sample rate."""
     if model is not None:
         check_framing(cfg, model)
     if noisy.sample_rate != cfg.sample_rate:
@@ -93,6 +129,5 @@ def enhance_with(noisy: signal_core.Waveform, cfg, estimate,
                         f"from the framing's {cfg.sample_rate} Hz")
     spec = signal_core.stft(noisy, cfg.window, cfg.hop)
     grids = estimate(spec)
-    out_spec = signal_core.recombine(spec, grids.amp_out)
-    waveform = signal_core.istft(out_spec, len(noisy), noisy.sample_rate)
+    waveform = signal_core.istft(spec, len(noisy), noisy.sample_rate, grids.amp_out)
     return EnhancementResult(waveform=waveform, grids=grids)

@@ -103,29 +103,51 @@ def stft(w: Waveform, window_len: int = 256, hop: int = 64) -> Spectrogram:
     return Spectrogram(frames, np.abs(frames), window_len, hop)
 
 
-def istft(s: Spectrogram, out_len: int, sample_rate: int = 16000) -> Waveform:
-    """Weighted overlap-add synthesis to exactly ``out_len`` samples.
+#: Frames per block of ``istft``'s inverse transforms; any block size adds
+#: the same terms in the same order, so it bounds memory, not the result.
+_ISTFT_BLOCK = 256
+
+
+def istft(s: Spectrogram, out_len: int, sample_rate: int = 16000,
+          amplitude: np.ndarray | None = None) -> Waveform:
+    """Weighted overlap-add synthesis to exactly ``out_len`` samples; with
+    ``amplitude``, of ``recombine(s, amplitude)``, bit for bit.
 
     ``out_len`` must frame to the same number of frames the spectrogram
-    holds; samples past the last frame's coverage are zero.
+    holds; samples past the last frame's coverage are zero. Frames are
+    transformed (and recombined) ``_ISTFT_BLOCK`` at a time, so the only
+    whole-utterance arrays made are the output and its two overlap-add sums.
     """
     window_len, hop = s.window_len, s.hop
     if out_len < window_len or 1 + (out_len - window_len) // hop != s.n_frames:
         raise DataError("output length inconsistent with frame count")
+    if amplitude is not None and np.shape(amplitude) != s.amplitude.shape:
+        raise DataError("amplitude grid must match the spectrogram's shape")
     win = hann_window(window_len)
-    segments = np.fft.irfft(s.frames, n=window_len, axis=1) * win
     # Hop-sized chunk k of frame t lands on output block t + k. Adding the
-    # chunks in descending k gives every sample its frames in increasing t,
-    # the summation order of a frame-by-frame overlap-add.
+    # chunks in descending k, block after block of frames, gives every sample
+    # its frames in increasing t, the summation order of a frame-by-frame
+    # overlap-add.
     n_frames, n_chunks = s.n_frames, -(-window_len // hop)
     acc = np.zeros((n_frames + n_chunks - 1, hop))
     wsum = np.zeros_like(acc)
+    for lo in range(0, n_frames, _ISTFT_BLOCK):
+        block = Spectrogram(s.frames[lo:lo + _ISTFT_BLOCK],
+                            s.amplitude[lo:lo + _ISTFT_BLOCK], window_len, hop)
+        if amplitude is not None:
+            block = recombine(block, amplitude[lo:lo + _ISTFT_BLOCK])
+        segments = np.fft.irfft(block.frames, n=window_len, axis=1)
+        segments *= win
+        for k in reversed(range(n_chunks)):
+            c_lo, c_hi = k * hop, min((k + 1) * hop, window_len)
+            acc[lo + k:lo + k + len(segments), :c_hi - c_lo] += segments[:, c_lo:c_hi]
     for k in reversed(range(n_chunks)):
         lo, hi = k * hop, min((k + 1) * hop, window_len)
-        acc[k:k + n_frames, :hi - lo] += segments[:, lo:hi]
         wsum[k:k + n_frames, :hi - lo] += (win * win)[lo:hi]
-    ola = (acc / np.maximum(wsum, _OLA_FLOOR)).reshape(-1)[:out_len]
+    np.maximum(wsum, _OLA_FLOOR, out=wsum)
+    acc /= wsum
     out = np.zeros(out_len)
+    ola = acc.reshape(-1)[:out_len]
     out[:len(ola)] = ola
     return Waveform(out, sample_rate)
 

@@ -46,6 +46,11 @@ gradient round as it does.
 the whole input, as it was before its prefix sums restarted every
 ``PREFIX_BLOCK`` frames; up to that many frames the two are bit-identical.
 
+``enhance_whole`` is enhancement as it ran before inference went in blocks
+of frames: each network over the whole utterance at once, the NKF grids from
+the training graph (``enhancer._forward``) and the model's noise grid handed
+to the ``kf`` and ``wiener`` methods as if it were an oracle one.
+
 ``recombine_polar`` is the noisy-phase resynthesis that
 ``signal_core.recombine`` replaced: the phase grid ``np.angle(frames)`` put
 back in polar form under the new amplitudes.
@@ -54,9 +59,13 @@ back in polar form under the new amplitudes.
 import numpy as np
 
 from nkf import autodiff as ad
+from nkf import enhancer
 from nkf.errors import DataError, NumericsError
-from nkf.networks import LOGVAR_LIMIT, NOISE_VAR_EPS, NkfModel, build_model
-from nkf.wiener import VARIANCE_FLOOR
+from nkf.networks import (LOGVAR_LIMIT, NOISE_VAR_EPS, NkfModel, build_model,
+                          lstm_forward, noise_fnn_forward_grid)
+from nkf.pipeline import NkfFrameEstimates, enhance_with, lstm_features
+from nkf.signal_core import stft
+from nkf.wiener import VARIANCE_FLOOR, track_sigma_y
 
 
 def sigmoid(x) -> ad.DiffArray:
@@ -364,3 +373,25 @@ def wiener_branch_composed(amplitude, sigma_v2, sigma_y2) -> ad.DiffArray:
     inv_sy = 1.0 / np.maximum(sigma_y2, VARIANCE_FLOOR)
     h = ad.clamp(ad.sub(1.0, ad.mul(sigma_v2, ad.lift(inv_sy))), 0.0, 1.0)
     return ad.mul(h, ad.lift(amplitude))
+
+
+def enhance_whole(m: NkfModel, noisy, method: str, cfg):
+    """``enhancer.METHODS[method]`` with every network run on the whole
+    utterance; ``cfg`` gives the KF baseline's settings."""
+    if method in ("kf", "wiener"):
+        spec = stft(noisy, m.window, m.hop)
+        feats = lstm_features(spec.amplitude, m.log_features)
+        with ad.no_grad():
+            grid = noise_fnn_forward_grid(
+                m, feats, track_sigma_y(spec.amplitude, m.variance_span)).values
+        return enhancer.METHODS[method][0](m, noisy, cfg, grid)
+
+    def estimate(spec):
+        with ad.no_grad():
+            if method == "nkf":
+                return enhancer._forward(m, [(spec.amplitude, None)])[0][1]
+            amp = lstm_forward(m, lstm_features(
+                spec.amplitude, m.log_features)[None])[0].values[0]
+        return NkfFrameEstimates(amp_lstm=amp, amp_out=amp)
+
+    return enhance_with(noisy, m, estimate, m)

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import shutil
 
 import numpy as np
@@ -107,6 +108,32 @@ class TestEnhance:
             assert rc == 0
             assert (out / "test_0000.wav").exists()
             assert (out / "test_0001.wav").exists()
+
+    def test_prints_audio_seconds_and_rtf(self, workspace, tmp_path, capsys):
+        # one line per utterance, in manifest order, then the total
+        root, corpus, ckpt = workspace
+        out = tmp_path / "timed"
+        capsys.readouterr()
+        assert main(TINY + ["enhance", "--checkpoint", str(ckpt),
+                            "--manifest", str(corpus / "manifest.csv"),
+                            "--method", "lstm", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        entries = data_io.load_manifest(corpus / "manifest.csv").split_entries("test")
+        assert len(lines) == len(entries) + 1
+        timing = r"(\d+\.\d\d) s of audio in (\d+\.\d{3}) s, RTF (\d+\.\d{4})"
+        total_audio = total_s = 0.0
+        for line, e in zip(lines, entries):
+            match = re.fullmatch(rf"{e.utt_id}: {timing}", line)
+            assert match, line
+            audio, run_s, rtf = map(float, match.groups())
+            assert audio == round(data_io.read_wav(e.noisy_path).duration, 2)
+            assert rtf == pytest.approx(run_s / audio, abs=2e-3)
+            total_audio, total_s = total_audio + audio, total_s + run_s
+        match = re.fullmatch(rf"enhanced {len(entries)} utterance\(s\) with method "
+                             rf"lstm into {re.escape(str(out))}: {timing}", lines[-1])
+        assert match, lines[-1]
+        assert float(match[1]) == pytest.approx(total_audio, abs=0.01 * len(entries))
+        assert float(match[2]) == pytest.approx(total_s, abs=1e-3 * len(entries))
 
     def test_kf_with_oracle_noise(self, workspace, tmp_path):
         root, corpus, ckpt = workspace

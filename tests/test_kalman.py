@@ -317,3 +317,19 @@ class TestErrorsNameFrameAndBins:
         track[43, 2] = np.nan
         with pytest.raises(NumericsError, match=r"frame 40: .*bins \[2\]"):
             filter_segmented(np.ones((60, 4)), track, np.ones((60, 4)), 2, 20)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_amplitude_names_the_first_frame(self, bad):
+        # before the fix a NaN at frame 2 made every later output NaN
+        y = np.ones(8)
+        y[2] = y[5] = bad
+        with pytest.raises(DataError, match=r"amplitude at frame 2, bins \[0\]"):
+            run_kf(y, [0.5], 0.1, np.ones(8))
+        amp = np.ones((60, 4))
+        amp[47, 3] = amp[47, 1] = amp[52, 0] = bad
+        with pytest.raises(DataError,
+                           match=r"non-finite noisy amplitude at frame 47, bins \[1, 3\]"):
+            filter_segmented(amp, np.ones((60, 4)), np.ones((60, 4)), 2, 20)
+        # frames the recursion passes through unchanged are checked too
+        with pytest.raises(DataError, match="at frame 0"):
+            run_kf(np.array([bad]), [0.5], 0.1, np.ones(1))

@@ -38,7 +38,7 @@ class TestLstmForward:
     def test_zero_parameters_zero_outputs(self):
         p = reference_model(6, units=(4,), lstm_rng=np.random.default_rng(0))
         _zero_params(p)
-        amp, res = lstm_forward(p, np.random.default_rng(1).uniform(0, 2, (1, 7, 6)))
+        amp, res, _ = lstm_forward(p, np.random.default_rng(1).uniform(0, 2, (1, 7, 6)))
         assert np.all(amp.values == 0)
         assert np.all(res.values == 0)
 
@@ -46,7 +46,7 @@ class TestLstmForward:
         rng = np.random.default_rng(2)
         p = reference_model(5, units=(3,), lstm_rng=rng)
         x = rng.uniform(0, 2, (1, 5))
-        amp, res = lstm_forward(p, x[None])
+        amp, res, _ = lstm_forward(p, x[None])
         h, _ = _manual_lstm_cell(p.params, 0, 3, x[0], np.zeros(3), np.zeros(3))
         want_amp = np.maximum(
             h @ p.params["head_amp.w"].values + p.params["head_amp.b"].values, 0)
@@ -60,7 +60,7 @@ class TestLstmForward:
         rng = np.random.default_rng(3)
         p = reference_model(4, units=(3, 2), lstm_rng=rng)
         x = rng.uniform(0, 2, (6, 4))
-        amp, _ = lstm_forward(p, x[None])
+        amp, _, _ = lstm_forward(p, x[None])
         h1, c1 = np.zeros(3), np.zeros(3)
         h2, c2 = np.zeros(2), np.zeros(2)
         tops = []
@@ -77,10 +77,10 @@ class TestLstmForward:
         rng = np.random.default_rng(4)
         p = reference_model(4, units=(3,), lstm_rng=rng)
         x = rng.uniform(0, 2, (8, 4))
-        amp0, res0 = lstm_forward(p, x[None])
+        amp0, res0, _ = lstm_forward(p, x[None])
         x2 = x.copy()
         x2[5] += 1.0
-        amp1, res1 = lstm_forward(p, x2[None])
+        amp1, res1, _ = lstm_forward(p, x2[None])
         np.testing.assert_array_equal(amp0.values[0, :5], amp1.values[0, :5])
         np.testing.assert_array_equal(res0.values[0, :5], res1.values[0, :5])
         assert not np.array_equal(amp0.values[0, 5:], amp1.values[0, 5:])
@@ -90,7 +90,7 @@ class TestLstmForward:
         p = reference_model(4, units=(3,), lstm_rng=rng)
         # inflate the residual head so the clamp actually engages
         p.params["head_res.w"].values *= 1e4
-        amp, res = lstm_forward(p, rng.uniform(0, 5, (1, 20, 4)))
+        amp, res, _ = lstm_forward(p, rng.uniform(0, 5, (1, 20, 4)))
         assert np.all(amp.values >= 0)
         assert np.all(np.abs(res.values) <= 12)
 
@@ -366,8 +366,8 @@ class TestDeterminismAndCheckpoints:
         rng = np.random.default_rng(10)
         amp = rng.uniform(0, 2, (1, 5, 9))
         with ad.no_grad():
-            a1, _ = lstm_forward(m1, amp)
-            a2, _ = lstm_forward(m2, amp)
+            a1, _, _ = lstm_forward(m1, amp)
+            a2, _, _ = lstm_forward(m2, amp)
         np.testing.assert_array_equal(a1.values, a2.values)
 
     @pytest.mark.parametrize("shape", [
@@ -427,6 +427,22 @@ class TestDeterminismAndCheckpoints:
         path2 = tmp_path / "model2.nkf"
         save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_load_holds_the_tensors_once(self, tmp_path):
+        # each tensor is read straight into its array: reading the whole
+        # file first and copying every tensor out of it peaked at twice this
+        path = tmp_path / "model.nkf"
+        save_checkpoint(build_model(129, seed=0), path)
+        size = os.path.getsize(path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert loaded.n_bins == 129
+        assert peak <= 1.1 * size, peak / size
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.nkf"

@@ -7,8 +7,9 @@ import pytest
 
 from nkf import autodiff as ad
 from nkf.enhancer import _batch_loss, _combine, _forward
-from nkf.networks import build_model, lstm_forward
+from nkf.networks import build_model, lstm_forward, noise_fnn_forward_grid
 from nkf.pipeline import lstm_features
+from nkf.wiener import track_sigma_y
 
 from oracles import lstm_forward_per_frame, reference_model, sigmoid, tanh
 from test_autodiff import _fd_check
@@ -62,7 +63,7 @@ def test_fused_matches_per_frame_oracle(units, lengths):
     batch = np.zeros((len(seqs), max(lengths), n_bins))
     for b, s in enumerate(seqs):
         batch[b, :len(s)] = s
-    amp, res = lstm_forward(p, batch)
+    amp, res, _ = lstm_forward(p, batch)
     assert amp.shape == res.shape == batch.shape
     total = None
     for b, (s, (ta, tr)) in enumerate(zip(seqs, targets)):
@@ -92,10 +93,12 @@ def test_padded_batch_equals_each_utterance_alone():
     batch = np.zeros((3, 11, 6))
     for b, f in enumerate(feats):
         batch[b, :len(f)] = f
-    amp, res = lstm_forward(m, batch)
+    amp, res, _ = lstm_forward(m, batch)
     alone = []
     for b, ((noisy, clean), f) in enumerate(zip(segments, feats)):
-        padded, _ = _combine(m, noisy, f, amp[b, :len(f)], res[b, :len(f)], clean)
+        sigma_y2 = track_sigma_y(noisy, m.variance_span)
+        padded, _ = _combine(noisy, sigma_y2, noise_fnn_forward_grid(m, f, sigma_y2),
+                             amp[b, :len(f)], res[b, :len(f)], clean)
         (single, _), = _forward(m, [(noisy, clean)])
         np.testing.assert_allclose(float(padded.values), float(single.values),
                                    rtol=1e-13, atol=0)

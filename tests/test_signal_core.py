@@ -160,6 +160,22 @@ class TestIstft:
             assert np.array_equal(istft(s, out_len).samples,
                                   _istft_loop_oracle(s, out_len))
 
+    @pytest.mark.parametrize("n_frames", [255, 256, 257, 600])
+    def test_blocks_of_frames_add_as_one(self, n_frames):
+        # frames go through the inverse transform and recombine 256 at a time;
+        # leading silence gives zero bins, which recombine lifts
+        rng = np.random.default_rng(n_frames)
+        out_len = 256 + (n_frames - 1) * 64 + 5
+        x = rng.standard_normal(out_len)
+        x[:1000] = 0.0
+        s = stft(Waveform(x), 256, 64)
+        amplitude = rng.uniform(0, 2, s.frames.shape)
+        want = _istft_loop_oracle(recombine(s, amplitude), out_len)
+        assert np.array_equal(istft(recombine(s, amplitude), out_len).samples, want)
+        assert np.array_equal(istft(s, out_len, amplitude=amplitude).samples, want)
+        with pytest.raises(DataError, match="amplitude grid must match"):
+            istft(s, out_len, amplitude=amplitude[1:])
+
     def test_roundtrip_interior(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(16000)
