@@ -5,7 +5,10 @@ A ``DiffArray`` wraps an ndarray and remembers how it was produced; calling
 order and accumulates exact gradients into every leaf's ``grad`` buffer but
 the constants made by ``lift``; inner nodes drop theirs once propagated.
 Gradients on leaves persist across backward calls (call ``zero_grad`` on the
-leaves to reset), which is what batched gradient accumulation relies on.
+leaves to reset), which is what batched gradient accumulation relies on. A
+graph is spent by its backward, though: ``lstm_layer`` writes its gradients
+over its own cache, so a second ``backward()`` through a graph that holds one
+raises ``RuntimeError``. Build a new graph for each backward.
 
 Gradient buffers are written once where possible. A node's first gradient
 contribution becomes its ``grad`` buffer when the op made it fresh for that
@@ -131,8 +134,9 @@ def _toposort(root: DiffArray):
 
 
 def make_node(values, parents, backward):
-    """An op's node (every op's here, and ``wiener.apply_wiener``'s): ``values``
-    with the ``parents`` that ``backward(g)`` feeds, bare under ``no_grad``."""
+    """An op's node (every op's here, ``wiener.apply_wiener``'s and the noise
+    net's first layer): ``values`` with the ``parents`` that ``backward(g)``
+    feeds, bare under ``no_grad``."""
     if not _GRAD_ENABLED:
         return DiffArray(values)
     return DiffArray(values, _parents=parents, _backward=backward)
@@ -324,8 +328,9 @@ def lstm_layer(x, wx, wh, b, state=None) -> tuple[DiffArray, tuple]:
     it takes no gradient), the output a view from frame 1. So a sequence run
     in two calls, the second from the first's final state, gives the outputs
     of one call. Backward keeps those three arrays, recomputes ``tanh`` of
-    the cell states, runs the loop once, then forms each weight gradient as
-    one matmul.
+    the cell states and runs the loop once, writing each frame's gate
+    gradients over its activations; then it forms each weight gradient as one
+    matmul. So the node takes one backward only (``RuntimeError`` after).
     """
     x, wx, wh, b = lift(x), lift(wx), lift(wh), lift(b)
     n_b, n_t, n_in = x.shape
@@ -335,6 +340,7 @@ def lstm_layer(x, wx, wh, b, state=None) -> tuple[DiffArray, tuple]:
     # on the i, f, o blocks and tanh on the g block; scaling z by scale, a power
     # of two, gives the bits scaled weights would, barring subnormal products
     scale = np.where(np.arange(4 * u) // u == 2, 1.0, 0.5)
+    offset = 1.0 - scale
     gates = x.values @ wx.values
     gates += b.values
     hs, cs = np.zeros((n_b, n_t + 1, u)), np.zeros((n_b, n_t + 1, u))
@@ -343,26 +349,39 @@ def lstm_layer(x, wx, wh, b, state=None) -> tuple[DiffArray, tuple]:
     h, c = hs[:, 0], cs[:, 0]
     for t in range(n_t):
         act = gates[:, t] = np.tanh((gates[:, t] + h @ wh.values) * scale) * scale \
-            + (1.0 - scale)
+            + offset
         c = cs[:, t + 1] = act[:, f_] * c + act[:, i_] * act[:, g_]
         h = hs[:, t + 1] = act[:, o_] * np.tanh(c)
 
+    spent = False
+
     def backward(g):
-        dz = np.empty_like(gates)
+        nonlocal spent
+        if spent:
+            raise RuntimeError("lstm_layer: a second backward through one graph; "
+                               "the first wrote its gradients over the gate cache")
+        spent = True
+        act, dact = np.empty((2, n_b, 4 * u))   # frame t's activations, derivatives
         dh, dc = np.zeros((2, n_b, u))
         for t in range(n_t - 1, -1, -1):
-            act, tanh_c = gates[:, t], np.tanh(cs[:, t + 1])
+            dz_t = gates[:, t]
+            np.copyto(act, dz_t)
+            tanh_c = np.tanh(cs[:, t + 1])
             dh = dh + g[:, t]
             dc = dc + dh * act[:, o_] * (1.0 - tanh_c * tanh_c)
-            dz_t = dz[:, t]
             np.multiply(dc, act[:, g_], out=dz_t[:, i_])
             np.multiply(dc, cs[:, t], out=dz_t[:, f_])
             np.multiply(dc, act[:, i_], out=dz_t[:, g_])
             np.multiply(dh, tanh_c, out=dz_t[:, o_])
-            dz_t *= np.where(scale == 1.0, 1.0 - act * act, act * (1.0 - act))
+            # the logistic's act (1 - act), then tanh's 1 - act^2 on the g block
+            np.subtract(1.0, act, out=dact)
+            dact *= act
+            np.multiply(act[:, g_], act[:, g_], out=dact[:, g_])
+            np.subtract(1.0, dact[:, g_], out=dact[:, g_])
+            dz_t *= dact
             dc = dc * act[:, f_]
             dh = dz_t @ wh.values.T
-        dz = dz.reshape(-1, 4 * u)
+        dz = gates.reshape(-1, 4 * u)
         wh._accumulate(hs[:, :-1].reshape(-1, u).T @ dz)
         wx._accumulate(x.values.reshape(-1, n_in).T @ dz)
         b._accumulate(dz.sum(axis=0))

@@ -111,14 +111,26 @@ def fnn_features(amplitude: np.ndarray, sigma_y2: np.ndarray, context: int,
 def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndarray,
                            lo: int = 0, hi: int | None = None) -> ad.DiffArray:
     """Noise variance estimate for frames lo..hi-1 (every frame by default)
-    of a T x F grid; the context of frame lo reaches back into the grid."""
+    of a T x F grid; the context of frame lo reaches back into the grid.
+
+    The first layer's product with ``fnn.w1`` is one node that keeps no
+    ``fnn_features`` matrix: forward forms it, multiplies and drops it, and
+    backward forms it again for the ``w1`` gradient, the same two products
+    that ``matmul`` of the features would run."""
     amplitude = np.asarray(amplitude, dtype=np.float64)
     sigma_y2 = np.asarray(sigma_y2, dtype=np.float64)
     if amplitude.shape != sigma_y2.shape or amplitude.shape[1] != m.n_bins:
         raise DataError("amplitude / variance grids inconsistent with model")
-    features = fnn_features(amplitude, sigma_y2, m.context, lo, hi)
+    w1 = m.params["fnn.w1"]
+
+    def features():
+        return fnn_features(amplitude, sigma_y2, m.context, lo, hi)
+
+    def backward(g):
+        w1._accumulate(features().T @ g)
+
     h1 = ad.relu(ad.add_rowvec(
-        ad.matmul(ad.lift(features), m.params["fnn.w1"]), m.params["fnn.b1"]))
+        ad.make_node(features() @ w1.values, (w1,), backward), m.params["fnn.b1"]))
     h2 = ad.relu(ad.add_rowvec(
         ad.matmul(h1, m.params["fnn.w2"]), m.params["fnn.b2"]))
     z = ad.add_rowvec(ad.matmul(h2, m.params["fnn.w3"]), m.params["fnn.b3"])

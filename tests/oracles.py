@@ -28,6 +28,11 @@ branch, Levinson-Durbin), and ``kf_track`` runs the full-matrix predict
 (A x, A ree A^T plus sigma_w2, then symmetrised), gain and update per frame;
 ``kalman.filter_segmented`` runs the same for all bins at once.
 
+``noise_fnn_forward_grid_composed`` is the noise net over a grid as the
+engine's ops composed it before its first layer became one node: the whole
+``fnn_features`` matrix lifted and kept by ``matmul`` from forward to
+backward. That node's value and gradients round as it does.
+
 ``adam_step`` is Adam as the out-of-place expressions that
 ``networks.optimizer_step`` evaluates in place.
 
@@ -62,7 +67,7 @@ from nkf import autodiff as ad
 from nkf import enhancer
 from nkf.errors import DataError, NumericsError
 from nkf.networks import (LOGVAR_LIMIT, NOISE_VAR_EPS, NkfModel, build_model,
-                          lstm_forward, noise_fnn_forward_grid)
+                          fnn_features, lstm_forward, noise_fnn_forward_grid)
 from nkf.pipeline import NkfFrameEstimates, enhance_with, lstm_features
 from nkf.signal_core import stft
 from nkf.wiener import VARIANCE_FLOOR, track_sigma_y
@@ -249,6 +254,18 @@ def noise_fnn_forward(n: NkfModel, amp_context, sigma_y2_frame) -> ad.DiffArray:
     h2 = ad.relu(ad.add_rowvec(ad.matmul(h1, n.params["fnn.w2"]), n.params["fnn.b2"]))
     z = ad.add_rowvec(ad.matmul(h2, n.params["fnn.w3"]), n.params["fnn.b3"])
     return ad.add(ad.softplus(z), NOISE_VAR_EPS)[0]
+
+
+def noise_fnn_forward_grid_composed(m: NkfModel, amplitude, sigma_y2, lo: int = 0,
+                                    hi: int | None = None) -> ad.DiffArray:
+    """Noise variance estimate for frames lo..hi-1 from the kept feature matrix."""
+    features = fnn_features(amplitude, sigma_y2, m.context, lo, hi)
+    h1 = ad.relu(ad.add_rowvec(
+        ad.matmul(ad.lift(features), m.params["fnn.w1"]), m.params["fnn.b1"]))
+    h2 = ad.relu(ad.add_rowvec(
+        ad.matmul(h1, m.params["fnn.w2"]), m.params["fnn.b2"]))
+    z = ad.add_rowvec(ad.matmul(h2, m.params["fnn.w3"]), m.params["fnn.b3"])
+    return ad.add(ad.softplus(z), NOISE_VAR_EPS)
 
 
 def adam_step(values, m, v, g, t: int, lr: float = 1e-3, beta1: float = 0.9,

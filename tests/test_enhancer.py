@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,31 @@ class TestEndToEndGradients:
     def test_negative_seed_is_config_error(self):
         with pytest.raises(ConfigError, match="seed must be nonnegative"):
             gradient_check(seed=-1)
+
+
+class TestTrainingMemory:
+    @staticmethod
+    def _kept_after_forward(context):
+        """Heap that a desk batch's graph (four 256-frame segments) keeps
+        from forward to backward, weights outside the count."""
+        rng = np.random.default_rng(8)
+        segments = [tuple(rng.uniform(0.1, 2.0, (2, 256, 129))) for _ in range(4)]
+        m = build_model(129, lstm_units=(64, 64), fnn_hidden=128, context=context)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = _batch_loss(m, segments)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        return kept
+
+    def test_graph_keeps_no_noise_net_features(self):
+        # each segment's 256 x (context + 1)·129 feature matrix would add
+        # 30.2 MiB here from context 30 to 60; the first layer forms it again
+        # in backward instead of keeping it
+        grown = self._kept_after_forward(60) - self._kept_after_forward(30)
+        assert grown < 2 ** 20, grown / 2 ** 20
 
 
 def _training_cfg(**kw):

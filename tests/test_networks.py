@@ -12,7 +12,8 @@ from nkf.networks import (build_model, fnn_features, load_checkpoint,
                           lstm_forward, noise_fnn_forward_grid, optimizer_step,
                           save_checkpoint, NOISE_VAR_EPS)
 
-from oracles import adam_step, init_params, noise_fnn_forward, reference_model
+from oracles import (adam_step, init_params, noise_fnn_forward,
+                     noise_fnn_forward_grid_composed, reference_model)
 
 
 def _zero_params(net):
@@ -137,6 +138,27 @@ class TestNoiseFnn:
         for t in range(6):
             row = noise_fnn_forward(n, features[t, :12], sigma_y2[t])
             np.testing.assert_allclose(grid.values[t], row.values, atol=1e-12)
+
+    @pytest.mark.parametrize("lo, hi", [(0, None), (0, 1), (0, 300), (1, 2),
+                                        (5, 40), (256, 300), (299, 300)])
+    def test_first_layer_node_matches_composed_oracle(self, lo, hi):
+        # value and every fnn gradient bit for bit, over whole grids and row
+        # ranges whose context reaches back past lo (context 30 > lo = 5)
+        rng = np.random.default_rng(29)
+        amp, sigma_y2 = rng.uniform(0, 3, (2, 300, 9))
+        rows = (300 if hi is None else hi) - lo
+        target = rng.uniform(0, 1, (rows, 9))
+        results = []
+        for forward in (noise_fnn_forward_grid, noise_fnn_forward_grid_composed):
+            m = build_model(9, lstm_units=(2,), fnn_hidden=16, context=30, seed=4)
+            out = forward(m, amp, sigma_y2, lo, hi)
+            ad.mean_square(out, ad.lift(target)).backward()
+            results.append((out.values, m.gradients()))
+        (got, got_grads), (want, want_grads) = results
+        assert got.shape == (rows, 9)
+        np.testing.assert_array_equal(got, want)
+        for name in ("fnn.w1", "fnn.b1", "fnn.w2", "fnn.b2", "fnn.w3", "fnn.b3"):
+            np.testing.assert_array_equal(got_grads[name], want_grads[name])
 
     @pytest.mark.parametrize("n_frames", [1, 2, 3, 7])
     def test_features_match_index_gather(self, n_frames):
