@@ -85,7 +85,7 @@ def _combine(noisy_amp, sigma_y2, sigma_v2, amp_lstm, res_logvar,
 
 
 def nkf_forward(m: NkfModel, noisy: signal_core.Spectrogram) -> NkfFrameEstimates:
-    """The NKF grids of a noisy spectrogram, inferred in ``pipeline.BLOCK``
+    """The NKF grids of a noisy spectrogram, inferred in ``signal_core.BLOCK``
     frame blocks: the LSTM carries its state from block to block, the noise
     net reads its context back into the previous block, and ``sigma_y2`` is
     one whole-utterance grid. The same as the graph over the whole utterance."""

@@ -26,6 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, NumericsError
+from .signal_core import block_bounds
 
 #: Additive floor keeping the estimated noise variance strictly positive.
 NOISE_VAR_EPS = 1e-12
@@ -87,6 +88,16 @@ def lstm_forward(m: NkfModel, noisy_amp,
     return amp, res_logvar, final
 
 
+def _context_rows(amplitude: np.ndarray, context: int, lo: int, hi: int) -> np.ndarray:
+    """Amplitude frames lo-context+1..hi-1 of a T x F grid, frame 0 standing
+    in for indices before the utterance start: rows k..k+hi-lo-1 are context
+    frame k (oldest first) of frames lo..hi-1. A view when nothing repeats."""
+    first = lo - (context - 1)
+    if first >= 0:
+        return amplitude[first:hi]
+    return np.concatenate([np.repeat(amplitude[:1], -first, axis=0), amplitude[:hi]])
+
+
 def fnn_features(amplitude: np.ndarray, sigma_y2: np.ndarray, context: int,
                  lo: int = 0, hi: int | None = None) -> np.ndarray:
     """The noise net's (hi-lo) x (context+1)·F input for frames lo..hi-1 of
@@ -99,11 +110,8 @@ def fnn_features(amplitude: np.ndarray, sigma_y2: np.ndarray, context: int,
     n_frames, n_bins = hi - lo, amplitude.shape[1]
     features = np.empty((n_frames, context + 1, n_bins))
     if n_frames:
-        first = lo - (context - 1)
-        padded = np.concatenate([np.repeat(amplitude[:1], max(-first, 0), axis=0),
-                                 amplitude[max(first, 0):hi]])
         features[:, :context] = sliding_window_view(
-            padded, context, axis=0).transpose(0, 2, 1)
+            _context_rows(amplitude, context, lo, hi), context, axis=0).transpose(0, 2, 1)
     features[:, context] = sigma_y2[lo:hi]
     return features.reshape(n_frames, (context + 1) * n_bins)
 
@@ -112,25 +120,40 @@ def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndar
                            lo: int = 0, hi: int | None = None) -> ad.DiffArray:
     """Noise variance estimate for frames lo..hi-1 (every frame by default)
     of a T x F grid; the context of frame lo reaches back into the grid.
+    Raises ``DataError`` unless 0 <= lo < hi <= T.
 
     The first layer's product with ``fnn.w1`` is one node that keeps no
-    ``fnn_features`` matrix: forward forms it, multiplies and drops it, and
-    backward forms it again for the ``w1`` gradient, the same two products
-    that ``matmul`` of the features would run."""
+    ``fnn_features`` matrix: forward forms it one ``block_bounds`` row block
+    at a time, backward not at all, writing ``w1``'s gradient from shifted
+    views of the context rows (MEC; Cho & Brand, arXiv:1706.06873). That is
+    bit for bit the whole matrix's products at both presets' widths; far
+    below them (a per-tap product over more than 384 rows with
+    F·H·(hi-lo) <= 1e6), OpenBLAS's small-matrix kernel can round ``w1``'s
+    gradient differently in the last bits."""
     amplitude = np.asarray(amplitude, dtype=np.float64)
     sigma_y2 = np.asarray(sigma_y2, dtype=np.float64)
-    if amplitude.shape != sigma_y2.shape or amplitude.shape[1] != m.n_bins:
+    if amplitude.ndim != 2 or amplitude.shape != sigma_y2.shape \
+            or amplitude.shape[1] != m.n_bins:
         raise DataError("amplitude / variance grids inconsistent with model")
-    w1 = m.params["fnn.w1"]
-
-    def features():
-        return fnn_features(amplitude, sigma_y2, m.context, lo, hi)
+    hi = len(amplitude) if hi is None else hi
+    if not 0 <= lo < hi <= len(amplitude):
+        raise DataError(f"noise net rows lo = {lo}, hi = {hi} need "
+                        f"0 <= lo < hi <= T = {len(amplitude)}")
+    w1, context, n_bins, n_rows = m.params["fnn.w1"], m.context, m.n_bins, hi - lo
+    pre = np.empty((n_rows, w1.shape[1]))
+    for a, b in block_bounds(n_rows):
+        np.matmul(fnn_features(amplitude, sigma_y2, context, lo + a, lo + b),
+                  w1.values, out=pre[a:b])
 
     def backward(g):
-        w1._accumulate(features().T @ g)
+        grad = np.empty_like(w1.values)
+        rows = _context_rows(amplitude, context, lo, hi)
+        for k in range(context):   # the features' column block k is rows[k:k + n_rows]
+            np.matmul(rows[k:k + n_rows].T, g, out=grad[k * n_bins:(k + 1) * n_bins])
+        np.matmul(sigma_y2[lo:hi].T, g, out=grad[context * n_bins:])
+        w1._accumulate(grad)
 
-    h1 = ad.relu(ad.add_rowvec(
-        ad.make_node(features() @ w1.values, (w1,), backward), m.params["fnn.b1"]))
+    h1 = ad.relu(ad.add_rowvec(ad.make_node(pre, (w1,), backward), m.params["fnn.b1"]))
     h2 = ad.relu(ad.add_rowvec(
         ad.matmul(h1, m.params["fnn.w2"]), m.params["fnn.b2"]))
     z = ad.add_rowvec(ad.matmul(h2, m.params["fnn.w3"]), m.params["fnn.b3"])

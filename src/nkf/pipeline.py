@@ -1,7 +1,7 @@
 """What every enhancement method shares: the result types, the source of
-the noise-variance grid (oracle or model estimate), the block plan the
-networks run inference in, and the shell
-stft -> amplitude estimate -> noisy frames rescaled to it -> istft.
+the noise-variance grid (oracle or model estimate), ``run_blocks``, which
+runs the networks' inference in ``signal_core.block_bounds`` blocks, and
+the shell stft -> amplitude estimate -> noisy frames rescaled to it -> istft.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from . import autodiff as ad
 from . import signal_core, wiener
 from .errors import ConfigError, DataError
 from .networks import NkfModel, noise_fnn_forward_grid
+from .signal_core import block_bounds
 
 
 @dataclass
@@ -41,21 +42,6 @@ class NkfFrameEstimates:
 class EnhancementResult:
     waveform: signal_core.Waveform
     grids: NkfFrameEstimates
-
-
-#: Frames per inference block. Blocks are cut every ``BLOCK`` frames and the
-#: last absorbs the remainder, so each has BLOCK to 2·BLOCK - 1 frames (an
-#: input of fewer than 2·BLOCK frames is one block). A matrix product's row
-#: then rounds as in the whole-utterance product: scipy-openblas 0.3.31 sends
-#: products of fewer than about 124 rows to other kernels, which can round
-#: the last bit differently.
-BLOCK = 256
-
-
-def block_bounds(n_frames: int) -> list[tuple[int, int]]:
-    """The ``(start, stop)`` frames of each inference block, in order."""
-    cuts = list(range(0, n_frames, BLOCK))[:max(1, n_frames // BLOCK)]
-    return list(zip(cuts, cuts[1:] + [n_frames]))
 
 
 def run_blocks(n_frames: int, step) -> tuple:

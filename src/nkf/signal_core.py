@@ -103,9 +103,22 @@ def stft(w: Waveform, window_len: int = 256, hop: int = 64) -> Spectrogram:
     return Spectrogram(frames, np.abs(frames), window_len, hop)
 
 
-#: Frames per block of ``istft``'s inverse transforms; any block size adds
-#: the same terms in the same order, so it bounds memory, not the result.
-_ISTFT_BLOCK = 256
+#: Frames per block, the one block rule of the library. The networks infer
+#: in ``block_bounds`` blocks: cut every ``BLOCK`` frames, the last absorbing
+#: the remainder, so each has BLOCK to 2·BLOCK - 1 frames (an input of fewer
+#: than 2·BLOCK frames is one block). A matrix product's row then rounds as
+#: in the whole-utterance product: scipy-openblas 0.3.31 sends products of
+#: fewer than about 124 rows to other kernels, which can round the last bit
+#: differently. ``istft`` transforms ``BLOCK`` frames at a time; any block
+#: size adds the same terms in the same order there, so it bounds memory,
+#: not the result.
+BLOCK = 256
+
+
+def block_bounds(n_frames: int) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` frames of each block, in order."""
+    cuts = list(range(0, n_frames, BLOCK))[:max(1, n_frames // BLOCK)]
+    return list(zip(cuts, cuts[1:] + [n_frames]))
 
 
 def istft(s: Spectrogram, out_len: int, sample_rate: int = 16000,
@@ -115,7 +128,7 @@ def istft(s: Spectrogram, out_len: int, sample_rate: int = 16000,
 
     ``out_len`` must frame to the same number of frames the spectrogram
     holds; samples past the last frame's coverage are zero. Frames are
-    transformed (and recombined) ``_ISTFT_BLOCK`` at a time, so the only
+    transformed (and recombined) ``BLOCK`` at a time, so the only
     whole-utterance arrays made are the output and its two overlap-add sums.
     """
     window_len, hop = s.window_len, s.hop
@@ -131,11 +144,11 @@ def istft(s: Spectrogram, out_len: int, sample_rate: int = 16000,
     n_frames, n_chunks = s.n_frames, -(-window_len // hop)
     acc = np.zeros((n_frames + n_chunks - 1, hop))
     wsum = np.zeros_like(acc)
-    for lo in range(0, n_frames, _ISTFT_BLOCK):
-        block = Spectrogram(s.frames[lo:lo + _ISTFT_BLOCK],
-                            s.amplitude[lo:lo + _ISTFT_BLOCK], window_len, hop)
+    for lo in range(0, n_frames, BLOCK):
+        block = Spectrogram(s.frames[lo:lo + BLOCK],
+                            s.amplitude[lo:lo + BLOCK], window_len, hop)
         if amplitude is not None:
-            block = recombine(block, amplitude[lo:lo + _ISTFT_BLOCK])
+            block = recombine(block, amplitude[lo:lo + BLOCK])
         segments = np.fft.irfft(block.frames, n=window_len, axis=1)
         segments *= win
         for k in reversed(range(n_chunks)):

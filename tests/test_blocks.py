@@ -1,6 +1,6 @@
 """Inference in blocks of frames against the whole-utterance oracle.
 
-Every method that runs the model infers in ``pipeline.BLOCK``-frame blocks
+Every method that runs the model infers in ``signal_core.BLOCK``-frame blocks
 with carried state; ``oracles.enhance_whole`` runs each network over the
 whole utterance at once. On the desk model's shapes the two must agree bit
 for bit, on the waveform and on every grid: at frame counts that give one
@@ -15,8 +15,7 @@ from nkf import autodiff as ad
 from nkf import data_io, enhancer
 from nkf.config import RunConfig
 from nkf.networks import build_model, fnn_features, noise_fnn_forward_grid
-from nkf.pipeline import BLOCK, block_bounds
-from nkf.signal_core import Waveform
+from nkf.signal_core import BLOCK, Waveform, block_bounds
 
 from oracles import enhance_whole
 

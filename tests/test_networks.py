@@ -11,6 +11,7 @@ from nkf.errors import ConfigError, DataError, NumericsError
 from nkf.networks import (build_model, fnn_features, load_checkpoint,
                           lstm_forward, noise_fnn_forward_grid, optimizer_step,
                           save_checkpoint, NOISE_VAR_EPS)
+from nkf.signal_core import block_bounds
 
 from oracles import (adam_step, init_params, noise_fnn_forward,
                      noise_fnn_forward_grid_composed, reference_model)
@@ -110,6 +111,24 @@ class TestLstmForward:
         np.testing.assert_array_equal(b[6:], 0.0)
 
 
+FNN_PARAMS = ("fnn.w1", "fnn.b1", "fnn.w2", "fnn.b2", "fnn.w3", "fnn.b3")
+
+
+def _first_layer_against_oracle(n_bins, hidden, lo, hi):
+    """Value and gradients of the noise net and of its composed oracle on
+    rows lo..hi-1 of a 1400-frame grid, context 30."""
+    rng = np.random.default_rng(29)
+    amp, sigma_y2 = rng.uniform(0, 3, (2, 1400, n_bins))
+    target = rng.uniform(0, 1, ((1400 if hi is None else hi) - lo, n_bins))
+    results = []
+    for forward in (noise_fnn_forward_grid, noise_fnn_forward_grid_composed):
+        m = build_model(n_bins, lstm_units=(2,), fnn_hidden=hidden, context=30, seed=4)
+        out = forward(m, amp, sigma_y2, lo, hi)
+        ad.mean_square(out, ad.lift(target)).backward()
+        results.append((out.values, m.gradients()))
+    return results
+
+
 class TestNoiseFnn:
     def test_zero_parameters_give_softplus_zero(self):
         n = reference_model(5, context=3, hidden=4)
@@ -140,25 +159,59 @@ class TestNoiseFnn:
             np.testing.assert_allclose(grid.values[t], row.values, atol=1e-12)
 
     @pytest.mark.parametrize("lo, hi", [(0, None), (0, 1), (0, 300), (1, 2),
-                                        (5, 40), (256, 300), (299, 300)])
+                                        (5, 40), (256, 300), (299, 300),
+                                        (5, 1030), (300, 1324), (700, 1400)])
     def test_first_layer_node_matches_composed_oracle(self, lo, hi):
-        # value and every fnn gradient bit for bit, over whole grids and row
-        # ranges whose context reaches back past lo (context 30 > lo = 5)
-        rng = np.random.default_rng(29)
-        amp, sigma_y2 = rng.uniform(0, 3, (2, 300, 9))
-        rows = (300 if hi is None else hi) - lo
-        target = rng.uniform(0, 1, (rows, 9))
-        results = []
-        for forward in (noise_fnn_forward_grid, noise_fnn_forward_grid_composed):
-            m = build_model(9, lstm_units=(2,), fnn_hidden=16, context=30, seed=4)
-            out = forward(m, amp, sigma_y2, lo, hi)
-            ad.mean_square(out, ad.lift(target)).backward()
-            results.append((out.values, m.gradients()))
-        (got, got_grads), (want, want_grads) = results
-        assert got.shape == (rows, 9)
+        # value and every fnn gradient bit for bit at the desk preset's widths,
+        # over whole grids and row ranges whose context reaches back past lo
+        # (context 30 > lo = 5), in one forward block and in several (ranges
+        # of 512 rows or more)
+        (got, got_grads), (want, want_grads) = _first_layer_against_oracle(
+            129, 128, lo, hi)
+        assert got.shape == ((1400 if hi is None else hi) - lo, 129)
         np.testing.assert_array_equal(got, want)
-        for name in ("fnn.w1", "fnn.b1", "fnn.w2", "fnn.b2", "fnn.w3", "fnn.b3"):
+        for name in FNN_PARAMS:
             np.testing.assert_array_equal(got_grads[name], want_grads[name])
+
+    def test_first_layer_gradient_at_narrow_widths_within_rounding(self):
+        # at F = 9, H = 16 a per-tap w1 product over more than 384 frames
+        # has few enough multiply-adds (F·H·T <= 1e6) for OpenBLAS's
+        # small-matrix kernel, which sums in another order than the blocked
+        # kernel of the whole feature product: w1's gradient may differ in
+        # the last bits; everything else is bit for bit
+        (got, got_grads), (want, want_grads) = _first_layer_against_oracle(
+            9, 16, 0, None)
+        np.testing.assert_array_equal(got, want)
+        for name in FNN_PARAMS:
+            scale = np.abs(want_grads[name]).max()
+            np.testing.assert_allclose(got_grads[name], want_grads[name],
+                                       rtol=1e-13, atol=1e-13 * scale)
+            if name != "fnn.w1":
+                np.testing.assert_array_equal(got_grads[name], want_grads[name])
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 10), (5, 3), (0, 50), (38, 60), (10, 10)])
+    def test_row_range_is_checked(self, lo, hi):
+        m = build_model(4, lstm_units=(2,), fnn_hidden=3, context=30, seed=0)
+        amp = np.ones((40, 4))
+        with pytest.raises(DataError, match=f"lo = {lo}, hi = {hi} .*T = 40"):
+            noise_fnn_forward_grid(m, amp, amp, lo, hi)
+
+    def test_features_formed_per_forward_block_never_in_backward(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3:])
+            return fnn_features(*args)
+
+        monkeypatch.setattr(networks, "fnn_features", counted)
+        rng = np.random.default_rng(3)
+        amp, sigma_y2 = rng.uniform(0, 3, (2, 1024, 5))
+        m = build_model(5, lstm_units=(2,), fnn_hidden=4, context=30, seed=0)
+        out = noise_fnn_forward_grid(m, amp, sigma_y2)
+        assert calls == block_bounds(1024)
+        calls.clear()
+        ad.mean_square(out, ad.lift(np.zeros_like(out.values))).backward()
+        assert calls == [] and m.params["fnn.w1"].grad is not None
 
     @pytest.mark.parametrize("n_frames", [1, 2, 3, 7])
     def test_features_match_index_gather(self, n_frames):
