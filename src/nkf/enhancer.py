@@ -5,9 +5,10 @@ grid, exponentiate its residual head into a prediction-residual variance,
 estimate the noise variance with the feed-forward net, Wiener-filter the
 noisy amplitudes with that estimate, weigh the two clean-amplitude estimates
 by the gain sigma_r2 / (sigma_r2 + sigma_v2), and take the mean squared
-amplitude error against the clean grid as the loss. Everything up to the
-output grid is one differentiable graph; synthesis with the noisy phase
-happens outside the loss path.
+amplitude error against the clean grid as the loss. ``_forward`` composes
+that one differentiable graph over a block of frames, once for training,
+``gradient_check`` and blocked inference (``nkf_forward``) alike; synthesis
+with the noisy phase happens outside the loss path.
 """
 
 from __future__ import annotations
@@ -46,61 +47,57 @@ def nkf_loss(amp_out, clean_amp) -> ad.DiffArray:
     return ad.mean_square(amp_out, clean_amp)
 
 
-def _forward(m: NkfModel, segments) -> list:
-    """Build the differentiable pipeline over (noisy, clean or None) amplitude
-    grids: the LSTM runs once on them zero-padded at the end to the longest
-    (exact: the LSTM is causal), the rest of the graph per utterance.
+def _inputs(m: NkfModel, noisy_amp, clean_amp=None) -> tuple:
+    """An utterance's whole grids, formed once: noisy amplitudes, network
+    features, ``track_sigma_y``'s noisy variance, clean amplitudes or None."""
+    noisy = np.asarray(noisy_amp, dtype=np.float64)
+    if noisy.ndim != 2 or noisy.shape[1] != m.n_bins:
+        raise DataError(f"model expects T x {m.n_bins} amplitudes")
+    if clean_amp is not None and np.shape(clean_amp) != noisy.shape:
+        raise DataError("loss grids must share one shape")
+    return (noisy, lstm_features(noisy, m.log_features),
+            wiener.track_sigma_y(noisy, m.variance_span), clean_amp)
+
+
+def _forward(m: NkfModel, utts, lo: int = 0, hi: int | None = None, state=None):
+    """The NKF graph over frames lo..hi-1 (by default all) of ``_inputs``
+    tuples: the LSTM runs once from ``state`` on their features zero-padded at
+    the end to ``hi - lo`` frames (exact: the LSTM is causal), the rest per
+    utterance on the rows it has, the noise net's context reaching before lo.
 
     Returns per utterance the loss node (None without a clean grid) and the
-    grids. The grids are the graph nodes' own ``values``, not copies: no op
-    writes a node's values once it is made (see ``autodiff``)."""
-    noisy = [np.asarray(n, dtype=np.float64) for n, _ in segments]
-    if any(n.ndim != 2 or n.shape[1] != m.n_bins for n in noisy):
-        raise DataError(f"model expects T x {m.n_bins} amplitudes")
-    feats = [lstm_features(n, m.log_features) for n in noisy]
-    n_frames = max(len(f) for f in feats)
-    amp, res, _ = lstm_forward(m, np.stack(
-        [np.pad(f, ((0, n_frames - len(f)), (0, 0))) for f in feats]))
+    grids, which are the nodes' own ``values``, not copies (no op writes a
+    node's values once it is made: see ``autodiff``); then the LSTM's state."""
+    hi = max(len(noisy) for noisy, *_ in utts) if hi is None else hi
+    x = np.zeros((len(utts), hi - lo, m.n_bins))
+    for b, (_, feats, _, _) in enumerate(utts):
+        x[b, :len(feats[lo:hi])] = feats[lo:hi]
+    amp, res, state = lstm_forward(m, x, state)
     out = []
-    for b, (n, f, (_, clean)) in enumerate(zip(noisy, feats, segments)):
-        sigma_y2 = wiener.track_sigma_y(n, m.variance_span)
-        sigma_v2 = noise_fnn_forward_grid(m, f, sigma_y2)
-        out.append(_combine(n, sigma_y2, sigma_v2, amp[b, :len(f)], res[b, :len(f)],
-                            clean))
-    return out
-
-
-def _combine(noisy_amp, sigma_y2, sigma_v2, amp_lstm, res_logvar,
-             clean_amp=None) -> tuple[ad.DiffArray | None, NkfFrameEstimates]:
-    """The pipeline after the two networks: Wiener branch, gain, loss."""
-    amp_wiener = wiener.apply_wiener(noisy_amp, sigma_v2, sigma_y2)
-    sigma_r2 = ad.exp(res_logvar)
-    gain = nkf_gain(sigma_r2, sigma_v2)
-    amp_out = nkf_combine(gain, amp_wiener, amp_lstm)
-    loss = None if clean_amp is None else nkf_loss(amp_out, clean_amp)
-    return loss, NkfFrameEstimates(
-        amp_lstm=amp_lstm.values, amp_wiener=amp_wiener.values,
-        sigma_r2=sigma_r2.values, sigma_v2=sigma_v2.values, gain=gain.values,
-        amp_out=amp_out.values)
+    for b, (noisy, feats, sigma_y2, clean) in enumerate(utts):
+        stop = min(hi, len(noisy))
+        sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2, lo, stop)
+        amp_wiener = wiener.apply_wiener(noisy[lo:stop], sigma_v2, sigma_y2[lo:stop])
+        amp_lstm, sigma_r2 = amp[b, :stop - lo], ad.exp(res[b, :stop - lo])
+        gain = nkf_gain(sigma_r2, sigma_v2)
+        amp_out = nkf_combine(gain, amp_wiener, amp_lstm)
+        loss = None if clean is None else nkf_loss(amp_out, clean[lo:stop])
+        out.append((loss, NkfFrameEstimates(*(node.values for node in (
+            amp_lstm, amp_wiener, sigma_r2, sigma_v2, gain, amp_out)))))
+    return out, state
 
 
 def nkf_forward(m: NkfModel, noisy: signal_core.Spectrogram) -> NkfFrameEstimates:
-    """The NKF grids of a noisy spectrogram, inferred in ``signal_core.BLOCK``
-    frame blocks: the LSTM carries its state from block to block, the noise
-    net reads its context back into the previous block, and ``sigma_y2`` is
-    one whole-utterance grid. The same as the graph over the whole utterance."""
-    amplitude = noisy.amplitude
-    feats = lstm_features(amplitude, m.log_features)
-    sigma_y2 = wiener.track_sigma_y(amplitude, m.variance_span)
+    """The NKF grids of a noisy spectrogram: ``_forward`` on each
+    ``signal_core.BLOCK`` frame block, the LSTM's state carried from block to
+    block. The same as the graph over the whole utterance."""
+    utt = _inputs(m, noisy.amplitude)
 
     def step(lo, hi, state):
-        amp, res, state = lstm_forward(m, feats[None, lo:hi], state)
-        sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2, lo, hi)
-        _, est = _combine(amplitude[lo:hi], sigma_y2[lo:hi], sigma_v2, amp[0], res[0])
-        return tuple(vars(est).values()), state
+        ((_, est),), state = _forward(m, [utt], lo, hi, state)
+        return est, state
 
-    with ad.no_grad():
-        return NkfFrameEstimates(*run_blocks(noisy.n_frames, step))
+    return run_blocks(noisy.n_frames, step)
 
 
 def enhance(m: NkfModel, noisy: signal_core.Waveform,
@@ -108,23 +105,23 @@ def enhance(m: NkfModel, noisy: signal_core.Waveform,
     """Enhance one utterance, computing only what ``method``'s output reads:
     ``nkf`` the whole graph, ``lstm`` the predictor alone, ``wiener``
     ``enhance_wiener`` with the model's noise net and framing. The networks
-    run in blocks of frames (``nkf_forward``)."""
+    run in blocks of frames (``pipeline.run_blocks``)."""
     if method == "wiener":
         return enhance_wiener(noisy, m, model=m)   # the model carries its framing
     if method == "nkf":
         return enhance_with(noisy, m, functools.partial(nkf_forward, m), m)
     if method != "lstm":
-        raise DataError(f"unknown enhancement method {method!r}")
+        raise DataError(f"enhance runs 'nkf', 'lstm' or 'wiener', not {method!r}; 'kf' needs "
+                        f"kalman.enhance_kf_baseline and a RunConfig for its LP settings")
 
     def estimate(spec):
         feats = lstm_features(spec.amplitude, m.log_features)
 
         def step(lo, hi, state):
             amp, _, state = lstm_forward(m, feats[None, lo:hi], state)
-            return (amp.values[0],), state
+            return NkfFrameEstimates(amp_out=amp.values[0]), state
 
-        with ad.no_grad():
-            (amp,) = run_blocks(spec.n_frames, step)
+        amp = run_blocks(spec.n_frames, step).amp_out
         return NkfFrameEstimates(amp_lstm=amp, amp_out=amp)
 
     return enhance_with(noisy, m, estimate, m)
@@ -183,8 +180,8 @@ def _segment(entry, cfg, rng) -> tuple[np.ndarray, np.ndarray]:
 
 def _batch_loss(m: NkfModel, segments) -> ad.DiffArray:
     """Mean loss over (noisy, clean) amplitude segments."""
-    losses = [loss for loss, _ in _forward(m, segments)]
-    return ad.div(functools.reduce(ad.add, losses), float(len(losses)))
+    out, _ = _forward(m, [_inputs(m, noisy, clean) for noisy, clean in segments])
+    return ad.div(functools.reduce(ad.add, [loss for loss, _ in out]), float(len(out)))
 
 
 def _write_history(history, path):

@@ -1,7 +1,7 @@
 """What every enhancement method shares: the result types, the source of
-the noise-variance grid (oracle or model estimate), ``run_blocks``, which
-runs the networks' inference in ``signal_core.block_bounds`` blocks, and
-the shell stft -> amplitude estimate -> noisy frames rescaled to it -> istft.
+the noise-variance grid (oracle or model estimate), ``run_blocks`` (network
+inference under ``no_grad`` over ``signal_core.block_bounds`` blocks) and the
+shell stft -> amplitude estimate -> noisy frames rescaled to it -> istft.
 """
 
 from __future__ import annotations
@@ -44,18 +44,20 @@ class EnhancementResult:
     grids: NkfFrameEstimates
 
 
-def run_blocks(n_frames: int, step) -> tuple:
-    """Run ``step(lo, hi, state) -> (grids, state)`` on each block in order,
-    from state None, and write its ``hi - lo`` row grids into whole-utterance
-    grids allocated at the first block; returns those grids."""
-    whole, state = None, None
-    for lo, hi in block_bounds(n_frames):
-        grids, state = step(lo, hi, state)
-        if whole is None:
-            whole = tuple(np.empty((n_frames,) + g.shape[1:]) for g in grids)
-        for out, g in zip(whole, grids):
-            out[lo:hi] = g
-    return whole
+def run_blocks(n_frames: int, step) -> NkfFrameEstimates:
+    """Run ``step(lo, hi, state) -> (NkfFrameEstimates of rows lo..hi-1,
+    state)`` under ``no_grad`` on each block in order, from state None, and
+    write each grid it computes into a whole-utterance grid allocated at the
+    first block; returns those grids."""
+    whole, state = {}, None
+    with ad.no_grad():
+        for lo, hi in block_bounds(n_frames):
+            grids, state = step(lo, hi, state)
+            whole = whole or {name: np.empty((n_frames,) + g.shape[1:])
+                              for name, g in vars(grids).items() if g is not None}
+            for name, out in whole.items():
+                out[lo:hi] = getattr(grids, name)
+    return NkfFrameEstimates(**whole)
 
 
 def lstm_features(amplitude: np.ndarray, log_features: bool) -> np.ndarray:
@@ -83,10 +85,10 @@ def wiener_estimate(spec: signal_core.Spectrogram, span: int, sigma_v2_grid=None
         feats = lstm_features(spec.amplitude, model.log_features)
 
         def step(lo, hi, state):
-            return (noise_fnn_forward_grid(model, feats, sigma_y2, lo, hi).values,), state
+            grid = noise_fnn_forward_grid(model, feats, sigma_y2, lo, hi).values
+            return NkfFrameEstimates(sigma_v2=grid), state
 
-        with ad.no_grad():
-            (sigma_v2,) = run_blocks(spec.n_frames, step)
+        sigma_v2 = run_blocks(spec.n_frames, step).sigma_v2
     else:
         raise DataError("an oracle noise grid or a model is needed")
     return sigma_v2, wiener.apply_wiener(spec.amplitude, sigma_v2, sigma_y2).values

@@ -53,8 +53,9 @@ the whole input, as it was before its prefix sums restarted every
 
 ``enhance_whole`` is enhancement as it ran before inference went in blocks
 of frames: each network over the whole utterance at once, the NKF grids from
-the training graph (``enhancer._forward``) and the model's noise grid handed
-to the ``kf`` and ``wiener`` methods as if it were an oracle one.
+``enhancer._forward`` run on the whole utterance as one block, and the
+model's noise grid handed to the ``kf`` and ``wiener`` methods as if it were
+an oracle one.
 
 ``recombine_polar`` is the noisy-phase resynthesis that
 ``signal_core.recombine`` replaced: the phase grid ``np.angle(frames)`` put
@@ -406,7 +407,8 @@ def enhance_whole(m: NkfModel, noisy, method: str, cfg):
     def estimate(spec):
         with ad.no_grad():
             if method == "nkf":
-                return enhancer._forward(m, [(spec.amplitude, None)])[0][1]
+                ((_, est),), _ = enhancer._forward(m, [enhancer._inputs(m, spec.amplitude)])
+                return est
             amp = lstm_forward(m, lstm_features(
                 spec.amplitude, m.log_features)[None])[0].values[0]
         return NkfFrameEstimates(amp_lstm=amp, amp_out=amp)

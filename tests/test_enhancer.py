@@ -10,10 +10,10 @@ from nkf.config import RunConfig
 from nkf.enhancer import (EnhancementResult, NkfFrameEstimates, enhance,
                           enhance_wiener, gradient_check, nkf_combine,
                           nkf_forward, nkf_gain, nkf_loss, train, _batch_loss,
-                          _forward)
+                          _forward, _inputs)
 from nkf.errors import ConfigError, DataError, NumericsError
 from nkf.networks import build_model, load_checkpoint
-from nkf.signal_core import Waveform, stft
+from nkf.signal_core import Waveform, block_bounds, stft
 from nkf.wiener import VARIANCE_FLOOR, apply_wiener, track_sigma_y, wiener_gain
 
 
@@ -95,7 +95,7 @@ class TestForward:
         rng = np.random.default_rng(3)
         amp = rng.uniform(0.5, 3.0, (6, 4))
         with ad.no_grad():
-            (_, est), = _forward(m, [(amp, None)])
+            ((_, est),), _ = _forward(m, [_inputs(m, amp)])
         sigma_v2 = np.log(2.0) + 1e-12  # softplus(0) + eps
         expected_gain = 1.0 / (1.0 + sigma_v2)
         np.testing.assert_array_equal(est.amp_lstm, 0.0)
@@ -115,7 +115,7 @@ class TestForward:
         amp[:2] = 0.0
         amp[2:4] = 1e-9
         with ad.no_grad():
-            (_, est), = _forward(m, [(amp, None)])
+            ((_, est),), _ = _forward(m, [_inputs(m, amp)])
         sigma_y2 = track_sigma_y(amp, m.variance_span)
         assert np.any(sigma_y2 == 0) and np.any((sigma_y2 > 0) & (sigma_y2 < VARIANCE_FLOOR))
         gain = wiener_gain(est.sigma_v2, sigma_y2)
@@ -138,7 +138,7 @@ class TestForward:
         rng = np.random.default_rng(8)
         amp = rng.uniform(0, 3.0, (12, 4))
         with ad.no_grad():
-            (_, est), = _forward(m, [(amp, None)])
+            ((_, est),), _ = _forward(m, [_inputs(m, amp)])
         assert np.all((est.gain > 0) & (est.gain < 1))
         assert np.all(est.sigma_r2 > 0)
         assert np.all(est.sigma_v2 > 0)
@@ -154,7 +154,7 @@ class TestForward:
         rng = np.random.default_rng(12)
         spec = stft(Waveform(rng.standard_normal(96) * 0.1), m.window, m.hop)
         clean = rng.uniform(0.0, 0.5, spec.amplitude.shape)
-        (loss, est), = _forward(m, [(spec.amplitude, clean)])
+        ((loss, est),), _ = _forward(m, [_inputs(m, spec.amplitude, clean)])
         gain = est.sigma_r2 / (est.sigma_r2 + est.sigma_v2)
         amp_out = gain * est.amp_wiener + (1.0 - gain) * est.amp_lstm
         np.testing.assert_array_equal(est.gain, gain)
@@ -164,7 +164,40 @@ class TestForward:
     def test_dimension_mismatch(self):
         m = _tiny_model()
         with pytest.raises(DataError):
-            _forward(m, [(np.ones((5, 7)), None)])
+            _inputs(m, np.ones((5, 7)))
+
+    def test_clean_grid_of_another_shape(self):
+        # a longer clean grid is refused, not cut to the noisy one's frames
+        m = _tiny_model()
+        for clean in (np.ones((6, 4)), np.ones((4, 4)), np.ones((5, 3))):
+            with pytest.raises(DataError, match="share one shape"):
+                _inputs(m, np.ones((5, 4)), clean)
+
+    def test_one_graph_for_training_and_blocked_inference(self, monkeypatch):
+        # training and inference reach the gain, combination and loss only
+        # through _forward: once per batch, once per block of frames
+        cfg = RunConfig(seed=0)   # the desk preset
+        m = build_model(cfg.n_bins, lstm_units=cfg.lstm_unit_list,
+                        fnn_hidden=cfg.fnn_hidden, context=cfg.context,
+                        window=cfg.window, hop=cfg.hop,
+                        variance_span=cfg.variance_span, seed=0)
+        calls = []
+        real = enhancer._forward
+        monkeypatch.setattr(enhancer, "_forward",
+                            lambda *a, **kw: calls.append(a[2:]) or real(*a, **kw))
+        rng = np.random.default_rng(6)
+        segments = [tuple(rng.uniform(0.1, 2.0, (2, n, cfg.n_bins)))
+                    for n in (256, 256, 200, 256)]
+        _batch_loss(m, segments)
+        assert calls == [()]
+        calls.clear()
+        n = (1023 - 1) * cfg.hop + cfg.window
+        spec = stft(Waveform(rng.standard_normal(n) * 0.1), cfg.window, cfg.hop)
+        assert spec.n_frames == 1023
+        nkf_forward(m, spec)
+        assert [c[:2] for c in calls] == block_bounds(1023)
+        assert len(calls) == 3
+        assert not hasattr(enhancer, "_combine")
 
     def test_spectrogram_entry_point(self):
         m = _tiny_model()
@@ -470,9 +503,11 @@ class TestEnhance:
                                   wiener_out.waveform.samples)
 
     def test_unknown_method(self):
+        # kf is a --method, but its LP settings are not on the model
         m = _tiny_model()
-        with pytest.raises(DataError):
-            enhance(m, Waveform(np.zeros(100)), method="magic")
+        for method in ("magic", "kf"):
+            with pytest.raises(DataError, match="'nkf', 'lstm' or 'wiener'"):
+                enhance(m, Waveform(np.zeros(100)), method=method)
 
     def test_converged_limits_pass_clean_input_through(self):
         # forcing the noise head to ~0 and the residual head huge drives

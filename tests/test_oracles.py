@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from nkf import autodiff as ad
-from nkf.enhancer import _batch_loss, _combine, _forward
-from nkf.networks import build_model, lstm_forward, noise_fnn_forward_grid
-from nkf.pipeline import lstm_features
-from nkf.wiener import track_sigma_y
+from nkf.enhancer import _batch_loss, _forward, _inputs
+from nkf.networks import build_model, lstm_forward
 
 from oracles import lstm_forward_per_frame, reference_model, sigmoid, tanh
 from test_autodiff import _fd_check
@@ -89,17 +87,11 @@ def test_padded_batch_equals_each_utterance_alone():
     segments = [(rng.uniform(0.2, 3.0, (n, 6)), rng.uniform(0.1, 2.5, (n, 6)))
                 for n in (11, 4, 8)]
 
-    feats = [lstm_features(noisy, m.log_features) for noisy, _ in segments]
-    batch = np.zeros((3, 11, 6))
-    for b, f in enumerate(feats):
-        batch[b, :len(f)] = f
-    amp, res, _ = lstm_forward(m, batch)
+    utts = [_inputs(m, noisy, clean) for noisy, clean in segments]
+    batched, _ = _forward(m, utts)
     alone = []
-    for b, ((noisy, clean), f) in enumerate(zip(segments, feats)):
-        sigma_y2 = track_sigma_y(noisy, m.variance_span)
-        padded, _ = _combine(noisy, sigma_y2, noise_fnn_forward_grid(m, f, sigma_y2),
-                             amp[b, :len(f)], res[b, :len(f)], clean)
-        (single, _), = _forward(m, [(noisy, clean)])
+    for (padded, _), utt in zip(batched, utts):
+        ((single, _),), _ = _forward(m, [utt])
         np.testing.assert_allclose(float(padded.values), float(single.values),
                                    rtol=1e-13, atol=0)
         m.zero_grad()
