@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data_io, kalman, signal_core, wiener
 from .errors import ConfigError, DataError, NumericsError
-from .networks import NkfModel, build_model, lstm_forward, \
+from .networks import FirstLayerProduct, NkfModel, build_model, lstm_forward, \
     noise_fnn_forward_grid, optimizer_step, save_checkpoint
 from .pipeline import EnhancementResult, NkfFrameEstimates, check_framing, \
     enhance_with, lstm_features, run_blocks, wiener_estimate
@@ -62,28 +62,50 @@ def _inputs(m: NkfModel, noisy_amp, clean_amp=None) -> tuple:
 def _forward(m: NkfModel, utts, lo: int = 0, hi: int | None = None, state=None):
     """The NKF graph over frames lo..hi-1 (by default all) of ``_inputs``
     tuples: the LSTM runs once from ``state`` on their features zero-padded at
-    the end to ``hi - lo`` frames (exact: the LSTM is causal), the rest per
-    utterance on the rows it has, the noise net's context reaching before lo.
+    the end to ``hi - lo`` frames (exact: the LSTM is causal; one utterance
+    that has every row runs on a view of its own), the rest per utterance on
+    the rows it has, the noise net's context reaching before lo.
+
+    Each utterance's noise-net first-layer product runs on the worker thread
+    (``FirstLayerProduct``): utterance 0's while the LSTM runs, utterance
+    b+1's while utterance b's nodes are built. Only the product moves; every
+    node is built here, so every value is the serial graph's, bit for bit. A
+    product handed over is joined before any exception leaves.
 
     Returns per utterance the loss node (None without a clean grid) and the
     grids, which are the nodes' own ``values``, not copies (no op writes a
     node's values once it is made: see ``autodiff``); then the LSTM's state."""
     hi = max(len(noisy) for noisy, *_ in utts) if hi is None else hi
-    x = np.zeros((len(utts), hi - lo, m.n_bins))
-    for b, (_, feats, _, _) in enumerate(utts):
-        x[b, :len(feats[lo:hi])] = feats[lo:hi]
-    amp, res, state = lstm_forward(m, x, state)
-    out = []
-    for b, (noisy, feats, sigma_y2, clean) in enumerate(utts):
-        stop = min(hi, len(noisy))
-        sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2, lo, stop)
-        amp_wiener = wiener.apply_wiener(noisy[lo:stop], sigma_v2, sigma_y2[lo:stop])
-        amp_lstm, sigma_r2 = amp[b, :stop - lo], ad.exp(res[b, :stop - lo])
-        gain = nkf_gain(sigma_r2, sigma_v2)
-        amp_out = nkf_combine(gain, amp_wiener, amp_lstm)
-        loss = None if clean is None else nkf_loss(amp_out, clean[lo:stop])
-        out.append((loss, NkfFrameEstimates(*(node.values for node in (
-            amp_lstm, amp_wiener, sigma_r2, sigma_v2, gain, amp_out)))))
+    stops = [min(hi, len(noisy)) for noisy, *_ in utts]
+    if len(utts) == 1 and stops[0] == hi:
+        x = utts[0][1][None, lo:hi]
+    else:
+        x = np.zeros((len(utts), hi - lo, m.n_bins))
+        for b, (_, feats, _, _) in enumerate(utts):
+            x[b, :len(feats[lo:hi])] = feats[lo:hi]
+
+    def started(b):
+        _, feats, sigma_y2, _ = utts[b]
+        return FirstLayerProduct(m, feats, sigma_y2, lo, stops[b]).start()
+
+    pending = started(0)
+    try:
+        amp, res, state = lstm_forward(m, x, state)
+        out = []
+        for b, (noisy, feats, sigma_y2, clean) in enumerate(utts):
+            pre, stop = pending.result(), stops[b]
+            pending = started(b + 1) if b + 1 < len(utts) else None
+            sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2, lo, stop, pre)
+            amp_wiener = wiener.apply_wiener(noisy[lo:stop], sigma_v2, sigma_y2[lo:stop])
+            amp_lstm, sigma_r2 = amp[b, :stop - lo], ad.exp(res[b, :stop - lo])
+            gain = nkf_gain(sigma_r2, sigma_v2)
+            amp_out = nkf_combine(gain, amp_wiener, amp_lstm)
+            loss = None if clean is None else nkf_loss(amp_out, clean[lo:stop])
+            out.append((loss, NkfFrameEstimates(*(node.values for node in (
+                amp_lstm, amp_wiener, sigma_r2, sigma_v2, gain, amp_out)))))
+    finally:
+        if pending is not None:
+            pending.wait()
     return out, state
 
 

@@ -6,7 +6,9 @@ amplitude per bin (ReLU, so nonnegative), the other the log variance of the
 prediction residual (clamped to +-12 so its exponential stays finite).
 The noise net is three ReLU feed-forward layers mapping a left-side context
 window of amplitudes plus the current running noisy variance to a strictly
-positive noise variance per bin (softplus output).
+positive noise variance per bin (softplus output). Its first layer's
+product can run on a worker thread, started on first use, while the caller
+does other work (``FirstLayerProduct``).
 
 ``_param_shapes`` declares every weight once; ``NkfModel`` holds them as
 ``DiffArray`` leaves, so one ``backward()`` on a downstream loss yields exact
@@ -17,9 +19,11 @@ format documented at the bottom of this file.
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 import struct
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -116,20 +120,9 @@ def fnn_features(amplitude: np.ndarray, sigma_y2: np.ndarray, context: int,
     return features.reshape(n_frames, (context + 1) * n_bins)
 
 
-def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndarray,
-                           lo: int = 0, hi: int | None = None) -> ad.DiffArray:
-    """Noise variance estimate for frames lo..hi-1 (every frame by default)
-    of a T x F grid; the context of frame lo reaches back into the grid.
-    Raises ``DataError`` unless 0 <= lo < hi <= T.
-
-    The first layer's product with ``fnn.w1`` is one node that keeps no
-    ``fnn_features`` matrix: forward forms it one ``block_bounds`` row block
-    at a time, backward not at all, writing ``w1``'s gradient from shifted
-    views of the context rows (MEC; Cho & Brand, arXiv:1706.06873). That is
-    bit for bit the whole matrix's products at both presets' widths; far
-    below them (a per-tap product over more than 384 rows with
-    F·H·(hi-lo) <= 1e6), OpenBLAS's small-matrix kernel can round ``w1``'s
-    gradient differently in the last bits."""
+def _checked_rows(m: NkfModel, amplitude, sigma_y2, lo: int, hi: int | None):
+    """The noise net's grids as float64 arrays and its row end, after the
+    checks ``noise_fnn_forward_grid`` documents."""
     amplitude = np.asarray(amplitude, dtype=np.float64)
     sigma_y2 = np.asarray(sigma_y2, dtype=np.float64)
     if amplitude.ndim != 2 or amplitude.shape != sigma_y2.shape \
@@ -139,11 +132,119 @@ def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndar
     if not 0 <= lo < hi <= len(amplitude):
         raise DataError(f"noise net rows lo = {lo}, hi = {hi} need "
                         f"0 <= lo < hi <= T = {len(amplitude)}")
+    return amplitude, sigma_y2, hi
+
+
+def _product(features, w1, out):
+    """``features @ w1`` into ``out``: the only work the worker thread does."""
+    np.matmul(features, w1, out=out)
+
+
+class _Worker:
+    """One daemon thread that forms the first block of each started
+    ``FirstLayerProduct`` handed to it, in order."""
+
+    def __init__(self):
+        self._queue, self._ready = collections.deque(), threading.Semaphore(0)
+        threading.Thread(target=self._run, name="nkf-first-layer", daemon=True).start()
+
+    def hand_over(self, product: FirstLayerProduct):
+        self._queue.append(product)
+        self._ready.release()
+
+    def _run(self):
+        while True:
+            self._ready.acquire()
+            product = self._queue.popleft()
+            try:
+                _product(*product.first)
+            except BaseException as exc:   # result() re-raises it in the caller
+                product.error = exc
+            finally:
+                product.first = None   # the features go once they are used
+                product.done.set()
+
+
+#: The worker, started on first use; a forked child starts its own.
+_worker, _worker_lock = None, threading.Lock()
+
+
+def _forget_worker():
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _hand_over(product: FirstLayerProduct):
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = _Worker()
+        _worker.hand_over(product)
+
+
+class FirstLayerProduct:
+    """The noise net's first-layer product for frames lo..hi-1 (every frame by
+    default) of a T x F grid: the ``fnn_features`` rows times ``fnn.w1``, formed
+    one ``block_bounds`` row block at a time into one (hi-lo) x H array, so at
+    most one block of features is alive. The grids and rows are checked here,
+    as ``noise_fnn_forward_grid`` checks them.
+
+    ``start`` forms the first block's features and hands their product to the
+    worker, one daemon thread that runs only ``_product``, on arrays allocated
+    here, so that the product overlaps the caller's next work (the LSTM's time
+    loop: see ``enhancer._forward``). ``result`` waits for it, re-raising what
+    it raised, forms the blocks not yet formed on the calling thread and
+    returns the array; ``wait`` only waits. Each block is the same product
+    on either thread."""
+
+    def __init__(self, m: NkfModel, amplitude, sigma_y2, lo: int = 0, hi: int | None = None):
+        amplitude, sigma_y2, hi = _checked_rows(m, amplitude, sigma_y2, lo, hi)
+        w1 = m.params["fnn.w1"].values
+        self.pre = np.empty((hi - lo, w1.shape[1]))
+        self._blocks = ((fnn_features(amplitude, sigma_y2, m.context, lo + a, lo + b),
+                         w1, self.pre[a:b]) for a, b in block_bounds(hi - lo))
+        self.first = self.error = self.done = None
+
+    def start(self) -> FirstLayerProduct:
+        self.first, self.done = next(self._blocks), threading.Event()
+        _hand_over(self)
+        return self
+
+    def wait(self):
+        if self.done is not None:
+            self.done.wait()
+
+    def result(self) -> np.ndarray:
+        self.wait()
+        if self.error is not None:
+            raise self.error
+        for args in self._blocks:
+            _product(*args)
+        return self.pre
+
+
+def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndarray,
+                           lo: int = 0, hi: int | None = None, pre=None) -> ad.DiffArray:
+    """Noise variance estimate for frames lo..hi-1 (every frame by default)
+    of a T x F grid; the context of frame lo reaches back into the grid.
+    Raises ``DataError`` unless 0 <= lo < hi <= T.
+
+    The first layer's product with ``fnn.w1`` is one node that keeps no
+    ``fnn_features`` matrix. Forward takes ``pre``, the product as
+    ``FirstLayerProduct(m, amplitude, sigma_y2, lo, hi).result()`` returns it,
+    or forms it so when None. Backward forms no features, writing ``w1``'s
+    gradient from shifted views of the context rows (MEC; Cho & Brand,
+    arXiv:1706.06873). That is bit for bit the whole matrix's products at both
+    presets' widths; far below them (a per-tap product over more than 384 rows
+    with F·H·(hi-lo) <= 1e6), OpenBLAS's small-matrix kernel can round ``w1``'s
+    gradient differently in the last bits."""
+    amplitude, sigma_y2, hi = _checked_rows(m, amplitude, sigma_y2, lo, hi)
     w1, context, n_bins, n_rows = m.params["fnn.w1"], m.context, m.n_bins, hi - lo
-    pre = np.empty((n_rows, w1.shape[1]))
-    for a, b in block_bounds(n_rows):
-        np.matmul(fnn_features(amplitude, sigma_y2, context, lo + a, lo + b),
-                  w1.values, out=pre[a:b])
+    if pre is None:
+        pre = FirstLayerProduct(m, amplitude, sigma_y2, lo, hi).result()
 
     def backward(g):
         grad = np.empty_like(w1.values)

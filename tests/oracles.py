@@ -57,6 +57,12 @@ of frames: each network over the whole utterance at once, the NKF grids from
 model's noise grid handed to the ``kf`` and ``wiener`` methods as if it were
 an oracle one.
 
+``forward_serial`` is ``enhancer._forward`` as it ran before the noise net's
+first-layer products moved to a worker thread: the LSTM on a zero-padded copy
+of every utterance's rows, then per utterance the noise net with its first
+layer formed on the calling thread, and the rest of the graph; one thread
+throughout.
+
 ``recombine_polar`` is the noisy-phase resynthesis that
 ``signal_core.recombine`` replaced: the phase grid ``np.angle(frames)`` put
 back in polar form under the new amplitudes.
@@ -71,7 +77,7 @@ from nkf.networks import (LOGVAR_LIMIT, NOISE_VAR_EPS, NkfModel, build_model,
                           fnn_features, lstm_forward, noise_fnn_forward_grid)
 from nkf.pipeline import NkfFrameEstimates, enhance_with, lstm_features
 from nkf.signal_core import stft
-from nkf.wiener import VARIANCE_FLOOR, track_sigma_y
+from nkf.wiener import VARIANCE_FLOOR, apply_wiener, track_sigma_y
 
 
 def sigmoid(x) -> ad.DiffArray:
@@ -414,3 +420,24 @@ def enhance_whole(m: NkfModel, noisy, method: str, cfg):
         return NkfFrameEstimates(amp_lstm=amp, amp_out=amp)
 
     return enhance_with(noisy, m, estimate, m)
+
+
+def forward_serial(m: NkfModel, utts, lo: int = 0, hi=None, state=None):
+    """``enhancer._forward``'s graph and return, built on one thread."""
+    hi = max(len(noisy) for noisy, *_ in utts) if hi is None else hi
+    x = np.zeros((len(utts), hi - lo, m.n_bins))
+    for b, (_, feats, _, _) in enumerate(utts):
+        x[b, :len(feats[lo:hi])] = feats[lo:hi]
+    amp, res, state = lstm_forward(m, x, state)
+    out = []
+    for b, (noisy, feats, sigma_y2, clean) in enumerate(utts):
+        stop = min(hi, len(noisy))
+        sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2, lo, stop)
+        amp_wiener = apply_wiener(noisy[lo:stop], sigma_v2, sigma_y2[lo:stop])
+        amp_lstm, sigma_r2 = amp[b, :stop - lo], ad.exp(res[b, :stop - lo])
+        gain = enhancer.nkf_gain(sigma_r2, sigma_v2)
+        amp_out = enhancer.nkf_combine(gain, amp_wiener, amp_lstm)
+        loss = None if clean is None else enhancer.nkf_loss(amp_out, clean[lo:stop])
+        out.append((loss, NkfFrameEstimates(*(node.values for node in (
+            amp_lstm, amp_wiener, sigma_r2, sigma_v2, gain, amp_out)))))
+    return out, state

@@ -1,20 +1,27 @@
 import dataclasses
+import functools
+import multiprocessing
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from nkf import autodiff as ad
-from nkf import data_io, enhancer
+from nkf import data_io, enhancer, networks, wiener
 from nkf.config import RunConfig
 from nkf.enhancer import (EnhancementResult, NkfFrameEstimates, enhance,
                           enhance_wiener, gradient_check, nkf_combine,
                           nkf_forward, nkf_gain, nkf_loss, train, _batch_loss,
                           _forward, _inputs)
 from nkf.errors import ConfigError, DataError, NumericsError
-from nkf.networks import build_model, load_checkpoint
+from nkf.networks import build_model, fnn_features, load_checkpoint
+from nkf.pipeline import run_blocks
 from nkf.signal_core import Waveform, block_bounds, stft
 from nkf.wiener import VARIANCE_FLOOR, apply_wiener, track_sigma_y, wiener_gain
+
+import oracles
 
 
 def _tiny_model(seed=0, **kw):
@@ -22,6 +29,14 @@ def _tiny_model(seed=0, **kw):
                     hop=3, variance_span=4, seed=seed)
     defaults.update(kw)
     return build_model(4, **defaults)
+
+
+def _desk_model():
+    cfg = RunConfig(seed=0)   # the desk preset
+    return cfg, build_model(cfg.n_bins, lstm_units=cfg.lstm_unit_list,
+                            fnn_hidden=cfg.fnn_hidden, context=cfg.context,
+                            window=cfg.window, hop=cfg.hop,
+                            variance_span=cfg.variance_span, seed=0)
 
 
 def _zeroed_model():
@@ -176,27 +191,30 @@ class TestForward:
     def test_one_graph_for_training_and_blocked_inference(self, monkeypatch):
         # training and inference reach the gain, combination and loss only
         # through _forward: once per batch, once per block of frames
-        cfg = RunConfig(seed=0)   # the desk preset
-        m = build_model(cfg.n_bins, lstm_units=cfg.lstm_unit_list,
-                        fnn_hidden=cfg.fnn_hidden, context=cfg.context,
-                        window=cfg.window, hop=cfg.hop,
-                        variance_span=cfg.variance_span, seed=0)
-        calls = []
-        real = enhancer._forward
-        monkeypatch.setattr(enhancer, "_forward",
-                            lambda *a, **kw: calls.append(a[2:]) or real(*a, **kw))
+        cfg, m = _desk_model()
+        calls, feeds, utts = [], [], []
+        real, real_lstm = enhancer._forward, enhancer.lstm_forward
+        monkeypatch.setattr(enhancer, "_forward", lambda *a, **kw:
+                            calls.append(a[2:]) or utts.append(a[1]) or real(*a, **kw))
+        monkeypatch.setattr(enhancer, "lstm_forward",
+                            lambda m, x, state=None: feeds.append(x) or real_lstm(m, x, state))
         rng = np.random.default_rng(6)
         segments = [tuple(rng.uniform(0.1, 2.0, (2, n, cfg.n_bins)))
                     for n in (256, 256, 200, 256)]
         _batch_loss(m, segments)
         assert calls == [()]
+        # a batch is a zero-padded copy; one utterance that has every row is
+        # fed as a view of its own features
+        assert not any(np.shares_memory(feeds[0], feats) for _, feats, *_ in utts[0])
         calls.clear()
+        feeds.clear()
         n = (1023 - 1) * cfg.hop + cfg.window
         spec = stft(Waveform(rng.standard_normal(n) * 0.1), cfg.window, cfg.hop)
         assert spec.n_frames == 1023
         nkf_forward(m, spec)
         assert [c[:2] for c in calls] == block_bounds(1023)
-        assert len(calls) == 3
+        assert len(calls) == 3 == len(feeds)
+        assert all(np.shares_memory(x, utts[-1][0][1]) for x in feeds)
         assert not hasattr(enhancer, "_combine")
 
     def test_spectrogram_entry_point(self):
@@ -249,6 +267,155 @@ class TestEndToEndGradients:
     def test_negative_seed_is_config_error(self):
         with pytest.raises(ConfigError, match="seed must be nonnegative"):
             gradient_check(seed=-1)
+
+
+class _Boom(Exception):
+    """Raised on purpose inside the graph."""
+
+
+def _counting_features(monkeypatch):
+    """Record the row range of every ``fnn_features`` call from now on."""
+    calls = []
+    monkeypatch.setattr(networks, "fnn_features", lambda *a: calls.append(a[3:]) or
+                        fnn_features(*a))
+    return calls
+
+
+class TestFirstLayerWorker:
+    """The noise net's first-layer products run on a worker thread while the
+    calling thread runs the LSTM and builds every node; the results are those
+    of the serial graph (``oracles.forward_serial``) bit for bit."""
+
+    def test_training_graph_matches_serial_oracle(self, monkeypatch):
+        cfg, m = _desk_model()
+        rng = np.random.default_rng(21)
+        utts = [_inputs(m, *rng.uniform(0.1, 2.0, (2, n, cfg.n_bins)))
+                for n in (256, 200, 256, 31)]
+        calls = _counting_features(monkeypatch)
+        runs = []
+        for forward in (_forward, oracles.forward_serial):
+            m.zero_grad()
+            out, _ = forward(m, utts)
+            functools.reduce(ad.add, [loss for loss, _ in out]).backward()
+            runs.append((out, m.gradients()))
+            assert calls == [(0, n) for n in (256, 200, 256, 31)]   # one block each
+            calls.clear()
+        (got, got_grads), (want, want_grads) = runs
+        for (loss, est), (want_loss, want_est) in zip(got, want, strict=True):
+            assert float(loss.values) == float(want_loss.values)
+            for name, grid in vars(est).items():
+                np.testing.assert_array_equal(grid, getattr(want_est, name))
+        assert len(got_grads) == 16
+        for name, grad in got_grads.items():
+            np.testing.assert_array_equal(grad, want_grads[name])
+
+    @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 511, 512, 513, 1023, 2497])
+    def test_blocked_inference_matches_serial_oracle(self, monkeypatch, n_frames):
+        cfg, m = _desk_model()
+        n = (n_frames - 1) * cfg.hop + cfg.window
+        spec = stft(Waveform(np.random.default_rng(25).standard_normal(n) * 0.1),
+                    cfg.window, cfg.hop)
+        calls = _counting_features(monkeypatch)
+        got = nkf_forward(m, spec)
+        assert calls == block_bounds(n_frames)
+        calls.clear()
+        utt = _inputs(m, spec.amplitude)
+
+        def step(lo, hi, state):
+            ((_, est),), state = oracles.forward_serial(m, [utt], lo, hi, state)
+            return est, state
+
+        want = run_blocks(n_frames, step)
+        assert calls == block_bounds(n_frames)
+        for name, grid in vars(got).items():
+            np.testing.assert_array_equal(grid, getattr(want, name))
+
+    def test_graph_is_built_on_the_calling_thread(self, monkeypatch):
+        # only the first-layer products leave it: the tracer's spans and the
+        # nodes stay on one thread
+        threads = {}
+
+        def record(owner, name):
+            real = getattr(owner, name)
+
+            def recorded(*a, **kw):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return real(*a, **kw)
+            monkeypatch.setattr(owner, name, recorded)
+
+        for owner, name in ((enhancer, "lstm_forward"), (enhancer, "noise_fnn_forward_grid"),
+                            (wiener, "apply_wiener"), (ad.DiffArray, "__init__"),
+                            (networks, "_product")):
+            record(owner, name)
+        m = _tiny_model(seed=2)
+        rng = np.random.default_rng(22)
+        enhance(m, Waveform(0.1 * rng.standard_normal(300)), "nkf")
+        _batch_loss(m, [rng.uniform(0.1, 2.0, (2, n, 4)) for n in (9, 12)]).backward()
+        caller = {threading.get_ident()}
+        products = threads.pop("_product")
+        assert threads.keys() == {"lstm_forward", "noise_fnn_forward_grid",
+                                  "apply_wiener", "__init__"}
+        assert all(seen == caller for seen in threads.values()), threads
+        assert products and not products & caller
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        m = _tiny_model(seed=3)
+        noisy = Waveform(0.1 * np.random.default_rng(23).standard_normal(300))
+        clean = enhance(m, noisy, "nkf")
+        raised_on = []
+
+        def boom(*args):
+            raised_on.append(threading.get_ident())
+            raise _Boom
+
+        monkeypatch.setattr(networks, "_product", boom)
+        with pytest.raises(_Boom):
+            enhance(m, noisy, "nkf")
+        assert raised_on and threading.get_ident() not in raised_on
+        monkeypatch.undo()
+        again = enhance(m, noisy, "nkf")
+        np.testing.assert_array_equal(again.waveform.samples, clean.waveform.samples)
+        for name, grid in vars(again.grids).items():
+            np.testing.assert_array_equal(grid, getattr(clean.grids, name))
+
+    def test_product_joined_before_an_lstm_exception_leaves(self, monkeypatch):
+        finished = []
+        real = networks._product
+
+        def slow(*args):
+            time.sleep(0.2)
+            real(*args)
+            finished.append(True)
+
+        def failing(*args, **kwargs):
+            raise _Boom
+
+        monkeypatch.setattr(networks, "_product", slow)
+        monkeypatch.setattr(enhancer, "lstm_forward", failing)
+        m = _tiny_model(seed=4)
+        with pytest.raises(_Boom):
+            _forward(m, [_inputs(m, np.ones((8, 4)))])
+        assert finished == [True]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_child_starts_its_own_worker(self):
+        m = _tiny_model(seed=5)
+        noisy = Waveform(0.1 * np.random.default_rng(24).standard_normal(300))
+        want = enhance(m, noisy, "nkf").waveform.samples   # the worker is running
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(enhance(m, noisy, "nkf").waveform.samples))
+        child.start()
+        try:
+            assert recv.poll(60), "the forked child did not finish enhancing"
+            got = recv.recv()
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+        np.testing.assert_array_equal(got, want)
 
 
 class TestTrainingMemory:
