@@ -341,8 +341,8 @@ def write_manifest(manifest: CorpusManifest, path):
 
 
 def load_manifest(path) -> CorpusManifest:
-    """Read a manifest; splits must be in ``SPLITS``, paths must exist and
-    utterance ids be unique file names without a directory part."""
+    """Read a manifest; splits must be in ``SPLITS``, SNRs finite, paths must
+    exist and utterance ids be unique file names without a directory part."""
     root = os.path.dirname(os.path.abspath(path))
     entries = []
     try:
@@ -372,6 +372,8 @@ def load_manifest(path) -> CorpusManifest:
                                   speech_id=row["speech_id"], noise_id=row["noise_id"])
                 except ValueError as exc:
                     raise DataError(f"{where}: {exc}") from exc
+                if not np.isfinite(mix.snr_db):   # mix_at_snr refuses it too
+                    raise DataError(f"{where}: snr_db {row['snr_db']!r} is not finite")
                 entries.append(ManifestEntry(
                     utt_id=row["utt_id"], split=row["split"],
                     clean_path=paths["clean"], noisy_path=paths["noisy"],

@@ -23,8 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from . import data_io, kalman, signal_core, wiener
 from .errors import ConfigError, DataError, NumericsError
-from .networks import FirstLayerProduct, NkfModel, build_model, lstm_forward, \
-    noise_fnn_forward_grid, optimizer_step, save_checkpoint
+from .networks import NkfModel, build_model, first_layer_product, lstm_forward, \
+    noise_fnn_forward_grid, on_worker, optimizer_step, save_checkpoint
 from .pipeline import EnhancementResult, NkfFrameEstimates, check_framing, \
     enhance_with, lstm_features, run_blocks, wiener_estimate
 
@@ -66,11 +66,12 @@ def _forward(m: NkfModel, utts, lo: int = 0, hi: int | None = None, state=None):
     that has every row runs on a view of its own), the rest per utterance on
     the rows it has, the noise net's context reaching before lo.
 
-    Each utterance's noise-net first-layer product runs on the worker thread
-    (``FirstLayerProduct``): utterance 0's while the LSTM runs, utterance
-    b+1's while utterance b's nodes are built. Only the product moves; every
-    node is built here, so every value is the serial graph's, bit for bit. A
-    product handed over is joined before any exception leaves.
+    While the LSTM runs, one job on the worker thread (``on_worker``) forms
+    every utterance's noise-net first-layer product, block by block in one
+    feature buffer that only the job holds. Every array it writes is
+    allocated here and every node is built here, so every value is the
+    serial graph's, bit for bit. The job is joined before any exception
+    leaves, and an exception of the LSTM's leaves before one of the job's.
 
     Returns per utterance the loss node (None without a clean grid) and the
     grids, which are the nodes' own ``values``, not copies (no op writes a
@@ -83,29 +84,32 @@ def _forward(m: NkfModel, utts, lo: int = 0, hi: int | None = None, state=None):
         x = np.zeros((len(utts), hi - lo, m.n_bins))
         for b, (_, feats, _, _) in enumerate(utts):
             x[b, :len(feats[lo:hi])] = feats[lo:hi]
+    pres = [np.empty((stop - lo, m.hidden)) for stop in stops]
+    rows = max(b - a for stop in stops for a, b in signal_core.block_bounds(stop - lo))
 
-    def started(b):
-        _, feats, sigma_y2, _ = utts[b]
-        return FirstLayerProduct(m, feats, sigma_y2, lo, stops[b]).start()
+    def products(work):
+        for (_, feats, sigma_y2, _), stop, pre in zip(utts, stops, pres):
+            first_layer_product(m, feats, sigma_y2, lo, stop, pre, work)
 
-    pending = started(0)
+    join = on_worker(functools.partial(
+        products, np.empty((rows, (m.context + 1) * m.n_bins))))   # only the job holds it
     try:
         amp, res, state = lstm_forward(m, x, state)
-        out = []
-        for b, (noisy, feats, sigma_y2, clean) in enumerate(utts):
-            pre, stop = pending.result(), stops[b]
-            pending = started(b + 1) if b + 1 < len(utts) else None
-            sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2, lo, stop, pre)
-            amp_wiener = wiener.apply_wiener(noisy[lo:stop], sigma_v2, sigma_y2[lo:stop])
-            amp_lstm, sigma_r2 = amp[b, :stop - lo], ad.exp(res[b, :stop - lo])
-            gain = nkf_gain(sigma_r2, sigma_v2)
-            amp_out = nkf_combine(gain, amp_wiener, amp_lstm)
-            loss = None if clean is None else nkf_loss(amp_out, clean[lo:stop])
-            out.append((loss, NkfFrameEstimates(*(node.values for node in (
-                amp_lstm, amp_wiener, sigma_r2, sigma_v2, gain, amp_out)))))
     finally:
-        if pending is not None:
-            pending.wait()
+        error = join()
+    if error is not None:
+        raise error
+    out = []
+    for b, (noisy, feats, sigma_y2, clean) in enumerate(utts):
+        stop, pre = stops[b], pres[b]
+        sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2, lo, stop, pre)
+        amp_wiener = wiener.apply_wiener(noisy[lo:stop], sigma_v2, sigma_y2[lo:stop])
+        amp_lstm, sigma_r2 = amp[b, :stop - lo], ad.exp(res[b, :stop - lo])
+        gain = nkf_gain(sigma_r2, sigma_v2)
+        amp_out = nkf_combine(gain, amp_wiener, amp_lstm)
+        loss = None if clean is None else nkf_loss(amp_out, clean[lo:stop])
+        out.append((loss, NkfFrameEstimates(*(node.values for node in (
+            amp_lstm, amp_wiener, sigma_r2, sigma_v2, gain, amp_out)))))
     return out, state
 
 

@@ -81,8 +81,11 @@ def filter_bins(noisy_amp, sigma_v2, segments, order: int):
     first) with covariance sigma_v2[0] * I; those frames pass through
     unchanged. Each frame runs ``kf_predict``, ``kf_gain`` and ``kf_update``.
     Returns the filtered tracks and the first gain component per frame and
-    bin. A non-finite amplitude raises, naming the first frame that holds one.
+    bin. A ``sigma_v2`` of another shape, or a non-finite amplitude, raises
+    before the recursion; the latter names the first frame that holds one.
     """
+    if np.shape(sigma_v2) != noisy_amp.shape:
+        raise DataError(f"noise variance is {np.shape(sigma_v2)}, not {noisy_amp.shape}")
     finite = np.isfinite(noisy_amp).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -140,6 +143,8 @@ def filter_segmented(noisy_amp, lp_track, sigma_v2, order: int, seg_len: int):
     merged into the previous segment. Each segment's models are fit when the
     recursion reaches it; a fit that fails names the segment's first frame.
     """
+    if np.shape(lp_track) != np.shape(noisy_amp):
+        raise DataError(f"LP track is {np.shape(lp_track)}, not {np.shape(noisy_amp)}")
     n = len(noisy_amp)
     starts = list(range(0, n, seg_len))
     if len(starts) > 1 and n - starts[-1] <= order:

@@ -7,8 +7,8 @@ prediction residual (clamped to +-12 so its exponential stays finite).
 The noise net is three ReLU feed-forward layers mapping a left-side context
 window of amplitudes plus the current running noisy variance to a strictly
 positive noise variance per bin (softplus output). Its first layer's
-product can run on a worker thread, started on first use, while the caller
-does other work (``FirstLayerProduct``).
+product can run as a job on a worker thread, started on first use, while the
+caller does other work (``on_worker``).
 
 ``_param_shapes`` declares every weight once; ``NkfModel`` holds them as
 ``DiffArray`` leaves, so one ``backward()`` on a downstream loss yields exact
@@ -19,9 +19,9 @@ format documented at the bottom of this file.
 
 from __future__ import annotations
 
-import collections
 import math
 import os
+import queue
 import struct
 import threading
 
@@ -103,127 +103,85 @@ def _context_rows(amplitude: np.ndarray, context: int, lo: int, hi: int) -> np.n
 
 
 def fnn_features(amplitude: np.ndarray, sigma_y2: np.ndarray, context: int,
-                 lo: int = 0, hi: int | None = None) -> np.ndarray:
+                 lo: int = 0, hi: int | None = None, work=None) -> np.ndarray:
     """The noise net's (hi-lo) x (context+1)·F input for frames lo..hi-1 of
     the T x F grids (all of them by default): per row, the amplitude frames
-    t-context+1..t oldest first, then frame t of ``sigma_y2``.
+    t-context+1..t oldest first, then frame t of ``sigma_y2``. Written into
+    the first hi-lo rows of ``work``, a C-contiguous array of (context+1)·F
+    columns, when given.
 
     Indices before the utterance start repeat frame 0.
     """
     hi = len(amplitude) if hi is None else hi
     n_frames, n_bins = hi - lo, amplitude.shape[1]
-    features = np.empty((n_frames, context + 1, n_bins))
+    features = np.empty((n_frames, (context + 1) * n_bins)) if work is None \
+        else work[:n_frames]
+    blocks = features.reshape(n_frames, context + 1, n_bins)   # a view
     if n_frames:
-        features[:, :context] = sliding_window_view(
+        blocks[:, :context] = sliding_window_view(
             _context_rows(amplitude, context, lo, hi), context, axis=0).transpose(0, 2, 1)
-    features[:, context] = sigma_y2[lo:hi]
-    return features.reshape(n_frames, (context + 1) * n_bins)
+    blocks[:, context] = sigma_y2[lo:hi]
+    return features
 
 
-def _checked_rows(m: NkfModel, amplitude, sigma_y2, lo: int, hi: int | None):
-    """The noise net's grids as float64 arrays and its row end, after the
-    checks ``noise_fnn_forward_grid`` documents."""
-    amplitude = np.asarray(amplitude, dtype=np.float64)
-    sigma_y2 = np.asarray(sigma_y2, dtype=np.float64)
-    if amplitude.ndim != 2 or amplitude.shape != sigma_y2.shape \
-            or amplitude.shape[1] != m.n_bins:
-        raise DataError("amplitude / variance grids inconsistent with model")
-    hi = len(amplitude) if hi is None else hi
-    if not 0 <= lo < hi <= len(amplitude):
-        raise DataError(f"noise net rows lo = {lo}, hi = {hi} need "
-                        f"0 <= lo < hi <= T = {len(amplitude)}")
-    return amplitude, sigma_y2, hi
+def first_layer_product(m: NkfModel, amplitude, sigma_y2, lo: int, hi: int,
+                        out: np.ndarray, work=None) -> np.ndarray:
+    """The noise net's first-layer product for frames lo..hi-1 of float64
+    T x F grids into ``out``, (hi-lo) x H, which it returns: the
+    ``fnn_features`` rows times ``fnn.w1``, one ``block_bounds`` row block at
+    a time, each block's features in ``work`` (as ``fnn_features`` takes it,
+    rows for the largest block) or in a new array. Makes no node, so it can
+    run on the worker (``on_worker``)."""
+    w1 = m.params["fnn.w1"].values
+    for a, b in block_bounds(hi - lo):
+        np.matmul(fnn_features(amplitude, sigma_y2, m.context, lo + a, lo + b, work),
+                  w1, out=out[a:b])
+    return out
 
 
-def _product(features, w1, out):
-    """``features @ w1`` into ``out``: the only work the worker thread does."""
-    np.matmul(features, w1, out=out)
+def _run(jobs: queue.SimpleQueue):
+    while True:
+        fn, done, error = jobs.get()
+        try:
+            fn()
+        except BaseException as exc:   # join() hands it to the caller
+            error.append(exc)
+        finally:
+            fn = None   # what the job holds goes before join() returns
+            done.set()
 
 
-class _Worker:
-    """One daemon thread that forms the first block of each started
-    ``FirstLayerProduct`` handed to it, in order."""
-
-    def __init__(self):
-        self._queue, self._ready = collections.deque(), threading.Semaphore(0)
-        threading.Thread(target=self._run, name="nkf-first-layer", daemon=True).start()
-
-    def hand_over(self, product: FirstLayerProduct):
-        self._queue.append(product)
-        self._ready.release()
-
-    def _run(self):
-        while True:
-            self._ready.acquire()
-            product = self._queue.popleft()
-            try:
-                _product(*product.first)
-            except BaseException as exc:   # result() re-raises it in the caller
-                product.error = exc
-            finally:
-                product.first = None   # the features go once they are used
-                product.done.set()
-
-
-#: The worker, started on first use; a forked child starts its own.
-_worker, _worker_lock = None, threading.Lock()
+#: The worker's job queue, made with the worker on first use; a forked child
+#: makes its own.
+_jobs, _jobs_lock = None, threading.Lock()
 
 
 def _forget_worker():
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
+    global _jobs, _jobs_lock
+    _jobs, _jobs_lock = None, threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _hand_over(product: FirstLayerProduct):
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = _Worker()
-        _worker.hand_over(product)
+def on_worker(fn):
+    """Run ``fn()`` on the worker: one daemon thread, started on first use,
+    that runs the jobs handed to it, from any thread, in turn. Returns
+    ``join``; ``join()`` waits for ``fn`` and returns what it raised, or None.
+    Once ``fn`` has run the worker drops it, and whatever only it held."""
+    global _jobs
+    done, error = threading.Event(), []
+    with _jobs_lock:
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            threading.Thread(target=_run, args=(_jobs,), name="nkf-worker",
+                             daemon=True).start()
+        _jobs.put((fn, done, error))
 
-
-class FirstLayerProduct:
-    """The noise net's first-layer product for frames lo..hi-1 (every frame by
-    default) of a T x F grid: the ``fnn_features`` rows times ``fnn.w1``, formed
-    one ``block_bounds`` row block at a time into one (hi-lo) x H array, so at
-    most one block of features is alive. The grids and rows are checked here,
-    as ``noise_fnn_forward_grid`` checks them.
-
-    ``start`` forms the first block's features and hands their product to the
-    worker, one daemon thread that runs only ``_product``, on arrays allocated
-    here, so that the product overlaps the caller's next work (the LSTM's time
-    loop: see ``enhancer._forward``). ``result`` waits for it, re-raising what
-    it raised, forms the blocks not yet formed on the calling thread and
-    returns the array; ``wait`` only waits. Each block is the same product
-    on either thread."""
-
-    def __init__(self, m: NkfModel, amplitude, sigma_y2, lo: int = 0, hi: int | None = None):
-        amplitude, sigma_y2, hi = _checked_rows(m, amplitude, sigma_y2, lo, hi)
-        w1 = m.params["fnn.w1"].values
-        self.pre = np.empty((hi - lo, w1.shape[1]))
-        self._blocks = ((fnn_features(amplitude, sigma_y2, m.context, lo + a, lo + b),
-                         w1, self.pre[a:b]) for a, b in block_bounds(hi - lo))
-        self.first = self.error = self.done = None
-
-    def start(self) -> FirstLayerProduct:
-        self.first, self.done = next(self._blocks), threading.Event()
-        _hand_over(self)
-        return self
-
-    def wait(self):
-        if self.done is not None:
-            self.done.wait()
-
-    def result(self) -> np.ndarray:
-        self.wait()
-        if self.error is not None:
-            raise self.error
-        for args in self._blocks:
-            _product(*args)
-        return self.pre
+    def join():
+        done.wait()
+        return error[0] if error else None
+    return join
 
 
 def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndarray,
@@ -233,18 +191,27 @@ def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndar
     Raises ``DataError`` unless 0 <= lo < hi <= T.
 
     The first layer's product with ``fnn.w1`` is one node that keeps no
-    ``fnn_features`` matrix. Forward takes ``pre``, the product as
-    ``FirstLayerProduct(m, amplitude, sigma_y2, lo, hi).result()`` returns it,
+    ``fnn_features`` matrix. Forward takes ``pre``, the product that
+    ``first_layer_product(m, amplitude, sigma_y2, lo, hi, out)`` writes,
     or forms it so when None. Backward forms no features, writing ``w1``'s
     gradient from shifted views of the context rows (MEC; Cho & Brand,
     arXiv:1706.06873). That is bit for bit the whole matrix's products at both
     presets' widths; far below them (a per-tap product over more than 384 rows
     with F·H·(hi-lo) <= 1e6), OpenBLAS's small-matrix kernel can round ``w1``'s
     gradient differently in the last bits."""
-    amplitude, sigma_y2, hi = _checked_rows(m, amplitude, sigma_y2, lo, hi)
+    amplitude = np.asarray(amplitude, dtype=np.float64)
+    sigma_y2 = np.asarray(sigma_y2, dtype=np.float64)
+    if amplitude.ndim != 2 or amplitude.shape != sigma_y2.shape \
+            or amplitude.shape[1] != m.n_bins:
+        raise DataError("amplitude / variance grids inconsistent with model")
+    hi = len(amplitude) if hi is None else hi
+    if not 0 <= lo < hi <= len(amplitude):
+        raise DataError(f"noise net rows lo = {lo}, hi = {hi} need "
+                        f"0 <= lo < hi <= T = {len(amplitude)}")
     w1, context, n_bins, n_rows = m.params["fnn.w1"], m.context, m.n_bins, hi - lo
     if pre is None:
-        pre = FirstLayerProduct(m, amplitude, sigma_y2, lo, hi).result()
+        pre = first_layer_product(m, amplitude, sigma_y2, lo, hi,
+                                  np.empty((n_rows, m.hidden)))
 
     def backward(g):
         grad = np.empty_like(w1.values)

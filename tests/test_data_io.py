@@ -402,13 +402,15 @@ class TestSynthCorpus:
         (lambda f: f[:-1], "line 3: expected 9 fields"),
         (lambda f: f + ["extra"], "line 3: expected 9 fields"),
         (lambda f: f[:2] + ["loud"] + f[3:], "line 3: could not convert"),
+        (lambda f: f[:2] + ["nan"] + f[3:], "line 3: snr_db 'nan' is not finite"),
+        (lambda f: f[:2] + ["inf"] + f[3:], "line 3: snr_db 'inf' is not finite"),
         (lambda f: f[:3] + ["1.5"] + f[4:], "line 3: invalid literal"),
         (lambda f: f[:1] + ["trian"] + f[2:], "line 3: split 'trian' is not one of"),
         (lambda f: ["../escaped"] + f[1:], "line 3: utt_id '../escaped' is not a file name"),
         (lambda f: ["."] + f[1:], "line 3: utt_id '.' is not a file name"),
         (lambda f: [""] + f[1:], "line 3: utt_id '' is not a file name"),
-    ], ids=["too-few-fields", "extra-field", "non-numeric-snr", "non-integer-seed",
-            "unknown-split", "id-with-directory", "dot-id", "empty-id"])
+    ], ids=["too-few-fields", "extra-field", "non-numeric-snr", "nan-snr", "inf-snr",
+            "non-integer-seed", "unknown-split", "id-with-directory", "dot-id", "empty-id"])
     def test_malformed_manifest_row_rejected(self, tmp_path, edit, match):
         data_io.synth_corpus(self._cfg(), tmp_path)
         path = tmp_path / "manifest.csv"

@@ -1,9 +1,11 @@
 import dataclasses
 import functools
 import multiprocessing
+import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from nkf.enhancer import (EnhancementResult, NkfFrameEstimates, enhance,
                           nkf_forward, nkf_gain, nkf_loss, train, _batch_loss,
                           _forward, _inputs)
 from nkf.errors import ConfigError, DataError, NumericsError
-from nkf.networks import build_model, fnn_features, load_checkpoint
+from nkf.networks import build_model, fnn_features, load_checkpoint, \
+    noise_fnn_forward_grid
 from nkf.pipeline import run_blocks
 from nkf.signal_core import Waveform, block_bounds, stft
 from nkf.wiener import VARIANCE_FLOOR, apply_wiener, track_sigma_y, wiener_gain
@@ -276,15 +279,15 @@ class _Boom(Exception):
 def _counting_features(monkeypatch):
     """Record the row range of every ``fnn_features`` call from now on."""
     calls = []
-    monkeypatch.setattr(networks, "fnn_features", lambda *a: calls.append(a[3:]) or
+    monkeypatch.setattr(networks, "fnn_features", lambda *a: calls.append(a[3:5]) or
                         fnn_features(*a))
     return calls
 
 
 class TestFirstLayerWorker:
-    """The noise net's first-layer products run on a worker thread while the
-    calling thread runs the LSTM and builds every node; the results are those
-    of the serial graph (``oracles.forward_serial``) bit for bit."""
+    """The noise net's first-layer products run as one job on a worker thread
+    while the calling thread runs the LSTM and builds every node; the results
+    are those of the serial graph (``oracles.forward_serial``) bit for bit."""
 
     def test_training_graph_matches_serial_oracle(self, monkeypatch):
         cfg, m = _desk_model()
@@ -345,14 +348,14 @@ class TestFirstLayerWorker:
 
         for owner, name in ((enhancer, "lstm_forward"), (enhancer, "noise_fnn_forward_grid"),
                             (wiener, "apply_wiener"), (ad.DiffArray, "__init__"),
-                            (networks, "_product")):
+                            (enhancer, "first_layer_product")):
             record(owner, name)
         m = _tiny_model(seed=2)
         rng = np.random.default_rng(22)
         enhance(m, Waveform(0.1 * rng.standard_normal(300)), "nkf")
         _batch_loss(m, [rng.uniform(0.1, 2.0, (2, n, 4)) for n in (9, 12)]).backward()
         caller = {threading.get_ident()}
-        products = threads.pop("_product")
+        products = threads.pop("first_layer_product")
         assert threads.keys() == {"lstm_forward", "noise_fnn_forward_grid",
                                   "apply_wiener", "__init__"}
         assert all(seen == caller for seen in threads.values()), threads
@@ -368,7 +371,7 @@ class TestFirstLayerWorker:
             raised_on.append(threading.get_ident())
             raise _Boom
 
-        monkeypatch.setattr(networks, "_product", boom)
+        monkeypatch.setattr(enhancer, "first_layer_product", boom)
         with pytest.raises(_Boom):
             enhance(m, noisy, "nkf")
         assert raised_on and threading.get_ident() not in raised_on
@@ -380,7 +383,7 @@ class TestFirstLayerWorker:
 
     def test_product_joined_before_an_lstm_exception_leaves(self, monkeypatch):
         finished = []
-        real = networks._product
+        real = enhancer.first_layer_product
 
         def slow(*args):
             time.sleep(0.2)
@@ -390,12 +393,104 @@ class TestFirstLayerWorker:
         def failing(*args, **kwargs):
             raise _Boom
 
-        monkeypatch.setattr(networks, "_product", slow)
+        monkeypatch.setattr(enhancer, "first_layer_product", slow)
         monkeypatch.setattr(enhancer, "lstm_forward", failing)
         m = _tiny_model(seed=4)
         with pytest.raises(_Boom):
             _forward(m, [_inputs(m, np.ones((8, 4)))])
         assert finished == [True]
+
+    def test_lstm_exception_leaves_when_the_job_raises_too(self, monkeypatch):
+        raised_on = []
+
+        def boom(*args):
+            time.sleep(0.1)   # still running when the LSTM raises
+            raised_on.append(threading.get_ident())
+            raise _Boom
+
+        def failing(*args, **kwargs):
+            raise ZeroDivisionError
+
+        monkeypatch.setattr(enhancer, "first_layer_product", boom)
+        monkeypatch.setattr(enhancer, "lstm_forward", failing)
+        m = _tiny_model(seed=4)
+        utt = _inputs(m, np.ones((8, 4)))
+        with pytest.raises(ZeroDivisionError):
+            _forward(m, [utt])
+        assert len(raised_on) == 1 and threading.get_ident() not in raised_on
+        monkeypatch.undo()
+        ((_, got),), _ = _forward(m, [utt])
+        ((_, want),), _ = oracles.forward_serial(m, [utt])
+        np.testing.assert_array_equal(got.amp_out, want.amp_out)
+
+    def test_features_formed_on_the_worker_in_one_buffer(self, monkeypatch):
+        # one feature buffer per _forward call, allocated by the caller (a
+        # worker's own allocations would grow a glibc arena of its own) and
+        # freed when the job ends, before any node is built; tracemalloc
+        # sees neither
+        calls, jobs, kept = [], [], []
+
+        def recorded(*a):
+            work = a[5]
+            assert work is not None   # raised on the worker, join() hands it over
+            calls.append((threading.get_ident(), a[3:5], (id(work), work.shape),
+                          weakref.ref(work)))
+            return fnn_features(*a)
+
+        def counted(fn):
+            jobs.append(threading.get_ident())
+            return networks.on_worker(fn)
+
+        def first_node(*a):
+            kept.extend(ref() is not None for *_, ref in calls)
+            return noise_fnn_forward_grid(*a)
+
+        monkeypatch.setattr(networks, "fnn_features", recorded)
+        monkeypatch.setattr(enhancer, "on_worker", counted)
+        monkeypatch.setattr(enhancer, "noise_fnn_forward_grid", first_node)
+        m = _tiny_model(seed=6)
+        rng = np.random.default_rng(26)
+        utts = [_inputs(m, *rng.uniform(0.1, 2.0, (2, n, 4))) for n in (600, 200, 31)]
+        _forward(m, utts)
+        assert [rows for _, rows, _, _ in calls] == [(0, 256), (256, 600), (0, 200), (0, 31)]
+        assert threading.get_ident() not in {thread for thread, *_ in calls}
+        # the largest block is 256..600; each block's features are 4·4 wide
+        assert {work for _, _, work, _ in calls} == {(calls[0][2][0], (344, 16))}
+        assert jobs == [threading.get_ident()] and kept and not any(kept)
+        calls.clear()
+        jobs.clear()
+        spec = stft(Waveform(0.1 * rng.standard_normal(1022 * 3 + 6)), 6, 3)
+        nkf_forward(m, spec)   # 1023 frames: three blocks, so three calls
+        assert jobs == [threading.get_ident()] * 3
+        assert [rows for _, rows, _, _ in calls] == block_bounds(1023)
+        assert threading.get_ident() not in {thread for thread, *_ in calls}
+
+    def test_callers_on_several_threads_share_the_worker(self):
+        # more calling threads than cores, switching often: every job runs
+        # once, in its caller's buffers, and every join returns
+        m = _tiny_model(seed=7)
+        rng = np.random.default_rng(27)
+        utts = [_inputs(m, rng.uniform(0.1, 2.0, (n, 4))) for n in (40, 300, 9, 600, 77, 256)]
+        want = [oracles.forward_serial(m, [utt])[0][0][1].amp_out for utt in utts]
+        right = []
+
+        def run(i):
+            for _ in range(5):
+                ((_, est),), _ = _forward(m, [utts[i]])
+                right.append(np.array_equal(est.amp_out, want[i]))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(utts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert right == [True] * 5 * len(utts)
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs the fork start method")

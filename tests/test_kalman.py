@@ -8,7 +8,7 @@ from nkf.kalman import (enhance_kf_baseline, filter_bins, filter_segmented,
 from nkf.metrics import segsnr
 from nkf.signal_core import Waveform
 from nkf.wiener import wiener_gain
-from nkf import data_io
+from nkf import data_io, kalman
 
 
 def _bins(*cases):
@@ -317,6 +317,21 @@ class TestErrorsNameFrameAndBins:
         track[43, 2] = np.nan
         with pytest.raises(NumericsError, match=r"frame 40: .*bins \[2\]"):
             filter_segmented(np.ones((60, 4)), track, np.ones((60, 4)), 2, 20)
+
+    # grids of 50 x 4 amplitudes: a grid 10 frames short ran out at frame 40,
+    # halfway through the recursion; one 10 frames long was accepted, and one
+    # a bin short failed in a numpy broadcast
+    @pytest.mark.parametrize("shape", [(40, 4), (60, 4), (50, 3)])
+    def test_grid_of_another_shape_raises_before_the_recursion(self, shape, monkeypatch):
+        amp = np.ones((50, 4))
+        monkeypatch.setattr(kalman, "kf_predict", None)   # never reached
+        segment = (0, 50, np.full((4, 2), 0.1), np.full(4, 0.5))
+        with pytest.raises(DataError, match=rf"noise variance is \({shape[0]}, {shape[1]}\)"):
+            filter_bins(amp, np.ones(shape), [segment], 2)
+        with pytest.raises(DataError, match=rf"noise variance is \({shape[0]}, {shape[1]}\)"):
+            filter_segmented(amp, amp, np.ones(shape), 2, 20)
+        with pytest.raises(DataError, match=rf"LP track is \({shape[0]}, {shape[1]}\), not"):
+            filter_segmented(amp, np.ones(shape), amp, 2, 20)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_amplitude_names_the_first_frame(self, bad):

@@ -200,7 +200,7 @@ class TestNoiseFnn:
         calls = []
 
         def counted(*args):
-            calls.append(args[3:])
+            calls.append(args[3:5])
             return fnn_features(*args)
 
         monkeypatch.setattr(networks, "fnn_features", counted)
