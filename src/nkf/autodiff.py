@@ -30,6 +30,14 @@ Values must not change while a graph that reads them is alive: backward
 reuses them, so mutating ``values`` in place invalidates the gradients of
 any graph recorded before. ``networks.optimizer_step`` updates parameter
 values in place, between one step's backward and the next forward.
+
+A node's backward may defer a contribution to a job on the worker thread
+(``networks.on_worker``) and return the job's ``join``; the noise net's first
+layer does so for ``fnn.w1``. Only a contribution to a leaf that no node
+reads may be deferred, and every contribution to that leaf must be: the
+caller goes on backpropagating while the job runs. ``backward()`` calls every
+join before it returns or raises. The worker runs jobs in turn, so deferred
+contributions accumulate in node order, as they would inline.
 """
 
 from __future__ import annotations
@@ -95,15 +103,29 @@ class DiffArray:
             self.grad += delta
 
     def backward(self):
-        """Seed this scalar node with gradient 1 and backpropagate."""
+        """Seed this scalar node with gradient 1 and backpropagate.
+
+        A node's ``_backward`` may return the ``join`` that
+        ``networks.on_worker`` gave it for a job that makes a deferred
+        contribution: one to a leaf that no node reads and that only deferred
+        contributions reach. Every join is called, in node order, before this
+        returns or raises, so every leaf's ``grad`` is whole once it does. A
+        node's exception leaves first; otherwise the first a job raised."""
         if self.values.size != 1:
             raise ValueError("backward() must start from a scalar node")
         order = _toposort(self)
         self._accumulate(np.ones_like(self.values))
-        for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
-                node.grad = None
+        joins = []
+        try:
+            for node in reversed(order):
+                if node._backward is not None:
+                    joins.append(node._backward(node.grad))
+                    node.grad = None
+        finally:
+            errors = [join() for join in joins if join is not None]
+        for error in errors:
+            if error is not None:
+                raise error
 
     def __getitem__(self, key):
         return take(self, key)

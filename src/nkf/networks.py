@@ -7,8 +7,9 @@ prediction residual (clamped to +-12 so its exponential stays finite).
 The noise net is three ReLU feed-forward layers mapping a left-side context
 window of amplitudes plus the current running noisy variance to a strictly
 positive noise variance per bin (softplus output). Its first layer's
-product can run as a job on a worker thread, started on first use, while the
-caller does other work (``on_worker``).
+product, and in backward its ``fnn.w1`` gradient, run as jobs on a worker
+thread, started on first use, while the caller does other work
+(``on_worker``).
 
 ``_param_shapes`` declares every weight once; ``NkfModel`` holds them as
 ``DiffArray`` leaves, so one ``backward()`` on a downstream loss yields exact
@@ -110,18 +111,42 @@ def fnn_features(amplitude: np.ndarray, sigma_y2: np.ndarray, context: int,
     the first hi-lo rows of ``work``, a C-contiguous array of (context+1)·F
     columns, when given.
 
-    Indices before the utterance start repeat frame 0.
+    Indices before the utterance start repeat frame 0. Only rows before
+    frame context-1 read a padded copy, of at most 2·context-2 frames; later
+    rows read the grid itself. (Writing the repeated frames row by row takes
+    a numpy call per row, and on the worker each call takes the GIL back from
+    the LSTM running beside it.)
     """
     hi = len(amplitude) if hi is None else hi
     n_frames, n_bins = hi - lo, amplitude.shape[1]
     features = np.empty((n_frames, (context + 1) * n_bins)) if work is None \
         else work[:n_frames]
     blocks = features.reshape(n_frames, context + 1, n_bins)   # a view
-    if n_frames:
-        blocks[:, :context] = sliding_window_view(
-            _context_rows(amplitude, context, lo, hi), context, axis=0).transpose(0, 2, 1)
+    split = min(max(context - 1, lo), hi)   # the first row whose context is all real
+    for a, b in ((lo, split), (split, hi)):
+        if a < b:
+            blocks[a - lo:b - lo, :context] = sliding_window_view(
+                _context_rows(amplitude, context, a, b), context, axis=0).transpose(0, 2, 1)
     blocks[:, context] = sigma_y2[lo:hi]
     return features
+
+
+def first_layer_gradient(rows: np.ndarray, sigma_y2: np.ndarray, g: np.ndarray,
+                         out: np.ndarray) -> np.ndarray:
+    """``fnn.w1``'s gradient for frames lo..hi-1 into ``out``, a C-contiguous
+    (context+1)·F x H array, which it returns: ``rows`` are the frames'
+    ``_context_rows``, ``sigma_y2`` the grid's rows lo..hi-1 and ``g`` the
+    first layer's (hi-lo) x H output gradient. Context tap k's block is
+    ``rows[k:k + hi - lo].T @ g``, every tap in one batched product over
+    shifted views of ``rows`` (MEC; Cho & Brand, arXiv:1706.06873), then the
+    last block is ``sigma_y2.T @ g``; no feature matrix is formed. Makes no
+    node, so it can run on the worker (``on_worker``)."""
+    n_rows, n_bins = sigma_y2.shape
+    taps = len(rows) - n_rows + 1
+    np.matmul(sliding_window_view(rows, n_rows, axis=0), g,
+              out=out[:taps * n_bins].reshape(taps, n_bins, -1))
+    np.matmul(sigma_y2.T, g, out=out[taps * n_bins:])
+    return out
 
 
 def first_layer_product(m: NkfModel, amplitude, sigma_y2, lo: int, hi: int,
@@ -193,12 +218,17 @@ def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndar
     The first layer's product with ``fnn.w1`` is one node that keeps no
     ``fnn_features`` matrix. Forward takes ``pre``, the product that
     ``first_layer_product(m, amplitude, sigma_y2, lo, hi, out)`` writes,
-    or forms it so when None. Backward forms no features, writing ``w1``'s
-    gradient from shifted views of the context rows (MEC; Cho & Brand,
-    arXiv:1706.06873). That is bit for bit the whole matrix's products at both
-    presets' widths; far below them (a per-tap product over more than 384 rows
-    with F·H·(hi-lo) <= 1e6), OpenBLAS's small-matrix kernel can round ``w1``'s
-    gradient differently in the last bits."""
+    or forms it so when None. Backward forms the padded context rows on the
+    calling thread and hands ``w1``'s gradient to the worker as one job
+    (``on_worker``): ``first_layer_gradient``, one batched product over shifted
+    views of those rows, into an array the job allocates, then
+    ``w1._accumulate``. It returns the job's ``join``, which
+    ``DiffArray.backward`` calls before it returns; the worker runs jobs in
+    turn, so ``w1``'s gradient sums in node order. That is bit for bit the
+    whole feature matrix's product at both presets' widths; far below them (a
+    tap's product over more than 384 rows with F·H·(hi-lo) <= 1e6),
+    OpenBLAS's small-matrix kernel can round ``w1``'s gradient differently in
+    the last bits."""
     amplitude = np.asarray(amplitude, dtype=np.float64)
     sigma_y2 = np.asarray(sigma_y2, dtype=np.float64)
     if amplitude.ndim != 2 or amplitude.shape != sigma_y2.shape \
@@ -208,18 +238,15 @@ def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndar
     if not 0 <= lo < hi <= len(amplitude):
         raise DataError(f"noise net rows lo = {lo}, hi = {hi} need "
                         f"0 <= lo < hi <= T = {len(amplitude)}")
-    w1, context, n_bins, n_rows = m.params["fnn.w1"], m.context, m.n_bins, hi - lo
+    w1 = m.params["fnn.w1"]
     if pre is None:
         pre = first_layer_product(m, amplitude, sigma_y2, lo, hi,
-                                  np.empty((n_rows, m.hidden)))
+                                  np.empty((hi - lo, m.hidden)))
 
     def backward(g):
-        grad = np.empty_like(w1.values)
-        rows = _context_rows(amplitude, context, lo, hi)
-        for k in range(context):   # the features' column block k is rows[k:k + n_rows]
-            np.matmul(rows[k:k + n_rows].T, g, out=grad[k * n_bins:(k + 1) * n_bins])
-        np.matmul(sigma_y2[lo:hi].T, g, out=grad[context * n_bins:])
-        w1._accumulate(grad)
+        rows = _context_rows(amplitude, m.context, lo, hi)   # here, not on the worker
+        return on_worker(lambda: w1._accumulate(
+            first_layer_gradient(rows, sigma_y2[lo:hi], g, np.empty(w1.shape))))
 
     h1 = ad.relu(ad.add_rowvec(ad.make_node(pre, (w1,), backward), m.params["fnn.b1"]))
     h2 = ad.relu(ad.add_rowvec(

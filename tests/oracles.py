@@ -57,11 +57,18 @@ of frames: each network over the whole utterance at once, the NKF grids from
 model's noise grid handed to the ``kf`` and ``wiener`` methods as if it were
 an oracle one.
 
+``w1_grad_per_tap`` is the noise net's ``fnn.w1`` gradient as the first
+layer's node formed it before its products were batched: one product per
+context tap, ``rows[k:k+T].T @ g``, then ``sigma_y2.T @ g``.
+``noise_fnn_forward_grid_inline`` is the noise net with that node as it ran
+before its backward moved to a worker thread: the first layer's product and
+``w1``'s gradient formed on the calling thread, the gradient accumulated as
+the node's backward returns.
+
 ``forward_serial`` is ``enhancer._forward`` as it ran before the noise net's
 first-layer products moved to a worker thread: the LSTM on a zero-padded copy
-of every utterance's rows, then per utterance the noise net with its first
-layer formed on the calling thread, and the rest of the graph; one thread
-throughout.
+of every utterance's rows, then per utterance ``noise_fnn_forward_grid_inline``
+and the rest of the graph; one thread throughout, in forward and backward.
 
 ``recombine_polar`` is the noisy-phase resynthesis that
 ``signal_core.recombine`` replaced: the phase grid ``np.angle(frames)`` put
@@ -73,8 +80,9 @@ import numpy as np
 from nkf import autodiff as ad
 from nkf import enhancer
 from nkf.errors import DataError, NumericsError
-from nkf.networks import (LOGVAR_LIMIT, NOISE_VAR_EPS, NkfModel, build_model,
-                          fnn_features, lstm_forward, noise_fnn_forward_grid)
+from nkf.networks import (LOGVAR_LIMIT, NOISE_VAR_EPS, NkfModel, _context_rows,
+                          build_model, first_layer_product, fnn_features,
+                          lstm_forward, noise_fnn_forward_grid)
 from nkf.pipeline import NkfFrameEstimates, enhance_with, lstm_features
 from nkf.signal_core import stft
 from nkf.wiener import VARIANCE_FLOOR, apply_wiener, track_sigma_y
@@ -263,16 +271,46 @@ def noise_fnn_forward(n: NkfModel, amp_context, sigma_y2_frame) -> ad.DiffArray:
     return ad.add(ad.softplus(z), NOISE_VAR_EPS)[0]
 
 
-def noise_fnn_forward_grid_composed(m: NkfModel, amplitude, sigma_y2, lo: int = 0,
-                                    hi: int | None = None) -> ad.DiffArray:
-    """Noise variance estimate for frames lo..hi-1 from the kept feature matrix."""
-    features = fnn_features(amplitude, sigma_y2, m.context, lo, hi)
-    h1 = ad.relu(ad.add_rowvec(
-        ad.matmul(ad.lift(features), m.params["fnn.w1"]), m.params["fnn.b1"]))
+def _noise_fnn_above(m: NkfModel, first) -> ad.DiffArray:
+    """The noise net's output from its first layer's product node."""
+    h1 = ad.relu(ad.add_rowvec(first, m.params["fnn.b1"]))
     h2 = ad.relu(ad.add_rowvec(
         ad.matmul(h1, m.params["fnn.w2"]), m.params["fnn.b2"]))
     z = ad.add_rowvec(ad.matmul(h2, m.params["fnn.w3"]), m.params["fnn.b3"])
     return ad.add(ad.softplus(z), NOISE_VAR_EPS)
+
+
+def noise_fnn_forward_grid_composed(m: NkfModel, amplitude, sigma_y2, lo: int = 0,
+                                    hi: int | None = None) -> ad.DiffArray:
+    """Noise variance estimate for frames lo..hi-1 from the kept feature matrix."""
+    features = fnn_features(amplitude, sigma_y2, m.context, lo, hi)
+    return _noise_fnn_above(m, ad.matmul(ad.lift(features), m.params["fnn.w1"]))
+
+
+def w1_grad_per_tap(rows, sigma_y2, g) -> np.ndarray:
+    """``fnn.w1``'s gradient from ``networks._context_rows`` of frames
+    lo..hi-1, their ``sigma_y2`` rows and the first layer's output gradient,
+    one product per context tap."""
+    n_rows, n_bins = sigma_y2.shape
+    taps = len(rows) - n_rows + 1
+    grad = np.empty(((taps + 1) * n_bins, g.shape[1]))
+    for k in range(taps):
+        np.matmul(rows[k:k + n_rows].T, g, out=grad[k * n_bins:(k + 1) * n_bins])
+    np.matmul(sigma_y2.T, g, out=grad[taps * n_bins:])
+    return grad
+
+
+def noise_fnn_forward_grid_inline(m: NkfModel, amplitude, sigma_y2, lo: int,
+                                  hi: int) -> ad.DiffArray:
+    """``networks.noise_fnn_forward_grid`` on the calling thread alone."""
+    w1 = m.params["fnn.w1"]
+    pre = first_layer_product(m, amplitude, sigma_y2, lo, hi, np.empty((hi - lo, m.hidden)))
+
+    def backward(g):
+        w1._accumulate(w1_grad_per_tap(_context_rows(amplitude, m.context, lo, hi),
+                                       sigma_y2[lo:hi], g))
+
+    return _noise_fnn_above(m, ad.make_node(pre, (w1,), backward))
 
 
 def adam_step(values, m, v, g, t: int, lr: float = 1e-3, beta1: float = 0.9,
@@ -432,7 +470,7 @@ def forward_serial(m: NkfModel, utts, lo: int = 0, hi=None, state=None):
     out = []
     for b, (noisy, feats, sigma_y2, clean) in enumerate(utts):
         stop = min(hi, len(noisy))
-        sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2, lo, stop)
+        sigma_v2 = noise_fnn_forward_grid_inline(m, feats, sigma_y2, lo, stop)
         amp_wiener = apply_wiener(noisy[lo:stop], sigma_v2, sigma_y2[lo:stop])
         amp_lstm, sigma_r2 = amp[b, :stop - lo], ad.exp(res[b, :stop - lo])
         gain = enhancer.nkf_gain(sigma_r2, sigma_v2)

@@ -513,6 +513,132 @@ class TestFirstLayerWorker:
         np.testing.assert_array_equal(got, want)
 
 
+class _Jobs:
+    """``networks.first_layer_gradient``, recorded: each call sleeps first, so
+    a backward that returned before joining it would read ``w1``'s gradient
+    early, then raises the next of ``fail`` (None: runs) or runs. ``started``
+    and ``ended`` hold each call's thread, ``ended`` once it has returned or
+    raised."""
+
+    def __init__(self, monkeypatch, fail=()):
+        self.started, self.ended, self.fail = [], [], list(fail)
+        real = networks.first_layer_gradient
+
+        def recorded(*args):
+            self.started.append(threading.get_ident())
+            try:
+                time.sleep(0.05)
+                error = self.fail.pop(0) if self.fail else None
+                if error is not None:
+                    raise error
+                return real(*args)
+            finally:
+                self.ended.append(threading.get_ident())
+
+        monkeypatch.setattr(networks, "first_layer_gradient", recorded)
+
+
+def _segments(seed, lengths, n_bins=4):
+    rng = np.random.default_rng(seed)
+    return [tuple(rng.uniform(0.1, 2.0, (2, n, n_bins))) for n in lengths]
+
+
+class TestBackwardWorker:
+    """Backward hands each noise-net first layer's ``w1`` gradient to the
+    worker as one job while the calling thread goes on to the LSTM's BPTT;
+    ``DiffArray.backward`` joins every job before it returns or raises, so
+    the gradients are the serial graph's (``oracles.forward_serial``, whose
+    first layer forms ``w1``'s gradient inline) bit for bit."""
+
+    def test_gradients_match_serial_oracle_over_two_backwards(self, monkeypatch):
+        cfg, m = _desk_model()
+        segments = _segments(31, (256, 200, 256, 31), cfg.n_bins)
+        jobs = _Jobs(monkeypatch)
+        runs = []
+        for forward in (_forward, oracles.forward_serial):
+            monkeypatch.setattr(enhancer, "_forward", forward)
+            m.zero_grad()
+            grads = []
+            for _ in range(2):   # no zero_grad: the second backward adds to the first
+                _batch_loss(m, segments).backward()
+                grads.append({name: g.copy() for name, g in m.gradients().items()})
+            runs.append(grads)
+        assert len(jobs.ended) == 8   # 4 utterances, 2 backwards; none in the oracle
+        for got, want in zip(*runs, strict=True):
+            assert len(got) == 16
+            for name, grad in got.items():
+                np.testing.assert_array_equal(grad, want[name])
+
+    def test_w1_products_run_off_the_calling_thread(self, monkeypatch):
+        jobs = _Jobs(monkeypatch)
+        made = set()
+        real_init = ad.DiffArray.__init__
+
+        def recorded_init(self, *a, **kw):
+            made.add(threading.get_ident())
+            real_init(self, *a, **kw)
+
+        monkeypatch.setattr(ad.DiffArray, "__init__", recorded_init)
+        m = _tiny_model(seed=8)
+        _batch_loss(m, _segments(32, (9, 12))).backward()
+        caller = threading.get_ident()
+        assert len(jobs.ended) == 2 and caller not in jobs.started + jobs.ended
+        assert made == {caller}
+
+    def test_job_exception_reaches_the_caller_after_every_job(self, monkeypatch):
+        jobs = _Jobs(monkeypatch, fail=[_Boom])
+        m = _tiny_model(seed=9)
+        loss = _batch_loss(m, _segments(33, (9, 12, 7)))
+        with pytest.raises(_Boom):
+            loss.backward()
+        assert len(jobs.ended) == 3 and threading.get_ident() not in jobs.ended
+
+    def test_node_exception_leaves_before_a_jobs(self, monkeypatch):
+        jobs = _Jobs(monkeypatch, fail=[_Boom, _Boom])
+        real = ad.lstm_layer
+
+        def failing_backward(*args, **kwargs):
+            node, state = real(*args, **kwargs)
+
+            def backward(g):   # runs after both first-layer nodes handed off
+                raise ZeroDivisionError
+
+            node._backward = backward
+            return node, state
+
+        monkeypatch.setattr(ad, "lstm_layer", failing_backward)
+        m = _tiny_model(seed=10)
+        loss = _batch_loss(m, _segments(34, (9, 12)))
+        with pytest.raises(ZeroDivisionError):
+            loss.backward()
+        assert len(jobs.ended) == 2   # both jobs raised, and both were joined
+
+    def test_spent_graph_still_raises(self, monkeypatch):
+        jobs = _Jobs(monkeypatch)
+        m = _tiny_model(seed=11)
+        loss = _batch_loss(m, _segments(35, (9, 12)))
+        loss.backward()
+        assert len(jobs.ended) == 2
+        with pytest.raises(RuntimeError, match="second backward"):
+            loss.backward()
+        # the first-layer nodes handed off again before the LSTM's raised
+        assert len(jobs.started) == len(jobs.ended) == 4
+
+    def test_next_clean_step_equals_a_fresh_run(self, monkeypatch):
+        segments = _segments(36, (9, 12))
+        m = _tiny_model(seed=12)
+        _Jobs(monkeypatch, fail=[_Boom])
+        with pytest.raises(_Boom):
+            _batch_loss(m, segments).backward()
+        m.zero_grad()
+        _batch_loss(m, segments).backward()
+        fresh = _tiny_model(seed=12)
+        _batch_loss(fresh, segments).backward()
+        want = fresh.gradients()
+        for name, grad in m.gradients().items():
+            np.testing.assert_array_equal(grad, want[name])
+
+
 class TestTrainingMemory:
     @staticmethod
     def _kept_after_forward(context):

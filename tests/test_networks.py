@@ -8,13 +8,13 @@ import pytest
 from nkf import autodiff as ad
 from nkf import networks
 from nkf.errors import ConfigError, DataError, NumericsError
-from nkf.networks import (build_model, fnn_features, load_checkpoint,
-                          lstm_forward, noise_fnn_forward_grid, optimizer_step,
-                          save_checkpoint, NOISE_VAR_EPS)
+from nkf.networks import (build_model, first_layer_gradient, fnn_features,
+                          load_checkpoint, lstm_forward, noise_fnn_forward_grid,
+                          optimizer_step, save_checkpoint, NOISE_VAR_EPS)
 from nkf.signal_core import block_bounds
 
 from oracles import (adam_step, init_params, noise_fnn_forward,
-                     noise_fnn_forward_grid_composed, reference_model)
+                     noise_fnn_forward_grid_composed, reference_model, w1_grad_per_tap)
 
 
 def _zero_params(net):
@@ -189,6 +189,26 @@ class TestNoiseFnn:
             if name != "fnn.w1":
                 np.testing.assert_array_equal(got_grads[name], want_grads[name])
 
+    @pytest.mark.parametrize("n_rows, n_bins, hidden, context, lo", [
+        (256, 129, 128, 30, 0), (147, 129, 128, 30, 0), (31, 129, 128, 30, 0),
+        (1, 129, 128, 30, 0), (700, 129, 128, 30, 0), (997, 129, 128, 30, 0),
+        (1324, 129, 128, 30, 0), (2048, 129, 1024, 30, 0), (32, 129, 1024, 30, 0),
+        (1400, 9, 16, 30, 0), (500, 9, 16, 30, 0), (5, 4, 8, 3, 0), (300, 129, 128, 1, 0),
+        (300, 129, 128, 30, 5), (700, 9, 16, 30, 700), (500, 9, 16, 30, 13)])
+    def test_w1_gradient_batched_matches_per_tap_loop(self, n_rows, n_bins, hidden,
+                                                      context, lo):
+        # one batched product over every tap's shifted view is the per-tap
+        # loop bit for bit, at both presets' widths, at the narrow widths
+        # where a tap over more than 384 rows takes OpenBLAS's small-matrix
+        # kernel, and on ranges whose context reaches back past lo or not
+        rng = np.random.default_rng(n_rows + lo)
+        amp, sigma_y2 = rng.uniform(0, 3, (2, lo + n_rows, n_bins))
+        g = rng.standard_normal((n_rows, hidden))
+        rows = networks._context_rows(amp, context, lo, lo + n_rows)
+        got = first_layer_gradient(rows, sigma_y2[lo:], g,
+                                   np.empty(((context + 1) * n_bins, hidden)))
+        np.testing.assert_array_equal(got, w1_grad_per_tap(rows, sigma_y2[lo:], g))
+
     @pytest.mark.parametrize("lo, hi", [(-1, 10), (5, 3), (0, 50), (38, 60), (10, 10)])
     def test_row_range_is_checked(self, lo, hi):
         m = build_model(4, lstm_units=(2,), fnn_hidden=3, context=30, seed=0)
@@ -224,6 +244,17 @@ class TestNoiseFnn:
         assert features.shape == (n_frames, 16)
         np.testing.assert_array_equal(features[:, :12], amp[idx].reshape(n_frames, 12))
         np.testing.assert_array_equal(features[:, 12:], sigma_y2)
+
+    @pytest.mark.parametrize("n_frames, lo, hi", [
+        (40, 0, 5), (40, 3, 40), (40, 28, 31), (40, 29, 40), (90, 0, 90), (90, 50, 90)])
+    def test_row_range_features_match_index_gather(self, n_frames, lo, hi):
+        # rows before frame 29 read frame 0 repeated, the others only the grid
+        rng = np.random.default_rng(n_frames + lo)
+        amp, sigma_y2 = rng.uniform(0, 3, (2, n_frames, 4))
+        idx = np.maximum(np.arange(lo, hi)[:, None] - np.arange(29, -1, -1), 0)
+        features = fnn_features(amp, sigma_y2, 30, lo, hi)
+        np.testing.assert_array_equal(features[:, :120], amp[idx].reshape(hi - lo, 120))
+        np.testing.assert_array_equal(features[:, 120:], sigma_y2[lo:hi])
 
     def test_context_matrix_repeats_first_frame(self):
         amp = np.arange(8.0).reshape(4, 2)
