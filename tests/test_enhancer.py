@@ -516,9 +516,9 @@ class TestFirstLayerWorker:
 class _Jobs:
     """``networks.first_layer_gradient``, recorded: each call sleeps first, so
     a backward that returned before joining it would read ``w1``'s gradient
-    early, then raises the next of ``fail`` (None: runs) or runs. ``started``
-    and ``ended`` hold each call's thread, ``ended`` once it has returned or
-    raised."""
+    early, then raises the next of ``fail``, if any is left, or runs.
+    ``started`` and ``ended`` hold each call's thread, ``ended`` once it has
+    returned or raised."""
 
     def __init__(self, monkeypatch, fail=()):
         self.started, self.ended, self.fail = [], [], list(fail)
@@ -528,9 +528,8 @@ class _Jobs:
             self.started.append(threading.get_ident())
             try:
                 time.sleep(0.05)
-                error = self.fail.pop(0) if self.fail else None
-                if error is not None:
-                    raise error
+                if self.fail:
+                    raise self.fail.pop(0)
                 return real(*args)
             finally:
                 self.ended.append(threading.get_ident())
