@@ -14,9 +14,11 @@ from nkf.enhancer import gradient_check
 rng = np.random.default_rng(5)
 x = ad.DiffArray(rng.standard_normal((3, 4)))
 w = ad.DiffArray(rng.standard_normal((4, 2)))
+b = ad.DiffArray(rng.standard_normal(2))
 target = rng.standard_normal((3, 2))
 
-loss = ad.mean_square(ad.softplus(ad.matmul(x, w)), ad.lift(target))
+# one dense layer, softplus(x @ w + b), as one node
+loss = ad.mean_square(ad.dense(x, w, b, "softplus"), ad.lift(target))
 loss.backward()
 print(f"loss value: {float(loss.values):.6f}")
 
@@ -26,13 +28,11 @@ for idx in (0, 5):
     saved = flat[idx]
     flat[idx] = saved + step
     with ad.no_grad():
-        up = float(ad.mean_square(ad.softplus(ad.matmul(ad.lift(x.values),
-                                                        ad.lift(w.values))),
+        up = float(ad.mean_square(ad.dense(x, w, b, "softplus"),
                                   ad.lift(target)).values)
     flat[idx] = saved - step
     with ad.no_grad():
-        down = float(ad.mean_square(ad.softplus(ad.matmul(ad.lift(x.values),
-                                                          ad.lift(w.values))),
+        down = float(ad.mean_square(ad.dense(x, w, b, "softplus"),
                                     ad.lift(target)).values)
     flat[idx] = saved
     numeric = (up - down) / (2 * step)

@@ -12,19 +12,20 @@ raises ``RuntimeError``. Build a new graph for each backward.
 
 Gradient buffers are written once where possible. A node's first gradient
 contribution becomes its ``grad`` buffer when the op made it fresh for that
-node (``matmul``, ``lstm_layer``, the elementwise products and activations);
-later contributions are added into that buffer in place. A contribution that
-aliases the gradient of the node passing it on (``add``, ``sub`` and
-``add_rowvec`` hand their own ``g`` to an operand) is borrowed and copied on
-first use, so no two nodes ever share a buffer. Slicing scatters into a
-zeroed buffer of the source's shape.
+node (``dense``, ``lstm_layer``, the elementwise products, ``exp``); later
+contributions are added into that buffer in place. A contribution that
+aliases the gradient of the node passing it on (``add`` and ``sub`` hand
+their own ``g`` to an operand) is borrowed and copied on first use, so no two
+nodes ever share a buffer. Slicing scatters into a zeroed buffer of the
+source's shape.
 
 The op set is deliberately small, just what the NKF graph uses: elementwise
 arithmetic on equal shapes (a python scalar or other 0-d operand may meet an
-array only as a constant), products of a 2-D or B x T x K node with a K x N
-node, a handful of activations, basic slicing (the one operator overload),
-row broadcast, a fused mean-square reduction and a fused LSTM layer. No
-general broadcasting.
+array only as a constant), ``exp``, ``dense`` (a dense layer ``act(x @ w +
+b)`` as one node, with ReLU, clamp or softplus), basic slicing (the one
+operator overload), a fused mean-square reduction and a fused LSTM layer. No
+general broadcasting. The chains that ``dense`` replaced (``matmul``, a
+row-vector add, an activation) live on in ``tests/oracles.py``.
 
 Values must not change while a graph that reads them is alive: backward
 reuses them, so mutating ``values`` in place invalidates the gradients of
@@ -221,37 +222,7 @@ def div(a, b) -> DiffArray:
     return make_node(out, (a, b), backward)
 
 
-# -- matrix products ------------------------------------------------------
-
-
-def matmul(a, b) -> DiffArray:
-    """Product of a 2-D or B x T x K node with a K x N node."""
-    a, b = lift(a), lift(b)
-    if a.ndim not in (2, 3) or b.ndim != 2:
-        raise ValueError("matmul supports 2-D or 3-D @ 2-D operands only")
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dims {a.shape} @ {b.shape} do not match")
-    out = a.values @ b.values
-
-    def backward(g):
-        if not a.constant:
-            a._accumulate(g @ b.values.T)
-        b._accumulate(a.values.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1]))
-
-    return make_node(out, (a, b), backward)
-
-
-# -- activations ----------------------------------------------------------
-
-
-def relu(x) -> DiffArray:
-    x = lift(x)
-    out = np.maximum(x.values, 0.0)
-
-    def backward(g):
-        x._accumulate(g * (x.values > 0))
-
-    return make_node(out, (x,), backward)
+# -- activations and dense layers -------------------------------------------
 
 
 def exp(x) -> DiffArray:
@@ -264,25 +235,52 @@ def exp(x) -> DiffArray:
     return make_node(out, (x,), backward)
 
 
-def softplus(x) -> DiffArray:
-    x = lift(x)
-    out = np.logaddexp(0.0, x.values)
+def dense(x, w, b, act: str, *, limit: float = np.inf, floor: float = 0.0) -> DiffArray:
+    """One dense layer as one node: ``act(x @ w + b)`` for a 2-D or
+    B x T x In node ``x``, an In x K node ``w`` and a length-K node ``b``.
+    ``act`` is ``"relu"``, ``"clamp"`` (to [-limit, limit]; the gradient is
+    zero outside) or ``"softplus"`` (plus ``floor``).
+
+    Forward forms ``z = x @ w``, adds ``b`` and applies ``act`` over ``z`` in
+    place; the node keeps that output and, when recording, what the
+    derivative needs besides: clamp's pass-through mask, softplus's logistic
+    ``0.5 (1 + tanh(z / 2))``. Backward forms the pre-activation gradient
+    ``gz``, then adds ``b``'s, ``x``'s (unless constant) and ``w``'s
+    contributions in that order. Values and gradients round as the
+    ``matmul``, row-vector add, activation (and ``add``) chain did, bit for
+    bit."""
+    x, w, b = lift(x), lift(w), lift(b)
+    if x.ndim not in (2, 3) or w.ndim != 2 or x.shape[-1] != w.shape[0] \
+            or b.shape != w.shape[1:]:
+        raise ValueError(f"dense: shapes {x.shape} @ {w.shape} + {b.shape} do not match")
+    z = x.values @ w.values
+    z += b.values
+    keep = None   # what backward reads besides the output
+    if act == "relu":
+        np.maximum(z, 0.0, out=z)
+    elif act == "clamp":
+        if _GRAD_ENABLED:
+            keep = (z >= -limit) & (z <= limit)
+        np.clip(z, -limit, limit, out=z)
+    elif act == "softplus":
+        if _GRAD_ENABLED:
+            keep = np.multiply(0.5, z)
+            np.tanh(keep, out=keep)
+            keep += 1.0
+            keep *= 0.5
+        np.logaddexp(0.0, z, out=z)
+        z += floor
+    else:
+        raise ValueError(f"dense: unknown activation {act!r}")
 
     def backward(g):
-        x._accumulate(g * (0.5 * (1.0 + np.tanh(0.5 * x.values))))
+        gz = g * (z > 0) if keep is None else g * keep
+        b._accumulate(gz.reshape(-1, b.shape[0]).sum(axis=0))
+        if not x.constant:
+            x._accumulate(gz @ w.values.T)
+        w._accumulate(x.values.reshape(-1, w.shape[0]).T @ gz.reshape(-1, b.shape[0]))
 
-    return make_node(out, (x,), backward)
-
-
-def clamp(x, lo: float, hi: float) -> DiffArray:
-    """Clip to [lo, hi]; gradient is zero outside the pass-through region."""
-    x = lift(x)
-    out = np.clip(x.values, lo, hi)
-
-    def backward(g):
-        x._accumulate(g * ((x.values >= lo) & (x.values <= hi)))
-
-    return make_node(out, (x,), backward)
+    return make_node(z, (x, w, b), backward)
 
 
 # -- shape ops --------------------------------------------------------------
@@ -301,20 +299,6 @@ def take(x, key) -> DiffArray:
         x.grad[key] += g
 
     return make_node(out, (x,), backward)
-
-
-def add_rowvec(x, b) -> DiffArray:
-    """Add a length-K vector to every row of a [B x] T x K node."""
-    x, b = lift(x), lift(b)
-    if x.ndim not in (2, 3) or b.ndim != 1 or x.shape[-1] != b.shape[0]:
-        raise ValueError(f"add_rowvec: shapes {x.shape} and {b.shape} do not match")
-    out = x.values + b.values
-
-    def backward(g):
-        x._accumulate(g, borrowed=True)
-        b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
-
-    return make_node(out, (x, b), backward)
 
 
 # -- reductions --------------------------------------------------------------

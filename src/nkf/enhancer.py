@@ -23,8 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from . import data_io, kalman, signal_core, wiener
 from .errors import ConfigError, DataError, NumericsError
-from .networks import NkfModel, build_model, first_layer_product, lstm_forward, \
-    noise_fnn_forward_grid, on_worker, optimizer_step, save_checkpoint
+from .networks import NkfModel, W1Buffers, build_model, first_layer_product, \
+    lstm_forward, noise_fnn_forward_grid, on_worker, optimizer_step, save_checkpoint
 from .pipeline import EnhancementResult, NkfFrameEstimates, check_framing, \
     enhance_with, lstm_features, run_blocks, wiener_estimate
 
@@ -72,6 +72,8 @@ def _forward(m: NkfModel, utts, lo: int = 0, hi: int | None = None, state=None):
     allocated here and every node is built here, so every value is the
     serial graph's, bit for bit. The job is joined before any exception
     leaves, and an exception of the LSTM's leaves before one of the job's.
+    The noise nets share one ``W1Buffers``, so backward's ``w1`` gradient
+    jobs write into at most two arrays, both allocated on the calling thread.
 
     Returns per utterance the loss node (None without a clean grid) and the
     grids, which are the nodes' own ``values``, not copies (no op writes a
@@ -99,10 +101,10 @@ def _forward(m: NkfModel, utts, lo: int = 0, hi: int | None = None, state=None):
         error = join()
     if error is not None:
         raise error
-    out = []
+    out, w1_buffers = [], W1Buffers(m.params["fnn.w1"])
     for b, (noisy, feats, sigma_y2, clean) in enumerate(utts):
         stop, pre = stops[b], pres[b]
-        sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2, lo, stop, pre)
+        sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2, lo, stop, pre, w1_buffers)
         amp_wiener = wiener.apply_wiener(noisy[lo:stop], sigma_v2, sigma_y2[lo:stop])
         amp_lstm, sigma_r2 = amp[b, :stop - lo], ad.exp(res[b, :stop - lo])
         gain = nkf_gain(sigma_r2, sigma_v2)

@@ -25,6 +25,7 @@ import os
 import queue
 import struct
 import threading
+import weakref
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -85,11 +86,9 @@ def lstm_forward(m: NkfModel, noisy_amp,
             layer_in, m.params[f"lstm{layer}.wx"], m.params[f"lstm{layer}.wh"],
             m.params[f"lstm{layer}.b"], None if state is None else state[layer])
         final.append(layer_state)
-    amp = ad.relu(ad.add_rowvec(
-        ad.matmul(layer_in, m.params["head_amp.w"]), m.params["head_amp.b"]))
-    res_logvar = ad.clamp(ad.add_rowvec(
-        ad.matmul(layer_in, m.params["head_res.w"]), m.params["head_res.b"]),
-        -LOGVAR_LIMIT, LOGVAR_LIMIT)
+    amp = ad.dense(layer_in, m.params["head_amp.w"], m.params["head_amp.b"], "relu")
+    res_logvar = ad.dense(layer_in, m.params["head_res.w"], m.params["head_res.b"],
+                          "clamp", limit=LOGVAR_LIMIT)
     return amp, res_logvar, final
 
 
@@ -209,26 +208,55 @@ def on_worker(fn):
     return join
 
 
+class W1Buffers:
+    """The ``fnn.w1``-shaped arrays that one graph's first-layer nodes hand
+    their backward jobs as ``out``, allocated on the calling thread as each
+    node's backward runs: a worker's own allocations would stay in its own
+    glibc arena. The first node's job writes into an array that becomes
+    ``w1.grad`` when ``w1`` has none yet. Every later job writes into one
+    scratch array, then adds it into ``w1.grad``; the scratch lives only while
+    a queued job holds it (the graph keeps a weak reference), and a node that
+    finds it gone allocates another. So a backward holds at most two."""
+
+    def __init__(self, w1: ad.DiffArray):
+        self.w1, self.first, self.scratch = w1, True, lambda: None
+
+    def take(self) -> tuple[np.ndarray, bool]:
+        """The next job's ``out``, and whether it is borrowed: added into
+        ``w1.grad``, not kept as it."""
+        first, self.first = self.first, False
+        if first and self.w1.grad is None:
+            return np.empty(self.w1.shape), False
+        out = self.scratch()
+        if out is None:
+            out = np.empty(self.w1.shape)
+            self.scratch = weakref.ref(out)
+        return out, True
+
+
 def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndarray,
-                           lo: int = 0, hi: int | None = None, pre=None) -> ad.DiffArray:
+                           lo: int = 0, hi: int | None = None, pre=None,
+                           w1_buffers: W1Buffers | None = None) -> ad.DiffArray:
     """Noise variance estimate for frames lo..hi-1 (every frame by default)
     of a T x F grid; the context of frame lo reaches back into the grid.
     Raises ``DataError`` unless 0 <= lo < hi <= T.
 
-    The first layer's product with ``fnn.w1`` is one node that keeps no
-    ``fnn_features`` matrix. Forward takes ``pre``, the product that
-    ``first_layer_product(m, amplitude, sigma_y2, lo, hi, out)`` writes,
-    or forms it so when None. Backward forms the padded context rows on the
-    calling thread and hands ``w1``'s gradient to the worker as one job
-    (``on_worker``): ``first_layer_gradient``, one batched product over shifted
-    views of those rows, into an array the job allocates, then
+    Each layer is one node. The first, ReLU(features @ ``fnn.w1`` + ``fnn.b1``),
+    keeps no ``fnn_features`` matrix. Forward takes ``pre``, the product that
+    ``first_layer_product(m, amplitude, sigma_y2, lo, hi, out)`` writes, or
+    forms it so when None, and adds ``fnn.b1`` and applies the ReLU over it in
+    place. Backward forms the pre-activation gradient, adds ``fnn.b1``'s, forms
+    the padded context rows on the calling thread and hands ``w1``'s gradient to
+    the worker as one job (``on_worker``): ``first_layer_gradient``, one batched
+    product over shifted views of those rows, into an array from
+    ``w1_buffers`` (the graph's ``W1Buffers``; this node's own when None), then
     ``w1._accumulate``. It returns the job's ``join``, which
     ``DiffArray.backward`` calls before it returns; the worker runs jobs in
     turn, so ``w1``'s gradient sums in node order. That is bit for bit the
     whole feature matrix's product at both presets' widths; far below them (a
     tap's product over more than 384 rows with F·H·(hi-lo) <= 1e6),
     OpenBLAS's small-matrix kernel can round ``w1``'s gradient differently in
-    the last bits."""
+    the last bits. The other two layers are ``autodiff.dense`` nodes."""
     amplitude = np.asarray(amplitude, dtype=np.float64)
     sigma_y2 = np.asarray(sigma_y2, dtype=np.float64)
     if amplitude.ndim != 2 or amplitude.shape != sigma_y2.shape \
@@ -238,21 +266,26 @@ def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndar
     if not 0 <= lo < hi <= len(amplitude):
         raise DataError(f"noise net rows lo = {lo}, hi = {hi} need "
                         f"0 <= lo < hi <= T = {len(amplitude)}")
-    w1 = m.params["fnn.w1"]
+    w1, b1 = m.params["fnn.w1"], m.params["fnn.b1"]
     if pre is None:
         pre = first_layer_product(m, amplitude, sigma_y2, lo, hi,
                                   np.empty((hi - lo, m.hidden)))
+    pre += b1.values
+    np.maximum(pre, 0.0, out=pre)
+    buffers = W1Buffers(w1) if w1_buffers is None else w1_buffers
 
     def backward(g):
+        gz = g * (pre > 0)
+        b1._accumulate(gz.sum(axis=0))
         rows = _context_rows(amplitude, m.context, lo, hi)   # here, not on the worker
+        out, borrowed = buffers.take()
         return on_worker(lambda: w1._accumulate(
-            first_layer_gradient(rows, sigma_y2[lo:hi], g, np.empty(w1.shape))))
+            first_layer_gradient(rows, sigma_y2[lo:hi], gz, out), borrowed))
 
-    h1 = ad.relu(ad.add_rowvec(ad.make_node(pre, (w1,), backward), m.params["fnn.b1"]))
-    h2 = ad.relu(ad.add_rowvec(
-        ad.matmul(h1, m.params["fnn.w2"]), m.params["fnn.b2"]))
-    z = ad.add_rowvec(ad.matmul(h2, m.params["fnn.w3"]), m.params["fnn.b3"])
-    return ad.add(ad.softplus(z), NOISE_VAR_EPS)
+    h1 = ad.make_node(pre, (w1, b1), backward)
+    h2 = ad.dense(h1, m.params["fnn.w2"], m.params["fnn.b2"], "relu")
+    return ad.dense(h2, m.params["fnn.w3"], m.params["fnn.b3"], "softplus",
+                    floor=NOISE_VAR_EPS)
 
 
 class NkfModel:

@@ -9,6 +9,13 @@ frames at once. Both are built on 1 x K rows, since the library's ``matmul``
 takes no 1-D operands. ``sigmoid``, ``tanh`` and ``concat`` are the autodiff
 ops only these oracles use.
 
+``matmul``, ``add_rowvec``, ``relu``, ``softplus`` and ``clamp`` are the
+engine's ops that ``autodiff.dense`` replaced, and ``dense_composed`` chains
+them as the dense layers ran before: ``matmul``, ``add_rowvec``, then the
+activation (and an ``add`` of the floor after softplus). ``dense`` rounds every
+value and gradient as the chain does. ``lstm_forward_composed`` is
+``networks.lstm_forward`` with its two heads so composed.
+
 ``lstm_layer_cached`` is the fused layer before its buffers were shared: the
 gates stored beside the input projection, cached ``tanh`` of the cell states
 and full-size backward temporaries. ``autodiff.lstm_layer`` reproduces its
@@ -66,9 +73,10 @@ before its backward moved to a worker thread: the first layer's product and
 the node's backward returns.
 
 ``forward_serial`` is ``enhancer._forward`` as it ran before the noise net's
-first-layer products moved to a worker thread: the LSTM on a zero-padded copy
-of every utterance's rows, then per utterance ``noise_fnn_forward_grid_inline``
-and the rest of the graph; one thread throughout, in forward and backward.
+first-layer products moved to a worker thread, and before each dense layer
+became one node: ``lstm_forward_composed`` on a zero-padded copy of every
+utterance's rows, then per utterance ``noise_fnn_forward_grid_inline`` and the
+rest of the graph; one thread throughout, in forward and backward.
 
 ``recombine_polar`` is the noisy-phase resynthesis that
 ``signal_core.recombine`` replaced: the phase grid ``np.angle(frames)`` put
@@ -86,6 +94,79 @@ from nkf.networks import (LOGVAR_LIMIT, NOISE_VAR_EPS, NkfModel, _context_rows,
 from nkf.pipeline import NkfFrameEstimates, enhance_with, lstm_features
 from nkf.signal_core import stft
 from nkf.wiener import VARIANCE_FLOOR, apply_wiener, track_sigma_y
+
+
+def matmul(a, b) -> ad.DiffArray:
+    """Product of a 2-D or B x T x K node with a K x N node."""
+    a, b = ad.lift(a), ad.lift(b)
+    if a.ndim not in (2, 3) or b.ndim != 2:
+        raise ValueError("matmul supports 2-D or 3-D @ 2-D operands only")
+    if a.shape[-1] != b.shape[0]:
+        raise ValueError(f"matmul: inner dims {a.shape} @ {b.shape} do not match")
+    out = a.values @ b.values
+
+    def backward(g):
+        if not a.constant:
+            a._accumulate(g @ b.values.T)
+        b._accumulate(a.values.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1]))
+
+    return ad.make_node(out, (a, b), backward)
+
+
+def add_rowvec(x, b) -> ad.DiffArray:
+    """Add a length-K vector to every row of a [B x] T x K node."""
+    x, b = ad.lift(x), ad.lift(b)
+    if x.ndim not in (2, 3) or b.ndim != 1 or x.shape[-1] != b.shape[0]:
+        raise ValueError(f"add_rowvec: shapes {x.shape} and {b.shape} do not match")
+    out = x.values + b.values
+
+    def backward(g):
+        x._accumulate(g, borrowed=True)
+        b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
+
+    return ad.make_node(out, (x, b), backward)
+
+
+def relu(x) -> ad.DiffArray:
+    x = ad.lift(x)
+    out = np.maximum(x.values, 0.0)
+
+    def backward(g):
+        x._accumulate(g * (x.values > 0))
+
+    return ad.make_node(out, (x,), backward)
+
+
+def softplus(x) -> ad.DiffArray:
+    x = ad.lift(x)
+    out = np.logaddexp(0.0, x.values)
+
+    def backward(g):
+        x._accumulate(g * (0.5 * (1.0 + np.tanh(0.5 * x.values))))
+
+    return ad.make_node(out, (x,), backward)
+
+
+def clamp(x, lo: float, hi: float) -> ad.DiffArray:
+    """Clip to [lo, hi]; gradient is zero outside the pass-through region."""
+    x = ad.lift(x)
+    out = np.clip(x.values, lo, hi)
+
+    def backward(g):
+        x._accumulate(g * ((x.values >= lo) & (x.values <= hi)))
+
+    return ad.make_node(out, (x,), backward)
+
+
+def dense_composed(x, w, b, act: str, *, limit: float = np.inf,
+                   floor: float = 0.0) -> ad.DiffArray:
+    """``autodiff.dense`` as the chain of nodes it replaced."""
+    z = add_rowvec(matmul(x, w), b)
+    if act == "relu":
+        return relu(z)
+    if act == "clamp":
+        return clamp(z, -limit, limit)
+    return ad.add(softplus(z), floor)
 
 
 def sigmoid(x) -> ad.DiffArray:
@@ -185,12 +266,12 @@ def lstm_forward_per_frame(p: NkfModel, noisy_amp):
         wx = p.params[f"lstm{layer}.wx"]
         wh = p.params[f"lstm{layer}.wh"]
         b = p.params[f"lstm{layer}.b"]
-        xp = ad.matmul(layer_in, wx)  # input projections for all frames at once
+        xp = matmul(layer_in, wx)  # input projections for all frames at once
         h = ad.lift(np.zeros((1, u)))
         c = ad.lift(np.zeros((1, u)))
         hs = []
         for t in range(n_frames):
-            z = ad.add_rowvec(ad.add(xp[t:t + 1], ad.matmul(h, wh)), b)
+            z = add_rowvec(ad.add(xp[t:t + 1], matmul(h, wh)), b)
             gate_i = sigmoid(z[:, 0:u])
             gate_f = sigmoid(z[:, u:2 * u])
             cand = tanh(z[:, 2 * u:3 * u])
@@ -199,12 +280,26 @@ def lstm_forward_per_frame(p: NkfModel, noisy_amp):
             h = ad.mul(gate_o, tanh(c))
             hs.append(h)
         layer_in = concat(hs)
-    amp = ad.relu(ad.add_rowvec(
-        ad.matmul(layer_in, p.params["head_amp.w"]), p.params["head_amp.b"]))
-    res_logvar = ad.clamp(ad.add_rowvec(
-        ad.matmul(layer_in, p.params["head_res.w"]), p.params["head_res.b"]),
-        -LOGVAR_LIMIT, LOGVAR_LIMIT)
+    return _heads_composed(p, layer_in)
+
+
+def _heads_composed(m: NkfModel, top) -> tuple:
+    """The predictor's two heads on the top layer's output, composed."""
+    amp = dense_composed(top, m.params["head_amp.w"], m.params["head_amp.b"], "relu")
+    res_logvar = dense_composed(top, m.params["head_res.w"], m.params["head_res.b"],
+                                "clamp", limit=LOGVAR_LIMIT)
     return amp, res_logvar
+
+
+def lstm_forward_composed(m: NkfModel, noisy_amp, state=None):
+    """``networks.lstm_forward`` with its heads composed."""
+    layer_in, final = noisy_amp, []
+    for layer in range(len(m.units)):
+        layer_in, layer_state = ad.lstm_layer(
+            layer_in, m.params[f"lstm{layer}.wx"], m.params[f"lstm{layer}.wh"],
+            m.params[f"lstm{layer}.b"], None if state is None else state[layer])
+        final.append(layer_state)
+    return (*_heads_composed(m, layer_in), final)
 
 
 def lstm_layer_cached(x, wx, wh, b) -> ad.DiffArray:
@@ -265,26 +360,22 @@ def noise_fnn_forward(n: NkfModel, amp_context, sigma_y2_frame) -> ad.DiffArray:
     if sigma_y2_frame.shape != (n.n_bins,):
         raise DataError("variance frame has wrong length")
     inp = concat([ad.lift(amp_context[None]), ad.lift(sigma_y2_frame[None])], axis=1)
-    h1 = ad.relu(ad.add_rowvec(ad.matmul(inp, n.params["fnn.w1"]), n.params["fnn.b1"]))
-    h2 = ad.relu(ad.add_rowvec(ad.matmul(h1, n.params["fnn.w2"]), n.params["fnn.b2"]))
-    z = ad.add_rowvec(ad.matmul(h2, n.params["fnn.w3"]), n.params["fnn.b3"])
-    return ad.add(ad.softplus(z), NOISE_VAR_EPS)[0]
+    return _noise_fnn_above(n, matmul(inp, n.params["fnn.w1"]))[0]
 
 
 def _noise_fnn_above(m: NkfModel, first) -> ad.DiffArray:
-    """The noise net's output from its first layer's product node."""
-    h1 = ad.relu(ad.add_rowvec(first, m.params["fnn.b1"]))
-    h2 = ad.relu(ad.add_rowvec(
-        ad.matmul(h1, m.params["fnn.w2"]), m.params["fnn.b2"]))
-    z = ad.add_rowvec(ad.matmul(h2, m.params["fnn.w3"]), m.params["fnn.b3"])
-    return ad.add(ad.softplus(z), NOISE_VAR_EPS)
+    """The noise net's output from its first layer's product node, composed."""
+    h1 = relu(add_rowvec(first, m.params["fnn.b1"]))
+    h2 = dense_composed(h1, m.params["fnn.w2"], m.params["fnn.b2"], "relu")
+    return dense_composed(h2, m.params["fnn.w3"], m.params["fnn.b3"], "softplus",
+                          floor=NOISE_VAR_EPS)
 
 
 def noise_fnn_forward_grid_composed(m: NkfModel, amplitude, sigma_y2, lo: int = 0,
                                     hi: int | None = None) -> ad.DiffArray:
     """Noise variance estimate for frames lo..hi-1 from the kept feature matrix."""
     features = fnn_features(amplitude, sigma_y2, m.context, lo, hi)
-    return _noise_fnn_above(m, ad.matmul(ad.lift(features), m.params["fnn.w1"]))
+    return _noise_fnn_above(m, matmul(ad.lift(features), m.params["fnn.w1"]))
 
 
 def w1_grad_per_tap(rows, sigma_y2, g) -> np.ndarray:
@@ -302,7 +393,8 @@ def w1_grad_per_tap(rows, sigma_y2, g) -> np.ndarray:
 
 def noise_fnn_forward_grid_inline(m: NkfModel, amplitude, sigma_y2, lo: int,
                                   hi: int) -> ad.DiffArray:
-    """``networks.noise_fnn_forward_grid`` on the calling thread alone."""
+    """``networks.noise_fnn_forward_grid`` on the calling thread alone, its
+    layers composed."""
     w1 = m.params["fnn.w1"]
     pre = first_layer_product(m, amplitude, sigma_y2, lo, hi, np.empty((hi - lo, m.hidden)))
 
@@ -433,7 +525,7 @@ def recombine_polar(spec, amplitude) -> np.ndarray:
 
 def wiener_branch_composed(amplitude, sigma_v2, sigma_y2) -> ad.DiffArray:
     inv_sy = 1.0 / np.maximum(sigma_y2, VARIANCE_FLOOR)
-    h = ad.clamp(ad.sub(1.0, ad.mul(sigma_v2, ad.lift(inv_sy))), 0.0, 1.0)
+    h = clamp(ad.sub(1.0, ad.mul(sigma_v2, ad.lift(inv_sy))), 0.0, 1.0)
     return ad.mul(h, ad.lift(amplitude))
 
 
@@ -466,7 +558,7 @@ def forward_serial(m: NkfModel, utts, lo: int = 0, hi=None, state=None):
     x = np.zeros((len(utts), hi - lo, m.n_bins))
     for b, (_, feats, _, _) in enumerate(utts):
         x[b, :len(feats[lo:hi])] = feats[lo:hi]
-    amp, res, state = lstm_forward(m, x, state)
+    amp, res, state = lstm_forward_composed(m, x, state)
     out = []
     for b, (noisy, feats, sigma_y2, clean) in enumerate(utts):
         stop = min(hi, len(noisy))

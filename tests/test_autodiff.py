@@ -6,7 +6,8 @@ import pytest
 
 from nkf import autodiff as ad
 
-from oracles import concat, lstm_layer_cached
+from oracles import add_rowvec, clamp, concat, dense_composed, lstm_layer_cached, \
+    matmul, relu, softplus
 
 
 def _fd_check(build, arrays, rel=1e-6, step=1e-5, seed=0):
@@ -73,20 +74,20 @@ class TestElementwiseGradients:
     def test_activations(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-2.0, 2.0, (5,))
-        for op in (ad.exp, ad.softplus):
+        for op in (ad.exp, softplus):
             _fd_check(lambda xs, op=op: op(xs[0]), [x])
 
     def test_relu_away_from_kink(self):
         x = np.array([-1.5, -0.3, 0.2, 2.0])
-        _fd_check(lambda xs: ad.relu(xs[0]), [x])
+        _fd_check(lambda xs: relu(xs[0]), [x])
 
     def test_clamp_interior_and_exterior(self):
         x = np.array([-3.0, -0.5, 0.5, 3.0])
-        _fd_check(lambda xs: ad.clamp(xs[0], -1.0, 1.0), [x])
+        _fd_check(lambda xs: clamp(xs[0], -1.0, 1.0), [x])
 
     def test_clamp_zero_gradient_outside(self):
         x = ad.DiffArray(np.array([-5.0, 0.0, 5.0]))
-        y = ad.clamp(x, -1.0, 1.0)
+        y = clamp(x, -1.0, 1.0)
         ad.mean_square(y, ad.DiffArray(np.zeros(3))).backward()
         assert x.grad[0] == 0.0 and x.grad[2] == 0.0
         # the midpoint is inside the pass-through region but its value is the
@@ -97,22 +98,116 @@ class TestElementwiseGradients:
 class TestMatmulGradients:
     def test_2d_2d(self):
         rng = np.random.default_rng(4)
-        _fd_check(lambda xs: ad.matmul(xs[0], xs[1]),
+        _fd_check(lambda xs: matmul(xs[0], xs[1]),
                   [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))])
 
     def test_3d_2d(self):
         rng = np.random.default_rng(19)
-        _fd_check(lambda xs: ad.matmul(xs[0], xs[1]),
+        _fd_check(lambda xs: matmul(xs[0], xs[1]),
                   [rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 2))])
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
-            ad.matmul(ad.DiffArray(np.ones((2, 3))), ad.DiffArray(np.ones((2, 3))))
+            matmul(ad.DiffArray(np.ones((2, 3))), ad.DiffArray(np.ones((2, 3))))
         for a, b in (((2, 3), (3,)), ((3,), (3, 2)), ((2, 3), (1, 3, 2))):
             with pytest.raises(ValueError, match="2-D or 3-D @ 2-D"):
-                ad.matmul(ad.DiffArray(np.ones(a)), ad.DiffArray(np.ones(b)))
+                matmul(ad.DiffArray(np.ones(a)), ad.DiffArray(np.ones(b)))
         with pytest.raises(ValueError):
             ad.add(ad.DiffArray(np.ones((2, 3))), ad.DiffArray(np.ones((3, 2))))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+#: the noise net's and heads' activations with their arguments
+DENSE_ACTS = [("relu", {}), ("clamp", {"limit": 12.0}), ("softplus", {"floor": 1e-12})]
+
+
+class TestDense:
+    """``dense`` against the chain it replaced (``oracles.dense_composed``):
+    value and every gradient bit for bit."""
+
+    @staticmethod
+    def _run(op, x, w, b, act, kw, x_constant):
+        leaves = [ad.lift(x) if x_constant else ad.DiffArray(x.copy()),
+                  ad.DiffArray(w.copy()), ad.DiffArray(b.copy())]
+        with np.errstate(all="ignore"):   # the NaN and infinite rows
+            out = op(*leaves, act, **kw)
+            target = np.random.default_rng(1).standard_normal(out.shape)
+            ad.mean_square(out, ad.lift(target)).backward()
+        return [out.values] + [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("act,kw", DENSE_ACTS)
+    @pytest.mark.parametrize("x_constant", [False, True])
+    @pytest.mark.parametrize("x_shape,k", [((6, 3), 4), ((2, 7, 5), 3), ((300, 17), 9),
+                                           ((3, 64, 16), 129), ((1, 1, 2), 1)])
+    def test_bit_identical_to_composed_chain(self, act, kw, x_constant, x_shape, k):
+        rng = np.random.default_rng(sum(x_shape) + k)
+        x = rng.standard_normal(x_shape) * 8.0
+        w = rng.standard_normal((x_shape[-1], k))
+        b = rng.standard_normal(k)
+        rows = x.reshape(-1, x_shape[-1])
+        if len(rows) >= 4:
+            # a zero row makes z = b: exactly 0, 12 and -12 where b is
+            b[:3] = [0.0, 12.0, -12.0][:k]
+            rows[0] = 0.0
+            rows[1, 0], rows[2, 0], rows[3, 0] = np.nan, np.inf, -np.inf
+        got = self._run(ad.dense, x, w, b, act, kw, x_constant)
+        want = self._run(dense_composed, x, w, b, act, kw, x_constant)
+        assert (got[1] is None) == x_constant
+        for name, a, c in zip(("value", "x", "w", "b"), got, want):
+            if a is None:
+                assert c is None, name
+            else:
+                assert a.shape == c.shape and np.array_equal(_bits(a), _bits(c)), name
+
+    def test_exact_kinks(self):
+        # ReLU passes no gradient at z = 0; the clamp passes it at z = +-12
+        x = ad.lift(np.zeros((1, 2)))
+        w = ad.DiffArray(np.ones((2, 3)))
+        for act, kw, b, passed in (("relu", {}, [0.0, 1.0, -1.0], [0.0, 1.0, 0.0]),
+                                   ("clamp", {"limit": 12.0}, [12.0, -12.0, 12.5],
+                                    [1.0, 1.0, 0.0])):
+            bias = ad.DiffArray(np.array(b))
+            out = ad.dense(x, w, bias, act, **kw)
+            ad.mean_square(out, ad.lift(out.values - 1.0)).backward()
+            np.testing.assert_array_equal(bias.grad, np.array(passed) * 2.0 / 3)
+
+    @pytest.mark.parametrize("act,kw,extra", [("relu", {}, 0.0), ("clamp", {"limit": 1.0}, 1 / 8),
+                                              ("softplus", {}, 1.0)])
+    def test_keeps_derivative_only_when_recording(self, act, kw, extra):
+        # the output is the node's one array under no_grad; recording keeps
+        # clamp's bool mask or softplus's derivative besides it
+        rng = np.random.default_rng(2)
+        x, w, b = rng.standard_normal((512, 64)), rng.standard_normal((64, 256)), \
+            rng.standard_normal(256)
+        size = 512 * 256 * 8
+        for recording in (False, True):
+            with contextlib.nullcontext() if recording else ad.no_grad():
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    out = ad.dense(x, w, b, act, **kw)
+                    kept = tracemalloc.get_traced_memory()[0] - base
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+            assert (out._backward is not None) == recording
+            want = 1.0 + (extra if recording else 0.0)
+            assert want * size <= kept < (want + 0.01) * size, (recording, kept / size)
+            if not recording:   # matmul takes a 64 KiB buffer for a moment
+                assert peak < 1.1 * size, peak / size
+            del out
+
+    def test_shape_and_activation_errors(self):
+        x, w, b = ad.lift(np.ones((2, 3))), ad.lift(np.ones((3, 4))), ad.lift(np.ones(4))
+        for args in ((ad.lift(np.ones(3)), w, b), (x, ad.lift(np.ones((2, 4))), b),
+                     (x, w, ad.lift(np.ones(3))), (ad.lift(np.ones((1, 2, 2, 3))), w, b)):
+            with pytest.raises(ValueError, match="dense: shapes"):
+                ad.dense(*args, "relu")
+        with pytest.raises(ValueError, match="unknown activation"):
+            ad.dense(x, w, b, "tanh")
 
 
 class TestShapeOps:
@@ -139,12 +234,12 @@ class TestShapeOps:
 
     def test_add_rowvec_batched(self):
         rng = np.random.default_rng(18)
-        _fd_check(lambda xs: ad.add_rowvec(xs[0], xs[1]),
+        _fd_check(lambda xs: add_rowvec(xs[0], xs[1]),
                   [rng.standard_normal((2, 4, 3)), rng.standard_normal(3)])
 
     def test_add_rowvec(self):
         rng = np.random.default_rng(13)
-        _fd_check(lambda xs: ad.add_rowvec(xs[0], xs[1]),
+        _fd_check(lambda xs: add_rowvec(xs[0], xs[1]),
                   [rng.standard_normal((4, 3)), rng.standard_normal(3)])
 
 
@@ -301,7 +396,7 @@ class TestGraphMechanics:
         x = ad.lift(rng.standard_normal((8, 512)))
 
         def loss():
-            return ad.mean_square(ad.matmul(x, w), ad.lift(np.zeros((8, 512))))
+            return ad.mean_square(matmul(x, w), ad.lift(np.zeros((8, 512))))
 
         first_loss = loss()
         tracemalloc.start()
@@ -327,7 +422,7 @@ class TestGraphMechanics:
         rng = np.random.default_rng(21)
         w = ad.DiffArray(rng.standard_normal((4, 2)))
         x = ad.lift(rng.standard_normal((3, 4)))
-        h = ad.matmul(x, w)
+        h = matmul(x, w)
         ad.mean_square(h, ad.lift(np.zeros((3, 2)))).backward()
         assert x.constant and x.grad is None
         assert h.grad is None

@@ -568,6 +568,55 @@ class TestBackwardWorker:
             for name, grad in got.items():
                 np.testing.assert_array_equal(grad, want[name])
 
+    def test_w1_gradient_buffers_made_on_the_calling_thread(self, monkeypatch):
+        # every w1-shaped array the noise net makes is allocated by the
+        # calling thread before the job that writes it runs: the first job's
+        # becomes w1.grad, the others share one scratch array. A second
+        # backward with no zero_grad adds into that w1.grad through the scratch
+        cfg, m = _desk_model()
+        w1 = m.params["fnn.w1"]
+        made, outs = [], []   # per allocation (thread, weakref); per job (thread, its out's index)
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, shape, *a, **kw):
+                arr = np.empty(shape, *a, **kw)
+                if tuple(np.atleast_1d(shape)) == w1.shape:
+                    made.append((threading.get_ident(), weakref.ref(arr)))
+                return arr
+
+        real = networks.first_layer_gradient
+
+        def recorded(rows, sigma_y2, g, out):
+            time.sleep(0.05)   # the later nodes' jobs queue behind this one
+            outs.append((threading.get_ident(),
+                         [i for i, (_, ref) in enumerate(made) if ref() is out]))
+            return real(rows, sigma_y2, g, out)
+
+        monkeypatch.setattr(networks, "np", Numpy())
+        monkeypatch.setattr(networks, "first_layer_gradient", recorded)
+        segments = _segments(37, (147, 247, 256, 256), cfg.n_bins)
+        m.zero_grad()
+        _batch_loss(m, segments).backward()
+        caller = threading.get_ident()
+        assert [thread for thread, _ in made] == [caller, caller]
+        first = made[0][1]()
+        assert w1.grad is first
+        assert [index for _, index in outs] == [[0], [1], [1], [1]]
+        assert caller not in {thread for thread, _ in outs}
+        _batch_loss(m, segments).backward()   # no zero_grad
+        assert [thread for thread, _ in made] == [caller] * 3
+        assert [index for _, index in outs[4:]] == [[2]] * 4
+        assert w1.grad is first
+        monkeypatch.undo()
+        monkeypatch.setattr(enhancer, "_forward", oracles.forward_serial)
+        m.zero_grad()
+        for _ in range(2):
+            _batch_loss(m, segments).backward()
+        np.testing.assert_array_equal(first, w1.grad)
+
     def test_w1_products_run_off_the_calling_thread(self, monkeypatch):
         jobs = _Jobs(monkeypatch)
         made = set()
@@ -640,11 +689,11 @@ class TestBackwardWorker:
 
 class TestTrainingMemory:
     @staticmethod
-    def _kept_after_forward(context):
-        """Heap that a desk batch's graph (four 256-frame segments) keeps
-        from forward to backward, weights outside the count."""
+    def _kept_after_forward(context, lengths=(256,) * 4):
+        """Heap that a desk batch's graph (four 256-frame segments by
+        default) keeps from forward to backward, weights outside the count."""
         rng = np.random.default_rng(8)
-        segments = [tuple(rng.uniform(0.1, 2.0, (2, 256, 129))) for _ in range(4)]
+        segments = [tuple(rng.uniform(0.1, 2.0, (2, n, 129))) for n in lengths]
         m = build_model(129, lstm_units=(64, 64), fnn_hidden=128, context=context)
         tracemalloc.start()
         try:
@@ -661,6 +710,13 @@ class TestTrainingMemory:
         # in backward instead of keeping it
         grown = self._kept_after_forward(60) - self._kept_after_forward(30)
         assert grown < 2 ** 20, grown / 2 ** 20
+
+    def test_graph_keeps_one_array_per_dense_layer(self):
+        # 21.7 MiB for segments of 147, 247, 256 and 256 frames; 30.9 MiB
+        # when each dense layer was a matmul, a row-vector add and an
+        # activation node, each keeping an output of the layer's size
+        kept = self._kept_after_forward(30, (147, 247, 256, 256))
+        assert kept < 24 * 2 ** 20, kept / 2 ** 20
 
 
 def _training_cfg(**kw):

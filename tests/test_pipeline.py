@@ -25,7 +25,7 @@ from nkf.signal_core import Waveform, recombine, stft
 from nkf.wiener import VARIANCE_FLOOR, track_sigma_y, wiener_gain
 
 from oracles import segmented_kf
-from test_signal_core import _istft_loop_oracle
+from test_signal_core import _istft_loop_oracle, ola_envelope, ola_floor
 
 CFG = RunConfig(window=64, hop=16, variance_span=8, utterance_seconds=0.5)
 KF_TOL = 1e-12
@@ -237,3 +237,64 @@ def test_bad_oracle_noise_grid_is_data_error(run, fault):
         message = "noise grid must be finite and nonnegative"
     with pytest.raises(DataError, match=message):
         run(noisy, CFG, grid)
+
+
+def _desk_model():
+    cfg = RunConfig(seed=0)
+    return cfg, build_model(cfg.n_bins, lstm_units=cfg.lstm_unit_list,
+                            fnn_hidden=cfg.fnn_hidden, context=cfg.context,
+                            window=cfg.window, hop=cfg.hop,
+                            variance_span=cfg.variance_span, seed=0)
+
+
+@pytest.mark.parametrize("method", sorted(enhancer.METHODS))
+def test_synthesis_floor_changes_only_samples_under_it(utterance, method):
+    # against synthesis at the 1e-12 floor of before, every sample whose
+    # Σ win² reaches the floor is bit for bit the same
+    noisy, _ = utterance
+    m = _model()
+    result = enhancer.METHODS[method][0](m, noisy, CFG, None)
+    spec = stft(noisy, CFG.window, CFG.hop)
+    before = _istft_loop_oracle(recombine(spec, result.grids.amp_out), len(noisy),
+                                floor=1e-12)
+    kept = ola_envelope(CFG.window, CFG.hop, spec.n_frames, len(noisy)) \
+        >= ola_floor(CFG.window, CFG.hop)
+    assert kept.sum() > len(noisy) - 2 * CFG.window
+    assert np.array_equal(result.waveform.samples[kept], before[kept])
+
+
+_N = 8000   # 0.5 s at 16 kHz
+_T = np.arange(_N) / 16000
+_IMPULSE = np.zeros(_N)
+_IMPULSE[_N // 2] = 1.0
+_NOISE = np.random.default_rng(9).standard_normal(_N)
+#: the degenerate inputs, and how far above its input's peak any method's
+#: output may peak: 4 (an untrained desk model peaked at 2.0 on the square
+#: wave, and at up to 1150 at the 1e-12 floor)
+DEGENERATE = {
+    "zeros": np.zeros(_N),
+    "dc": np.full(_N, 0.5),
+    "square": np.sign(np.sin(2 * np.pi * 200 * _T + 0.1)),
+    "tone": 0.3 * np.sin(2 * np.pi * 1000 * _T),
+    "impulse": _IMPULSE,
+    "noise_1e-300": 1e-300 * _NOISE,
+    "noise_1e150": 1e150 * _NOISE,
+    "one_window": 0.1 * _NOISE[:256],
+    "one_window_and_hop": 0.1 * _NOISE[:320],
+}
+PEAK_BOUND = 4.0
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_inputs_give_bounded_outputs(name):
+    x = DEGENERATE[name]
+    cfg, m = _desk_model()
+    peaks = {}
+    for method, (run, _) in sorted(enhancer.METHODS.items()):
+        out = run(m, Waveform(x), cfg, None).waveform.samples
+        assert out.shape == x.shape and np.all(np.isfinite(out)), method
+        if x.any():
+            peaks[method] = np.max(np.abs(out)) / np.max(np.abs(x))
+        else:   # silence stays silent
+            peaks[method] = np.inf if out.any() else 0.0
+    assert all(peak <= PEAK_BOUND for peak in peaks.values()), peaks
