@@ -10,22 +10,21 @@ graph is spent by its backward, though: ``lstm_layer`` writes its gradients
 over its own cache, so a second ``backward()`` through a graph that holds one
 raises ``RuntimeError``. Build a new graph for each backward.
 
-Gradient buffers are written once where possible. A node's first gradient
-contribution becomes its ``grad`` buffer when the op made it fresh for that
-node (``dense``, ``lstm_layer``, the elementwise products, ``exp``); later
-contributions are added into that buffer in place. A contribution that
-aliases the gradient of the node passing it on (``add`` and ``sub`` hand
-their own ``g`` to an operand) is borrowed and copied on first use, so no two
-nodes ever share a buffer. Slicing scatters into a zeroed buffer of the
-source's shape.
+Gradient buffers are written once where possible. Every op here and every
+``make_node`` node hands its operands fresh first contributions, which become
+their ``grad`` buffers; later ones are added in place. Only the noise net's
+``fnn.w1`` gradient, when a job writes it through ``networks.W1Buffers``'
+scratch, is borrowed: ``_accumulate`` copies it, so the scratch never becomes
+``w1.grad``. Slicing scatters into a zeroed buffer of the source's shape.
 
-The op set is deliberately small, just what the NKF graph uses: elementwise
-arithmetic on equal shapes (a python scalar or other 0-d operand may meet an
-array only as a constant), ``exp``, ``dense`` (a dense layer ``act(x @ w +
-b)`` as one node, with ReLU, clamp or softplus), basic slicing (the one
-operator overload), a fused mean-square reduction and a fused LSTM layer. No
-general broadcasting. The chains that ``dense`` replaced (``matmul``, a
-row-vector add, an activation) live on in ``tests/oracles.py``.
+The op set is deliberately small, each op a layer of the NKF graph: ``exp``,
+``dense`` (``act(x @ w + b)``, with ReLU, clamp or softplus), basic slicing
+(the one operator overload), a fused mean-square reduction and a fused LSTM
+layer. No broadcasting and no elementwise arithmetic: each formula over
+layers (the Wiener filter, the NKF gain and combination, the batch mean) is
+one ``make_node`` with its backward written out, operands checked by
+``check_shapes``. The chains they replaced (``matmul``, a row-vector add, an
+activation; ``add``, ``sub``, ``mul``, ``div``) are in ``tests/oracles.py``.
 
 Values must not change while a graph that reads them is alive: backward
 reuses them, so mutating ``values`` in place invalidates the gradients of
@@ -157,69 +156,18 @@ def _toposort(root: DiffArray):
 
 
 def make_node(values, parents, backward):
-    """An op's node (every op's here, ``wiener.apply_wiener``'s and the noise
-    net's first layer): ``values`` with the ``parents`` that ``backward(g)``
-    feeds, bare under ``no_grad``."""
+    """An op's node (every op here, ``wiener.apply_wiener``, the noise net's
+    first layer, ``enhancer``'s gain, combination and batch mean): ``values``
+    with the ``parents`` that ``backward(g)`` feeds, bare under ``no_grad``."""
     if not _GRAD_ENABLED:
         return DiffArray(values)
     return DiffArray(values, _parents=parents, _backward=backward)
 
 
-def _check_same_shape(a: DiffArray, b: DiffArray, op: str):
-    # a 0-d operand may meet an array only as a constant, which takes no gradient
-    if a.shape != b.shape and not any(x.ndim == 0 and x.constant for x in (a, b)):
-        raise ValueError(f"{op}: shapes {a.shape} and {b.shape} do not match")
-
-
-# -- elementwise arithmetic ---------------------------------------------
-
-
-def add(a, b) -> DiffArray:
-    a, b = lift(a), lift(b)
-    _check_same_shape(a, b, "add")
-    out = a.values + b.values
-
-    def backward(g):
-        a._accumulate(g, borrowed=True)
-        b._accumulate(g, borrowed=True)
-
-    return make_node(out, (a, b), backward)
-
-
-def sub(a, b) -> DiffArray:
-    a, b = lift(a), lift(b)
-    _check_same_shape(a, b, "sub")
-    out = a.values - b.values
-
-    def backward(g):
-        a._accumulate(g, borrowed=True)
-        b._accumulate(-g)
-
-    return make_node(out, (a, b), backward)
-
-
-def mul(a, b) -> DiffArray:
-    a, b = lift(a), lift(b)
-    _check_same_shape(a, b, "mul")
-    out = a.values * b.values
-
-    def backward(g):
-        a._accumulate(g * b.values)
-        b._accumulate(g * a.values)
-
-    return make_node(out, (a, b), backward)
-
-
-def div(a, b) -> DiffArray:
-    a, b = lift(a), lift(b)
-    _check_same_shape(a, b, "div")
-    out = a.values / b.values
-
-    def backward(g):
-        a._accumulate(g / b.values)
-        b._accumulate(-g * out / b.values)
-
-    return make_node(out, (a, b), backward)
+def check_shapes(op: str, *nodes: DiffArray):
+    """``ValueError`` unless the nodes share a shape; a 0-d constant meets any."""
+    if len({x.shape for x in nodes if x.ndim or not x.constant}) > 1:
+        raise ValueError(f"{op}: shapes {[x.shape for x in nodes]} do not match")
 
 
 # -- activations and dense layers -------------------------------------------

@@ -30,13 +30,37 @@ from .pipeline import EnhancementResult, NkfFrameEstimates, check_framing, \
 
 
 def nkf_gain(sigma_r2, sigma_v2) -> ad.DiffArray:
-    """Weight on the Wiener estimate: residual variance vs noise variance."""
-    return ad.div(sigma_r2, ad.add(sigma_r2, sigma_v2))
+    """Weight on the Wiener estimate, ``sigma_r2 / (sigma_r2 + sigma_v2)``: one
+    node whose value and gradients round as the ``add``, ``div`` chain's did."""
+    r, v = ad.lift(sigma_r2), ad.lift(sigma_v2)
+    ad.check_shapes("nkf_gain", r, v)
+    gain = r.values / (r.values + v.values)
+
+    def backward(g):
+        total = r.values + v.values
+        g_total = -g * gain / total
+        r._accumulate(g / total)
+        r._accumulate(g_total)
+        v._accumulate(g_total)
+
+    return ad.make_node(gain, (r, v), backward)
 
 
 def nkf_combine(gain, amp_wiener, amp_lstm) -> ad.DiffArray:
-    """Convex per-bin combination of the two clean-amplitude estimates."""
-    return ad.add(ad.mul(gain, amp_wiener), ad.mul(ad.sub(1.0, gain), amp_lstm))
+    """Convex per-bin combination ``gain * amp_wiener + (1 - gain) * amp_lstm``
+    of the two clean-amplitude estimates: one node whose value and gradients
+    round as the ``mul``, ``sub``, ``add`` chain's did."""
+    k, w, l = ad.lift(gain), ad.lift(amp_wiener), ad.lift(amp_lstm)
+    ad.check_shapes("nkf_combine", k, w, l)
+
+    def backward(g):
+        k._accumulate(g * w.values)
+        k._accumulate(-(g * l.values))
+        w._accumulate(g * k.values)
+        l._accumulate(g * (1.0 - k.values))
+
+    out = k.values * w.values + (1.0 - k.values) * l.values
+    return ad.make_node(out, (k, w, l), backward)
 
 
 def nkf_loss(amp_out, clean_amp) -> ad.DiffArray:
@@ -207,9 +231,16 @@ def _segment(entry, cfg, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _batch_loss(m: NkfModel, segments) -> ad.DiffArray:
-    """Mean loss over (noisy, clean) amplitude segments."""
+    """Mean loss over (noisy, clean) segments: one node rounded as ``add``, ``div`` were."""
     out, _ = _forward(m, [_inputs(m, noisy, clean) for noisy, clean in segments])
-    return ad.div(functools.reduce(ad.add, [loss for loss, _ in out]), float(len(out)))
+    losses = tuple(loss for loss, _ in out)
+
+    def backward(g):
+        for loss in losses:
+            loss._accumulate(g / len(losses))
+
+    total = functools.reduce(lambda a, b: a + b, [loss.values for loss in losses])
+    return ad.make_node(total / len(losses), losses, backward)
 
 
 def _write_history(history, path):

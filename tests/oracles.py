@@ -1,5 +1,12 @@
 """Graph compositions the library replaced, kept as equivalence oracles.
 
+``add``, ``sub``, ``mul`` and ``div`` are the engine's elementwise ops on
+equal shapes (a 0-d operand may meet an array only as a constant) that one
+node each for the paper's formulas replaced. ``nkf_gain_composed``,
+``nkf_combine_composed`` and ``batch_mean_composed`` chain them as
+``enhancer.nkf_gain``, ``enhancer.nkf_combine`` and ``enhancer._batch_loss``'s
+mean ran before; those nodes round every value and gradient as the chains do.
+
 ``lstm_forward_per_frame`` is the per-frame LSTM graph that
 ``autodiff.lstm_layer`` replaced: about 17 nodes per frame per layer, which
 the generic engine backpropagates through, so its gradients are independent
@@ -83,6 +90,8 @@ rest of the graph; one thread throughout, in forward and backward.
 back in polar form under the new amplitudes.
 """
 
+import functools
+
 import numpy as np
 
 from nkf import autodiff as ad
@@ -94,6 +103,66 @@ from nkf.networks import (LOGVAR_LIMIT, NOISE_VAR_EPS, NkfModel, _context_rows,
 from nkf.pipeline import NkfFrameEstimates, enhance_with, lstm_features
 from nkf.signal_core import stft
 from nkf.wiener import VARIANCE_FLOOR, apply_wiener, track_sigma_y
+
+
+def add(a, b) -> ad.DiffArray:
+    a, b = ad.lift(a), ad.lift(b)
+    ad.check_shapes("add", a, b)
+    out = a.values + b.values
+
+    def backward(g):
+        a._accumulate(g, borrowed=True)
+        b._accumulate(g, borrowed=True)
+
+    return ad.make_node(out, (a, b), backward)
+
+
+def sub(a, b) -> ad.DiffArray:
+    a, b = ad.lift(a), ad.lift(b)
+    ad.check_shapes("sub", a, b)
+    out = a.values - b.values
+
+    def backward(g):
+        a._accumulate(g, borrowed=True)
+        b._accumulate(-g)
+
+    return ad.make_node(out, (a, b), backward)
+
+
+def mul(a, b) -> ad.DiffArray:
+    a, b = ad.lift(a), ad.lift(b)
+    ad.check_shapes("mul", a, b)
+    out = a.values * b.values
+
+    def backward(g):
+        a._accumulate(g * b.values)
+        b._accumulate(g * a.values)
+
+    return ad.make_node(out, (a, b), backward)
+
+
+def div(a, b) -> ad.DiffArray:
+    a, b = ad.lift(a), ad.lift(b)
+    ad.check_shapes("div", a, b)
+    out = a.values / b.values
+
+    def backward(g):
+        a._accumulate(g / b.values)
+        b._accumulate(-g * out / b.values)
+
+    return ad.make_node(out, (a, b), backward)
+
+
+def nkf_gain_composed(sigma_r2, sigma_v2) -> ad.DiffArray:
+    return div(sigma_r2, add(sigma_r2, sigma_v2))
+
+
+def nkf_combine_composed(gain, amp_wiener, amp_lstm) -> ad.DiffArray:
+    return add(mul(gain, amp_wiener), mul(sub(1.0, gain), amp_lstm))
+
+
+def batch_mean_composed(losses) -> ad.DiffArray:
+    return div(functools.reduce(add, losses), float(len(losses)))
 
 
 def matmul(a, b) -> ad.DiffArray:
@@ -166,7 +235,7 @@ def dense_composed(x, w, b, act: str, *, limit: float = np.inf,
         return relu(z)
     if act == "clamp":
         return clamp(z, -limit, limit)
-    return ad.add(softplus(z), floor)
+    return add(softplus(z), floor)
 
 
 def sigmoid(x) -> ad.DiffArray:
@@ -271,13 +340,13 @@ def lstm_forward_per_frame(p: NkfModel, noisy_amp):
         c = ad.lift(np.zeros((1, u)))
         hs = []
         for t in range(n_frames):
-            z = add_rowvec(ad.add(xp[t:t + 1], matmul(h, wh)), b)
+            z = add_rowvec(add(xp[t:t + 1], matmul(h, wh)), b)
             gate_i = sigmoid(z[:, 0:u])
             gate_f = sigmoid(z[:, u:2 * u])
             cand = tanh(z[:, 2 * u:3 * u])
             gate_o = sigmoid(z[:, 3 * u:4 * u])
-            c = ad.add(ad.mul(gate_f, c), ad.mul(gate_i, cand))
-            h = ad.mul(gate_o, tanh(c))
+            c = add(mul(gate_f, c), mul(gate_i, cand))
+            h = mul(gate_o, tanh(c))
             hs.append(h)
         layer_in = concat(hs)
     return _heads_composed(p, layer_in)
@@ -525,8 +594,8 @@ def recombine_polar(spec, amplitude) -> np.ndarray:
 
 def wiener_branch_composed(amplitude, sigma_v2, sigma_y2) -> ad.DiffArray:
     inv_sy = 1.0 / np.maximum(sigma_y2, VARIANCE_FLOOR)
-    h = clamp(ad.sub(1.0, ad.mul(sigma_v2, ad.lift(inv_sy))), 0.0, 1.0)
-    return ad.mul(h, ad.lift(amplitude))
+    h = clamp(sub(1.0, mul(sigma_v2, ad.lift(inv_sy))), 0.0, 1.0)
+    return mul(h, ad.lift(amplitude))
 
 
 def enhance_whole(m: NkfModel, noisy, method: str, cfg):

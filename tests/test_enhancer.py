@@ -25,6 +25,7 @@ from nkf.signal_core import Waveform, block_bounds, stft
 from nkf.wiener import VARIANCE_FLOOR, apply_wiener, track_sigma_y, wiener_gain
 
 import oracles
+from test_autodiff import _bits, _fd_check
 
 
 def _tiny_model(seed=0, **kw):
@@ -81,6 +82,120 @@ class TestCombine:
         out = nkf_combine(g, w, l).values
         assert np.all(out >= np.minimum(w, l))
         assert np.all(out <= np.maximum(w, l))
+
+
+class TestOneNodeFormulas:
+    """``nkf_gain``, ``nkf_combine`` and ``_batch_loss``'s mean are one node
+    each; every value and gradient is the ``add``, ``sub``, ``mul`` and
+    ``div`` chain's (``oracles``) bit for bit."""
+
+    @staticmethod
+    def _run(op, operands):
+        """``op``'s value and each operand's gradient (None for a constant)
+        under a mean-square loss; an operand is a python float, an array
+        (made a leaf) or ``("slice", grid, b, t)``: ``[b, :t]`` of one leaf
+        made from the B x T x F ``grid``, whose gradient comes last."""
+        grid = next((o[1] for o in operands if isinstance(o, tuple)), None)
+        source = None if grid is None else ad.DiffArray(grid.copy())
+        leaves = [o if isinstance(o, float) else source[o[2], :o[3]]
+                  if isinstance(o, tuple) else ad.DiffArray(o.copy()) for o in operands]
+        with np.errstate(all="ignore"):   # the NaN, infinite and 0 / 0 entries
+            out = op(*leaves)
+            target = np.random.default_rng(1).standard_normal(out.shape)
+            ad.mean_square(out, ad.lift(target)).backward()
+        grads = [None if isinstance(o, float) else leaf.grad
+                 for o, leaf in zip(operands, leaves) if not isinstance(o, tuple)]
+        return [out.values] + grads + ([] if source is None else [source.grad])
+
+    @staticmethod
+    def _cases(n_operands):
+        """Operand lists: 0-d leaves, 2-D grids, slices of a B x T x F leaf,
+        and grids with python-float constants."""
+        rng = np.random.default_rng(n_operands)
+        grid = rng.uniform(0.0, 2.0, (2, 7, 5))
+        return [
+            [rng.uniform(0.1, 2.0, ()) for _ in range(n_operands)],
+            [rng.uniform(0.0, 2.0, (9, 4)) for _ in range(n_operands)],
+            [("slice", grid, b, t) for b, t in ((0, 6), (1, 6), (0, 6))][:n_operands],
+            [rng.uniform(0.0, 2.0, (3, 5))] + [0.75] * (n_operands - 1),
+            [0.25, rng.uniform(0.0, 2.0, (3, 5))] if n_operands == 2 else
+            [rng.uniform(0.0, 2.0, (3, 5)), 0.25, rng.uniform(0.0, 2.0, (3, 5))],
+        ]
+
+    def _assert_matches(self, op, composed, operands):
+        got, want = self._run(op, operands), self._run(composed, operands)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            if a is None:
+                assert b is None
+            else:
+                assert np.shape(a) == np.shape(b) and np.array_equal(_bits(a), _bits(b))
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_gain_bit_identical_to_chain(self, case):
+        operands = self._cases(2)[case]
+        if case == 1:   # gains of exactly 0 and 1, a 0 / 0, NaN and infinities
+            r, v = operands
+            r[0, :4], v[0, :4] = [0.0, 1.5, 0.0, np.nan], [1.5, 0.0, 0.0, 1.0]
+            r[1, :3], v[1, :3] = [np.inf, 1.0, np.inf], [1.0, np.inf, -np.inf]
+        self._assert_matches(nkf_gain, oracles.nkf_gain_composed, operands)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_combine_bit_identical_to_chain(self, case):
+        operands = self._cases(3)[case]
+        if case == 1:   # gains of exactly 0 and 1, NaN and infinities
+            gain, w, l = operands
+            gain[0, :4] = [0.0, 1.0, np.nan, 0.5]
+            w[1, :3], l[1, :3] = [np.inf, -np.inf, 1.0], [1.0, np.nan, -np.inf]
+            gain[1, 3], l[1, 3] = 1.0, np.inf
+        self._assert_matches(nkf_combine, oracles.nkf_combine_composed, operands)
+
+    @pytest.mark.parametrize("lengths", [(9,), (9, 12), (9, 12, 7), (5, 9, 12, 7)])
+    def test_batch_mean_bit_identical_to_chain(self, lengths):
+        m = _tiny_model(seed=4)
+        segments = _segments(40 + len(lengths), lengths)
+        runs = []
+        for mean in (lambda: _batch_loss(m, segments), lambda: oracles.batch_mean_composed(
+                [loss for loss, _ in _forward(m, [_inputs(m, *s) for s in segments])[0]])):
+            m.zero_grad()
+            loss = mean()
+            loss.backward()
+            runs.append((loss.values, m.gradients()))
+        (got, got_grads), (want, want_grads) = runs
+        assert _bits(got) == _bits(want)
+        for name, grad in got_grads.items():
+            assert np.array_equal(_bits(grad), _bits(want_grads[name])), name
+
+    def test_gradients_against_finite_differences(self):
+        rng = np.random.default_rng(6)
+        _fd_check(lambda xs: nkf_gain(xs[0], xs[1]),
+                  [rng.uniform(0.1, 2.0, (3, 4)) for _ in range(2)])
+        _fd_check(lambda xs: nkf_combine(xs[0], xs[1], xs[2]),
+                  [rng.uniform(0.0, 1.0, (3, 4))] + [rng.uniform(0.0, 2.0, (3, 4))
+                                                     for _ in range(2)])
+
+    def test_shape_rule(self):
+        # equal shapes, or a 0-d constant; a 0-d node meets no array
+        x, y, c = ad.DiffArray(np.ones((2, 3))), ad.DiffArray(np.ones((3, 2))), \
+            ad.DiffArray(np.array(0.5))
+        for args in ((x, y), (x, c), (c, x)):
+            with pytest.raises(ValueError, match="nkf_gain: shapes .* do not match"):
+                nkf_gain(*args)
+        for args in ((x, x, y), (c, x, x), (x, 0.5, y)):
+            with pytest.raises(ValueError, match="nkf_combine: shapes .* do not match"):
+                nkf_combine(*args)
+        assert nkf_gain(x, 0.5).shape == nkf_combine(x, 0.5, x).shape == (2, 3)
+
+    def test_desk_batch_graph_size(self, monkeypatch):
+        # 74 when the gain, the combination and the mean were built from add,
+        # sub, mul, div and a lifted constant: 5 more per utterance, 4 per batch
+        cfg, m = _desk_model()
+        made = []
+        real_init = ad.DiffArray.__init__
+        monkeypatch.setattr(ad.DiffArray, "__init__",
+                            lambda self, *a, **kw: made.append(1) or real_init(self, *a, **kw))
+        _batch_loss(m, _segments(8, (147, 247, 256, 256), cfg.n_bins))
+        assert len(made) <= 50, len(made)
 
 
 class TestLoss:
@@ -299,7 +414,7 @@ class TestFirstLayerWorker:
         for forward in (_forward, oracles.forward_serial):
             m.zero_grad()
             out, _ = forward(m, utts)
-            functools.reduce(ad.add, [loss for loss, _ in out]).backward()
+            functools.reduce(oracles.add, [loss for loss, _ in out]).backward()
             runs.append((out, m.gradients()))
             assert calls == [(0, n) for n in (256, 200, 256, 31)]   # one block each
             calls.clear()
@@ -712,11 +827,13 @@ class TestTrainingMemory:
         assert grown < 2 ** 20, grown / 2 ** 20
 
     def test_graph_keeps_one_array_per_dense_layer(self):
-        # 21.7 MiB for segments of 147, 247, 256 and 256 frames; 30.9 MiB
-        # when each dense layer was a matmul, a row-vector add and an
-        # activation node, each keeping an output of the layer's size
+        # 18.1 MiB for segments of 147, 247, 256 and 256 frames; 21.7 MiB
+        # when the gain and the combination were six nodes, keeping the sum,
+        # both products and 1 - gain as grids besides, and 30.9 MiB when
+        # each dense layer was a matmul, a row-vector add and an activation
+        # node, each keeping an output of the layer's size
         kept = self._kept_after_forward(30, (147, 247, 256, 256))
-        assert kept < 24 * 2 ** 20, kept / 2 ** 20
+        assert kept < 21 * 2 ** 20, kept / 2 ** 20
 
 
 def _training_cfg(**kw):
