@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import functools
 import os
-import shutil
 
 import numpy as np
 
@@ -24,7 +23,8 @@ from . import autodiff as ad
 from . import data_io, kalman, signal_core, wiener
 from .errors import ConfigError, DataError, NumericsError
 from .networks import NkfModel, W1Buffers, build_model, first_layer_product, \
-    lstm_forward, noise_fnn_forward_grid, on_worker, optimizer_step, save_checkpoint
+    lstm_forward, noise_fnn_forward_grid, on_worker, optimizer_step, replacing, \
+    save_checkpoint
 from .pipeline import EnhancementResult, NkfFrameEstimates, check_framing, \
     enhance_with, lstm_features, run_blocks, wiener_estimate
 
@@ -244,7 +244,7 @@ def _batch_loss(m: NkfModel, segments) -> ad.DiffArray:
 
 
 def _write_history(history, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([("step", "loss"), *enumerate(map(repr, history))])
 
 
@@ -257,7 +257,7 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
     (state reset per segment); one backward pass on the batch-mean loss
     precedes each Adam step. ``epoch000.nkf`` (the model as given) and one
     checkpoint per epoch go beside the history that led to them; ``model.nkf``
-    copies the last. A non-finite loss halts training and writes the history.
+    equals the last. A non-finite loss halts training and writes the history.
 
     Returns the trained model and the per-step loss history.
     """
@@ -299,10 +299,8 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
         save(f"epoch{epoch:03d}.nkf")
         if len(history) == max_steps:
             break
-    if out_dir is not None:   # moved into place whole, as save_checkpoint does
-        final = os.path.join(out_dir, "model.nkf")
-        shutil.copyfile(os.path.join(out_dir, f"epoch{epoch:03d}.nkf"), final + ".tmp")
-        os.replace(final + ".tmp", final)
+    if out_dir is not None:
+        save_checkpoint(m, os.path.join(out_dir, "model.nkf"))
     return m, history
 
 

@@ -20,6 +20,7 @@ format documented at the bottom of this file.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import queue
@@ -420,7 +421,7 @@ def optimizer_step(m: NkfModel, grads: dict[str, np.ndarray],
 #
 #   magic   8 bytes  b"NKFCKPT1"
 #   u32     format version (1)
-#   u32 x 7 window, hop, sample_rate, n_bins, context, variance_span, fnn_hidden
+#   u32 x 7 the dimensions named in _DIMS, in that order
 #   u8      log_features flag
 #   u32     number of LSTM layers, then u32 per layer (unit count)
 #   u64     Adam step count
@@ -436,71 +437,43 @@ def optimizer_step(m: NkfModel, grads: dict[str, np.ndarray],
 
 _MAGIC = b"NKFCKPT1"
 _VERSION = 1
+#: the header's seven u32 dimensions, as ``NkfModel`` attributes in file order
+_DIMS = ("window", "hop", "sample_rate", "n_bins", "context", "variance_span", "hidden")
 
 
-def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
-    raw = name.encode("utf-8")
-    head = struct.pack("<H", len(raw)) + raw + struct.pack("<B", arr.ndim)
-    head += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-class _Reader:
-    """Reads a checkpoint file front to back, each tensor into its own array."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.size = os.fstat(fh.fileno()).st_size
-        self.off = 0
-
-    def _check(self, size: int):
-        if self.off + size > self.size:
-            raise DataError("malformed checkpoint: truncated")
-        self.off += size
-
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        self._check(size)
-        blob = self.fh.read(size)
-        if len(blob) != size:
-            raise DataError("malformed checkpoint: truncated")
-        return struct.unpack(fmt, blob)
-
-    def floats(self, shape) -> np.ndarray:
-        """The next ``shape`` float64 values, allocated once the file is
-        known to hold them."""
-        self._check(8 * math.prod(shape))   # exact: a wrapped product could pass
-        arr = np.empty(shape, "<f8")
-        if self.fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-            raise DataError("malformed checkpoint: truncated")
-        return arr
-
-
-def save_checkpoint(m: NkfModel, path):
-    """Write ``m`` to a temporary file beside ``path``, then move it over
-    ``path``: a write that fails partway leaves an earlier file intact."""
-    params = m.parameters()
-    blob = [_MAGIC, struct.pack("<I", _VERSION)]
-    blob.append(struct.pack(
-        "<7I", m.window, m.hop, m.sample_rate, m.n_bins,
-        m.context, m.variance_span, m.hidden))
-    blob.append(struct.pack("<B", int(m.log_features)))
-    blob.append(struct.pack(f"<I{len(m.units)}I", len(m.units), *m.units))
-    blob.append(struct.pack("<Q", m.adam_step))
-    tensors = [(name, p.values) for name, p in params.items()]
-    tensors += [(f"adam_m.{name}", m.adam_m[name]) for name in params]
-    tensors += [(f"adam_v.{name}", m.adam_v[name]) for name in params]
-    blob.append(struct.pack("<I", len(tensors)))
+@contextlib.contextmanager
+def replacing(path, mode: str = "wb", **kwargs):
+    """A file opened beside ``path`` and moved over it when the block ends: a
+    write that fails partway leaves an earlier file intact and no temporary file."""
     tmp = os.fspath(path) + ".tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(blob))
-            for name, arr in tensors:
-                fh.write(_pack_tensor(name, arr))
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
+    """A tensor record up to its float64 data."""
+    raw = name.encode("utf-8")
+    return struct.pack(f"<H{len(raw)}sB{arr.ndim}I", len(raw), raw, arr.ndim, *arr.shape)
+
+
+def save_checkpoint(m: NkfModel, path):
+    """Write ``m`` with ``replacing``, each tensor from its own memory."""
+    params = m.parameters()
+    tensors = [(name, p.values) for name, p in params.items()]
+    tensors += [(f"adam_m.{name}", m.adam_m[name]) for name in params]
+    tensors += [(f"adam_v.{name}", m.adam_v[name]) for name in params]
+    with replacing(path) as fh:
+        fh.write(_MAGIC + struct.pack(
+            f"<I7IBI{len(m.units)}IQI", _VERSION, *(getattr(m, d) for d in _DIMS),
+            m.log_features, len(m.units), *m.units, m.adam_step, len(tensors)))
+        for name, arr in tensors:
+            fh.write(_pack_tensor(name, arr))
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_checkpoint(path) -> NkfModel:
@@ -509,11 +482,47 @@ def load_checkpoint(path) -> NkfModel:
     straight into its array, so loading holds the tensors once."""
     try:
         with open(path, "rb") as fh:
-            dims, log_features, units, adam_step, targets = _read_checkpoint(_Reader(fh))
+            size = os.fstat(fh.fileno()).st_size
+
+            def read(n: int, alloc=bytearray):
+                """``alloc(n)``, made once the file holds ``n`` more bytes, filled."""
+                if fh.tell() + n > size:
+                    raise DataError("malformed checkpoint: truncated")
+                buf = alloc(n)
+                if fh.readinto(buf) != n:   # the file shrank since fstat
+                    raise DataError("malformed checkpoint: truncated")
+                return buf
+
+            def take(fmt: str):
+                return struct.unpack(fmt, read(struct.calcsize(fmt)))
+
+            if take(f"{len(_MAGIC)}s")[0] != _MAGIC:
+                raise DataError("malformed checkpoint: bad magic string")
+            (version,) = take("<I")
+            if version != _VERSION:
+                raise DataError(f"unsupported checkpoint version {version}")
+            dims = dict(zip(_DIMS, take("<7I")))
+            log_features, n_layers = take("<BI")
+            units = take(f"<{n_layers}I")
+            adam_step, n_tensors = take("<QI")
+            targets: dict[str, np.ndarray] = {}
+            for _ in range(n_tensors):
+                (name_len,) = take("<H")
+                try:
+                    name = take(f"{name_len}s")[0].decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError("malformed checkpoint: tensor name is not UTF-8") from exc
+                if name in targets:
+                    raise DataError(f"malformed checkpoint: duplicate tensor {name}")
+                (ndim,) = take("<B")
+                shape = take(f"<{ndim}I")
+                # math.prod is exact: a product wrapped to 64 bits could pass
+                targets[name] = read(8 * math.prod(shape), lambda _: np.empty(shape, "<f8"))
+            if fh.tell() != size:
+                raise DataError("malformed checkpoint: trailing bytes after the last tensor")
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    window, hop, sample_rate, n_bins, context, span, hidden = dims
-    shapes = _param_shapes(n_bins, units, context, hidden)
+    shapes = _param_shapes(dims["n_bins"], units, dims["context"], dims["hidden"])
     expected = {prefix + name: shape for prefix in ("", "adam_m.", "adam_v.")
                 for name, shape in shapes.items()}
     if sorted(targets) != sorted(expected):
@@ -525,37 +534,5 @@ def load_checkpoint(path) -> NkfModel:
     return NkfModel(
         {name: ad.DiffArray(data[name]) for name in shapes},
         {name: data[f"adam_m.{name}"] for name in shapes},
-        {name: data[f"adam_v.{name}"] for name in shapes}, n_bins=n_bins, units=units,
-        context=context, hidden=hidden, window=window, hop=hop, variance_span=span,
-        sample_rate=sample_rate, log_features=log_features, adam_step=adam_step)
-
-
-def _read_checkpoint(reader: _Reader):
-    """A checkpoint's seven u32 dimensions, log flag, units, Adam step and
-    named tensors, read to its end."""
-    if reader.take(f"{len(_MAGIC)}s")[0] != _MAGIC:
-        raise DataError("malformed checkpoint: bad magic string")
-    (version,) = reader.take("<I")
-    if version != _VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
-    dims = reader.take("<7I")
-    (log_features,) = reader.take("<B")
-    (n_layers,) = reader.take("<I")
-    units = reader.take(f"<{n_layers}I")
-    (adam_step,) = reader.take("<Q")
-    targets: dict[str, np.ndarray] = {}
-    (n_tensors,) = reader.take("<I")
-    for _ in range(n_tensors):
-        (name_len,) = reader.take("<H")
-        try:
-            name = reader.take(f"{name_len}s")[0].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError("malformed checkpoint: tensor name is not UTF-8") from exc
-        if name in targets:
-            raise DataError(f"malformed checkpoint: duplicate tensor {name}")
-        (ndim,) = reader.take("<B")
-        shape = reader.take(f"<{ndim}I") if ndim else ()
-        targets[name] = reader.floats(shape)
-    if reader.off != reader.size:
-        raise DataError("malformed checkpoint: trailing bytes after the last tensor")
-    return dims, log_features, units, adam_step, targets
+        {name: data[f"adam_v.{name}"] for name in shapes}, units=units,
+        log_features=log_features, adam_step=adam_step, **dims)

@@ -88,9 +88,17 @@ rest of the graph; one thread throughout, in forward and backward.
 ``recombine_polar`` is the noisy-phase resynthesis that
 ``signal_core.recombine`` replaced: the phase grid ``np.angle(frames)`` put
 back in polar form under the new amplitudes.
+
+``save_checkpoint_copying`` is ``networks.save_checkpoint`` as it wrote a
+checkpoint before each tensor went to the file from its own memory: the
+header packed field by field, and each tensor record built as one ``bytes``
+that copies the tensor, through ``tobytes`` and again on concatenation.
+The two writers' files are byte-equal.
 """
 
 import functools
+import os
+import struct
 
 import numpy as np
 
@@ -640,3 +648,36 @@ def forward_serial(m: NkfModel, utts, lo: int = 0, hi=None, state=None):
         out.append((loss, NkfFrameEstimates(*(node.values for node in (
             amp_lstm, amp_wiener, sigma_r2, sigma_v2, gain, amp_out)))))
     return out, state
+
+
+def _pack_tensor_copying(name: str, arr: np.ndarray) -> bytes:
+    raw = name.encode("utf-8")
+    head = struct.pack("<H", len(raw)) + raw + struct.pack("<B", arr.ndim)
+    head += struct.pack(f"<{arr.ndim}I", *arr.shape)
+    return head + np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
+def save_checkpoint_copying(m: NkfModel, path):
+    """A checkpoint of ``m`` at ``path``, every tensor copied into ``bytes``."""
+    params = m.parameters()
+    blob = [b"NKFCKPT1", struct.pack("<I", 1)]
+    blob.append(struct.pack(
+        "<7I", m.window, m.hop, m.sample_rate, m.n_bins,
+        m.context, m.variance_span, m.hidden))
+    blob.append(struct.pack("<B", int(m.log_features)))
+    blob.append(struct.pack(f"<I{len(m.units)}I", len(m.units), *m.units))
+    blob.append(struct.pack("<Q", m.adam_step))
+    tensors = [(name, p.values) for name, p in params.items()]
+    tensors += [(f"adam_m.{name}", m.adam_m[name]) for name in params]
+    tensors += [(f"adam_v.{name}", m.adam_v[name]) for name in params]
+    blob.append(struct.pack("<I", len(tensors)))
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(blob))
+            for name, arr in tensors:
+                fh.write(_pack_tensor_copying(name, arr))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -1030,6 +1031,45 @@ class TestTrainingLoop:
         assert load_checkpoint(out / last).adam_step == steps_saved
         rows = (out / "loss_history.csv").read_text().splitlines()
         assert rows[0] == "step,loss" and len(rows) == 1 + steps_saved
+
+    def test_failed_model_write_leaves_the_run_directory_whole(self, corpus, tmp_path,
+                                                               monkeypatch):
+        cfg, manifest = corpus
+        train(self._model(cfg), manifest, cfg, out_dir=tmp_path / "ok", max_steps=2)
+        replace = os.replace
+
+        def refuse_model(src, dst):
+            if os.path.basename(dst) == "model.nkf":
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse_model)
+        out = tmp_path / "failed"
+        with pytest.raises(OSError, match="disk full"):
+            train(self._model(cfg), manifest, cfg, out_dir=out, max_steps=2)
+        kept = ["epoch000.nkf", "epoch001.nkf", "loss_history.csv"]
+        assert sorted(p.name for p in out.iterdir()) == kept
+        for name in kept:
+            assert (out / name).read_bytes() == (tmp_path / "ok" / name).read_bytes()
+
+    def test_failed_history_write_keeps_the_previous_history(self, tmp_path, monkeypatch):
+        path = tmp_path / "loss_history.csv"
+        enhancer._write_history([1.5, 0.25], str(path))
+        before = path.read_bytes()
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def writerows(self, rows):
+                self.fh.write("step,loss\r\n")
+                raise OSError("disk full")
+
+        monkeypatch.setattr(enhancer.csv, "writer", HalfWriter)
+        with pytest.raises(OSError, match="disk full"):
+            enhancer._write_history([1.5, 0.25, 0.125], str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["loss_history.csv"]
 
 
 class _Interrupt(Exception):

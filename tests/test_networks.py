@@ -14,7 +14,8 @@ from nkf.networks import (build_model, first_layer_gradient, fnn_features,
 from nkf.signal_core import block_bounds
 
 from oracles import (adam_step, init_params, noise_fnn_forward,
-                     noise_fnn_forward_grid_composed, reference_model, w1_grad_per_tap)
+                     noise_fnn_forward_grid_composed, reference_model,
+                     save_checkpoint_copying, w1_grad_per_tap)
 
 
 def _zero_params(net):
@@ -550,6 +551,45 @@ class TestDeterminismAndCheckpoints:
         assert loaded.n_bins == 129
         assert peak <= 1.1 * size, peak / size
 
+    @pytest.mark.parametrize("shape, stepped", [
+        (dict(n_bins=129, lstm_units=(64, 64), fnn_hidden=128, context=30), False),
+        (dict(n_bins=5, lstm_units=(2,), fnn_hidden=3, context=2), False),
+        (dict(n_bins=7, lstm_units=(5, 3, 4), fnn_hidden=6, context=4), False),
+        (dict(n_bins=5, lstm_units=(3,), fnn_hidden=4, context=2, window=8, hop=4,
+              log_features=True), False),
+        (dict(n_bins=9, lstm_units=(4, 3), fnn_hidden=6, context=3, variance_span=7), True),
+    ], ids=["desk", "one-layer", "three-layers", "log-features", "adam-step"])
+    def test_save_writes_the_copying_writers_bytes(self, tmp_path, shape, stepped):
+        m = build_model(**shape, seed=5)
+        if stepped:
+            rng = np.random.default_rng(6)
+            optimizer_step(m, {k: rng.standard_normal(p.values.shape)
+                               for k, p in m.parameters().items()})
+            assert m.adam_step == 1
+        save_checkpoint(m, tmp_path / "new.nkf")
+        save_checkpoint_copying(m, tmp_path / "old.nkf")
+        assert (tmp_path / "new.nkf").read_bytes() == (tmp_path / "old.nkf").read_bytes()
+        for name in ("new.nkf", "old.nkf"):
+            loaded = load_checkpoint(tmp_path / name)
+            assert loaded.adam_step == m.adam_step
+            for k, p in m.parameters().items():
+                assert np.array_equal(loaded.parameters()[k].values, p.values), k
+                assert np.array_equal(loaded.adam_m[k], m.adam_m[k]), k
+                assert np.array_equal(loaded.adam_v[k], m.adam_v[k]), k
+
+    def test_save_makes_no_tensor_sized_copy(self, tmp_path):
+        # a 15.5 MB desk checkpoint; a writer that packs each tensor into
+        # bytes before writing it peaks at about 7.8 MiB here
+        m = build_model(129, seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_checkpoint(m, tmp_path / "model.nkf")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak / 2 ** 20
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.nkf"
         path.write_bytes(b"NOTACKPT" + b"\0" * 64)
@@ -603,7 +643,8 @@ class TestDeterminismAndCheckpoints:
         blob = bytearray(path.read_bytes())
         at = len(b"NKFCKPT1") + 4 + 7 * 4 + 1 + 4 + 4 + 8   # one LSTM layer
         struct.pack_into("<I", blob, at, struct.unpack_from("<I", blob, at)[0] + 1)
-        path.write_bytes(bytes(blob) + networks._pack_tensor("fnn.b3", np.full(5, 123.0)))
+        b3 = np.full(5, 123.0, "<f8")
+        path.write_bytes(bytes(blob) + networks._pack_tensor("fnn.b3", b3) + b3.tobytes())
         with pytest.raises(DataError, match=r"duplicate tensor fnn\.b3$"):
             load_checkpoint(path)
 
