@@ -10,12 +10,13 @@ graph is spent by its backward, though: ``lstm_layer`` writes its gradients
 over its own cache, so a second ``backward()`` through a graph that holds one
 raises ``RuntimeError``. Build a new graph for each backward.
 
-Gradient buffers are written once where possible. Every op here and every
-``make_node`` node hands its operands fresh first contributions, which become
-their ``grad`` buffers; later ones are added in place. Only the noise net's
-``fnn.w1`` gradient, when a job writes it through ``networks.W1Buffers``'
-scratch, is borrowed: ``_accumulate`` copies it, so the scratch never becomes
-``w1.grad``. Slicing scatters into a zeroed buffer of the source's shape.
+One rule accumulates gradients: a node's first contribution becomes its
+``grad`` (a numpy scalar as a 0-d array), later ones are added in place, and
+constants ignore theirs. So every op here and every ``make_node`` node hands
+over fresh float64 arrays of their nodes' shapes that nothing else holds. The
+``fnn.w1`` jobs after the first add in one scratch (``networks.W1Buffers``):
+the worker runs jobs in turn, so it only meets an existing ``w1.grad``.
+Slicing scatters into a zeroed buffer of the source's shape.
 
 The op set is deliberately small, each op a layer of the NKF graph: ``exp``,
 ``dense`` (``act(x @ w + b)``, with ReLU, clamp or softplus), basic slicing
@@ -88,18 +89,13 @@ class DiffArray:
 
     # -- graph construction -------------------------------------------
 
-    def _accumulate(self, delta, borrowed=False):
-        """Add ``delta`` into ``grad``; a first contribution of this node's
-        shape becomes ``grad`` itself, copied if ``borrowed``."""
+    def _accumulate(self, delta):
+        """Add ``delta`` into ``grad``; a first contribution becomes ``grad``."""
         if self.constant:
             return
-        if self.grad is not None:
-            self.grad += delta
-        elif type(delta) is np.ndarray and delta.shape == self.values.shape \
-                and delta.dtype == np.float64:
-            self.grad = delta.copy() if borrowed else delta
-        else:   # a numpy scalar, or a delta that broadcasts
-            self.grad = np.zeros_like(self.values)
+        if self.grad is None:
+            self.grad = np.asarray(delta)
+        else:
             self.grad += delta
 
     def backward(self):
@@ -110,7 +106,8 @@ class DiffArray:
         contribution: one to a leaf that no node reads and that only deferred
         contributions reach. Every join is called, in node order, before this
         returns or raises, so every leaf's ``grad`` is whole once it does. A
-        node's exception leaves first; otherwise the first a job raised."""
+        node's exception leaves first; otherwise the first a job raised. After
+        one raises, gradients are undefined until ``NkfModel.zero_grad``."""
         if self.values.size != 1:
             raise ValueError("backward() must start from a scalar node")
         order = _toposort(self)

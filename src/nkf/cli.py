@@ -114,13 +114,21 @@ def cmd_train(cfg, args) -> int:
 
 
 def _enhance_inputs(cfg, args):
+    """(utt_id, noisy waveform, entry or None) per utterance, read as iterated;
+    ``ConfigError`` first if an output would replace a file the run reads."""
     if args.wav:
-        utt_id = os.path.splitext(os.path.basename(args.wav))[0]
-        yield utt_id, data_io.read_wav(args.wav, cfg.sample_rate), None
+        utts = [(os.path.splitext(os.path.basename(args.wav))[0], args.wav, None)]
+        read = [args.wav]
     else:
         manifest = data_io.load_manifest(args.manifest)
-        for e in manifest.split_entries(args.split):
-            yield e.utt_id, data_io.read_wav(e.noisy_path, cfg.sample_rate), e
+        utts = [(e.utt_id, e.noisy_path, e) for e in manifest.split_entries(args.split)]
+        read = [p for e in manifest.entries for p in (e.clean_path, e.noisy_path, e.noise_path)]
+    inputs = {os.path.realpath(p) for p in read}
+    for utt_id, _, _ in utts:
+        if os.path.realpath(os.path.join(args.out, f"{utt_id}.wav")) in inputs:
+            raise ConfigError(f"--out {args.out} would replace input {utt_id}.wav")
+    return ((utt_id, data_io.read_wav(path, cfg.sample_rate), e)
+            for utt_id, path, e in utts)
 
 
 def cmd_enhance(cfg, args) -> int:
@@ -173,6 +181,8 @@ def _timing(audio_s: float, run_s: float) -> str:
 
 
 def cmd_eval(cfg, args) -> int:
+    if os.path.splitext(args.out)[1] == ".cfg":   # the resolved config goes there
+        raise ConfigError(f"--out {args.out}: the resolved config would replace the report")
     manifest = data_io.load_manifest(args.manifest)
     rows = []
     for e in manifest.split_entries(args.split):

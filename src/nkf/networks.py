@@ -215,24 +215,24 @@ class W1Buffers:
     node's backward runs: a worker's own allocations would stay in its own
     glibc arena. The first node's job writes into an array that becomes
     ``w1.grad`` when ``w1`` has none yet. Every later job writes into one
-    scratch array, then adds it into ``w1.grad``; the scratch lives only while
-    a queued job holds it (the graph keeps a weak reference), and a node that
-    finds it gone allocates another. So a backward holds at most two."""
+    scratch array, then adds it into the ``w1.grad`` made by then; the scratch
+    lives only while a queued job holds it (this keeps a weak reference), and
+    a node that finds it gone allocates another. So a backward holds at most two."""
 
     def __init__(self, w1: ad.DiffArray):
         self.w1, self.first, self.scratch = w1, True, lambda: None
 
-    def take(self) -> tuple[np.ndarray, bool]:
-        """The next job's ``out``, and whether it is borrowed: added into
-        ``w1.grad``, not kept as it."""
+    def take(self) -> np.ndarray:
+        """The next job's ``out``: a new array for the first job when ``w1``
+        has no ``grad``, the shared scratch otherwise."""
         first, self.first = self.first, False
         if first and self.w1.grad is None:
-            return np.empty(self.w1.shape), False
+            return np.empty(self.w1.shape)
         out = self.scratch()
         if out is None:
             out = np.empty(self.w1.shape)
             self.scratch = weakref.ref(out)
-        return out, True
+        return out
 
 
 def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndarray,
@@ -279,9 +279,9 @@ def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndar
         gz = g * (pre > 0)
         b1._accumulate(gz.sum(axis=0))
         rows = _context_rows(amplitude, m.context, lo, hi)   # here, not on the worker
-        out, borrowed = buffers.take()
+        out = buffers.take()
         return on_worker(lambda: w1._accumulate(
-            first_layer_gradient(rows, sigma_y2[lo:hi], gz, out), borrowed))
+            first_layer_gradient(rows, sigma_y2[lo:hi], gz, out)))
 
     h1 = ad.make_node(pre, (w1, b1), backward)
     h2 = ad.dense(h1, m.params["fnn.w2"], m.params["fnn.b2"], "relu")

@@ -119,8 +119,8 @@ def add(a, b) -> ad.DiffArray:
     out = a.values + b.values
 
     def backward(g):
-        a._accumulate(g, borrowed=True)
-        b._accumulate(g, borrowed=True)
+        a._accumulate(np.array(g))
+        b._accumulate(np.array(g))
 
     return ad.make_node(out, (a, b), backward)
 
@@ -131,7 +131,7 @@ def sub(a, b) -> ad.DiffArray:
     out = a.values - b.values
 
     def backward(g):
-        a._accumulate(g, borrowed=True)
+        a._accumulate(np.array(g))
         b._accumulate(-g)
 
     return ad.make_node(out, (a, b), backward)
@@ -198,7 +198,7 @@ def add_rowvec(x, b) -> ad.DiffArray:
     out = x.values + b.values
 
     def backward(g):
-        x._accumulate(g, borrowed=True)
+        x._accumulate(np.array(g))
         b._accumulate(g.reshape(-1, b.shape[0]).sum(axis=0))
 
     return ad.make_node(out, (x, b), backward)

@@ -222,6 +222,30 @@ class TestEnhance:
             # rejected before anything is written
             assert not out.exists(), name
 
+    @pytest.mark.parametrize("folder", [None, "test/noisy", "test/clean"])
+    def test_out_that_would_replace_an_input_is_usage_error(self, workspace,
+                                                            tmp_path, capsys, folder):
+        # --wav D/x.wav --out D, or a manifest's own folder as --out: refused
+        # before anything is written, every input left as it was
+        _, corpus, ckpt = workspace
+        shutil.copytree(corpus, tmp_path / "corpus")
+        if folder is None:
+            shutil.copy(corpus / "test" / "noisy" / "test_0001.wav", tmp_path / "in.wav")
+            source, out = ["--wav", str(tmp_path / "in.wav")], tmp_path
+        else:
+            source = ["--manifest", str(tmp_path / "corpus" / "manifest.csv")]
+            out = tmp_path / "corpus" / folder
+
+        def files():
+            return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+        before = files()
+        rc = main(TINY + ["enhance", "--checkpoint", str(ckpt), *source,
+                          "--out", str(out)])
+        assert rc == 1
+        assert "would replace input" in capsys.readouterr().err
+        assert files() == before
+
     def test_missing_file_is_data_error(self, workspace, tmp_path):
         root, corpus, ckpt = workspace
         rc = main(TINY + ["enhance", "--checkpoint", str(ckpt), "--wav",
@@ -294,6 +318,20 @@ class TestEval:
                         "amp_mse": metrics.amplitude_mse(clean, test, 64, 16)}
                 for key, value in want.items():
                     assert float(rows[e.utt_id][key + suffix]) == value, key + suffix
+
+    def test_cfg_report_is_usage_error(self, workspace, tmp_path, capsys):
+        # the resolved config goes beside the report with a .cfg suffix, so a
+        # report named *.cfg would be replaced by it
+        root, corpus, _ = workspace
+        enhanced = tmp_path / "perfect"
+        os.makedirs(enhanced)
+        for e in data_io.load_manifest(corpus / "manifest.csv").split_entries("test"):
+            shutil.copy(e.clean_path, enhanced / f"{e.utt_id}.wav")
+        rc = main(TINY + ["eval", "--manifest", str(corpus / "manifest.csv"),
+                          "--enhanced", str(enhanced), "--out", str(tmp_path / "r.cfg")])
+        assert rc == 1
+        assert "the resolved config would replace the report" in capsys.readouterr().err
+        assert not (tmp_path / "r.cfg").exists()
 
     def test_empty_eval_is_data_error(self, workspace, tmp_path):
         root, corpus, _ = workspace

@@ -684,6 +684,48 @@ class TestBackwardWorker:
             for name, grad in got.items():
                 np.testing.assert_array_equal(grad, want[name])
 
+    @pytest.mark.parametrize("run", ["desk_batch", "gradient_check"])
+    def test_first_contributions_are_fresh_arrays_of_the_nodes_shape(self, monkeypatch,
+                                                                      run):
+        # _accumulate keeps a node's first contribution as its grad, unchecked
+        # and uncopied, so each must be a float64 array of the node's shape (a
+        # numpy float64 scalar for a 0-d node) and no other node's grad
+        firsts, models = [], []   # (node, delta, the grad it became, thread)
+        real = ad.DiffArray._accumulate
+
+        def recorded(node, delta):
+            first = node.grad is None and not node.constant
+            real(node, delta)
+            if first:
+                firsts.append((node, delta, node.grad, threading.get_ident()))
+
+        monkeypatch.setattr(ad.DiffArray, "_accumulate", recorded)
+        if run == "desk_batch":
+            cfg, m = _desk_model()
+            _batch_loss(m, _segments(31, (256, 200, 256, 31), cfg.n_bins)).backward()
+            (w1_thread,) = [t for n, *_, t in firsts if n is m.params["fnn.w1"]]
+            assert w1_thread != threading.get_ident()   # the worker's job made it
+        else:
+            def recorded_build(*args, **kwargs):
+                models.append(build_model(*args, **kwargs))
+                return models[-1]
+
+            monkeypatch.setattr(enhancer, "build_model", recorded_build)
+            assert gradient_check(0) < 1e-4
+            m, = models
+        for node, delta, _, _ in firsts:
+            if node.ndim == 0 and type(delta) is np.float64:
+                continue
+            assert type(delta) is np.ndarray, type(delta)
+            assert (delta.dtype, delta.shape) == (np.float64, node.shape)
+        grads = [grad for _, _, grad, _ in firsts]
+        for i, grad in enumerate(grads):
+            assert not any(np.shares_memory(grad, other) for other in grads[:i])
+        params = [p.grad for p in m.params.values()]
+        assert all(g is not None for g in params)
+        for i, grad in enumerate(params):
+            assert not any(np.shares_memory(grad, other) for other in params[:i])
+
     def test_w1_gradient_buffers_made_on_the_calling_thread(self, monkeypatch):
         # every w1-shaped array the noise net makes is allocated by the
         # calling thread before the job that writes it runs: the first job's
