@@ -4,8 +4,8 @@ A ``DiffArray`` wraps an ndarray and remembers how it was produced; calling
 ``backward()`` on a scalar result walks the graph in reverse topological
 order and accumulates exact gradients into every leaf's ``grad`` buffer but
 the constants made by ``lift``; inner nodes drop theirs once propagated.
-Gradients on leaves persist across backward calls (call ``zero_grad`` on the
-leaves to reset), which is what batched gradient accumulation relies on. A
+Gradients on leaves persist across backward calls (``NkfModel.zero_grad``
+resets a model's), which is what batched gradient accumulation relies on. A
 graph is spent by its backward, though: ``lstm_layer`` writes its gradients
 over its own cache, so a second ``backward()`` through a graph that holds one
 raises ``RuntimeError``. Build a new graph for each backward.
@@ -13,10 +13,11 @@ raises ``RuntimeError``. Build a new graph for each backward.
 One rule accumulates gradients: a node's first contribution becomes its
 ``grad`` (a numpy scalar as a 0-d array), later ones are added in place, and
 constants ignore theirs. So every op here and every ``make_node`` node hands
-over fresh float64 arrays of their nodes' shapes that nothing else holds. The
-``fnn.w1`` jobs after the first add in one scratch (``networks.W1Buffers``):
-the worker runs jobs in turn, so it only meets an existing ``w1.grad``.
-Slicing scatters into a zeroed buffer of the source's shape.
+over fresh float64 arrays of their nodes' shapes that nothing else holds. A
+model parameter's ``grad`` is its view of the model's gradient arena
+(``networks.NkfModel``), so every contribution to it adds in place, but for
+the weight-gradient products of ``add_product``. Slicing scatters into a
+zeroed buffer of the source's shape.
 
 The op set is deliberately small, each op a layer of the NKF graph: ``exp``,
 ``dense`` (``act(x @ w + b)``, with ReLU, clamp or softplus), basic slicing
@@ -65,11 +66,12 @@ def no_grad():
 class DiffArray:
     """A node in the reverse-mode computation graph."""
 
-    __slots__ = ("values", "grad", "_parents", "_backward", "constant")
+    __slots__ = ("values", "grad", "zeroed", "_parents", "_backward", "constant")
 
     def __init__(self, values, _parents=(), _backward=None, constant=False):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
+        self.zeroed = False   # whether grad holds only the zeros zero_grad left
         self._parents = _parents
         self._backward = _backward
         self.constant = constant
@@ -97,6 +99,7 @@ class DiffArray:
             self.grad = np.asarray(delta)
         else:
             self.grad += delta
+        self.zeroed = False
 
     def backward(self):
         """Seed this scalar node with gradient 1 and backpropagate.
@@ -161,6 +164,16 @@ def make_node(values, parents, backward):
     return DiffArray(values, _parents=parents, _backward=backward)
 
 
+def add_product(node: DiffArray, a: np.ndarray, b: np.ndarray):
+    """Add ``a @ b`` into ``node``'s gradient: straight into a ``grad`` that
+    is ``zeroed``, with no product-sized temporary (equal but for a zero's sign)."""
+    if node.zeroed:
+        np.matmul(a, b, out=node.grad)
+        node.zeroed = False
+    else:
+        node._accumulate(a @ b)
+
+
 def check_shapes(op: str, *nodes: DiffArray):
     """``ValueError`` unless the nodes share a shape; a 0-d constant meets any."""
     if len({x.shape for x in nodes if x.ndim or not x.constant}) > 1:
@@ -223,7 +236,7 @@ def dense(x, w, b, act: str, *, limit: float = np.inf, floor: float = 0.0) -> Di
         b._accumulate(gz.reshape(-1, b.shape[0]).sum(axis=0))
         if not x.constant:
             x._accumulate(gz @ w.values.T)
-        w._accumulate(x.values.reshape(-1, w.shape[0]).T @ gz.reshape(-1, b.shape[0]))
+        add_product(w, x.values.reshape(-1, w.shape[0]).T, gz.reshape(-1, b.shape[0]))
 
     return make_node(z, (x, w, b), backward)
 
@@ -242,6 +255,7 @@ def take(x, key) -> DiffArray:
         if x.grad is None:
             x.grad = np.zeros_like(x.values)
         x.grad[key] += g
+        x.zeroed = False
 
     return make_node(out, (x,), backward)
 
@@ -333,8 +347,8 @@ def lstm_layer(x, wx, wh, b, state=None) -> tuple[DiffArray, tuple]:
             dc = dc * act[:, f_]
             dh = dz_t @ wh.values.T
         dz = gates.reshape(-1, 4 * u)
-        wh._accumulate(hs[:, :-1].reshape(-1, u).T @ dz)
-        wx._accumulate(x.values.reshape(-1, n_in).T @ dz)
+        add_product(wh, hs[:, :-1].reshape(-1, u).T, dz)
+        add_product(wx, x.values.reshape(-1, n_in).T, dz)
         b._accumulate(dz.sum(axis=0))
         if not x.constant:
             x._accumulate((dz @ wx.values.T).reshape(x.shape))

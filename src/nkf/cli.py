@@ -113,6 +113,14 @@ def cmd_train(cfg, args) -> int:
     return 0
 
 
+def _refuse_replacing(outputs, inputs):
+    """``ConfigError`` if an output path is, by ``realpath``, an input's."""
+    read = {os.path.realpath(p) for p in inputs}
+    for path in outputs:
+        if os.path.realpath(path) in read:
+            raise ConfigError(f"--out would replace input {path}")
+
+
 def _enhance_inputs(cfg, args):
     """(utt_id, noisy waveform, entry or None) per utterance, read as iterated;
     ``ConfigError`` first if an output would replace a file the run reads."""
@@ -123,10 +131,7 @@ def _enhance_inputs(cfg, args):
         manifest = data_io.load_manifest(args.manifest)
         utts = [(e.utt_id, e.noisy_path, e) for e in manifest.split_entries(args.split)]
         read = [p for e in manifest.entries for p in (e.clean_path, e.noisy_path, e.noise_path)]
-    inputs = {os.path.realpath(p) for p in read}
-    for utt_id, _, _ in utts:
-        if os.path.realpath(os.path.join(args.out, f"{utt_id}.wav")) in inputs:
-            raise ConfigError(f"--out {args.out} would replace input {utt_id}.wav")
+    _refuse_replacing([os.path.join(args.out, f"{u}.wav") for u, _, _ in utts], read)
     return ((utt_id, data_io.read_wav(path, cfg.sample_rate), e)
             for utt_id, path, e in utts)
 
@@ -167,7 +172,8 @@ def cmd_enhance(cfg, args) -> int:
         data_io.write_wav(result.waveform, os.path.join(args.out, f"{utt_id}.wav"))
         if args.dump_grids:
             grids = {k: v for k, v in vars(result.grids).items() if v is not None}
-            np.savez(os.path.join(args.out, f"{utt_id}_grids.npz"), **grids)
+            with data_io.replacing(os.path.join(args.out, f"{utt_id}_grids.npz")) as fh:
+                np.savez(fh, **grids)
         count += 1
     print(f"enhanced {count} utterance(s) with method {args.method} into {args.out}: "
           f"{_timing(audio_s, run_s)}")
@@ -184,9 +190,14 @@ def cmd_eval(cfg, args) -> int:
     if os.path.splitext(args.out)[1] == ".cfg":   # the resolved config goes there
         raise ConfigError(f"--out {args.out}: the resolved config would replace the report")
     manifest = data_io.load_manifest(args.manifest)
+    entries = manifest.split_entries(args.split)
+    enhanced = [os.path.join(args.enhanced, f"{e.utt_id}.wav") for e in entries]
+    config_out = os.path.splitext(args.out)[0] + ".cfg"
+    read = [p for e in manifest.entries for p in (e.clean_path, e.noisy_path, e.noise_path)]
+    _refuse_replacing([args.out, config_out], [args.manifest, *read, *enhanced]
+                      + ([args.config] if args.config else []))
     rows = []
-    for e in manifest.split_entries(args.split):
-        enhanced_path = os.path.join(args.enhanced, f"{e.utt_id}.wav")
+    for e, enhanced_path in zip(entries, enhanced):
         if not os.path.exists(enhanced_path):
             continue
         clean = data_io.read_wav(e.clean_path, cfg.sample_rate)
@@ -204,7 +215,7 @@ def cmd_eval(cfg, args) -> int:
     fields = ["utt_id", "snr_db", "fwsegsnr", "segsnr", "amp_mse",
               "fwsegsnr_noisy", "segsnr_noisy", "amp_mse_noisy"]
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with data_io.replacing(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for row in rows:
@@ -213,7 +224,7 @@ def cmd_eval(cfg, args) -> int:
             summary = {"utt_id": f"MEAN@{snr:g}dB", "snr_db": snr}
             summary.update(agg)
             writer.writerow(summary)
-    save_config(cfg, os.path.splitext(args.out)[0] + ".cfg")
+    save_config(cfg, config_out)
     for snr, agg in per_snr.items():
         print(f"condition {snr:g} dB: fwsegsnr {agg['fwsegsnr']:.2f} dB, "
               f"segsnr {agg['segsnr']:.2f} dB, amp_mse {agg['amp_mse']:.5f}")

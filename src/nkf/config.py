@@ -12,6 +12,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .data_io import replacing
 from .errors import ConfigError
 
 
@@ -161,7 +162,7 @@ def load_config(path=None, overrides: dict | None = None,
 
 def save_config(cfg: RunConfig, path):
     """Echo the fully-resolved configuration as key = value lines."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, "w", encoding="utf-8") as fh:
         for f in dataclasses.fields(cfg):
             value = getattr(cfg, f.name)
             if isinstance(value, tuple):

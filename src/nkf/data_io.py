@@ -24,6 +24,7 @@ for float32.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import shutil
@@ -128,6 +129,20 @@ def read_wav(path, expected_rate: int = 16000) -> signal_core.Waveform:
         raise DataError(f"{path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str = "wb", **kwargs):
+    """A file opened beside ``path`` and moved over it when the block ends: a
+    write that fails partway leaves an earlier file intact and no temporary file."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_wav(w: signal_core.Waveform, path, encoding: str = "float32"):
     """Write PCM 16-bit (within one LSB of the input) or exact float32."""
     if encoding == "pcm16":
@@ -144,7 +159,7 @@ def write_wav(w: signal_core.Waveform, path, encoding: str = "float32"):
                          int(rate) * width, width, 8 * width)
     if width == 4:  # float32: cbSize 0 ends its 18-byte fmt chunk; then fact
         chunks += struct.pack("<H4sII", 0, b"fact", 4, len(data))
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(b"RIFF" + struct.pack("<I", 12 + len(chunks) + data.nbytes) + b"WAVE"
                  + chunks + b"data" + struct.pack("<I", data.nbytes))
         fh.write(data)
@@ -327,7 +342,7 @@ _MANIFEST_FIELDS = ("utt_id", "split", "snr_db", "seed", "speech_id",
 
 def write_manifest(manifest: CorpusManifest, path):
     root = os.path.dirname(os.path.abspath(path))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_MANIFEST_FIELDS)
         for e in manifest.entries:

@@ -22,9 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from . import data_io, kalman, signal_core, wiener
 from .errors import ConfigError, DataError, NumericsError
-from .networks import NkfModel, W1Buffers, build_model, first_layer_product, \
-    lstm_forward, noise_fnn_forward_grid, on_worker, optimizer_step, replacing, \
-    save_checkpoint
+from .networks import NkfModel, build_model, first_layer_product, lstm_forward, \
+    noise_fnn_forward_grid, on_worker, optimizer_step, save_checkpoint
 from .pipeline import EnhancementResult, NkfFrameEstimates, check_framing, \
     enhance_with, lstm_features, run_blocks, wiener_estimate
 
@@ -96,8 +95,6 @@ def _forward(m: NkfModel, utts, lo: int = 0, hi: int | None = None, state=None):
     allocated here and every node is built here, so every value is the
     serial graph's, bit for bit. The job is joined before any exception
     leaves, and an exception of the LSTM's leaves before one of the job's.
-    The noise nets share one ``W1Buffers``, so backward's ``w1`` gradient
-    jobs write into at most two arrays, both allocated on the calling thread.
 
     Returns per utterance the loss node (None without a clean grid) and the
     grids, which are the nodes' own ``values``, not copies (no op writes a
@@ -125,10 +122,10 @@ def _forward(m: NkfModel, utts, lo: int = 0, hi: int | None = None, state=None):
         error = join()
     if error is not None:
         raise error
-    out, w1_buffers = [], W1Buffers(m.params["fnn.w1"])
+    out = []
     for b, (noisy, feats, sigma_y2, clean) in enumerate(utts):
         stop, pre = stops[b], pres[b]
-        sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2, lo, stop, pre, w1_buffers)
+        sigma_v2 = noise_fnn_forward_grid(m, feats, sigma_y2, lo, stop, pre)
         amp_wiener = wiener.apply_wiener(noisy[lo:stop], sigma_v2, sigma_y2[lo:stop])
         amp_lstm, sigma_r2 = amp[b, :stop - lo], ad.exp(res[b, :stop - lo])
         gain = nkf_gain(sigma_r2, sigma_v2)
@@ -244,7 +241,7 @@ def _batch_loss(m: NkfModel, segments) -> ad.DiffArray:
 
 
 def _write_history(history, path):
-    with replacing(path, "w", newline="", encoding="utf-8") as fh:
+    with data_io.replacing(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([("step", "loss"), *enumerate(map(repr, history))])
 
 
@@ -285,7 +282,7 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
             if len(history) == max_steps:
                 break
             segments = [_segment(entries[j], cfg, rng) for j in order[lo:lo + cfg.batch]]
-            m.zero_grad()   # the last step's gradients go before this graph is built
+            m.zero_grad()
             loss = _batch_loss(m, segments)
             loss_val = float(loss.values)
             if not np.isfinite(loss_val):
@@ -294,7 +291,7 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
                     f"diverged: non-finite training loss at step {len(history)}")
             loss.backward()
             del loss   # the batch graph goes before the next step builds one
-            optimizer_step(m, m.gradients(), lr=cfg.lr)
+            optimizer_step(m, lr=cfg.lr)
             history.append(loss_val)
         save(f"epoch{epoch:03d}.nkf")
         if len(history) == max_steps:
@@ -325,24 +322,20 @@ def gradient_check(seed: int = 0) -> float:
 
     segments = [(noisy_amp, clean_amp)]
     _batch_loss(model, segments).backward()
-    analytic = model.gradients()
 
     def loss_at() -> float:
         with ad.no_grad():
             return float(_batch_loss(model, segments).values)
 
-    worst = 0.0
-    for name, p in model.parameters().items():
-        flat = p.values.reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + _GRADCHECK_STEP
-            up = loss_at()
-            flat[i] = saved - _GRADCHECK_STEP
-            down = loss_at()
-            flat[i] = saved
-            numeric = (up - down) / (2.0 * _GRADCHECK_STEP)
-            a = analytic[name].reshape(-1)[i]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
-            worst = max(worst, err)
+    worst, values = 0.0, model.values   # every parameter entry, in declared order
+    for i in range(values.size):
+        saved = values[i]
+        values[i] = saved + _GRADCHECK_STEP
+        up = loss_at()
+        values[i] = saved - _GRADCHECK_STEP
+        down = loss_at()
+        values[i] = saved
+        numeric = (up - down) / (2.0 * _GRADCHECK_STEP)
+        a = model.grads[i]
+        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-6))
     return worst

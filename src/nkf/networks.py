@@ -11,27 +11,28 @@ product, and in backward its ``fnn.w1`` gradient, run as jobs on a worker
 thread, started on first use, while the caller does other work
 (``on_worker``).
 
-``_param_shapes`` declares every weight once; ``NkfModel`` holds them as
-``DiffArray`` leaves, so one ``backward()`` on a downstream loss yields exact
-gradients for every weight. Training state (Adam moments, step count) lives
-on ``NkfModel`` and round-trips bit-exactly through the binary checkpoint
-format documented at the bottom of this file.
+``_param_shapes`` declares every weight once; ``NkfModel`` lays them out in
+flat arrays and holds them as ``DiffArray`` leaves, so one ``backward()`` on
+a downstream loss yields exact gradients for every weight. Training state
+(Adam moments, step count) lives on ``NkfModel`` and round-trips bit-exactly
+through the binary checkpoint format documented at the bottom of this file.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
+import mmap
 import os
 import queue
 import struct
+import sys
 import threading
-import weakref
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
+from .data_io import replacing
 from .errors import ConfigError, DataError, NumericsError
 from .signal_core import block_bounds
 
@@ -131,22 +132,29 @@ def fnn_features(amplitude: np.ndarray, sigma_y2: np.ndarray, context: int,
     return features
 
 
-def first_layer_gradient(rows: np.ndarray, sigma_y2: np.ndarray, g: np.ndarray,
-                         out: np.ndarray) -> np.ndarray:
-    """``fnn.w1``'s gradient for frames lo..hi-1 into ``out``, a C-contiguous
-    (context+1)·F x H array, which it returns: ``rows`` are the frames'
-    ``_context_rows``, ``sigma_y2`` the grid's rows lo..hi-1 and ``g`` the
-    first layer's (hi-lo) x H output gradient. Context tap k's block is
-    ``rows[k:k + hi - lo].T @ g``, every tap in one batched product over
-    shifted views of ``rows`` (MEC; Cho & Brand, arXiv:1706.06873), then the
-    last block is ``sigma_y2.T @ g``; no feature matrix is formed. Makes no
-    node, so it can run on the worker (``on_worker``)."""
+#: Bytes of the ``fnn.w1`` jobs' scratch: 30 taps' F x H blocks at desk widths, 3 at full
+_W1_SCRATCH_BYTES = 1 << 22
+
+
+def add_first_layer_gradient(rows: np.ndarray, sigma_y2: np.ndarray, g: np.ndarray,
+                             grad: np.ndarray, scratch: np.ndarray):
+    """Add ``fnn.w1``'s gradient for frames lo..hi-1 into ``grad``, C-contiguous
+    (context+1)·F x H: ``rows`` are the frames' ``_context_rows``, ``sigma_y2``
+    the grid's rows lo..hi-1 and ``g`` the first layer's (hi-lo) x H output
+    gradient. Context tap k's block is ``rows[k:k + hi - lo].T @ g``, formed
+    ``len(scratch)`` taps at a time by one batched product over shifted views
+    of ``rows`` (MEC; Cho & Brand, arXiv:1706.06873) into ``scratch``, taps x
+    F x H, then added; the last block is ``sigma_y2.T @ g``. Makes no node, so
+    it can run on the worker (``on_worker``)."""
     n_rows, n_bins = sigma_y2.shape
-    taps = len(rows) - n_rows + 1
-    np.matmul(sliding_window_view(rows, n_rows, axis=0), g,
-              out=out[:taps * n_bins].reshape(taps, n_bins, -1))
-    np.matmul(sigma_y2.T, g, out=out[taps * n_bins:])
-    return out
+    windows = sliding_window_view(rows, n_rows, axis=0)   # tap k: rows[k:k + n_rows].T
+    blocks = grad.reshape(-1, n_bins, grad.shape[1])   # a view, one block per tap
+    for k in range(0, len(windows), len(scratch)):
+        part = scratch[:len(windows) - k]
+        np.matmul(windows[k:k + len(part)], g, out=part)
+        blocks[k:k + len(part)] += part
+    np.matmul(sigma_y2.T, g, out=scratch[0])
+    blocks[-1] += scratch[0]
 
 
 def first_layer_product(m: NkfModel, amplitude, sigma_y2, lo: int, hi: int,
@@ -209,35 +217,8 @@ def on_worker(fn):
     return join
 
 
-class W1Buffers:
-    """The ``fnn.w1``-shaped arrays that one graph's first-layer nodes hand
-    their backward jobs as ``out``, allocated on the calling thread as each
-    node's backward runs: a worker's own allocations would stay in its own
-    glibc arena. The first node's job writes into an array that becomes
-    ``w1.grad`` when ``w1`` has none yet. Every later job writes into one
-    scratch array, then adds it into the ``w1.grad`` made by then; the scratch
-    lives only while a queued job holds it (this keeps a weak reference), and
-    a node that finds it gone allocates another. So a backward holds at most two."""
-
-    def __init__(self, w1: ad.DiffArray):
-        self.w1, self.first, self.scratch = w1, True, lambda: None
-
-    def take(self) -> np.ndarray:
-        """The next job's ``out``: a new array for the first job when ``w1``
-        has no ``grad``, the shared scratch otherwise."""
-        first, self.first = self.first, False
-        if first and self.w1.grad is None:
-            return np.empty(self.w1.shape)
-        out = self.scratch()
-        if out is None:
-            out = np.empty(self.w1.shape)
-            self.scratch = weakref.ref(out)
-        return out
-
-
 def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndarray,
-                           lo: int = 0, hi: int | None = None, pre=None,
-                           w1_buffers: W1Buffers | None = None) -> ad.DiffArray:
+                           lo: int = 0, hi: int | None = None, pre=None) -> ad.DiffArray:
     """Noise variance estimate for frames lo..hi-1 (every frame by default)
     of a T x F grid; the context of frame lo reaches back into the grid.
     Raises ``DataError`` unless 0 <= lo < hi <= T.
@@ -248,10 +229,9 @@ def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndar
     forms it so when None, and adds ``fnn.b1`` and applies the ReLU over it in
     place. Backward forms the pre-activation gradient, adds ``fnn.b1``'s, forms
     the padded context rows on the calling thread and hands ``w1``'s gradient to
-    the worker as one job (``on_worker``): ``first_layer_gradient``, one batched
-    product over shifted views of those rows, into an array from
-    ``w1_buffers`` (the graph's ``W1Buffers``; this node's own when None), then
-    ``w1._accumulate``. It returns the job's ``join``, which
+    the worker as one job (``on_worker``): ``add_first_layer_gradient``,
+    batched products over shifted views of those rows through
+    ``m.w1_scratch``, added into ``w1.grad``. It returns the job's ``join``, which
     ``DiffArray.backward`` calls before it returns; the worker runs jobs in
     turn, so ``w1``'s gradient sums in node order. That is bit for bit the
     whole feature matrix's product at both presets' widths; far below them (a
@@ -273,15 +253,17 @@ def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndar
                                   np.empty((hi - lo, m.hidden)))
     pre += b1.values
     np.maximum(pre, 0.0, out=pre)
-    buffers = W1Buffers(w1) if w1_buffers is None else w1_buffers
 
     def backward(g):
         gz = g * (pre > 0)
         b1._accumulate(gz.sum(axis=0))
         rows = _context_rows(amplitude, m.context, lo, hi)   # here, not on the worker
-        out = buffers.take()
-        return on_worker(lambda: w1._accumulate(
-            first_layer_gradient(rows, sigma_y2[lo:hi], gz, out)))
+        if m.w1_scratch is None:   # here: the worker's allocations stay in its glibc arena
+            taps = min(m.context, max(1, _W1_SCRATCH_BYTES // (8 * m.n_bins * m.hidden)))
+            m.w1_scratch = np.empty((taps, m.n_bins, m.hidden))
+        scratch, w1.zeroed = m.w1_scratch, False   # the worker runs the jobs in turn
+        return on_worker(lambda: add_first_layer_gradient(
+            rows, sigma_y2[lo:hi], gz, w1.grad, scratch))
 
     h1 = ad.make_node(pre, (w1, b1), backward)
     h2 = ad.dense(h1, m.params["fnn.w2"], m.params["fnn.b2"], "relu")
@@ -290,38 +272,48 @@ def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndar
 
 
 class NkfModel:
-    """The parameter table in ``_param_shapes`` order, the dimensions that
-    lay it out, Adam state and framing metadata."""
+    """The parameters in ``_param_shapes`` order, the dimensions that lay
+    them out, Adam state and framing metadata. Four flat float64 arenas,
+    ``values``, ``grads``, ``adam_m`` and ``adam_v``, hold each parameter at
+    its offset in ``layout`` (name -> (offset, shape)); a parameter's
+    ``values`` and ``grad`` are views. ``grads`` is an anonymous mapping, not
+    heap memory that calloc may clear, so its pages are mapped on first write,
+    and only backward writes it: a model that only enhances holds no resident
+    gradients."""
 
-    def __init__(self, params: dict[str, ad.DiffArray], adam_m: dict[str, np.ndarray],
-                 adam_v: dict[str, np.ndarray], *, n_bins: int, units, context: int,
-                 hidden: int, window: int, hop: int, variance_span: int,
-                 sample_rate: int, log_features: bool, adam_step: int = 0):
-        self.params = params
-        self.adam_m = adam_m
-        self.adam_v = adam_v
-        self.adam_step = adam_step
-        self.n_bins = int(n_bins)
+    def __init__(self, *, units, log_features: bool, adam_step: int = 0, **dims):
+        for d in _DIMS:
+            setattr(self, d, int(dims[d]))
         self.units = tuple(int(u) for u in units)
-        self.context = int(context)
-        self.hidden = int(hidden)
-        self.window = int(window)
-        self.hop = int(hop)
-        self.variance_span = int(variance_span)
-        self.sample_rate = int(sample_rate)
-        self.log_features = bool(log_features)
+        self.log_features, self.adam_step = bool(log_features), adam_step
+        self.layout, size = {}, 0
+        for name, shape in _param_shapes(self.n_bins, self.units, self.context,
+                                         self.hidden).items():
+            self.layout[name], size = (size, shape), size + math.prod(shape)
+        self.values, self.adam_m, self.adam_v = np.zeros((3, size))
+        self.grads = np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE))
+        self.params = {name: ad.DiffArray(v) for name, v in self.views(self.values).items()}
+        for p, grad in zip(self.params.values(), self.views(self.grads).values()):
+            p.grad, p.zeroed = grad, True
+        self.w1_scratch = None   # the fnn.w1 jobs' scratch, made at the first backward
+
+    def views(self, arena: np.ndarray) -> dict[str, np.ndarray]:
+        """Every parameter's reshaped view of ``arena``, one of the four."""
+        return {name: arena[start:start + math.prod(shape)].reshape(shape)
+                for name, (start, shape) in self.layout.items()}
 
     def parameters(self) -> dict[str, ad.DiffArray]:
         return self.params
 
     def zero_grad(self):
+        self.grads.fill(0.0)
         for p in self.params.values():
-            p.grad = None
+            p.zeroed = True
 
     def gradients(self) -> dict[str, np.ndarray]:
-        """Accumulated gradients (zero where untouched)."""
-        return {name: p.grad if p.grad is not None else np.zeros_like(p.values)
-                for name, p in self.params.items()}
+        """Accumulated gradients: the views of ``grads``, not copies."""
+        return self.views(self.grads)
+
 
 
 def build_model(n_bins: int, *, lstm_units=(64, 64), fnn_hidden: int = 128,
@@ -336,23 +328,16 @@ def build_model(n_bins: int, *, lstm_units=(64, 64), fnn_hidden: int = 128,
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
-    shapes = _param_shapes(n_bins, lstm_units, context, fnn_hidden)
-    params = {}
-    for name, shape in shapes.items():
-        if len(shape) == 2:
-            k = 1.0 / np.sqrt(shape[0])
-            values = rng.uniform(-k, k, size=shape)
-        else:
-            values = np.zeros(shape)
-            if name.startswith("lstm"):   # lstm<layer>.b: its forget-gate block
-                values[shape[0] // 4:shape[0] // 2] = 1.0
-        params[name] = ad.DiffArray(values)
-    return NkfModel(
-        params, {name: np.zeros_like(p.values) for name, p in params.items()},
-        {name: np.zeros_like(p.values) for name, p in params.items()},
-        n_bins=n_bins, units=lstm_units, context=context, hidden=fnn_hidden,
-        window=window, hop=hop, variance_span=variance_span,
-        sample_rate=sample_rate, log_features=log_features)
+    m = NkfModel(n_bins=n_bins, units=lstm_units, context=context, hidden=fnn_hidden,
+                 window=window, hop=hop, variance_span=variance_span,
+                 sample_rate=sample_rate, log_features=log_features)
+    for name, values in m.views(m.values).items():
+        if values.ndim == 2:
+            k = 1.0 / np.sqrt(values.shape[0])
+            values[...] = rng.uniform(-k, k, size=values.shape)
+        elif name.startswith("lstm"):   # lstm<layer>.b: its forget-gate block
+            values[values.size // 4:values.size // 2] = 1.0
+    return m
 
 
 #: Elements per block of the Adam update: two float64 work buffers of this
@@ -362,56 +347,43 @@ _ADAM_CHUNK = 1 << 15
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def optimizer_step(m: NkfModel, grads: dict[str, np.ndarray],
-                   lr: float = 1e-3) -> NkfModel:
-    """One Adam update over every parameter; raises on bad gradients.
+def optimizer_step(m: NkfModel, lr: float = 1e-3) -> NkfModel:
+    """One Adam update of every parameter from its accumulated gradient.
 
-    Every gradient is checked (present, shaped like its parameter, finite)
-    before anything moves. Moments and parameters are then updated in place,
-    in blocks of ``_ADAM_CHUNK`` elements of each flattened tensor, with two
-    block-sized work buffers, bit-identical to
+    ``NumericsError`` names the first parameter, in declared order, whose
+    gradient is not finite, before anything moves. Moments and values are
+    then updated in place, in blocks of ``_ADAM_CHUNK`` elements of the flat
+    arenas, with two block-sized work buffers, bit-identical to
     ``m = beta1 * m + (1 - beta1) * g``, ``v = beta2 * v + (1 - beta2) * g * g``
     and ``p = p - lr * m_hat / (sqrt(v_hat) + eps)`` (``_ADAM_BETA1``,
     ``_ADAM_BETA2``, ``_ADAM_EPS``).
     """
-    params = m.parameters()
-    t = m.adam_step + 1
-    flat = []   # per parameter: gradient, first moment, second moment, values
-    for name, p in params.items():
-        if name not in grads:
-            raise DataError(f"missing gradient for parameter {name}")
-        g = np.asarray(grads[name])
-        if g.shape != p.values.shape:
-            raise DataError(f"gradient for {name} has shape {g.shape}, "
-                            f"parameter has {p.values.shape}")
-        # min and max propagate NaN and show an infinity, without a temporary
-        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
-            raise NumericsError(
-                f"diverged: non-finite gradient for {name} at Adam step {t}")
-        state = (m.adam_m[name], m.adam_v[name], p.values)
-        if any(a.shape != g.shape or not a.flags.c_contiguous for a in state):
-            raise DataError(f"Adam state of {name} must be C-contiguous {g.shape} arrays")
-        flat.append([a.reshape(-1) for a in (g, *state)])
+    t, grads = m.adam_step + 1, m.grads
+    # min and max propagate NaN and show an infinity, without a temporary
+    if not (np.isfinite(grads.min()) and np.isfinite(grads.max())):
+        bad = int(np.argmin(np.isfinite(grads)))   # the first non-finite entry
+        name = [n for n, (start, _) in m.layout.items() if start <= bad][-1]
+        raise NumericsError(f"diverged: non-finite gradient for {name} at Adam step {t}")
     correct1, correct2 = 1.0 - _ADAM_BETA1 ** t, 1.0 - _ADAM_BETA2 ** t
-    work = np.empty((2, min(_ADAM_CHUNK, max(p.values.size for p in params.values()))))
-    for arrays in flat:
-        for lo in range(0, arrays[0].size, _ADAM_CHUNK):
-            g, mom, var, val = (a[lo:lo + _ADAM_CHUNK] for a in arrays)
-            step, denom = work[:, :g.size]
-            mom *= _ADAM_BETA1
-            np.multiply(1.0 - _ADAM_BETA1, g, out=step)
-            mom += step
-            np.multiply(1.0 - _ADAM_BETA2, g, out=step)
-            step *= g
-            var *= _ADAM_BETA2
-            var += step
-            np.divide(mom, correct1, out=step)
-            step *= lr
-            np.divide(var, correct2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += _ADAM_EPS
-            step /= denom
-            val -= step
+    work = np.empty((2, min(_ADAM_CHUNK, grads.size)))
+    for lo in range(0, grads.size, _ADAM_CHUNK):
+        g, mom, var, val = (a[lo:lo + _ADAM_CHUNK]
+                            for a in (grads, m.adam_m, m.adam_v, m.values))
+        step, denom = work[:, :g.size]
+        mom *= _ADAM_BETA1
+        np.multiply(1.0 - _ADAM_BETA1, g, out=step)
+        mom += step
+        np.multiply(1.0 - _ADAM_BETA2, g, out=step)
+        step *= g
+        var *= _ADAM_BETA2
+        var += step
+        np.divide(mom, correct1, out=step)
+        step *= lr
+        np.divide(var, correct2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += _ADAM_EPS
+        step /= denom
+        val -= step
     m.adam_step = t
     return m
 
@@ -441,32 +413,23 @@ _VERSION = 1
 _DIMS = ("window", "hop", "sample_rate", "n_bins", "context", "variance_span", "hidden")
 
 
-@contextlib.contextmanager
-def replacing(path, mode: str = "wb", **kwargs):
-    """A file opened beside ``path`` and moved over it when the block ends: a
-    write that fails partway leaves an earlier file intact and no temporary file."""
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
     """A tensor record up to its float64 data."""
     raw = name.encode("utf-8")
     return struct.pack(f"<H{len(raw)}sB{arr.ndim}I", len(raw), raw, arr.ndim, *arr.shape)
 
 
+def _records(m: NkfModel):
+    """(record name, array) of every tensor in file order: each parameter's
+    view of ``values``, then of ``adam_m``, then of ``adam_v``."""
+    return [(prefix + name, arr)
+            for prefix, arena in (("", m.values), ("adam_m.", m.adam_m), ("adam_v.", m.adam_v))
+            for name, arr in m.views(arena).items()]
+
+
 def save_checkpoint(m: NkfModel, path):
-    """Write ``m`` with ``replacing``, each tensor from its own memory."""
-    params = m.parameters()
-    tensors = [(name, p.values) for name, p in params.items()]
-    tensors += [(f"adam_m.{name}", m.adam_m[name]) for name in params]
-    tensors += [(f"adam_v.{name}", m.adam_v[name]) for name in params]
+    """Write ``m`` with ``data_io.replacing``, each tensor from its view."""
+    tensors = _records(m)
     with replacing(path) as fh:
         fh.write(_MAGIC + struct.pack(
             f"<I7IBI{len(m.units)}IQI", _VERSION, *(getattr(m, d) for d in _DIMS),
@@ -478,23 +441,22 @@ def save_checkpoint(m: NkfModel, path):
 
 def load_checkpoint(path) -> NkfModel:
     """Read a checkpoint; its header's dimensions must match its tensors'
-    shapes, and the file must end with the last tensor. Each tensor is read
-    straight into its array, so loading holds the tensors once."""
+    shapes, and the file must end with the last tensor. Every record's name
+    and shape are checked first; then each record is read straight into its
+    view of the model's arenas, so loading holds the tensors once."""
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
 
-            def read(n: int, alloc=bytearray):
-                """``alloc(n)``, made once the file holds ``n`` more bytes, filled."""
+            def skip(n: int) -> int:   # where the next n bytes start, once they exist
                 if fh.tell() + n > size:
                     raise DataError("malformed checkpoint: truncated")
-                buf = alloc(n)
-                if fh.readinto(buf) != n:   # the file shrank since fstat
-                    raise DataError("malformed checkpoint: truncated")
-                return buf
+                return fh.seek(n, os.SEEK_CUR) - n
 
             def take(fmt: str):
-                return struct.unpack(fmt, read(struct.calcsize(fmt)))
+                n = struct.calcsize(fmt)
+                fh.seek(skip(n))   # back to the bytes just checked
+                return struct.unpack(fmt, fh.read(n))
 
             if take(f"{len(_MAGIC)}s")[0] != _MAGIC:
                 raise DataError("malformed checkpoint: bad magic string")
@@ -505,34 +467,37 @@ def load_checkpoint(path) -> NkfModel:
             log_features, n_layers = take("<BI")
             units = take(f"<{n_layers}I")
             adam_step, n_tensors = take("<QI")
-            targets: dict[str, np.ndarray] = {}
+            records: dict[str, tuple] = {}   # name -> (shape, where its data starts)
             for _ in range(n_tensors):
                 (name_len,) = take("<H")
                 try:
                     name = take(f"{name_len}s")[0].decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise DataError("malformed checkpoint: tensor name is not UTF-8") from exc
-                if name in targets:
+                if name in records:
                     raise DataError(f"malformed checkpoint: duplicate tensor {name}")
                 (ndim,) = take("<B")
                 shape = take(f"<{ndim}I")
                 # math.prod is exact: a product wrapped to 64 bits could pass
-                targets[name] = read(8 * math.prod(shape), lambda _: np.empty(shape, "<f8"))
+                records[name] = (shape, skip(8 * math.prod(shape)))
             if fh.tell() != size:
                 raise DataError("malformed checkpoint: trailing bytes after the last tensor")
+            shapes = _param_shapes(dims["n_bins"], units, dims["context"], dims["hidden"])
+            expected = {prefix + name: shape for prefix in ("", "adam_m.", "adam_v.")
+                        for name, shape in shapes.items()}
+            if sorted(records) != sorted(expected):
+                raise DataError("malformed checkpoint: tensor set mismatch")
+            for key, shape in expected.items():
+                if records[key][0] != shape:
+                    raise DataError(f"malformed checkpoint: shape mismatch for {key}")
+            m = NkfModel(units=units, log_features=log_features, adam_step=adam_step, **dims)
+            for key, arr in _records(m):
+                fh.seek(records[key][1])
+                if fh.readinto(arr) != arr.nbytes:   # the file shrank since fstat
+                    raise DataError("malformed checkpoint: truncated")
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    shapes = _param_shapes(dims["n_bins"], units, dims["context"], dims["hidden"])
-    expected = {prefix + name: shape for prefix in ("", "adam_m.", "adam_v.")
-                for name, shape in shapes.items()}
-    if sorted(targets) != sorted(expected):
-        raise DataError("malformed checkpoint: tensor set mismatch")
-    for key, shape in expected.items():
-        if targets[key].shape != shape:
-            raise DataError(f"malformed checkpoint: shape mismatch for {key}")
-    data = {key: targets[key].astype(np.float64, copy=False) for key in expected}
-    return NkfModel(
-        {name: ad.DiffArray(data[name]) for name in shapes},
-        {name: data[f"adam_m.{name}"] for name in shapes},
-        {name: data[f"adam_v.{name}"] for name in shapes}, units=units,
-        log_features=log_features, adam_step=adam_step, **dims)
+    if sys.byteorder != "little":   # the records hold little-endian float64
+        for arena in (m.values, m.adam_m, m.adam_v):
+            arena.byteswap(inplace=True)
+    return m

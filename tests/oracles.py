@@ -326,7 +326,7 @@ def reference_model(n_bins: int, units=(1,), context: int = 1, hidden: int = 1,
         lstm_rng if lstm_rng is not None else np.random.default_rng(0),
         fnn_rng if fnn_rng is not None else np.random.default_rng(0))
     for name, p in m.params.items():
-        p.values = values[name]
+        p.values[...] = values[name]
     return m
 
 
@@ -667,9 +667,10 @@ def save_checkpoint_copying(m: NkfModel, path):
     blob.append(struct.pack("<B", int(m.log_features)))
     blob.append(struct.pack(f"<I{len(m.units)}I", len(m.units), *m.units))
     blob.append(struct.pack("<Q", m.adam_step))
+    adam_m, adam_v = m.views(m.adam_m), m.views(m.adam_v)
     tensors = [(name, p.values) for name, p in params.items()]
-    tensors += [(f"adam_m.{name}", m.adam_m[name]) for name in params]
-    tensors += [(f"adam_v.{name}", m.adam_v[name]) for name in params]
+    tensors += [(f"adam_m.{name}", adam_m[name]) for name in params]
+    tensors += [(f"adam_v.{name}", adam_v[name]) for name in params]
     blob.append(struct.pack("<I", len(tensors)))
     tmp = os.fspath(path) + ".tmp"
     try:

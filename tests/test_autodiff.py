@@ -413,6 +413,61 @@ class TestGraphMechanics:
         assert w.grad is first
         np.testing.assert_array_equal(w.grad, want)
 
+    @pytest.mark.parametrize("op", ["dense", "lstm_layer"])
+    def test_zeroed_grad_takes_the_weight_product_in_place(self, op):
+        # weights whose grads hold zero_grad's zeros (zeroed, as a model
+        # parameter's after NkfModel.zero_grad) take their gradients'
+        # products straight: their own arrays, the products' bits and no
+        # product-sized temporary; a second backward adds, as for any grad
+        rng = np.random.default_rng(23)
+        x = ad.lift(rng.standard_normal((2, 16, 256)))
+        shapes = [(256, 512)] if op == "dense" else [(256, 512), (128, 512)]
+        values = [rng.uniform(-0.1, 0.1, shape) for shape in shapes]
+
+        def loss(ws):
+            b = ad.lift(np.zeros(512))
+            out = ad.dense(x, *ws, b, "relu") if op == "dense" else ad.lstm_layer(x, *ws, b)[0]
+            return ad.mean_square(out, ad.lift(np.full(out.shape, 0.25)))
+
+        want = [ad.DiffArray(v) for v in values]
+        loss(want).backward()
+        ws, homes = [ad.DiffArray(v) for v in values], [np.zeros(v.shape) for v in values]
+        for w, home in zip(ws, homes):
+            w.grad, w.zeroed = home, True
+        graph = loss(ws)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            graph.backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        for w, home, v in zip(ws, homes, want):
+            assert w.grad is home and not w.zeroed
+            assert np.array_equal(home, v.grad)
+        assert peak < min(home.nbytes for home in homes), peak
+        loss(ws).backward()
+        for w, home, v in zip(ws, homes, want):
+            assert w.grad is home
+            np.testing.assert_array_equal(home, 2 * v.grad)
+
+    @pytest.mark.parametrize("first", ["accumulate", "slice"])
+    def test_any_contribution_clears_zeroed(self, first):
+        # after a contribution through _accumulate or a slice, a product adds
+        # to the grad instead of overwriting it
+        rng = np.random.default_rng(24)
+        a, b = rng.standard_normal((2, 3, 3))
+        w = ad.DiffArray(np.zeros((3, 3)))
+        w.grad, w.zeroed = np.zeros((3, 3)), True
+        if first == "accumulate":
+            w._accumulate(np.ones((3, 3)))
+        else:
+            ad.mean_square(w[1:], ad.lift(np.full((2, 3), -1.5))).backward()
+        assert not w.zeroed
+        before = w.grad.copy()
+        ad.add_product(w, a, b)
+        np.testing.assert_array_equal(w.grad, before + a @ b)
+
     def test_backward_from_nonscalar_rejected(self):
         x = ad.DiffArray(np.ones(3))
         with pytest.raises(ValueError):

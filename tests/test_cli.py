@@ -11,6 +11,8 @@ from nkf.cli import main
 from nkf.config import RunConfig
 from nkf.signal_core import Waveform
 
+from test_data_io import fail_writes
+
 TINY = ["--set", "window=64", "--set", "hop=16", "--set", "lstm_units=8",
         "--set", "lstm_layers=1", "--set", "fnn_hidden=16",
         "--set", "context=5", "--set", "variance_span=8",
@@ -246,6 +248,25 @@ class TestEnhance:
         assert "would replace input" in capsys.readouterr().err
         assert files() == before
 
+    def test_failed_grid_write_keeps_the_earlier_grids(self, workspace, tmp_path,
+                                                       monkeypatch):
+        # the --dump-grids .npz goes through data_io.replacing; the run's other
+        # files are rewritten with the same bytes before the failing write
+        _, corpus, ckpt = workspace
+        out = tmp_path / "grids"
+        argv = TINY + ["enhance", "--checkpoint", str(ckpt), "--dump-grids",
+                       "--manifest", str(corpus / "manifest.csv"), "--out", str(out)]
+        assert main(argv) == 0
+
+        def files():
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        before = files()
+        assert "test_0000_grids.npz" in before
+        fail_writes(monkeypatch, "test_0000_grids.npz.tmp")
+        assert main(argv) == 2
+        assert files() == before
+
     def test_missing_file_is_data_error(self, workspace, tmp_path):
         root, corpus, ckpt = workspace
         rc = main(TINY + ["enhance", "--checkpoint", str(ckpt), "--wav",
@@ -332,6 +353,56 @@ class TestEval:
         assert rc == 1
         assert "the resolved config would replace the report" in capsys.readouterr().err
         assert not (tmp_path / "r.cfg").exists()
+
+    @pytest.mark.parametrize("target", ["manifest", "clean", "noise", "enhanced", "config"])
+    def test_out_that_would_replace_an_input_is_usage_error(self, workspace, tmp_path,
+                                                            capsys, target):
+        # --out, or the .cfg beside it, is the manifest, a file the manifest
+        # names, an enhanced WAV or the --config file: refused before any
+        # file is written, every file left as it was
+        _, corpus, _ = workspace
+        shutil.copytree(corpus, tmp_path / "corpus")
+        manifest = tmp_path / "corpus" / "manifest.csv"
+        entry = data_io.load_manifest(manifest).split_entries("test")[0]
+        enhanced = tmp_path / "enhanced"
+        os.makedirs(enhanced)
+        shutil.copy(entry.clean_path, enhanced / f"{entry.utt_id}.wav")
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 3\n", encoding="utf-8")
+        out = {"manifest": manifest, "clean": entry.clean_path,
+               "noise": tmp_path / "corpus" / "train" / "noise" / "train_0000.wav",
+               "enhanced": enhanced / f"{entry.utt_id}.wav",
+               "config": tmp_path / "run.csv"}[target]   # the report's .cfg is run.cfg
+
+        def files():
+            return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+        before = files()
+        rc = main(TINY + ["--config", str(config), "eval", "--manifest", str(manifest),
+                          "--enhanced", str(enhanced), "--out", str(out)])
+        assert rc == 1
+        assert "would replace input" in capsys.readouterr().err
+        assert files() == before
+
+    def test_failed_report_write_keeps_the_earlier_report(self, workspace, tmp_path,
+                                                          monkeypatch):
+        _, corpus, _ = workspace
+        enhanced = tmp_path / "perfect"
+        os.makedirs(enhanced)
+        for e in data_io.load_manifest(corpus / "manifest.csv").split_entries("test"):
+            shutil.copy(e.clean_path, enhanced / f"{e.utt_id}.wav")
+        argv = TINY + ["eval", "--manifest", str(corpus / "manifest.csv"),
+                       "--enhanced", str(enhanced), "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 0
+
+        def files():
+            return {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+        before = files()
+        assert set(before) == {"r.csv", "r.cfg"}
+        fail_writes(monkeypatch, "r.csv.tmp")
+        assert main(argv) == 2
+        assert files() == before
 
     def test_empty_eval_is_data_error(self, workspace, tmp_path):
         root, corpus, _ = workspace

@@ -11,7 +11,7 @@ import pytest
 
 import nkf
 from nkf import data_io
-from nkf.config import RunConfig
+from nkf.config import RunConfig, save_config
 from nkf.errors import DataError
 from nkf.signal_core import Waveform, stft
 
@@ -19,6 +19,69 @@ from nkf.signal_core import Waveform, stft
 def _measured_snr(speech: Waveform, noise: Waveform) -> float:
     return 10.0 * np.log10(np.mean(speech.samples ** 2)
                            / np.mean(noise.samples ** 2))
+
+
+def fail_writes(monkeypatch, suffix: str):
+    """From now on, a file that ``data_io`` opens at a path ending in
+    ``suffix`` raises ``OSError("disk full")`` at its second write, once the
+    first has reached it."""
+    real_open = open
+
+    class Failing:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError("disk full")
+            return self.fh.write(data)
+
+    def opening(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return Failing(fh) if os.fspath(path).endswith(suffix) else fh
+
+    monkeypatch.setattr(data_io, "open", opening, raising=False)
+
+
+class TestAtomicWriters:
+    """``write_wav``, ``write_manifest`` and ``save_config`` write through
+    ``data_io.replacing``: a write that raises partway leaves the earlier
+    file byte-identical and no ``.tmp`` file."""
+
+    @staticmethod
+    def _manifest(tmp_path, n):
+        return data_io.CorpusManifest([data_io.ManifestEntry(
+            f"utt{i}", "train", *(os.fspath(tmp_path / f"{kind}{i}.wav")
+                                  for kind in ("clean", "noisy", "noise")),
+            data_io.MixSpec(snr_db=0.0, seed=i, speech_id=f"s{i}", noise_id=f"n{i}"))
+            for i in range(n)])
+
+    @pytest.mark.parametrize("writer", ["write_wav", "write_manifest", "save_config"])
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out"
+        write = {
+            "write_wav": lambda n: data_io.write_wav(Waveform(np.full(64, n / 4)), path),
+            "write_manifest": lambda n: data_io.write_manifest(
+                self._manifest(tmp_path, n), path),
+            "save_config": lambda n: save_config(RunConfig(seed=n), path),
+        }[writer]
+        write(1)
+        before = path.read_bytes()
+        fail_writes(monkeypatch, "out.tmp")
+        with pytest.raises(OSError, match="disk full"):
+            write(2)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out"]
 
 
 class TestWavIo:

@@ -161,7 +161,7 @@ class TestOneNodeFormulas:
             m.zero_grad()
             loss = mean()
             loss.backward()
-            runs.append((loss.values, m.gradients()))
+            runs.append((loss.values, {k: g.copy() for k, g in m.gradients().items()}))
         (got, got_grads), (want, want_grads) = runs
         assert _bits(got) == _bits(want)
         for name, grad in got_grads.items():
@@ -380,6 +380,44 @@ class TestEndToEndGradients:
         clean_amp = rng.uniform(0.1, 2.5, (5, 4))
         assert _independent_gradient_check(model, noisy_amp, clean_amp) < 1e-4
 
+    @pytest.mark.parametrize("units, lengths, log_features, per_param", [
+        ((3, 3), (7, 5, 3), False, 6),
+        ((3, 3, 3), (7, 5, 3), True, 6),
+        ((3, 3), (40, 33, 1, 12), True, 6),
+        ((3, 3, 3), (40, 33, 1, 12), False, 6),
+        ((3, 3), (520,), False, 3),
+    ], ids=["2-layers-7/5/3", "3-layers-7/5/3-log", "2-layers-40/33/1/12-log",
+            "3-layers-40/33/1/12", "2-layers-520"])
+    def test_training_shapes_match_finite_differences(self, units, lengths,
+                                                      log_features, per_param):
+        # _batch_loss as training runs it, the worker on: stacked LSTM layers,
+        # unequal segments zero-padded to the longest, and a 520-frame
+        # segment whose noise net forms two feature blocks; a fixed, seeded
+        # sample of entries per parameter, each against central differences
+        # with criterion 7's step and bound
+        assert len(block_bounds(max(lengths))) == (2 if max(lengths) > 511 else 1)
+        m = build_model(4, lstm_units=units, fnn_hidden=5, context=3, window=6, hop=3,
+                        variance_span=4, log_features=log_features, seed=len(lengths))
+        rng = np.random.default_rng(sum(lengths))
+        segments = [(rng.uniform(0.5, 3.0, (n, 4)), rng.uniform(0.1, 2.5, (n, 4)))
+                    for n in lengths]
+        m.zero_grad()
+        _batch_loss(m, segments).backward()
+        step, worst = 1e-5, 0.0
+        for name, p in m.parameters().items():
+            analytic, flat = p.grad.reshape(-1).copy(), p.values.reshape(-1)
+            for i in rng.choice(flat.size, min(flat.size, per_param), replace=False):
+                saved, losses = flat[i], []
+                for x in (saved + step, saved - step):
+                    flat[i] = x
+                    with ad.no_grad():
+                        losses.append(float(_batch_loss(m, segments).values))
+                flat[i] = saved
+                numeric = (losses[0] - losses[1]) / (2 * step)
+                rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-6)
+                worst = max(worst, rel)
+        assert worst < 1e-4, worst
+
     def test_package_gradcheck_agrees(self):
         assert gradient_check(seed=0) < 1e-4
 
@@ -416,7 +454,7 @@ class TestFirstLayerWorker:
             m.zero_grad()
             out, _ = forward(m, utts)
             functools.reduce(oracles.add, [loss for loss, _ in out]).backward()
-            runs.append((out, m.gradients()))
+            runs.append((out, {k: g.copy() for k, g in m.gradients().items()}))
             assert calls == [(0, n) for n in (256, 200, 256, 31)]   # one block each
             calls.clear()
         (got, got_grads), (want, want_grads) = runs
@@ -630,7 +668,7 @@ class TestFirstLayerWorker:
 
 
 class _Jobs:
-    """``networks.first_layer_gradient``, recorded: each call sleeps first, so
+    """``networks.add_first_layer_gradient``, recorded: each call sleeps first, so
     a backward that returned before joining it would read ``w1``'s gradient
     early, then raises the next of ``fail``, if any is left, or runs.
     ``started`` and ``ended`` hold each call's thread, ``ended`` once it has
@@ -638,7 +676,7 @@ class _Jobs:
 
     def __init__(self, monkeypatch, fail=()):
         self.started, self.ended, self.fail = [], [], list(fail)
-        real = networks.first_layer_gradient
+        real = networks.add_first_layer_gradient
 
         def recorded(*args):
             self.started.append(threading.get_ident())
@@ -650,7 +688,7 @@ class _Jobs:
             finally:
                 self.ended.append(threading.get_ident())
 
-        monkeypatch.setattr(networks, "first_layer_gradient", recorded)
+        monkeypatch.setattr(networks, "add_first_layer_gradient", recorded)
 
 
 def _segments(seed, lengths, n_bins=4):
@@ -689,22 +727,23 @@ class TestBackwardWorker:
                                                                       run):
         # _accumulate keeps a node's first contribution as its grad, unchecked
         # and uncopied, so each must be a float64 array of the node's shape (a
-        # numpy float64 scalar for a 0-d node) and no other node's grad
-        firsts, models = [], []   # (node, delta, the grad it became, thread)
+        # numpy float64 scalar for a 0-d node) and no other node's grad. A
+        # parameter has no first contribution: its grad is its view of the
+        # model's gradient arena from the start, and every contribution goes
+        # into that view
+        firsts, models = [], []   # firsts: (node, delta, the grad it became)
         real = ad.DiffArray._accumulate
 
         def recorded(node, delta):
             first = node.grad is None and not node.constant
             real(node, delta)
             if first:
-                firsts.append((node, delta, node.grad, threading.get_ident()))
+                firsts.append((node, delta, node.grad))
 
         monkeypatch.setattr(ad.DiffArray, "_accumulate", recorded)
         if run == "desk_batch":
             cfg, m = _desk_model()
             _batch_loss(m, _segments(31, (256, 200, 256, 31), cfg.n_bins)).backward()
-            (w1_thread,) = [t for n, *_, t in firsts if n is m.params["fnn.w1"]]
-            assert w1_thread != threading.get_ident()   # the worker's job made it
         else:
             def recorded_build(*args, **kwargs):
                 models.append(build_model(*args, **kwargs))
@@ -713,27 +752,32 @@ class TestBackwardWorker:
             monkeypatch.setattr(enhancer, "build_model", recorded_build)
             assert gradient_check(0) < 1e-4
             m, = models
-        for node, delta, _, _ in firsts:
+        params = list(m.params.values())
+        assert not any(node in params for node, _, _ in firsts)
+        for node, delta, _ in firsts:
             if node.ndim == 0 and type(delta) is np.float64:
                 continue
             assert type(delta) is np.ndarray, type(delta)
             assert (delta.dtype, delta.shape) == (np.float64, node.shape)
-        grads = [grad for _, _, grad, _ in firsts]
+        grads = [grad for _, _, grad in firsts]
         for i, grad in enumerate(grads):
             assert not any(np.shares_memory(grad, other) for other in grads[:i])
-        params = [p.grad for p in m.params.values()]
-        assert all(g is not None for g in params)
-        for i, grad in enumerate(params):
-            assert not any(np.shares_memory(grad, other) for other in params[:i])
+        for i, p in enumerate(params):
+            assert p.grad.shape == p.shape and np.shares_memory(p.grad, m.grads)
+            assert not any(np.shares_memory(p.grad, other.grad) for other in params[:i])
 
     def test_w1_gradient_buffers_made_on_the_calling_thread(self, monkeypatch):
-        # every w1-shaped array the noise net makes is allocated by the
-        # calling thread before the job that writes it runs: the first job's
-        # becomes w1.grad, the others share one scratch array. A second
-        # backward with no zero_grad adds into that w1.grad through the scratch
+        # the one buffer of the noise net's w1 gradient, the model's scratch
+        # (every context tap's block at desk widths), is allocated by the
+        # calling thread at the first backward, before the job that writes it
+        # runs; every job adds w1's gradient through it into w1.grad, w1's
+        # view of the gradient arena, and no w1-sized array is made. A second
+        # backward with no zero_grad allocates nothing and adds to the first
         cfg, m = _desk_model()
         w1 = m.params["fnn.w1"]
-        made, outs = [], []   # per allocation (thread, weakref); per job (thread, its out's index)
+        scratch_shape = (cfg.context, cfg.n_bins, cfg.fnn_hidden)
+        made, sized, jobs = [], [], []   # scratch allocations (thread, weakref); w1-sized
+        # allocations; per job (thread, its scratch's index, whether it added into w1.grad)
 
         class Numpy:
             def __getattr__(self, name):
@@ -741,39 +785,41 @@ class TestBackwardWorker:
 
             def empty(self, shape, *a, **kw):
                 arr = np.empty(shape, *a, **kw)
-                if tuple(np.atleast_1d(shape)) == w1.shape:
+                if tuple(np.atleast_1d(shape)) == scratch_shape:
                     made.append((threading.get_ident(), weakref.ref(arr)))
+                if tuple(np.atleast_1d(shape)) == w1.shape:
+                    sized.append(shape)
                 return arr
 
-        real = networks.first_layer_gradient
+        real = networks.add_first_layer_gradient
 
-        def recorded(rows, sigma_y2, g, out):
+        def recorded(rows, sigma_y2, g, grad, scratch):
             time.sleep(0.05)   # the later nodes' jobs queue behind this one
-            outs.append((threading.get_ident(),
-                         [i for i, (_, ref) in enumerate(made) if ref() is out]))
-            return real(rows, sigma_y2, g, out)
+            jobs.append((threading.get_ident(),
+                         [i for i, (_, ref) in enumerate(made) if ref() is scratch],
+                         grad is w1.grad))
+            return real(rows, sigma_y2, g, grad, scratch)
 
         monkeypatch.setattr(networks, "np", Numpy())
-        monkeypatch.setattr(networks, "first_layer_gradient", recorded)
+        monkeypatch.setattr(networks, "add_first_layer_gradient", recorded)
         segments = _segments(37, (147, 247, 256, 256), cfg.n_bins)
         m.zero_grad()
         _batch_loss(m, segments).backward()
         caller = threading.get_ident()
-        assert [thread for thread, _ in made] == [caller, caller]
-        first = made[0][1]()
-        assert w1.grad is first
-        assert [index for _, index in outs] == [[0], [1], [1], [1]]
-        assert caller not in {thread for thread, _ in outs}
+        assert [thread for thread, _ in made] == [caller]
+        assert [job[1:] for job in jobs] == [([0], True)] * 4
+        assert caller not in {thread for thread, *_ in jobs}
+        assert np.shares_memory(w1.grad, m.grads)
         _batch_loss(m, segments).backward()   # no zero_grad
-        assert [thread for thread, _ in made] == [caller] * 3
-        assert [index for _, index in outs[4:]] == [[2]] * 4
-        assert w1.grad is first
+        assert [thread for thread, _ in made] == [caller] and sized == []
+        assert [job[1:] for job in jobs[4:]] == [([0], True)] * 4
+        got = w1.grad.copy()
         monkeypatch.undo()
         monkeypatch.setattr(enhancer, "_forward", oracles.forward_serial)
         m.zero_grad()
         for _ in range(2):
             _batch_loss(m, segments).backward()
-        np.testing.assert_array_equal(first, w1.grad)
+        np.testing.assert_array_equal(got, w1.grad)
 
     def test_w1_products_run_off_the_calling_thread(self, monkeypatch):
         jobs = _Jobs(monkeypatch)
@@ -904,20 +950,21 @@ class TestTrainingLoop:
                            variance_span=cfg.variance_span,
                            sample_rate=cfg.sample_rate, seed=cfg.seed)
 
-    def test_last_step_gradients_released_before_the_graph_is_built(
+    def test_gradients_zeroed_in_their_arena_before_the_graph_is_built(
             self, corpus, monkeypatch):
         cfg, manifest = corpus
         model = self._model(cfg)
-        held = []
+        arena, held = model.grads, []
         build = enhancer._batch_loss
 
         def recording(m, segments):
-            held.append(sum(p.grad is not None for p in m.parameters().values()))
+            held.append((m.grads is arena, not arena.any(),
+                         all(np.shares_memory(p.grad, arena) for p in m.params.values())))
             return build(m, segments)
 
         monkeypatch.setattr(enhancer, "_batch_loss", recording)
         train(model, manifest, cfg.replace(epochs=2), max_steps=3)
-        assert held == [0, 0, 0]
+        assert held == [(True, True, True)] * 3 and arena.any()
 
     def test_zero_learning_rate_keeps_parameters(self, corpus):
         cfg, manifest = corpus

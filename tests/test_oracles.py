@@ -96,7 +96,7 @@ def test_padded_batch_equals_each_utterance_alone():
                                    rtol=1e-13, atol=0)
         m.zero_grad()
         single.backward()
-        alone.append(m.gradients())
+        alone.append({k: g.copy() for k, g in m.gradients().items()})
 
     m.zero_grad()
     loss = _batch_loss(m, segments)
