@@ -85,8 +85,10 @@ def _model_from_cfg(cfg):
 
 
 def cmd_synth(cfg, args) -> int:
+    resolved = os.path.join(args.out, "resolved.cfg")
+    _refuse_replacing([resolved], [args.config])
     manifest = data_io.synth_corpus(cfg, args.out)
-    save_config(cfg, os.path.join(args.out, "resolved.cfg"))
+    save_config(cfg, resolved)
     counts = {s: len(manifest.split_entries(s)) for s in data_io.SPLITS}
     print(f"wrote corpus to {args.out}: "
           + ", ".join(f"{v} {k}" for k, v in counts.items()))
@@ -96,6 +98,8 @@ def cmd_synth(cfg, args) -> int:
 def cmd_train(cfg, args) -> int:
     if args.max_steps is not None and args.max_steps < 1:
         raise ConfigError("--max-steps must be at least 1")
+    resolved = os.path.join(args.out, "resolved.cfg")
+    _refuse_replacing([resolved], [args.config])
     manifest = data_io.load_manifest(os.path.join(args.corpus, "manifest.csv"))
     entries = manifest.split_entries("train")
     if not entries:   # the train split is checked before --out is made
@@ -104,7 +108,7 @@ def cmd_train(cfg, args) -> int:
         enhancer.read_train_pair(entry, cfg)
     model = _model_from_cfg(cfg)
     os.makedirs(args.out, exist_ok=True)
-    save_config(cfg, os.path.join(args.out, "resolved.cfg"))
+    save_config(cfg, resolved)
     model, history = enhancer.train(model, manifest, cfg, out_dir=args.out,
                                     max_steps=args.max_steps)
     print(f"trained {len(history)} steps; "
@@ -114,8 +118,9 @@ def cmd_train(cfg, args) -> int:
 
 
 def _refuse_replacing(outputs, inputs):
-    """``ConfigError`` if an output path is, by ``realpath``, an input's."""
-    read = {os.path.realpath(p) for p in inputs}
+    """``ConfigError`` if an output path is, by ``realpath``, an input's;
+    an input of None (an option not given) is skipped."""
+    read = {os.path.realpath(p) for p in inputs if p is not None}
     for path in outputs:
         if os.path.realpath(path) in read:
             raise ConfigError(f"--out would replace input {path}")
@@ -123,7 +128,8 @@ def _refuse_replacing(outputs, inputs):
 
 def _enhance_inputs(cfg, args):
     """(utt_id, noisy waveform, entry or None) per utterance, read as iterated;
-    ``ConfigError`` first if an output would replace a file the run reads."""
+    ``ConfigError`` first if an output, a WAV or ``resolved.cfg``, would
+    replace a file the run reads."""
     if args.wav:
         utts = [(os.path.splitext(os.path.basename(args.wav))[0], args.wav, None)]
         read = [args.wav]
@@ -131,7 +137,8 @@ def _enhance_inputs(cfg, args):
         manifest = data_io.load_manifest(args.manifest)
         utts = [(e.utt_id, e.noisy_path, e) for e in manifest.split_entries(args.split)]
         read = [p for e in manifest.entries for p in (e.clean_path, e.noisy_path, e.noise_path)]
-    _refuse_replacing([os.path.join(args.out, f"{u}.wav") for u, _, _ in utts], read)
+    _refuse_replacing([os.path.join(args.out, f"{u}.wav") for u, _, _ in utts]
+                      + [os.path.join(args.out, "resolved.cfg")], read + [args.config])
     return ((utt_id, data_io.read_wav(path, cfg.sample_rate), e)
             for utt_id, path, e in utts)
 
@@ -194,8 +201,7 @@ def cmd_eval(cfg, args) -> int:
     enhanced = [os.path.join(args.enhanced, f"{e.utt_id}.wav") for e in entries]
     config_out = os.path.splitext(args.out)[0] + ".cfg"
     read = [p for e in manifest.entries for p in (e.clean_path, e.noisy_path, e.noise_path)]
-    _refuse_replacing([args.out, config_out], [args.manifest, *read, *enhanced]
-                      + ([args.config] if args.config else []))
+    _refuse_replacing([args.out, config_out], [args.manifest, *read, *enhanced, args.config])
     rows = []
     for e, enhanced_path in zip(entries, enhanced):
         if not os.path.exists(enhanced_path):

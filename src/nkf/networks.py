@@ -391,26 +391,29 @@ def optimizer_step(m: NkfModel, lr: float = 1e-3) -> NkfModel:
 # ---------------------------------------------------------------------------
 # Checkpoint format (version 1), little-endian throughout:
 #
-#   magic   8 bytes  b"NKFCKPT1"
-#   u32     format version (1)
-#   u32 x 7 the dimensions named in _DIMS, in that order
-#   u8      log_features flag
-#   u32     number of LSTM layers, then u32 per layer (unit count)
-#   u64     Adam step count
-#   u32     tensor count, then per tensor:
-#              u16 name length, name bytes (utf-8),
-#              u8 ndim, u32 per dimension,
-#              float64 data, C order
+#   _HEAD   magic b"NKFCKPT1", u32 format version (1), u32 x 7 the
+#           dimensions named in _DIMS in that order, u8 log_features flag,
+#           u32 number of LSTM layers
+#   u32     per LSTM layer, its unit count
+#   _TAIL   u64 Adam step count, u32 tensor count
+#   then per tensor, in _records order:
+#           u16 name length, name bytes (utf-8),
+#           u8 ndim, u32 per dimension,
+#           float64 data, C order
 #
-# Tensors appear as every parameter in declared order, then the Adam first
+# _records gives every parameter in declared order, then the Adam first
 # moments as "adam_m.<name>", then the second moments as "adam_v.<name>".
-# Save followed by load reproduces the model bit-exactly.
+# The reader requires exactly that order. Save followed by load reproduces
+# the model bit-exactly.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"NKFCKPT1"
 _VERSION = 1
 #: the header's seven u32 dimensions, as ``NkfModel`` attributes in file order
 _DIMS = ("window", "hop", "sample_rate", "n_bins", "context", "variance_span", "hidden")
+#: the fixed fields before the unit list, and those after it
+_HEAD = struct.Struct(f"<{len(_MAGIC)}sI{len(_DIMS)}IBI")
+_TAIL = struct.Struct("<QI")
 
 
 def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
@@ -431,70 +434,58 @@ def save_checkpoint(m: NkfModel, path):
     """Write ``m`` with ``data_io.replacing``, each tensor from its view."""
     tensors = _records(m)
     with replacing(path) as fh:
-        fh.write(_MAGIC + struct.pack(
-            f"<I7IBI{len(m.units)}IQI", _VERSION, *(getattr(m, d) for d in _DIMS),
-            m.log_features, len(m.units), *m.units, m.adam_step, len(tensors)))
+        fh.write(_HEAD.pack(_MAGIC, _VERSION, *(getattr(m, d) for d in _DIMS),
+                            m.log_features, len(m.units))
+                 + struct.pack(f"<{len(m.units)}I", *m.units)
+                 + _TAIL.pack(m.adam_step, len(tensors)))
         for name, arr in tensors:
             fh.write(_pack_tensor(name, arr))
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_checkpoint(path) -> NkfModel:
-    """Read a checkpoint; its header's dimensions must match its tensors'
-    shapes, and the file must end with the last tensor. Every record's name
-    and shape are checked first; then each record is read straight into its
-    view of the model's arenas, so loading holds the tensors once."""
+    """Read a checkpoint front to back, in the order ``save_checkpoint``
+    writes it. The header's dimensions give the model; the file must hold
+    24 bytes per parameter before its arenas are made, and then each record
+    must be the one the writer packs for the next of ``_records``, its data
+    read straight into that view, so loading holds the tensors once. The
+    file must end with the last tensor."""
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
 
-            def skip(n: int) -> int:   # where the next n bytes start, once they exist
-                if fh.tell() + n > size:
+            def take(n: int) -> bytes:   # the next n bytes, read once they exist
+                data = fh.read(n) if fh.tell() + n <= size else b""
+                if len(data) != n:
                     raise DataError("malformed checkpoint: truncated")
-                return fh.seek(n, os.SEEK_CUR) - n
+                return data
 
-            def take(fmt: str):
-                n = struct.calcsize(fmt)
-                fh.seek(skip(n))   # back to the bytes just checked
-                return struct.unpack(fmt, fh.read(n))
-
-            if take(f"{len(_MAGIC)}s")[0] != _MAGIC:
+            magic, version, *dims, log_features, n_layers = _HEAD.unpack(take(_HEAD.size))
+            if magic != _MAGIC:
                 raise DataError("malformed checkpoint: bad magic string")
-            (version,) = take("<I")
             if version != _VERSION:
                 raise DataError(f"unsupported checkpoint version {version}")
-            dims = dict(zip(_DIMS, take("<7I")))
-            log_features, n_layers = take("<BI")
-            units = take(f"<{n_layers}I")
-            adam_step, n_tensors = take("<QI")
-            records: dict[str, tuple] = {}   # name -> (shape, where its data starts)
-            for _ in range(n_tensors):
-                (name_len,) = take("<H")
-                try:
-                    name = take(f"{name_len}s")[0].decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise DataError("malformed checkpoint: tensor name is not UTF-8") from exc
-                if name in records:
-                    raise DataError(f"malformed checkpoint: duplicate tensor {name}")
-                (ndim,) = take("<B")
-                shape = take(f"<{ndim}I")
-                # math.prod is exact: a product wrapped to 64 bits could pass
-                records[name] = (shape, skip(8 * math.prod(shape)))
-            if fh.tell() != size:
-                raise DataError("malformed checkpoint: trailing bytes after the last tensor")
-            shapes = _param_shapes(dims["n_bins"], units, dims["context"], dims["hidden"])
-            expected = {prefix + name: shape for prefix in ("", "adam_m.", "adam_v.")
-                        for name, shape in shapes.items()}
-            if sorted(records) != sorted(expected):
-                raise DataError("malformed checkpoint: tensor set mismatch")
-            for key, shape in expected.items():
-                if records[key][0] != shape:
-                    raise DataError(f"malformed checkpoint: shape mismatch for {key}")
+            dims = dict(zip(_DIMS, dims))
+            units = struct.unpack(f"<{n_layers}I", take(4 * n_layers))
+            adam_step, n_tensors = _TAIL.unpack(take(_TAIL.size))
+            shapes = _param_shapes(dims["n_bins"], units, dims["context"],
+                                   dims["hidden"]).values()
+            if n_tensors != 3 * len(shapes):
+                raise DataError(f"malformed checkpoint: {n_tensors} tensors, "
+                                f"expected {3 * len(shapes)}")
+            # math.prod is exact: a product wrapped to 64 bits could pass
+            if size - fh.tell() < 24 * sum(math.prod(s) for s in shapes):
+                raise DataError("malformed checkpoint: truncated")
             m = NkfModel(units=units, log_features=log_features, adam_step=adam_step, **dims)
-            for key, arr in _records(m):
-                fh.seek(records[key][1])
-                if fh.readinto(arr) != arr.nbytes:   # the file shrank since fstat
+            for key, view in _records(m):
+                record = _pack_tensor(key, view)
+                if take(len(record)) != record:
+                    raise DataError(f"malformed checkpoint: expected tensor {key} "
+                                    f"of shape {view.shape}")
+                if fh.readinto(view) != view.nbytes:
                     raise DataError("malformed checkpoint: truncated")
+            if fh.read(1):
+                raise DataError("malformed checkpoint: trailing bytes after the last tensor")
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if sys.byteorder != "little":   # the records hold little-endian float64

@@ -93,21 +93,28 @@ back in polar form under the new amplitudes.
 checkpoint before each tensor went to the file from its own memory: the
 header packed field by field, and each tensor record built as one ``bytes``
 that copies the tensor, through ``tobytes`` and again on concatenation.
-The two writers' files are byte-equal.
+The two writers' files are byte-equal. ``load_checkpoint_seeking`` is
+``networks.load_checkpoint`` as it read one before it followed the writer's
+records: a first pass that decodes every record header into a name-to-offset
+table, seeking past the data, then a second that seeks back to each record
+of the model's. It loads records in any order, where the library requires
+the written one.
 """
 
 import functools
+import math
 import os
 import struct
+import sys
 
 import numpy as np
 
 from nkf import autodiff as ad
 from nkf import enhancer
 from nkf.errors import DataError, NumericsError
-from nkf.networks import (LOGVAR_LIMIT, NOISE_VAR_EPS, NkfModel, _context_rows,
-                          build_model, first_layer_product, fnn_features,
-                          lstm_forward, noise_fnn_forward_grid)
+from nkf.networks import (_DIMS, LOGVAR_LIMIT, NOISE_VAR_EPS, NkfModel, _context_rows,
+                          _param_shapes, _records, build_model, first_layer_product,
+                          fnn_features, lstm_forward, noise_fnn_forward_grid)
 from nkf.pipeline import NkfFrameEstimates, enhance_with, lstm_features
 from nkf.signal_core import stft
 from nkf.wiener import VARIANCE_FLOOR, apply_wiener, track_sigma_y
@@ -682,3 +689,64 @@ def save_checkpoint_copying(m: NkfModel, path):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def load_checkpoint_seeking(path) -> NkfModel:
+    """A checkpoint read in two passes over a table of its records."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+
+            def skip(n: int) -> int:   # where the next n bytes start, once they exist
+                if fh.tell() + n > size:
+                    raise DataError("malformed checkpoint: truncated")
+                return fh.seek(n, os.SEEK_CUR) - n
+
+            def take(fmt: str):
+                n = struct.calcsize(fmt)
+                fh.seek(skip(n))   # back to the bytes just checked
+                return struct.unpack(fmt, fh.read(n))
+
+            if take("8s")[0] != b"NKFCKPT1":
+                raise DataError("malformed checkpoint: bad magic string")
+            (version,) = take("<I")
+            if version != 1:
+                raise DataError(f"unsupported checkpoint version {version}")
+            dims = dict(zip(_DIMS, take("<7I")))
+            log_features, n_layers = take("<BI")
+            units = take(f"<{n_layers}I")
+            adam_step, n_tensors = take("<QI")
+            records: dict[str, tuple] = {}   # name -> (shape, where its data starts)
+            for _ in range(n_tensors):
+                (name_len,) = take("<H")
+                try:
+                    name = take(f"{name_len}s")[0].decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError("malformed checkpoint: tensor name is not UTF-8") from exc
+                if name in records:
+                    raise DataError(f"malformed checkpoint: duplicate tensor {name}")
+                (ndim,) = take("<B")
+                shape = take(f"<{ndim}I")
+                # math.prod is exact: a product wrapped to 64 bits could pass
+                records[name] = (shape, skip(8 * math.prod(shape)))
+            if fh.tell() != size:
+                raise DataError("malformed checkpoint: trailing bytes after the last tensor")
+            shapes = _param_shapes(dims["n_bins"], units, dims["context"], dims["hidden"])
+            expected = {prefix + name: shape for prefix in ("", "adam_m.", "adam_v.")
+                        for name, shape in shapes.items()}
+            if sorted(records) != sorted(expected):
+                raise DataError("malformed checkpoint: tensor set mismatch")
+            for key, shape in expected.items():
+                if records[key][0] != shape:
+                    raise DataError(f"malformed checkpoint: shape mismatch for {key}")
+            m = NkfModel(units=units, log_features=log_features, adam_step=adam_step, **dims)
+            for key, arr in _records(m):
+                fh.seek(records[key][1])
+                if fh.readinto(arr) != arr.nbytes:   # the file shrank since fstat
+                    raise DataError("malformed checkpoint: truncated")
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    if sys.byteorder != "little":   # the records hold little-endian float64
+        for arena in (m.values, m.adam_m, m.adam_v):
+            arena.byteswap(inplace=True)
+    return m

@@ -34,6 +34,24 @@ def workspace(tmp_path_factory):
     return root, corpus, ckpt_dir / "model.nkf"
 
 
+def _assert_config_file_kept(tmp_path, capsys, command):
+    """``nkf --config D/resolved.cfg COMMAND --out D``, whose echo of the
+    resolved settings would replace the file it reads, exits 1 before
+    anything is written."""
+    out = tmp_path / "found"
+    out.mkdir()
+    config = out / "resolved.cfg"
+    config.write_text("# the settings of an earlier run\nseed = 3\n", encoding="utf-8")
+
+    def files():
+        return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    before = files()
+    assert main(TINY + ["--config", str(config), *command, "--out", str(out)]) == 1
+    assert f"--out would replace input {config}" in capsys.readouterr().err
+    assert files() == before
+
+
 class TestSynth:
     def test_writes_corpus_and_config_echo(self, workspace):
         root, corpus, _ = workspace
@@ -48,6 +66,9 @@ class TestSynth:
         blocker.write_text("")
         assert main(TINY + ["synth", "--out", str(blocker / "x")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_config_file_as_resolved_cfg_is_usage_error(self, tmp_path, capsys):
+        _assert_config_file_kept(tmp_path, capsys, ["synth"])
 
 
 class TestTrain:
@@ -96,6 +117,11 @@ class TestTrain:
         assert rc == 2
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_config_file_as_resolved_cfg_is_usage_error(self, workspace, tmp_path, capsys):
+        _, corpus, _ = workspace
+        _assert_config_file_kept(tmp_path, capsys, ["train", "--corpus", str(corpus),
+                                                    "--max-steps", "1"])
 
 
 class TestEnhance:
@@ -247,6 +273,11 @@ class TestEnhance:
         assert rc == 1
         assert "would replace input" in capsys.readouterr().err
         assert files() == before
+
+    def test_config_file_as_resolved_cfg_is_usage_error(self, workspace, tmp_path, capsys):
+        _, corpus, ckpt = workspace
+        _assert_config_file_kept(tmp_path, capsys, [
+            "enhance", "--checkpoint", str(ckpt), "--manifest", str(corpus / "manifest.csv")])
 
     def test_failed_grid_write_keeps_the_earlier_grids(self, workspace, tmp_path,
                                                        monkeypatch):

@@ -14,7 +14,7 @@ from nkf.networks import (build_model, add_first_layer_gradient, fnn_features,
 from nkf.enhancer import _batch_loss
 from nkf.signal_core import block_bounds
 
-from oracles import (adam_step, init_params, noise_fnn_forward,
+from oracles import (adam_step, init_params, load_checkpoint_seeking, noise_fnn_forward,
                      noise_fnn_forward_grid_composed, reference_model,
                      save_checkpoint_copying, w1_grad_per_tap)
 
@@ -489,6 +489,79 @@ class TestOptimizer:
         assert peak - base <= 3 * networks._ADAM_CHUNK * 8
 
 
+#: (``build_model`` arguments, whether Adam has stepped) of the checkpoints
+#: that both writers, and both readers, must agree on
+_CHECKPOINT_SHAPES = [
+    pytest.param(dict(n_bins=129, lstm_units=(64, 64), fnn_hidden=128, context=30), False,
+                 id="desk"),
+    pytest.param(dict(n_bins=5, lstm_units=(2,), fnn_hidden=3, context=2), False,
+                 id="one-layer"),
+    pytest.param(dict(n_bins=7, lstm_units=(5, 3, 4), fnn_hidden=6, context=4), False,
+                 id="three-layers"),
+    pytest.param(dict(n_bins=5, lstm_units=(3,), fnn_hidden=4, context=2, window=8, hop=4,
+                      log_features=True), False, id="log-features"),
+    pytest.param(dict(n_bins=9, lstm_units=(4, 3), fnn_hidden=6, context=3,
+                      variance_span=7), True, id="adam-step"),
+]
+
+
+def _add_one(blob, at):
+    """``blob`` with one added to its u32 at ``at``."""
+    blob = bytearray(blob)
+    struct.pack_into("<I", blob, at, struct.unpack_from("<I", blob, at)[0] + 1)
+    return bytes(blob)
+
+
+def _duplicate_b3(blob):
+    # one more tensor in the count, after one LSTM layer, and a second fnn.b3
+    b3 = np.full(5, 123.0, "<f8")
+    return (_add_one(blob, len(b"NKFCKPT1") + 4 + 7 * 4 + 1 + 4 + 4 + 8)
+            + networks._pack_tensor("fnn.b3", b3) + b3.tobytes())
+
+
+def _huge_shape(blob):
+    # four dimensions of 2^32 - 1 for lstm0.wx: the product overflows 64 bits
+    at = blob.index(b"lstm0.wx") + len(b"lstm0.wx")
+    return blob[:at] + struct.pack("<B4I", 4, *[2**32 - 1] * 4) + blob[at + 9:]
+
+
+def _misshaped(moment):
+    def corrupt(blob):   # the moment record of fnn.b3, shape (5,), made (7,)
+        blob = bytearray(blob)
+        at = blob.index(f"{moment}.fnn.b3".encode()) + len(f"{moment}.fnn.b3") + 1
+        struct.pack_into("<I", blob, at, 7)
+        blob[at + 4 + 5 * 8:at + 4 + 5 * 8] = bytes(2 * 8)
+        return bytes(blob)
+    return corrupt
+
+
+def _swap_records(blob):
+    # lstm0.b's record and head_amp.w's, the next one, traded places
+    a, b, c = (blob.index(networks._pack_tensor(name, np.empty(shape))) for name, shape in
+               (("lstm0.b", (8,)), ("head_amp.w", (2, 5)), ("head_amp.b", (5,))))
+    return blob[:a] + blob[b:c] + blob[a:b] + blob[c:]
+
+
+#: the malformed files that the tests of ``TestDeterminismAndCheckpoints``
+#: make from a one-layer model's checkpoint; None stands for no file at all
+_MALFORMED = {
+    "bad-magic": lambda blob: b"NOTACKPT" + b"\0" * 64,
+    "truncated": lambda blob: blob[:40],
+    "n_bins": lambda blob: _add_one(blob, 24),
+    "context": lambda blob: _add_one(blob, 28),
+    "fnn_hidden": lambda blob: _add_one(blob, 36),
+    "units": lambda blob: _add_one(blob, 45),
+    "trailing-garbage": lambda blob: blob + bytes(range(24)),
+    "trailing-copy": lambda blob: blob + blob,
+    "duplicate": _duplicate_b3,
+    "missing": lambda blob: None,
+    "huge-shape": _huge_shape,
+    "non-utf8": lambda blob: blob.replace(b"lstm0.wx", b"\xfflstm0.x", 1),
+    "adam_m-shape": _misshaped("adam_m"),
+    "adam_v-shape": _misshaped("adam_v"),
+}
+
+
 class TestDeterminismAndCheckpoints:
     def test_negative_seed_is_config_error(self):
         with pytest.raises(ConfigError, match="seed must be nonnegative"):
@@ -578,14 +651,7 @@ class TestDeterminismAndCheckpoints:
         assert loaded.n_bins == 129
         assert peak <= 1.1 * size, peak / size
 
-    @pytest.mark.parametrize("shape, stepped", [
-        (dict(n_bins=129, lstm_units=(64, 64), fnn_hidden=128, context=30), False),
-        (dict(n_bins=5, lstm_units=(2,), fnn_hidden=3, context=2), False),
-        (dict(n_bins=7, lstm_units=(5, 3, 4), fnn_hidden=6, context=4), False),
-        (dict(n_bins=5, lstm_units=(3,), fnn_hidden=4, context=2, window=8, hop=4,
-              log_features=True), False),
-        (dict(n_bins=9, lstm_units=(4, 3), fnn_hidden=6, context=3, variance_span=7), True),
-    ], ids=["desk", "one-layer", "three-layers", "log-features", "adam-step"])
+    @pytest.mark.parametrize("shape, stepped", _CHECKPOINT_SHAPES)
     def test_save_writes_the_copying_writers_bytes(self, tmp_path, shape, stepped):
         m = build_model(**shape, seed=5)
         if stepped:
@@ -630,11 +696,16 @@ class TestDeterminismAndCheckpoints:
         with pytest.raises(DataError, match="truncated"):
             load_checkpoint(path)
 
-    # header offsets of u32 fields: n_bins, context, fnn_hidden, first layer's units
-    @pytest.mark.parametrize("offset", [24, 28, 36, 45],
-                             ids=["n_bins", "context", "fnn_hidden", "units"])
+    # header offsets of u32 fields: n_bins, context, fnn_hidden, first layer's
+    # units; and the first record that the claim does not match, or, where the
+    # claim's arenas need more than the file holds, truncation
+    @pytest.mark.parametrize("offset, message", [
+        (24, r"expected tensor lstm0\.wx of shape \(6, 8\)$"),
+        (28, r"expected tensor fnn\.w1 of shape \(20, 3\)$"),
+        (36, r"expected tensor fnn\.w1 of shape \(15, 4\)$"),
+        (45, "truncated$")], ids=["n_bins", "context", "fnn_hidden", "units"])
     def test_header_dimensions_checked_before_building(self, tmp_path,
-                                                       monkeypatch, offset):
+                                                       monkeypatch, offset, message):
         # the claim is one more than the tensors hold: harmless even if it were
         # built, but load must reject it from the tensor shapes alone
         path = tmp_path / "model.nkf"
@@ -648,7 +719,7 @@ class TestDeterminismAndCheckpoints:
             raise AssertionError("built a model from an unchecked header")
 
         monkeypatch.setattr(networks, "build_model", refuse)
-        with pytest.raises(DataError, match="malformed checkpoint: shape mismatch"):
+        with pytest.raises(DataError, match="malformed checkpoint: " + message):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("tail", ["garbage", "second copy"])
@@ -671,7 +742,7 @@ class TestDeterminismAndCheckpoints:
         struct.pack_into("<I", blob, at, struct.unpack_from("<I", blob, at)[0] + 1)
         b3 = np.full(5, 123.0, "<f8")
         path.write_bytes(bytes(blob) + networks._pack_tensor("fnn.b3", b3) + b3.tobytes())
-        with pytest.raises(DataError, match=r"duplicate tensor fnn\.b3$"):
+        with pytest.raises(DataError, match=r"malformed checkpoint: 40 tensors, expected 39$"):
             load_checkpoint(path)
 
     def test_unreadable_checkpoint_names_its_path(self, tmp_path):
@@ -688,7 +759,8 @@ class TestDeterminismAndCheckpoints:
         at = blob.index(b"lstm0.wx") + len(b"lstm0.wx")
         path.write_bytes(blob[:at] + struct.pack("<B4I", 4, *[2**32 - 1] * 4)
                          + blob[at + 9:])
-        with pytest.raises(DataError, match="truncated"):
+        with pytest.raises(DataError, match=r"malformed checkpoint: expected tensor "
+                           r"lstm0\.wx of shape \(5, 8\)$"):
             load_checkpoint(path)
 
     def test_non_utf8_tensor_name_rejected(self, tmp_path):
@@ -697,7 +769,8 @@ class TestDeterminismAndCheckpoints:
                                     seed=0), path)
         blob = path.read_bytes()
         path.write_bytes(blob.replace(b"lstm0.wx", b"\xfflstm0.x", 1))
-        with pytest.raises(DataError, match="tensor name is not UTF-8"):
+        with pytest.raises(DataError, match=r"malformed checkpoint: expected tensor "
+                           r"lstm0\.wx of shape \(5, 8\)$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("moment", ["adam_m", "adam_v"])
@@ -712,9 +785,47 @@ class TestDeterminismAndCheckpoints:
         struct.pack_into("<I", blob, at, 7)
         blob[at + 4 + 5 * 8:at + 4 + 5 * 8] = bytes(2 * 8)
         path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match=rf"malformed checkpoint: shape "
-                           rf"mismatch for {moment}\.fnn\.b3$"):
+        with pytest.raises(DataError, match=rf"malformed checkpoint: expected tensor "
+                           rf"{moment}\.fnn\.b3 of shape \(5,\)$"):
             load_checkpoint(path)
+
+    # (file, whether the one-pass reader loads it, whether the seeking oracle does)
+    @pytest.mark.parametrize("shape, stepped, corrupt, loads", [
+        *(pytest.param(*case.values, None, (True, True), id=case.id)
+          for case in _CHECKPOINT_SHAPES),
+        *(pytest.param(dict(n_bins=5, lstm_units=(2,), fnn_hidden=3, context=2), False,
+                       corrupt, (False, False), id=name)
+          for name, corrupt in _MALFORMED.items()),
+        # the one input the one-pass reader narrows: records out of declared order
+        pytest.param(dict(n_bins=5, lstm_units=(2,), fnn_hidden=3, context=2), False,
+                     _swap_records, (False, True), id="swapped"),
+    ])
+    def test_one_pass_reader_agrees_with_the_seeking_oracle(self, tmp_path, shape,
+                                                            stepped, corrupt, loads):
+        m = build_model(**shape, seed=0)
+        if stepped:
+            m.grads[:] = np.random.default_rng(6).standard_normal(m.grads.size)
+            optimizer_step(m)
+        path = tmp_path / "model.nkf"
+        save_checkpoint(m, path)
+        if corrupt is not None:
+            blob = corrupt(path.read_bytes())
+            if blob is None:
+                path.unlink()
+            else:
+                path.write_bytes(blob)
+        for reader, loads_it in zip((load_checkpoint, load_checkpoint_seeking), loads):
+            if not loads_it:
+                with pytest.raises(DataError):
+                    reader(path)
+                continue
+            loaded = reader(path)
+            assert [getattr(loaded, d) for d in networks._DIMS] == \
+                [getattr(m, d) for d in networks._DIMS]
+            assert (loaded.units, loaded.log_features, loaded.adam_step) == \
+                (m.units, m.log_features, m.adam_step)
+            for arena in ("values", "adam_m", "adam_v"):
+                assert np.array_equal(getattr(loaded, arena), getattr(m, arena)), arena
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.nkf"
