@@ -34,7 +34,7 @@ any graph recorded before. ``networks.optimizer_step`` updates parameter
 values in place, between one step's backward and the next forward.
 
 A node's backward may defer a contribution to a job on the worker thread
-(``networks.on_worker``) and return the job's ``join``; the noise net's first
+(``worker.on_worker``) and return the job's ``join``; the noise net's first
 layer does so for ``fnn.w1``. Only a contribution to a leaf that no node
 reads may be deferred, and every contribution to that leaf must be: the
 caller goes on backpropagating while the job runs. ``backward()`` calls every
@@ -47,6 +47,8 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
+
+from .worker import split_matmul
 
 _GRAD_ENABLED = True
 
@@ -105,7 +107,7 @@ class DiffArray:
         """Seed this scalar node with gradient 1 and backpropagate.
 
         A node's ``_backward`` may return the ``join`` that
-        ``networks.on_worker`` gave it for a job that makes a deferred
+        ``worker.on_worker`` gave it for a job that makes a deferred
         contribution: one to a leaf that no node reads and that only deferred
         contributions reach. Every join is called, in node order, before this
         returns or raises, so every leaf's ``grad`` is whole once it does. A
@@ -296,6 +298,10 @@ def lstm_layer(x, wx, wh, b, state=None) -> tuple[DiffArray, tuple]:
     the cell states and runs the loop once, writing each frame's gate
     gradients over its activations; then it forms each weight gradient as one
     matmul. So the node takes one backward only (``RuntimeError`` after).
+    Each frame's recurrent product, ``h @ wh`` and in backward ``dz_t @
+    wh.T``, is ``worker.split_matmul``'s: its output columns halved between
+    this thread and the worker once ``wh`` is as large as the full preset's,
+    each column the whole product's, bit for bit.
     """
     x, wx, wh, b = lift(x), lift(wx), lift(wh), lift(b)
     n_b, n_t, n_in = x.shape
@@ -313,8 +319,8 @@ def lstm_layer(x, wx, wh, b, state=None) -> tuple[DiffArray, tuple]:
         hs[:, 0], cs[:, 0] = state
     h, c = hs[:, 0], cs[:, 0]
     for t in range(n_t):
-        act = gates[:, t] = np.tanh((gates[:, t] + h @ wh.values) * scale) * scale \
-            + offset
+        act = gates[:, t] = np.tanh((gates[:, t] + split_matmul(h, wh.values)) * scale) \
+            * scale + offset
         c = cs[:, t + 1] = act[:, f_] * c + act[:, i_] * act[:, g_]
         h = hs[:, t + 1] = act[:, o_] * np.tanh(c)
 
@@ -345,7 +351,7 @@ def lstm_layer(x, wx, wh, b, state=None) -> tuple[DiffArray, tuple]:
             np.subtract(1.0, dact[:, g_], out=dact[:, g_])
             dz_t *= dact
             dc = dc * act[:, f_]
-            dh = dz_t @ wh.values.T
+            dh = split_matmul(dz_t, wh.values.T)
         dz = gates.reshape(-1, 4 * u)
         add_product(wh, hs[:, :-1].reshape(-1, u).T, dz)
         add_product(wx, x.values.reshape(-1, n_in).T, dz)

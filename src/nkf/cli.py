@@ -87,6 +87,7 @@ def _model_from_cfg(cfg):
 def cmd_synth(cfg, args) -> int:
     resolved = os.path.join(args.out, "resolved.cfg")
     _refuse_replacing([resolved], [args.config])
+    _refuse_foreign(args.out, ["model.nkf"])
     manifest = data_io.synth_corpus(cfg, args.out)
     save_config(cfg, resolved)
     counts = {s: len(manifest.split_entries(s)) for s in data_io.SPLITS}
@@ -100,6 +101,7 @@ def cmd_train(cfg, args) -> int:
         raise ConfigError("--max-steps must be at least 1")
     resolved = os.path.join(args.out, "resolved.cfg")
     _refuse_replacing([resolved], [args.config])
+    _refuse_foreign(args.out, ["manifest.csv"])
     manifest = data_io.load_manifest(os.path.join(args.corpus, "manifest.csv"))
     entries = manifest.split_entries("train")
     if not entries:   # the train split is checked before --out is made
@@ -126,10 +128,20 @@ def _refuse_replacing(outputs, inputs):
             raise ConfigError(f"--out would replace input {path}")
 
 
+def _refuse_foreign(out, marks):
+    """``ConfigError`` if ``out`` holds one of ``marks``, files that only
+    another command writes: its ``resolved.cfg`` would be replaced by this
+    run's, beside outputs that it did not produce."""
+    for mark in marks:
+        if os.path.exists(os.path.join(out, mark)):
+            raise ConfigError(f"--out {out} holds {mark}, another command's output")
+
+
 def _enhance_inputs(cfg, args):
     """(utt_id, noisy waveform, entry or None) per utterance, read as iterated;
     ``ConfigError`` first if an output, a WAV or ``resolved.cfg``, would
-    replace a file the run reads."""
+    replace a file the run reads, or ``--out`` is a training run's or a
+    corpus's folder."""
     if args.wav:
         utts = [(os.path.splitext(os.path.basename(args.wav))[0], args.wav, None)]
         read = [args.wav]
@@ -139,6 +151,7 @@ def _enhance_inputs(cfg, args):
         read = [p for e in manifest.entries for p in (e.clean_path, e.noisy_path, e.noise_path)]
     _refuse_replacing([os.path.join(args.out, f"{u}.wav") for u, _, _ in utts]
                       + [os.path.join(args.out, "resolved.cfg")], read + [args.config])
+    _refuse_foreign(args.out, ["model.nkf", "manifest.csv"])
     return ((utt_id, data_io.read_wav(path, cfg.sample_rate), e)
             for utt_id, path, e in utts)
 

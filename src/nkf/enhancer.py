@@ -23,9 +23,10 @@ from . import autodiff as ad
 from . import data_io, kalman, signal_core, wiener
 from .errors import ConfigError, DataError, NumericsError
 from .networks import NkfModel, build_model, first_layer_product, lstm_forward, \
-    noise_fnn_forward_grid, on_worker, optimizer_step, save_checkpoint
+    noise_fnn_forward_grid, optimizer_step, save_checkpoint
 from .pipeline import EnhancementResult, NkfFrameEstimates, check_framing, \
     enhance_with, lstm_features, run_blocks, wiener_estimate
+from .worker import on_worker
 
 
 def nkf_gain(sigma_r2, sigma_v2) -> ad.DiffArray:
@@ -95,6 +96,8 @@ def _forward(m: NkfModel, utts, lo: int = 0, hi: int | None = None, state=None):
     allocated here and every node is built here, so every value is the
     serial graph's, bit for bit. The job is joined before any exception
     leaves, and an exception of the LSTM's leaves before one of the job's.
+    At full width the LSTM's first recurrent product that it splits with the
+    worker (``worker.split_matmul``) waits behind this job.
 
     Returns per utterance the loss node (None without a clean grid) and the
     grids, which are the nodes' own ``values``, not copies (no op writes a

@@ -7,9 +7,9 @@ prediction residual (clamped to +-12 so its exponential stays finite).
 The noise net is three ReLU feed-forward layers mapping a left-side context
 window of amplitudes plus the current running noisy variance to a strictly
 positive noise variance per bin (softplus output). Its first layer's
-product, and in backward its ``fnn.w1`` gradient, run as jobs on a worker
+product, and in backward its ``fnn.w1`` gradient, run as jobs on the worker
 thread, started on first use, while the caller does other work
-(``on_worker``).
+(``worker.on_worker``); Adam updates half of every arena there.
 
 ``_param_shapes`` declares every weight once; ``NkfModel`` lays them out in
 flat arrays and holds them as ``DiffArray`` leaves, so one ``backward()`` on
@@ -23,10 +23,8 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import queue
 import struct
 import sys
-import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,6 +33,7 @@ from . import autodiff as ad
 from .data_io import replacing
 from .errors import ConfigError, DataError, NumericsError
 from .signal_core import block_bounds
+from .worker import in_halves, on_worker
 
 #: Additive floor keeping the estimated noise variance strictly positive.
 NOISE_VAR_EPS = 1e-12
@@ -172,51 +171,6 @@ def first_layer_product(m: NkfModel, amplitude, sigma_y2, lo: int, hi: int,
     return out
 
 
-def _run(jobs: queue.SimpleQueue):
-    while True:
-        fn, done, error = jobs.get()
-        try:
-            fn()
-        except BaseException as exc:   # join() hands it to the caller
-            error.append(exc)
-        finally:
-            fn = None   # what the job holds goes before join() returns
-            done.set()
-
-
-#: The worker's job queue, made with the worker on first use; a forked child
-#: makes its own.
-_jobs, _jobs_lock = None, threading.Lock()
-
-
-def _forget_worker():
-    global _jobs, _jobs_lock
-    _jobs, _jobs_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_worker)
-
-
-def on_worker(fn):
-    """Run ``fn()`` on the worker: one daemon thread, started on first use,
-    that runs the jobs handed to it, from any thread, in turn. Returns
-    ``join``; ``join()`` waits for ``fn`` and returns what it raised, or None.
-    Once ``fn`` has run the worker drops it, and whatever only it held."""
-    global _jobs
-    done, error = threading.Event(), []
-    with _jobs_lock:
-        if _jobs is None:
-            _jobs = queue.SimpleQueue()
-            threading.Thread(target=_run, args=(_jobs,), name="nkf-worker",
-                             daemon=True).start()
-        _jobs.put((fn, done, error))
-
-    def join():
-        done.wait()
-        return error[0] if error else None
-    return join
-
-
 def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndarray,
                            lo: int = 0, hi: int | None = None, pre=None) -> ad.DiffArray:
     """Noise variance estimate for frames lo..hi-1 (every frame by default)
@@ -340,8 +294,9 @@ def build_model(n_bins: int, *, lstm_units=(64, 64), fnn_hidden: int = 128,
     return m
 
 
-#: Elements per block of the Adam update: two float64 work buffers of this
-#: size (512 KiB) stay in cache while each block goes through every pass.
+#: Floats in the Adam update's work buffers: each arena half is updated in
+#: blocks of half this size, with two block-sized buffers per half (512 KiB
+#: in all), so each block stays in cache while it goes through every pass.
 _ADAM_CHUNK = 1 << 15
 #: Adam's moment decay rates and the denominator's guard
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -352,11 +307,13 @@ def optimizer_step(m: NkfModel, lr: float = 1e-3) -> NkfModel:
 
     ``NumericsError`` names the first parameter, in declared order, whose
     gradient is not finite, before anything moves. Moments and values are
-    then updated in place, in blocks of ``_ADAM_CHUNK`` elements of the flat
-    arenas, with two block-sized work buffers, bit-identical to
-    ``m = beta1 * m + (1 - beta1) * g``, ``v = beta2 * v + (1 - beta2) * g * g``
-    and ``p = p - lr * m_hat / (sqrt(v_hat) + eps)`` (``_ADAM_BETA1``,
-    ``_ADAM_BETA2``, ``_ADAM_EPS``).
+    then updated in place, the flat arenas' first half on this thread and the
+    second on the worker (``in_halves``), each in blocks of ``_ADAM_CHUNK // 2``
+    elements through two block-sized work buffers that this thread makes for
+    both, bit-identical to ``m = beta1 * m + (1 - beta1) * g``,
+    ``v = beta2 * v + (1 - beta2) * g * g`` and
+    ``p = p - lr * m_hat / (sqrt(v_hat) + eps)`` (``_ADAM_BETA1``,
+    ``_ADAM_BETA2``, ``_ADAM_EPS``): each element's update is elementwise.
     """
     t, grads = m.adam_step + 1, m.grads
     # min and max propagate NaN and show an infinity, without a temporary
@@ -364,11 +321,21 @@ def optimizer_step(m: NkfModel, lr: float = 1e-3) -> NkfModel:
         bad = int(np.argmin(np.isfinite(grads)))   # the first non-finite entry
         name = [n for n, (start, _) in m.layout.items() if start <= bad][-1]
         raise NumericsError(f"diverged: non-finite gradient for {name} at Adam step {t}")
+    mid = grads.size // 2
+    work = np.empty((2, 2, min(_ADAM_CHUNK // 2, grads.size - mid)))   # here, for both
+    in_halves(lambda: _adam_pass(m, t, lr, 0, mid, work[0]),
+              lambda: _adam_pass(m, t, lr, mid, grads.size, work[1]))
+    m.adam_step = t
+    return m
+
+
+def _adam_pass(m: NkfModel, t: int, lr: float, lo: int, hi: int, work: np.ndarray):
+    """Adam step ``t`` over elements lo..hi-1 of the arenas, a block of
+    ``work``'s width at a time through its two rows."""
     correct1, correct2 = 1.0 - _ADAM_BETA1 ** t, 1.0 - _ADAM_BETA2 ** t
-    work = np.empty((2, min(_ADAM_CHUNK, grads.size)))
-    for lo in range(0, grads.size, _ADAM_CHUNK):
-        g, mom, var, val = (a[lo:lo + _ADAM_CHUNK]
-                            for a in (grads, m.adam_m, m.adam_v, m.values))
+    for a in range(lo, hi, work.shape[1]):
+        g, mom, var, val = (x[a:min(a + work.shape[1], hi)]
+                            for x in (m.grads, m.adam_m, m.adam_v, m.values))
         step, denom = work[:, :g.size]
         mom *= _ADAM_BETA1
         np.multiply(1.0 - _ADAM_BETA1, g, out=step)
@@ -384,8 +351,6 @@ def optimizer_step(m: NkfModel, lr: float = 1e-3) -> NkfModel:
         denom += _ADAM_EPS
         step /= denom
         val -= step
-    m.adam_step = t
-    return m
 
 
 # ---------------------------------------------------------------------------

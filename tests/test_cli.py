@@ -52,6 +52,26 @@ def _assert_config_file_kept(tmp_path, capsys, command):
     assert files() == before
 
 
+def _assert_foreign_out_kept(workspace, tmp_path, capsys, command, folder, mark):
+    """``nkf COMMAND --out D`` on a copy D of the workspace's ``folder``
+    ("corpus" or "run"), another command's output holding ``mark``, exits 1
+    before anything is written; D's ``resolved.cfg`` is left as it was.
+    ``command`` may name D as ``{out}``."""
+    _, corpus, ckpt = workspace
+    out = tmp_path / folder
+    shutil.copytree({"corpus": corpus, "run": ckpt.parent}[folder], out)
+    assert (out / mark).is_file() and (out / "resolved.cfg").is_file()
+
+    def files():
+        return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    before = files()
+    argv = [str(out) if a == "{out}" else a for a in command]
+    assert main(TINY + ["--set", "seed=9", *argv, "--out", str(out)]) == 1
+    assert f"--out {out} holds {mark}, another command's output" in capsys.readouterr().err
+    assert files() == before
+
+
 class TestSynth:
     def test_writes_corpus_and_config_echo(self, workspace):
         root, corpus, _ = workspace
@@ -69,6 +89,9 @@ class TestSynth:
 
     def test_config_file_as_resolved_cfg_is_usage_error(self, tmp_path, capsys):
         _assert_config_file_kept(tmp_path, capsys, ["synth"])
+
+    def test_training_run_as_out_is_usage_error(self, workspace, tmp_path, capsys):
+        _assert_foreign_out_kept(workspace, tmp_path, capsys, ["synth"], "run", "model.nkf")
 
 
 class TestTrain:
@@ -122,6 +145,19 @@ class TestTrain:
         _, corpus, _ = workspace
         _assert_config_file_kept(tmp_path, capsys, ["train", "--corpus", str(corpus),
                                                     "--max-steps", "1"])
+
+    def test_corpus_as_out_is_usage_error(self, workspace, tmp_path, capsys):
+        # train --corpus D --out D would replace the corpus's resolved.cfg
+        _assert_foreign_out_kept(workspace, tmp_path, capsys,
+                                 ["train", "--corpus", "{out}", "--max-steps", "1"],
+                                 "corpus", "manifest.csv")
+
+    def test_retraining_into_its_own_run_is_allowed(self, workspace, tmp_path):
+        _, corpus, ckpt = workspace
+        shutil.copytree(ckpt.parent, tmp_path / "run")
+        assert main(TINY + ["train", "--corpus", str(corpus), "--out",
+                            str(tmp_path / "run"), "--max-steps", "1"]) == 0
+        assert (tmp_path / "run" / "model.nkf").read_bytes() != ckpt.read_bytes()
 
 
 class TestEnhance:
@@ -278,6 +314,15 @@ class TestEnhance:
         _, corpus, ckpt = workspace
         _assert_config_file_kept(tmp_path, capsys, [
             "enhance", "--checkpoint", str(ckpt), "--manifest", str(corpus / "manifest.csv")])
+
+    @pytest.mark.parametrize("folder, mark", [("run", "model.nkf"),
+                                              ("corpus", "manifest.csv")])
+    def test_another_commands_output_as_out_is_usage_error(self, workspace, tmp_path,
+                                                          capsys, folder, mark):
+        _, corpus, ckpt = workspace
+        _assert_foreign_out_kept(workspace, tmp_path, capsys, [
+            "enhance", "--checkpoint", str(ckpt), "--wav",
+            str(corpus / "test" / "noisy" / "test_0000.wav")], folder, mark)
 
     def test_failed_grid_write_keeps_the_earlier_grids(self, workspace, tmp_path,
                                                        monkeypatch):
