@@ -9,12 +9,23 @@ segments of that output, then runs the recursion over the raw noisy
 amplitudes and resynthesizes with the noisy phase.
 
 ``kf_predict``, ``kf_gain`` and ``kf_update`` are one frame's steps for all
-bins at once, with the bin axis last (state x P x F, covariance ree
-P x P x F, LP coefficients c P x F), so every component is one contiguous
-F-vector. ``filter_bins`` runs them per frame and ``filter_segmented`` fits
-each segment with ``levinson_durbin(autocorrelate(...))``, both through this
-module's names, so a wrapper set on ``kalman.kf_predict`` (as perfbench's
-tracer sets) sees every call. ``transition_matrix`` is re-exported too.
+bins at once, with the bin axis last, so every component is one contiguous
+F-vector. ``filter_bins`` holds each bin's covariance ree (P x P) and state
+x (P) as one augmented state [ree | x] (P x (P + 1) x F, the state as its
+last column) in ``FrameBuffers`` made once per call, and runs the three
+steps into them per frame: ``kf_predict`` forms the first row of
+A [ree | x] with one multiply and P - 1 in-place adds, then the whole
+prediction with one gather; ``kf_gain`` divides the prediction's first
+covariance column; ``kf_update`` folds the observation in with one outer
+product and one sum. Each value is the one the steps made with state and
+covariance held apart, bit for bit: the same IEEE operations on the same
+operands. (Those steps summed a lone bin's c . x pairwise from order 8 on,
+as numpy reduces an axis of one bin; these add in order, so a bin filters
+alike alone and beside others.) ``filter_segmented`` takes its models from ``lp_segments``, which
+fits every full-length segment in one ``levinson_durbin(autocorrelate(...))``
+call. All of these go through this module's names, so a wrapper set on
+``kalman.kf_predict`` (as perfbench's tracer sets) sees every call.
+``transition_matrix`` is re-exported too.
 """
 
 from __future__ import annotations
@@ -26,26 +37,86 @@ from .errors import DataError, NumericsError
 from .linear_prediction import autocorrelate, levinson_durbin, transition_matrix
 
 
-def kf_predict(x, ree, c, sigma_w2):
-    """Propagate state and covariance one frame ahead; returns both.
+class FrameBuffers:
+    """The arrays one ``filter_bins`` call runs its frame steps in, made once
+    for P-order models over F bins (Q = P + 1 columns).
 
-    ``ree`` is used as symmetric: row = (A ree)[0] = sum_j c_j ree[j], and
-    A ree A^T is ree shifted down and right, bordered by row on both sides,
-    with c . row + sigma_w2 in the corner. x shifts down under its new first
-    component c . x.
+    ``state`` (P x Q x F) is the augmented state [ree | x]: the covariance
+    with the state vector as its last column, so ``x0`` is the first state
+    component. ``work`` holds it in its first P rows of Q x F, the P rows of
+    ``products`` below it, and ``corner`` (P x F) last. ``row`` is
+    ``products[0]`` and ``head`` its first P entries. The gather over
+    ``index`` writes the prediction into ``pred`` and a copy of its first row
+    into ``v`` below it; ``ree`` is the prediction's covariance, ``g`` the
+    gain. ``set_model`` puts a segment's LP model in ``c`` (P x F), ``c_cols``
+    (``c`` repeated over the Q columns) and ``sigma_w2``.
     """
-    row = np.add.reduce(c[:, None] * ree, 0)
-    pred = np.empty_like(ree)
-    pred[1:, 1:] = ree[:-1, :-1]
-    pred[0, 1:] = pred[1:, 0] = row[:-1]
-    pred[0, 0] = np.add.reduce(c * row, 0) + sigma_w2
-    x_pred = np.empty_like(x)
-    x_pred[1:], x_pred[0] = x[:-1], np.add.reduce(c * x, 0)
-    return x_pred, pred
+
+    __slots__ = ("work", "state", "x0", "products", "row", "head", "corner",
+                 "index", "gathered", "pred", "ree", "v", "v_last", "g", "c",
+                 "c_cols", "sigma_w2")
+
+    def __init__(self, order: int, n_bins: int):
+        p, q = order, order + 1
+        self.work = np.empty(((2 * p + 1) * q, n_bins))
+        rows = self.work.reshape(2 * p + 1, q, n_bins)
+        self.state, self.products = rows[:p], rows[p:2 * p]
+        self.x0, self.row, self.corner = rows[0, p], rows[p], rows[2 * p, :p]
+        self.head = self.row[:p]
+        # the row of ``work`` each prediction entry is copied from: the
+        # corner, then ``row`` without its entry P - 1 across the top and down
+        # the first column, and the state shifted down and right, without its
+        # last covariance column, so x shifts down alone; last, the top again
+        keep = np.append(np.arange(p - 1), p)
+        self.index = np.empty((q, q), np.intp)
+        self.index[0] = np.append(2 * p * q, p * q + keep)
+        self.index[1:p, 0] = p * q + keep[:-1]
+        self.index[1:p, 1:] = np.arange(p - 1)[:, None] * q + keep
+        self.index[p] = self.index[0]
+        self.gathered = np.empty((q, q, n_bins))
+        self.pred, self.v = self.gathered[:p], self.gathered[p]
+        self.v_last = self.v[p]
+        self.ree = self.pred[:, :p]
+        self.g = np.empty((p, n_bins))
+        self.c = np.empty((p, n_bins))
+        self.c_cols = np.empty((p, q, n_bins))
+        self.sigma_w2 = None
+
+    def set_model(self, coeffs, residual_var):
+        """The LP model the next frames predict with: ``coeffs`` F x P and
+        ``residual_var`` F."""
+        self.c[:] = coeffs.T
+        self.c_cols[:] = self.c[:, None]
+        self.sigma_w2 = residual_var
 
 
-def kf_gain(ree, sigma_v2, frame: int):
-    """Gain (P x F) that weighs the noisy observation against the prediction.
+def kf_predict(buf: FrameBuffers):
+    """Propagate every bin's augmented state ``buf.state`` one frame ahead
+    with the model ``buf.set_model`` set, into ``buf.pred`` (P x Q x F),
+    which it returns.
+
+    The covariance is used as symmetric: the first row of A [ree | x] is
+    sum_j c_j [ree | x][j], added in order; A ree A^T is ree shifted down and
+    right, bordered by that row on both sides, with c . row + sigma_w2 in the
+    corner, and x shifts down under its new first component c . x. The shift
+    and border are one gather from ``buf.work``.
+    """
+    products, row, corner = buf.products, buf.row, buf.corner
+    np.multiply(buf.c_cols, buf.state, out=products)
+    for j in range(1, len(products)):
+        row += products[j]
+    np.multiply(buf.c, buf.head, out=corner)
+    total = corner[0]
+    for j in range(1, len(corner)):
+        total += corner[j]
+    total += buf.sigma_w2
+    np.take(buf.work, buf.index, axis=0, out=buf.gathered, mode="clip")
+    return buf.pred
+
+
+def kf_gain(ree, sigma_v2, frame: int, out=None):
+    """Gain (P x F) that weighs the noisy observation against the prediction,
+    written into ``out`` when given.
 
     A zero denominator (no noise variance and ree[0, 0] = 0, so for a PSD
     covariance a zero first column) gives g = 0, the limit as sigma_v2 -> 0+:
@@ -60,16 +131,26 @@ def kf_gain(ree, sigma_v2, frame: int):
             f"degenerate gain: negative denominator at frame {frame}, "
             f"bins {np.flatnonzero(denom < 0).tolist()}")
     # a zero denominator gives g = 0: x / inf == 0
-    return ree[:, 0] / (denom if lowest != 0
-                        else np.where(denom == 0, np.inf, denom))
+    return np.divide(ree[:, 0], denom if lowest != 0
+                     else np.where(denom == 0, np.inf, denom), out=out)
 
 
-def kf_update(x, ree, g, y_amp):
-    """Fold the observed amplitudes (F) into the predicted state and
-    covariance, in place (``kf_predict`` returns fresh arrays); returns both."""
-    x += g * (y_amp - x[0])
-    ree -= g[:, None] * ree[0]
-    return x, ree
+def kf_update(buf: FrameBuffers, g, y_amp):
+    """Fold the observed amplitudes (F) into the prediction ``buf.pred`` with
+    gain ``g`` (P x F): ``buf.state`` becomes
+    pred + g (x) [-pred[0, :P], y - x0], one outer product and one sum,
+    which it returns. ``buf.v`` holds a copy of pred[0], as ``kf_predict``
+    leaves it.
+
+    That is ree - g ree[0] and x + g (y - x0) in one array: the same IEEE
+    operations on the same operands as with the two held apart, signed
+    zeros included (x0 - y would be +0 where y - x0 is).
+    """
+    v, last = buf.v, buf.v_last
+    np.negative(v, out=v)
+    last += y_amp
+    np.multiply(g[:, None], v, out=buf.products)
+    return np.add(buf.pred, buf.products, out=buf.state)
 
 
 def filter_bins(noisy_amp, sigma_v2, segments, order: int):
@@ -79,10 +160,11 @@ def filter_bins(noisy_amp, sigma_v2, segments, order: int):
     frame order; state and covariance carry across segment boundaries. The
     state of each bin is seeded from its first P noisy amplitudes (newest
     first) with covariance sigma_v2[0] * I; those frames pass through
-    unchanged. Each frame runs ``kf_predict``, ``kf_gain`` and ``kf_update``.
-    Returns the filtered tracks and the first gain component per frame and
-    bin. A ``sigma_v2`` of another shape, or a non-finite amplitude, raises
-    before the recursion; the latter names the first frame that holds one.
+    unchanged. Each frame runs ``kf_predict``, ``kf_gain`` and ``kf_update``
+    in one ``FrameBuffers``. Returns the filtered tracks and the first gain
+    component per frame and bin. A ``sigma_v2`` of another shape, or a
+    non-finite amplitude, raises before the recursion; the latter names the
+    first frame that holds one.
     """
     if np.shape(sigma_v2) != noisy_amp.shape:
         raise DataError(f"noise variance is {np.shape(sigma_v2)}, not {noisy_amp.shape}")
@@ -93,23 +175,26 @@ def filter_bins(noisy_amp, sigma_v2, segments, order: int):
                         f"{np.flatnonzero(~np.isfinite(noisy_amp[bad])).tolist()}")
     out = noisy_amp.copy()
     gains = np.zeros(noisy_amp.shape)
-    n_frames, _ = noisy_amp.shape
+    n_frames, n_bins = noisy_amp.shape
     if n_frames <= order:
         return out, gains
     # the frames the recursion reads; written to reject NaN too
     if not (np.all(sigma_v2[0] >= 0) and np.all(sigma_v2[order:] >= 0)):
         raise DataError("noise variance must be nonnegative")
-    x = noisy_amp[order - 1::-1].copy()
-    ree = np.eye(order)[:, :, None] * sigma_v2[0]
+    buf = FrameBuffers(order, n_bins)
+    buf.state[:, :order] = np.eye(order)[:, :, None] * sigma_v2[0]
+    buf.state[:, order] = noisy_amp[order - 1::-1]
+    g = buf.g
+    g0 = g[0]
     for start, stop, coeffs, sigma_w2 in segments:
-        c = np.ascontiguousarray(coeffs.T)
+        buf.set_model(coeffs, sigma_w2)
         first = max(start, order)
         for t in range(first, stop):
-            x, pred = kf_predict(x, ree, c, sigma_w2)
-            g = kf_gain(pred, sigma_v2[t], t)
-            x, ree = kf_update(x, pred, g, noisy_amp[t])
-            out[t] = x[0]
-            gains[t] = g[0]
+            kf_predict(buf)
+            kf_gain(buf.ree, sigma_v2[t], t, g)
+            kf_update(buf, g, noisy_amp[t])
+            out[t] = buf.x0
+            gains[t] = g0
         np.maximum(out[first:stop], 0.0, out=out[first:stop])
     return out, gains
 
@@ -135,31 +220,51 @@ def run_kf(noisy_amp, coeffs, residual_var, sigma_v2) -> np.ndarray:
                        len(coeffs))[0][:, 0]
 
 
-def filter_segmented(noisy_amp, lp_track, sigma_v2, order: int, seg_len: int):
-    """``filter_bins`` with LP models fit on ``seg_len``-frame segments of
-    ``lp_track`` (T x F, like the other grids).
+def lp_segments(lp_track, order: int, seg_len: int):
+    """Each ``seg_len``-frame segment's LP models of ``lp_track`` (T x F):
+    yields ``(start, stop, coeffs F x P, residual_var F)`` in frame order.
 
     A tail of ``order`` frames or fewer is too short for LP analysis and is
-    merged into the previous segment. Each segment's models are fit when the
-    recursion reaches it; a fit that fails names the segment's first frame.
+    merged into the previous segment. When the first segment is asked for,
+    every segment of exactly ``seg_len`` frames is fit in one
+    ``levinson_durbin(autocorrelate(...))`` call over a ``seg_len x S x F``
+    view; a shorter or tail-absorbing last one is fit alone when reached. If
+    the batched fit fails, each segment is fit when reached instead, so a fit
+    that fails names its segment's first frame and its bins.
     """
-    if np.shape(lp_track) != np.shape(noisy_amp):
-        raise DataError(f"LP track is {np.shape(lp_track)}, not {np.shape(noisy_amp)}")
-    n = len(noisy_amp)
+    n = len(lp_track)
     starts = list(range(0, n, seg_len))
     if len(starts) > 1 and n - starts[-1] <= order:
         starts.pop()
+    bounds = list(zip(starts, starts[1:] + [n]))
+    n_full = sum(hi - lo == seg_len for lo, hi in bounds)
+    models = []
+    if n_full:
+        full = lp_track[:n_full * seg_len].reshape(n_full, seg_len, *lp_track.shape[1:])
+        try:
+            models = list(zip(*levinson_durbin(
+                autocorrelate(full.swapaxes(0, 1), order), order)))
+        except NumericsError:
+            pass    # each segment is fit when reached, and the failing one named
+    for (lo, hi), model in zip(bounds, models):
+        yield lo, hi, *model
+    for lo, hi in bounds[len(models):]:
+        r = autocorrelate(lp_track[lo:hi], order)
+        try:
+            coeffs, residual_var = levinson_durbin(r, order)
+        except NumericsError as e:
+            raise NumericsError(f"LP segment at frame {lo}: {e}") from None
+        yield lo, hi, coeffs, residual_var
 
-    def segments():
-        for lo, hi in zip(starts, starts[1:] + [n]):
-            r = autocorrelate(lp_track[lo:hi], order)
-            try:
-                coeffs, residual_var = levinson_durbin(r, order)
-            except NumericsError as e:
-                raise NumericsError(f"LP segment at frame {lo}: {e}") from None
-            yield lo, hi, coeffs, residual_var
 
-    return filter_bins(noisy_amp, sigma_v2, segments(), order)
+def filter_segmented(noisy_amp, lp_track, sigma_v2, order: int, seg_len: int):
+    """``filter_bins`` with LP models fit on ``seg_len``-frame segments of
+    ``lp_track`` (T x F, like the other grids) by ``lp_segments``, whose
+    first fit is made when the recursion asks for the first segment, after
+    ``filter_bins``' input checks."""
+    if np.shape(lp_track) != np.shape(noisy_amp):
+        raise DataError(f"LP track is {np.shape(lp_track)}, not {np.shape(noisy_amp)}")
+    return filter_bins(noisy_amp, sigma_v2, lp_segments(lp_track, order, seg_len), order)
 
 
 def enhance_kf_baseline(noisy: signal_core.Waveform, cfg, sigma_v2_grid=None,

@@ -56,6 +56,15 @@ companion-matrix products per frame. It reproduces ``kf_track`` bit for bit;
 the bins-last recursion sums in another order and matches it within a
 tolerance.
 
+``filter_bins_apart`` is the bins-last recursion as it ran before
+``kalman.filter_bins`` held state and covariance as one augmented array:
+``kf_predict_apart`` returns a fresh state and covariance each frame,
+``kf_update_apart`` folds the observation into them in place.
+``lp_segments_one_by_one`` fits each LP segment when it is asked for, as
+``kalman.lp_segments`` does after a batched fit fails, and
+``filter_segmented_apart`` runs the apart recursion over those fits. The
+library reproduces all three bit for bit, error texts included.
+
 ``wiener_branch_composed`` is the NKF graph's Wiener branch as the engine's
 ops composed it (``mul``, ``sub``, ``clamp``, ``mul``) before
 ``wiener.apply_wiener`` became one node; that node's value and ``sigma_v2``
@@ -112,6 +121,8 @@ import numpy as np
 from nkf import autodiff as ad
 from nkf import enhancer
 from nkf.errors import DataError, NumericsError
+from nkf.kalman import kf_gain
+from nkf.linear_prediction import autocorrelate, levinson_durbin
 from nkf.networks import (_DIMS, LOGVAR_LIMIT, NOISE_VAR_EPS, NkfModel, _context_rows,
                           _param_shapes, _records, build_model, first_layer_product,
                           fnn_features, lstm_forward, noise_fnn_forward_grid)
@@ -588,6 +599,102 @@ def filter_bins_matmul(noisy_amp, sigma_v2, segments, order: int):
             out[t] = np.maximum(x[:, 0], 0.0)
             gains[t] = g[:, 0]
     return out, gains
+
+
+def kf_predict_apart(x, ree, c, sigma_w2):
+    """Propagate state and covariance one frame ahead; returns both.
+
+    ``ree`` is used as symmetric: row = (A ree)[0] = sum_j c_j ree[j], and
+    A ree A^T is ree shifted down and right, bordered by row on both sides,
+    with c . row + sigma_w2 in the corner. x shifts down under its new first
+    component c . x.
+    """
+    row = np.add.reduce(c[:, None] * ree, 0)
+    pred = np.empty_like(ree)
+    pred[1:, 1:] = ree[:-1, :-1]
+    pred[0, 1:] = pred[1:, 0] = row[:-1]
+    pred[0, 0] = np.add.reduce(c * row, 0) + sigma_w2
+    x_pred = np.empty_like(x)
+    x_pred[1:], x_pred[0] = x[:-1], np.add.reduce(c * x, 0)
+    return x_pred, pred
+
+
+def kf_update_apart(x, ree, g, y_amp):
+    """Fold the observed amplitudes (F) into the predicted state and
+    covariance, in place (``kf_predict_apart`` returns fresh arrays); returns both."""
+    x += g * (y_amp - x[0])
+    ree -= g[:, None] * ree[0]
+    return x, ree
+
+
+def filter_bins_apart(noisy_amp, sigma_v2, segments, order: int):
+    """The KF recursion over the T x F amplitude tracks of all bins at once.
+
+    ``segments`` yields ``(start, stop, coeffs F x P, residual_var F)`` in
+    frame order; state and covariance carry across segment boundaries. The
+    state of each bin is seeded from its first P noisy amplitudes (newest
+    first) with covariance sigma_v2[0] * I; those frames pass through
+    unchanged. Each frame runs ``kf_predict_apart``, ``kalman.kf_gain`` and
+    ``kf_update_apart``. Returns the filtered tracks and the first gain
+    component per frame and bin. A ``sigma_v2`` of another shape, or a
+    non-finite amplitude, raises before the recursion; the latter names the
+    first frame that holds one.
+    """
+    if np.shape(sigma_v2) != noisy_amp.shape:
+        raise DataError(f"noise variance is {np.shape(sigma_v2)}, not {noisy_amp.shape}")
+    finite = np.isfinite(noisy_amp).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise DataError(f"non-finite noisy amplitude at frame {bad}, bins "
+                        f"{np.flatnonzero(~np.isfinite(noisy_amp[bad])).tolist()}")
+    out = noisy_amp.copy()
+    gains = np.zeros(noisy_amp.shape)
+    n_frames, _ = noisy_amp.shape
+    if n_frames <= order:
+        return out, gains
+    # the frames the recursion reads; written to reject NaN too
+    if not (np.all(sigma_v2[0] >= 0) and np.all(sigma_v2[order:] >= 0)):
+        raise DataError("noise variance must be nonnegative")
+    x = noisy_amp[order - 1::-1].copy()
+    ree = np.eye(order)[:, :, None] * sigma_v2[0]
+    for start, stop, coeffs, sigma_w2 in segments:
+        c = np.ascontiguousarray(coeffs.T)
+        first = max(start, order)
+        for t in range(first, stop):
+            x, pred = kf_predict_apart(x, ree, c, sigma_w2)
+            g = kf_gain(pred, sigma_v2[t], t)
+            x, ree = kf_update_apart(x, pred, g, noisy_amp[t])
+            out[t] = x[0]
+            gains[t] = g[0]
+        np.maximum(out[first:stop], 0.0, out=out[first:stop])
+    return out, gains
+
+
+def lp_segments_one_by_one(lp_track, order: int, seg_len: int):
+    """Each LP segment's models, ``(start, stop, coeffs F x P, residual_var
+    F)``, fit when asked for; a fit that fails names the segment's first
+    frame. A tail of ``order`` frames or fewer is merged into the previous
+    segment."""
+    n = len(lp_track)
+    starts = list(range(0, n, seg_len))
+    if len(starts) > 1 and n - starts[-1] <= order:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        r = autocorrelate(lp_track[lo:hi], order)
+        try:
+            coeffs, residual_var = levinson_durbin(r, order)
+        except NumericsError as e:
+            raise NumericsError(f"LP segment at frame {lo}: {e}") from None
+        yield lo, hi, coeffs, residual_var
+
+
+def filter_segmented_apart(noisy_amp, lp_track, sigma_v2, order: int, seg_len: int):
+    """``filter_bins_apart`` with each segment's models fit when the
+    recursion reaches it."""
+    if np.shape(lp_track) != np.shape(noisy_amp):
+        raise DataError(f"LP track is {np.shape(lp_track)}, not {np.shape(noisy_amp)}")
+    return filter_bins_apart(noisy_amp, sigma_v2,
+                             lp_segments_one_by_one(lp_track, order, seg_len), order)
 
 
 def track_sigma_y_whole(amplitude, span: int) -> np.ndarray:

@@ -3,8 +3,8 @@ import pytest
 
 from nkf.config import RunConfig
 from nkf.errors import DataError, NumericsError
-from nkf.kalman import (enhance_kf_baseline, filter_bins, filter_segmented,
-                        kf_gain, kf_predict, kf_update, run_kf)
+from nkf.kalman import (FrameBuffers, enhance_kf_baseline, filter_bins,
+                        filter_segmented, kf_gain, kf_predict, kf_update, run_kf)
 from nkf.metrics import segsnr
 from nkf.signal_core import Waveform
 from nkf.wiener import wiener_gain
@@ -32,6 +32,28 @@ def _scalar_kf_oracle(y, a, q, sigma_v2):
     return out
 
 
+def _predict(x, ree, c, sigma_w2):
+    """``kf_predict`` from state x (P x F), covariance ree and coefficients
+    c (P x F); returns the predicted state and covariance apart."""
+    p, n_bins = x.shape
+    buf = FrameBuffers(p, n_bins)
+    buf.state[:, :p], buf.state[:, p] = ree, x
+    buf.set_model(c.T, sigma_w2)
+    pred = kf_predict(buf)
+    return pred[:, p].copy(), pred[:, :p].copy()
+
+
+def _update(x, ree, g, y_amp):
+    """``kf_update`` on the prediction x (P x F) and ree with gain g; returns
+    the state and covariance apart."""
+    p, n_bins = x.shape
+    buf = FrameBuffers(p, n_bins)
+    buf.pred[:, :p], buf.pred[:, p] = ree, x
+    buf.v[:] = buf.pred[0]     # as kf_predict's gather leaves it
+    state = kf_update(buf, g, y_amp)
+    return state[:, p].copy(), state[:, :p].copy()
+
+
 def _random_psd(rng, p, n_bins):
     """P x P x F: one random PSD covariance per bin."""
     m = rng.standard_normal((n_bins, p, p))
@@ -43,21 +65,21 @@ class TestPredict:
     def test_scalar_hand_computation(self):
         # bin 0: x 2 -> 0.5 * 2, ree 0.25 * 1 + 0.25; bin 1: x 1 -> -1 * 1,
         # ree 1 * 2 + 0
-        x, ree = kf_predict(_bins([2.0], [1.0]), _bins([[1.0]], [[2.0]]),
-                            _bins([0.5], [-1.0]), np.array([0.25, 0.0]))
+        x, ree = _predict(_bins([2.0], [1.0]), _bins([[1.0]], [[2.0]]),
+                          _bins([0.5], [-1.0]), np.array([0.25, 0.0]))
         np.testing.assert_allclose(x, [[1.0, -1.0]])
         np.testing.assert_allclose(ree, [[[0.5, 2.0]]])
 
     def test_identity_transition_keeps_covariance(self):
-        x, ree = kf_predict(_bins([1.0], [-3.0]), _bins([[2.0]], [[0.5]]),
-                            np.ones((1, 2)), np.zeros(2))
+        x, ree = _predict(_bins([1.0], [-3.0]), _bins([[2.0]], [[0.5]]),
+                          np.ones((1, 2)), np.zeros(2))
         np.testing.assert_array_equal(x, [[1.0, -3.0]])
         np.testing.assert_array_equal(ree, [[[2.0, 0.5]]])
 
     def test_zero_state_stays_zero(self):
-        x, _ = kf_predict(np.zeros((2, 3)), _bins(*[np.eye(2)] * 3),
-                          _bins([0.3, 0.2], [0.0, 1.0], [-0.5, 0.5]),
-                          np.array([0.1, 0.0, 1.0]))
+        x, _ = _predict(np.zeros((2, 3)), _bins(*[np.eye(2)] * 3),
+                        _bins([0.3, 0.2], [0.0, 1.0], [-0.5, 0.5]),
+                        np.array([0.1, 0.0, 1.0]))
         assert np.all(x == 0)
 
     def test_matches_full_matrix_products(self):
@@ -66,7 +88,7 @@ class TestPredict:
         for p in range(1, 6):
             x, ree = rng.standard_normal((p, 7)), _random_psd(rng, p, 7)
             c, sigma_w2 = rng.uniform(-0.9, 0.9, (p, 7)), rng.uniform(0, 0.5, 7)
-            x_pred, ree_pred = kf_predict(x, ree, c, sigma_w2)
+            x_pred, ree_pred = _predict(x, ree, c, sigma_w2)
             for f in range(7):
                 a = np.eye(p, k=-1)
                 a[0] = c[:, f]
@@ -88,8 +110,8 @@ class TestGain:
         ree = _bins(np.zeros((2, 2)), [[1.0, 0.5], [0.5, 1.0]])
         g = kf_gain(ree, np.array([0.0, 1.0]), 0)
         np.testing.assert_array_equal(g, [[0.0, 0.5], [0.0, 0.25]])
-        x, _ = kf_update(_bins([1.0, 0.0], [2.0, 1.0]), ree.copy(), g,
-                         np.array([9.0, 4.0]))
+        x, _ = _update(_bins([1.0, 0.0], [2.0, 1.0]), ree.copy(), g,
+                       np.array([9.0, 4.0]))
         np.testing.assert_array_equal(x, [[1.0, 3.0], [0.0, 1.5]])
         assert not np.any(kf_gain(ree[..., :1], np.ones(1), 0))
 
@@ -97,6 +119,14 @@ class TestGain:
         ree = _bins([[1.0]], [[-1e-3]], [[0.5]], [[-1.0]])
         with pytest.raises(NumericsError, match=r"frame 7, bins \[1, 3\]"):
             kf_gain(ree, np.zeros(4), 7)
+
+    def test_out_buffer_takes_the_same_gain(self):
+        rng = np.random.default_rng(11)
+        ree, sigma_v2 = _random_psd(rng, 3, 6), rng.uniform(0, 2, 6)
+        sigma_v2[2] = ree[0, 0, 2] = 0.0      # a zero denominator beside the rest
+        out = np.full((3, 6), np.nan)
+        assert kf_gain(ree, sigma_v2, 0, out) is out
+        np.testing.assert_array_equal(out, kf_gain(ree, sigma_v2, 0))
 
     def test_balanced(self):
         g = kf_gain(_bins([[1.0]], [[0.25]]), np.array([1.0, 0.75]), 0)
@@ -114,27 +144,27 @@ class TestUpdate:
         # gain 1/2 lands midway
         ree = _bins([[1.0]], [[3.0]])
         g = kf_gain(ree, np.array([1.0, 3.0]), 0)
-        x, _ = kf_update(_bins([2.0], [0.0]), ree, g, np.array([4.0, 1.0]))
+        x, _ = _update(_bins([2.0], [0.0]), ree, g, np.array([4.0, 1.0]))
         np.testing.assert_allclose(x, [[3.0, 0.5]])
 
     def test_zero_gain_keeps_prediction(self):
         x0 = _bins([2.0, 1.0], [0.5, 3.0])
-        x, ree = kf_update(x0.copy(), _bins(np.eye(2), np.eye(2)),
-                           np.zeros((2, 2)), np.array([9.0, 9.0]))
+        x, ree = _update(x0.copy(), _bins(np.eye(2), np.eye(2)),
+                         np.zeros((2, 2)), np.array([9.0, 9.0]))
         np.testing.assert_array_equal(x, x0)
         np.testing.assert_array_equal(ree, _bins(np.eye(2), np.eye(2)))
 
     def test_unit_gain_takes_observation(self):
         ree = _bins([[1.0]], [[0.2]])
         g = kf_gain(ree, np.zeros(2), 0)
-        x, _ = kf_update(_bins([2.0], [-1.0]), ree, g, np.array([7.0, 0.0]))
+        x, _ = _update(_bins([2.0], [-1.0]), ree, g, np.array([7.0, 0.0]))
         np.testing.assert_allclose(x, [[7.0, 0.0]])
 
 
 def _step(x, ree, c, sigma_w2, sigma_v2, y):
-    x, pred = kf_predict(x, ree, c, sigma_w2)
+    x, pred = _predict(x, ree, c, sigma_w2)
     g = kf_gain(pred, sigma_v2, 0)
-    return (*kf_update(x, pred, g, y), g)
+    return (*_update(x, pred, g, y), g)
 
 
 class TestInvariants:
@@ -175,12 +205,12 @@ class TestInvariants:
         r, sv, y = (rng.uniform(0.01, 5.0, n), rng.uniform(0.01, 5.0, n),
                     rng.uniform(0, 3, n))
         ree = r[None, None]
-        x, _ = kf_update(np.zeros((1, n)), ree.copy(), kf_gain(ree, sv, 0), y)
+        x, _ = _update(np.zeros((1, n)), ree.copy(), kf_gain(ree, sv, 0), y)
         np.testing.assert_allclose(x[0], wiener_gain(sv, r + sv) * y, rtol=1e-12)
         # the same predicted state arises from kf_predict with sigma_w2 = R,
         # any prior state, and zero transition
-        x, pred = kf_predict(rng.uniform(0, 3, (1, n)),
-                             rng.uniform(0, 3, (1, 1, n)), np.zeros((1, n)), r)
+        x, pred = _predict(rng.uniform(0, 3, (1, n)),
+                           rng.uniform(0, 3, (1, 1, n)), np.zeros((1, n)), r)
         assert np.all(x == 0)
         np.testing.assert_array_equal(pred[0, 0], r)
 

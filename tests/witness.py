@@ -8,9 +8,9 @@ a 9-step desk run on 2 s utterances and for a 3-step run on 17 s utterances
 cut to ``seq_len`` 1024 frames; the repr of ``gradient_check(0)`` as a
 float; and, for each ``--method``, the sha256 of the WAV and of every
 ``--dump-grids`` grid that ``nkf enhance`` writes for the test split with
-the desk run's model. A
-change that claims bit-identical outputs writes this file on its parent's
-tree and on its own, and the two files compare equal with ``cmp``.
+the desk run's model, and for ``kf`` and ``wiener`` with ``--oracle-noise``
+too. A change that claims bit-identical outputs writes this file on its
+parent's tree and on its own, and the two files compare equal with ``cmp``.
 
 Each ``--set`` is applied to every run after the settings above. One BLAS
 thread is used unless ``OPENBLAS_NUM_THREADS`` says otherwise, because the
@@ -39,6 +39,10 @@ RUNS = [
     ("seq_len_1024", ["train_count=4", "dev_count=1", "test_count=1",
                       "utterance_seconds=17", "seq_len=1024"], 3),
 ]
+
+#: the methods that also run with ``--oracle-noise``, the noise grid from the
+#: corpus's mixing metadata instead of the model's estimate
+ORACLE_METHODS = ("kf", "wiener")
 
 
 def _sha256(data: bytes) -> str:
@@ -87,6 +91,12 @@ def witness(overrides, work) -> dict:
                          "--manifest", os.path.join(corpus, "manifest.csv"),
                          "--method", method, "--dump-grids", "--out", out])
             report[f"enhance_{method}"] = _file_hashes(out)
+        for method in ORACLE_METHODS:
+            out = os.path.join(work, name, f"enhance_{method}_oracle")
+            _run(sets + ["enhance", "--manifest", os.path.join(corpus, "manifest.csv"),
+                         "--method", method, "--oracle-noise", "--dump-grids",
+                         "--out", out])
+            report[f"enhance_{method}_oracle"] = _file_hashes(out)
     return report
 
 
