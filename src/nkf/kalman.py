@@ -21,11 +21,11 @@ product and one sum. Each value is the one the steps made with state and
 covariance held apart, bit for bit: the same IEEE operations on the same
 operands. (Those steps summed a lone bin's c . x pairwise from order 8 on,
 as numpy reduces an axis of one bin; these add in order, so a bin filters
-alike alone and beside others.) ``filter_segmented`` takes its models from ``lp_segments``, which
-fits every full-length segment in one ``levinson_durbin(autocorrelate(...))``
-call. All of these go through this module's names, so a wrapper set on
-``kalman.kf_predict`` (as perfbench's tracer sets) sees every call.
-``transition_matrix`` is re-exported too.
+alike alone and beside others.) ``filter_segmented`` takes its models from
+``lp_segments``, which fits every full-length segment in one
+``levinson_durbin(autocorrelate(...))`` call. All of these go through this
+module's names, so a wrapper set on ``kalman.kf_predict`` (as perfbench's
+tracer sets) sees every call. ``transition_matrix`` is re-exported too.
 """
 
 from __future__ import annotations

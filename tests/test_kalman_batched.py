@@ -302,13 +302,14 @@ def test_a_segment_that_cannot_be_fit_is_named_when_the_recursion_reaches_it(k,
     lo = 20 * k
     track = np.ones((102, 4))
     track[lo + 5, 1] = track[lo + 9, 3] = np.nan
-    grids = (np.ones((102, 4)), track, np.ones((102, 4)))
+    amp = np.ones((102, 4))
     frames = _counting(monkeypatch, "kf_predict")
-    with pytest.raises(NumericsError, match=rf"^LP segment at frame {lo}: .*bins \[1, 3\]$") as got:
-        filter_segmented(*grids[:1], track, grids[2], 2, 20)
+    named = rf"^LP segment at frame {lo}: .*bins \[1, 3\]$"
+    with pytest.raises(NumericsError, match=named) as got:
+        filter_segmented(amp, track, amp, 2, 20)
     assert len(frames) == max(lo - 2, 0)
     with pytest.raises(NumericsError) as want:
-        filter_segmented_apart(*grids[:1], track, grids[2], 2, 20)
+        filter_segmented_apart(amp, track, amp, 2, 20)
     assert str(got.value) == str(want.value)
 
 
