@@ -15,7 +15,7 @@ import numpy as np
 
 from nkf import data_io, enhancer, metrics
 from nkf.config import RunConfig
-from nkf.networks import build_model, load_checkpoint, save_checkpoint
+from nkf.networks import build_model_from, load_checkpoint, save_checkpoint
 
 cfg = RunConfig(window=128, hop=32, lstm_units=32, lstm_layers=1,
                 fnn_hidden=48, context=8, variance_span=12,
@@ -30,10 +30,7 @@ with tempfile.TemporaryDirectory(prefix="nkf_demo_") as workdir:
           f"{len(manifest.split_entries('test'))} test utterances "
           f"of {cfg.utterance_seconds:.0f}s")
 
-    model = build_model(cfg.n_bins, lstm_units=cfg.lstm_unit_list,
-                        fnn_hidden=cfg.fnn_hidden, context=cfg.context,
-                        window=cfg.window, hop=cfg.hop,
-                        variance_span=cfg.variance_span, seed=cfg.seed)
+    model = build_model_from(cfg)
     model, history = enhancer.train(model, manifest, cfg, max_steps=600)
     print(f"trained {len(history)} steps: loss {history[0]:.4f} "
           f"-> {np.mean(history[-10:]):.4f}")

@@ -5,41 +5,18 @@ A ``DiffArray`` wraps an ndarray and remembers how it was produced; calling
 order and accumulates exact gradients into every leaf's ``grad`` buffer but
 the constants made by ``lift``; inner nodes drop theirs once propagated.
 Gradients on leaves persist across backward calls (``NkfModel.zero_grad``
-resets a model's), which is what batched gradient accumulation relies on. A
-graph is spent by its backward, though: ``lstm_layer`` writes its gradients
-over its own cache, so a second ``backward()`` through a graph that holds one
-raises ``RuntimeError``. Build a new graph for each backward.
+resets a model's), which is what batched gradient accumulation relies on.
 
-One rule accumulates gradients: a node's first contribution becomes its
-``grad`` (a numpy scalar as a 0-d array), later ones are added in place, and
-constants ignore theirs. So every op here and every ``make_node`` node hands
-over fresh float64 arrays of their nodes' shapes that nothing else holds. A
-model parameter's ``grad`` is its view of the model's gradient arena
-(``networks.NkfModel``), so every contribution to it adds in place, but for
-the weight-gradient products of ``add_product``. Slicing scatters into a
-zeroed buffer of the source's shape.
-
-The op set is deliberately small, each op a layer of the NKF graph: ``exp``,
-``dense`` (``act(x @ w + b)``, with ReLU, clamp or softplus), basic slicing
-(the one operator overload), a fused mean-square reduction and a fused LSTM
-layer. No broadcasting and no elementwise arithmetic: each formula over
-layers (the Wiener filter, the NKF gain and combination, the batch mean) is
-one ``make_node`` with its backward written out, operands checked by
-``check_shapes``. The chains they replaced (``matmul``, a row-vector add, an
-activation; ``add``, ``sub``, ``mul``, ``div``) are in ``tests/oracles.py``.
+Each op is a layer of the NKF graph, and slicing is the one operator
+overload. There is no broadcasting and no elementwise arithmetic: each
+formula over layers (the Wiener filter, the NKF gain and combination, the
+batch mean) is one ``make_node`` with its backward written out. The chains
+they replaced are in ``tests/oracles.py``.
 
 Values must not change while a graph that reads them is alive: backward
 reuses them, so mutating ``values`` in place invalidates the gradients of
 any graph recorded before. ``networks.optimizer_step`` updates parameter
 values in place, between one step's backward and the next forward.
-
-A node's backward may defer a contribution to a job on the worker thread
-(``worker.on_worker``) and return the job's ``join``; the noise net's first
-layer does so for ``fnn.w1``. Only a contribution to a leaf that no node
-reads may be deferred, and every contribution to that leaf must be: the
-caller goes on backpropagating while the job runs. ``backward()`` calls every
-join before it returns or raises. The worker runs jobs in turn, so deferred
-contributions accumulate in node order, as they would inline.
 """
 
 from __future__ import annotations
@@ -94,7 +71,8 @@ class DiffArray:
     # -- graph construction -------------------------------------------
 
     def _accumulate(self, delta):
-        """Add ``delta`` into ``grad``; a first contribution becomes ``grad``."""
+        """Add ``delta`` into ``grad`` in place; a first contribution becomes
+        ``grad`` (a numpy scalar as a 0-d array), and a constant ignores it."""
         if self.constant:
             return
         if self.grad is None:
@@ -109,8 +87,9 @@ class DiffArray:
         A node's ``_backward`` may return the ``join`` that
         ``worker.on_worker`` gave it for a job that makes a deferred
         contribution: one to a leaf that no node reads and that only deferred
-        contributions reach. Every join is called, in node order, before this
-        returns or raises, so every leaf's ``grad`` is whole once it does. A
+        contributions reach, while backward goes on. Every join is called, in
+        node order, before this returns or raises; the worker runs jobs in
+        turn, so deferred contributions add in node order, as inline. A
         node's exception leaves first; otherwise the first a job raised. After
         one raises, gradients are undefined until ``NkfModel.zero_grad``."""
         if self.values.size != 1:
@@ -158,9 +137,10 @@ def _toposort(root: DiffArray):
 
 
 def make_node(values, parents, backward):
-    """An op's node (every op here, ``wiener.apply_wiener``, the noise net's
-    first layer, ``enhancer``'s gain, combination and batch mean): ``values``
-    with the ``parents`` that ``backward(g)`` feeds, bare under ``no_grad``."""
+    """A node of ``values`` with the ``parents`` that ``backward(g)`` feeds,
+    bare under ``no_grad``. ``backward`` hands each parent a fresh float64
+    array of its shape that nothing else holds, as a first contribution
+    becomes the parent's ``grad``."""
     if not _GRAD_ENABLED:
         return DiffArray(values)
     return DiffArray(values, _parents=parents, _backward=backward)
@@ -182,9 +162,6 @@ def check_shapes(op: str, *nodes: DiffArray):
         raise ValueError(f"{op}: shapes {[x.shape for x in nodes]} do not match")
 
 
-# -- activations and dense layers -------------------------------------------
-
-
 def exp(x) -> DiffArray:
     x = lift(x)
     out = np.exp(x.values)
@@ -199,16 +176,10 @@ def dense(x, w, b, act: str, *, limit: float = np.inf, floor: float = 0.0) -> Di
     """One dense layer as one node: ``act(x @ w + b)`` for a 2-D or
     B x T x In node ``x``, an In x K node ``w`` and a length-K node ``b``.
     ``act`` is ``"relu"``, ``"clamp"`` (to [-limit, limit]; the gradient is
-    zero outside) or ``"softplus"`` (plus ``floor``).
-
-    Forward forms ``z = x @ w``, adds ``b`` and applies ``act`` over ``z`` in
-    place; the node keeps that output and, when recording, what the
-    derivative needs besides: clamp's pass-through mask, softplus's logistic
-    ``0.5 (1 + tanh(z / 2))``. Backward forms the pre-activation gradient
-    ``gz``, then adds ``b``'s, ``x``'s (unless constant) and ``w``'s
-    contributions in that order. Values and gradients round as the
-    ``matmul``, row-vector add, activation (and ``add``) chain did, bit for
-    bit."""
+    zero outside) or ``"softplus"`` (plus ``floor``). Backward adds ``b``'s,
+    ``x``'s (unless constant) and ``w``'s contributions in that order. Values
+    and gradients round as the ``matmul``, row-vector add, activation (and
+    ``add``) chain did, bit for bit."""
     x, w, b = lift(x), lift(w), lift(b)
     if x.ndim not in (2, 3) or w.ndim != 2 or x.shape[-1] != w.shape[0] \
             or b.shape != w.shape[1:]:
@@ -243,9 +214,6 @@ def dense(x, w, b, act: str, *, limit: float = np.inf, floor: float = 0.0) -> Di
     return make_node(z, (x, w, b), backward)
 
 
-# -- shape ops --------------------------------------------------------------
-
-
 def take(x, key) -> DiffArray:
     """Basic slicing/indexing; gradient scatters back into the source."""
     x = lift(x)
@@ -260,9 +228,6 @@ def take(x, key) -> DiffArray:
         x.zeroed = False
 
     return make_node(out, (x,), backward)
-
-
-# -- reductions --------------------------------------------------------------
 
 
 def mean_square(a, b) -> DiffArray:
@@ -281,27 +246,18 @@ def mean_square(a, b) -> DiffArray:
     return make_node(out, (a, b), backward)
 
 
-# -- recurrent layers ----------------------------------------------------------
-
-
 def lstm_layer(x, wx, wh, b, state=None) -> tuple[DiffArray, tuple]:
     """One LSTM layer over a B x T x In batch as a single node, B x T x U out,
     and the final ``(h, c)``, two B x U arrays.
 
     ``wx`` (In, 4U), ``wh`` (U, 4U) and ``b`` (4U,) hold the gate blocks i, f,
-    g, o in that order. The time loop writes each frame's gate activations
-    over its block of the input projection; hidden and cell states are
-    B x (T+1) x U arrays from frame 0, the initial ``state`` (zeros if None;
-    it takes no gradient), the output a view from frame 1. So a sequence run
-    in two calls, the second from the first's final state, gives the outputs
-    of one call. Backward keeps those three arrays, recomputes ``tanh`` of
-    the cell states and runs the loop once, writing each frame's gate
-    gradients over its activations; then it forms each weight gradient as one
-    matmul. So the node takes one backward only (``RuntimeError`` after).
-    Each frame's recurrent product, ``h @ wh`` and in backward ``dz_t @
-    wh.T``, is ``worker.split_matmul``'s: its output columns halved between
-    this thread and the worker once ``wh`` is as large as the full preset's,
-    each column the whole product's, bit for bit.
+    g, o in that order. Hidden and cell states start from ``state`` (zeros if
+    None; it takes no gradient), so a sequence run in two calls, the second
+    from the first's final state, gives the outputs of one call. Backward
+    writes each frame's gate gradients over the gate cache, so the node takes
+    one backward only (``RuntimeError`` after): build a new graph for each.
+    Each frame's recurrent product, ``h @ wh`` and in backward
+    ``dz_t @ wh.T``, is ``worker.split_matmul``'s.
     """
     x, wx, wh, b = lift(x), lift(wx), lift(wh), lift(b)
     n_b, n_t, n_in = x.shape

@@ -25,7 +25,7 @@ import numpy as np
 from . import data_io, enhancer, metrics, signal_core
 from .config import load_config, parse_assignments, save_config
 from .errors import ConfigError, DataError, NkfError, NumericsError
-from .networks import build_model, load_checkpoint
+from .networks import build_model_from, load_checkpoint
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -76,14 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _model_from_cfg(cfg):
-    return build_model(
-        cfg.n_bins, lstm_units=cfg.lstm_unit_list, fnn_hidden=cfg.fnn_hidden,
-        context=cfg.context, window=cfg.window, hop=cfg.hop,
-        variance_span=cfg.variance_span, sample_rate=cfg.sample_rate,
-        log_features=cfg.log_features, seed=cfg.seed)
-
-
 def cmd_synth(cfg, args) -> int:
     resolved = os.path.join(args.out, "resolved.cfg")
     _refuse_replacing([resolved], [args.config])
@@ -108,7 +100,7 @@ def cmd_train(cfg, args) -> int:
         raise DataError("manifest has no train entries")
     for entry in entries:
         enhancer.read_train_pair(entry, cfg)
-    model = _model_from_cfg(cfg)
+    model = build_model_from(cfg)
     os.makedirs(args.out, exist_ok=True)
     save_config(cfg, resolved)
     model, history = enhancer.train(model, manifest, cfg, out_dir=args.out,
@@ -231,11 +223,9 @@ def cmd_eval(cfg, args) -> int:
     if not rows:
         raise DataError("no enhanced utterances found to evaluate")
     per_snr = metrics.summarize_rows(rows)
-    fields = ["utt_id", "snr_db", "fwsegsnr", "segsnr", "amp_mse",
-              "fwsegsnr_noisy", "segsnr_noisy", "amp_mse_noisy"]
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with data_io.replacing(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

@@ -86,22 +86,17 @@ def _inputs(m: NkfModel, noisy_amp, clean_amp=None) -> tuple:
 def _forward(m: NkfModel, utts, lo: int = 0, hi: int | None = None, state=None):
     """The NKF graph over frames lo..hi-1 (by default all) of ``_inputs``
     tuples: the LSTM runs once from ``state`` on their features zero-padded at
-    the end to ``hi - lo`` frames (exact: the LSTM is causal; one utterance
-    that has every row runs on a view of its own), the rest per utterance on
-    the rows it has, the noise net's context reaching before lo.
+    the end to ``hi - lo`` frames (exact, as the LSTM is causal), the rest per
+    utterance on the rows it has, the noise net's context reaching before lo.
 
-    While the LSTM runs, one job on the worker thread (``on_worker``) forms
-    every utterance's noise-net first-layer product, block by block in one
-    feature buffer that only the job holds. Every array it writes is
-    allocated here and every node is built here, so every value is the
-    serial graph's, bit for bit. The job is joined before any exception
-    leaves, and an exception of the LSTM's leaves before one of the job's.
-    At full width the LSTM's first recurrent product that it splits with the
-    worker (``worker.split_matmul``) waits behind this job.
+    While the LSTM runs, one worker job forms every utterance's noise-net
+    first-layer product into arrays allocated here; every node is built
+    here, so every value is the serial graph's, bit for bit. The job is
+    joined before any exception leaves, and the LSTM's exception leaves
+    before the job's.
 
     Returns per utterance the loss node (None without a clean grid) and the
-    grids, which are the nodes' own ``values``, not copies (no op writes a
-    node's values once it is made: see ``autodiff``); then the LSTM's state."""
+    grids, the nodes' own ``values``, not copies; then the LSTM's state."""
     hi = max(len(noisy) for noisy, *_ in utts) if hi is None else hi
     stops = [min(hi, len(noisy)) for noisy, *_ in utts]
     if len(utts) == 1 and stops[0] == hi:
@@ -156,8 +151,7 @@ def enhance(m: NkfModel, noisy: signal_core.Waveform,
             method: str = "nkf") -> EnhancementResult:
     """Enhance one utterance, computing only what ``method``'s output reads:
     ``nkf`` the whole graph, ``lstm`` the predictor alone, ``wiener``
-    ``enhance_wiener`` with the model's noise net and framing. The networks
-    run in blocks of frames (``pipeline.run_blocks``)."""
+    ``enhance_wiener`` with the model's noise net and framing."""
     if method == "wiener":
         return enhance_wiener(noisy, m, model=m)   # the model carries its framing
     if method == "nkf":
@@ -254,11 +248,9 @@ def train(m: NkfModel, manifest: "data_io.CorpusManifest", cfg,
 
     ``cfg``'s framing must be the model's. Sequences longer than
     ``cfg.seq_len`` frames contribute one random truncated segment per visit
-    (state reset per segment); one backward pass on the batch-mean loss
-    precedes each Adam step. ``epoch000.nkf`` (the model as given) and one
+    (state reset per segment). ``epoch000.nkf`` (the model as given) and one
     checkpoint per epoch go beside the history that led to them; ``model.nkf``
     equals the last. A non-finite loss halts training and writes the history.
-
     Returns the trained model and the per-step loss history.
     """
     if max_steps is not None and max_steps < 1:

@@ -9,23 +9,10 @@ segments of that output, then runs the recursion over the raw noisy
 amplitudes and resynthesizes with the noisy phase.
 
 ``kf_predict``, ``kf_gain`` and ``kf_update`` are one frame's steps for all
-bins at once, with the bin axis last, so every component is one contiguous
-F-vector. ``filter_bins`` holds each bin's covariance ree (P x P) and state
-x (P) as one augmented state [ree | x] (P x (P + 1) x F, the state as its
-last column) in ``FrameBuffers`` made once per call, and runs the three
-steps into them per frame: ``kf_predict`` forms the first row of
-A [ree | x] with one multiply and P - 1 in-place adds, then the whole
-prediction with one gather; ``kf_gain`` divides the prediction's first
-covariance column; ``kf_update`` folds the observation in with one outer
-product and one sum. Each value is the one the steps made with state and
-covariance held apart, bit for bit: the same IEEE operations on the same
-operands. (Those steps summed a lone bin's c . x pairwise from order 8 on,
-as numpy reduces an axis of one bin; these add in order, so a bin filters
-alike alone and beside others.) ``filter_segmented`` takes its models from
-``lp_segments``, which fits every full-length segment in one
-``levinson_durbin(autocorrelate(...))`` call. All of these go through this
-module's names, so a wrapper set on ``kalman.kf_predict`` (as perfbench's
-tracer sets) sees every call. ``transition_matrix`` is re-exported too.
+bins at once, the bin axis last. They, ``autocorrelate`` and
+``levinson_durbin`` are called through this module's names, so a wrapper set
+on one sees every call; perfbench's tracer sets them, and the imported
+``transition_matrix``, which is here for that alone.
 """
 
 from __future__ import annotations
@@ -41,15 +28,13 @@ class FrameBuffers:
     """The arrays one ``filter_bins`` call runs its frame steps in, made once
     for P-order models over F bins (Q = P + 1 columns).
 
-    ``state`` (P x Q x F) is the augmented state [ree | x]: the covariance
-    with the state vector as its last column, so ``x0`` is the first state
-    component. ``work`` holds it in its first P rows of Q x F, the P rows of
-    ``products`` below it, and ``corner`` (P x F) last. ``row`` is
-    ``products[0]`` and ``head`` its first P entries. The gather over
-    ``index`` writes the prediction into ``pred`` and a copy of its first row
-    into ``v`` below it; ``ree`` is the prediction's covariance, ``g`` the
-    gain. ``set_model`` puts a segment's LP model in ``c`` (P x F), ``c_cols``
-    (``c`` repeated over the Q columns) and ``sigma_w2``.
+    ``state`` (P x Q x F) is the augmented state [ree | x], the covariance
+    with the state vector as its last column; ``x0`` is x's first component.
+    ``work`` holds ``state``, the P rows of ``products`` (``row`` is the
+    first, ``head`` its first P entries) and ``corner`` (P x F), in that
+    order. The gather over ``index`` writes the prediction into ``pred`` and
+    a copy of its first row into ``v``; ``ree`` is the prediction's
+    covariance, ``g`` the gain.
     """
 
     __slots__ = ("work", "state", "x0", "products", "row", "head", "corner",
@@ -83,7 +68,8 @@ class FrameBuffers:
         self.sigma_w2 = None
 
     def set_model(self, coeffs, residual_var):
-        """The LP model the next frames predict with: ``coeffs`` F x P and
+        """The LP model the next frames predict with: ``coeffs`` F x P (into
+        ``c``, P x F, and ``c_cols``, ``c`` over the Q columns) and
         ``residual_var`` F."""
         self.c[:] = coeffs.T
         self.c_cols[:] = self.c[:, None]
@@ -98,8 +84,8 @@ def kf_predict(buf: FrameBuffers):
     The covariance is used as symmetric: the first row of A [ree | x] is
     sum_j c_j [ree | x][j], added in order; A ree A^T is ree shifted down and
     right, bordered by that row on both sides, with c . row + sigma_w2 in the
-    corner, and x shifts down under its new first component c . x. The shift
-    and border are one gather from ``buf.work``.
+    corner, and x shifts down under its new first component c . x, all one
+    gather from ``buf.work``.
     """
     products, row, corner = buf.products, buf.row, buf.corner
     np.multiply(buf.c_cols, buf.state, out=products)
@@ -138,13 +124,10 @@ def kf_gain(ree, sigma_v2, frame: int, out=None):
 def kf_update(buf: FrameBuffers, g, y_amp):
     """Fold the observed amplitudes (F) into the prediction ``buf.pred`` with
     gain ``g`` (P x F): ``buf.state`` becomes
-    pred + g (x) [-pred[0, :P], y - x0], one outer product and one sum,
-    which it returns. ``buf.v`` holds a copy of pred[0], as ``kf_predict``
-    leaves it.
-
-    That is ree - g ree[0] and x + g (y - x0) in one array: the same IEEE
-    operations on the same operands as with the two held apart, signed
-    zeros included (x0 - y would be +0 where y - x0 is).
+    pred + g (x) [-pred[0, :P], y - x0], which it returns, from the copy of
+    pred[0] that ``kf_predict`` leaves in ``buf.v``. That is ree - g ree[0]
+    and x + g (y - x0), signed zeros included (x0 - y would be +0 where
+    y - x0 is).
     """
     v, last = buf.v, buf.v_last
     np.negative(v, out=v)
@@ -160,11 +143,12 @@ def filter_bins(noisy_amp, sigma_v2, segments, order: int):
     frame order; state and covariance carry across segment boundaries. The
     state of each bin is seeded from its first P noisy amplitudes (newest
     first) with covariance sigma_v2[0] * I; those frames pass through
-    unchanged. Each frame runs ``kf_predict``, ``kf_gain`` and ``kf_update``
-    in one ``FrameBuffers``. Returns the filtered tracks and the first gain
-    component per frame and bin. A ``sigma_v2`` of another shape, or a
-    non-finite amplitude, raises before the recursion; the latter names the
-    first frame that holds one.
+    unchanged. Returns the filtered tracks and the first gain component per
+    frame and bin. Every value is bit for bit the one of the same steps with
+    state and covariance held apart, and a bin's are the same alone as beside
+    others. A ``sigma_v2`` of another shape, or a non-finite amplitude,
+    raises before the recursion; the latter names the first frame that holds
+    one.
     """
     if np.shape(sigma_v2) != noisy_amp.shape:
         raise DataError(f"noise variance is {np.shape(sigma_v2)}, not {noisy_amp.shape}")
@@ -201,11 +185,7 @@ def filter_bins(noisy_amp, sigma_v2, segments, order: int):
 
 def run_kf(noisy_amp, coeffs, residual_var, sigma_v2) -> np.ndarray:
     """Filter one amplitude track with one P-order LP model (``coeffs`` of
-    length P and ``residual_var``): ``filter_bins`` on one bin.
-
-    The state is seeded from the first P noisy amplitudes (newest first) with
-    covariance sigma_v2[0] * I; those frames pass through unchanged.
-    """
+    length P and ``residual_var``): ``filter_bins`` on one bin."""
     noisy_amp = np.asarray(noisy_amp, dtype=np.float64)
     sigma_v2 = np.asarray(sigma_v2, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -224,13 +204,12 @@ def lp_segments(lp_track, order: int, seg_len: int):
     """Each ``seg_len``-frame segment's LP models of ``lp_track`` (T x F):
     yields ``(start, stop, coeffs F x P, residual_var F)`` in frame order.
 
-    A tail of ``order`` frames or fewer is too short for LP analysis and is
-    merged into the previous segment. When the first segment is asked for,
-    every segment of exactly ``seg_len`` frames is fit in one
-    ``levinson_durbin(autocorrelate(...))`` call over a ``seg_len x S x F``
-    view; a shorter or tail-absorbing last one is fit alone when reached. If
-    the batched fit fails, each segment is fit when reached instead, so a fit
-    that fails names its segment's first frame and its bins.
+    A tail of ``order`` frames or fewer is merged into the previous segment.
+    When the first segment is asked for, every segment of exactly ``seg_len``
+    frames is fit in one call over a ``seg_len x S x F`` view; a last one of
+    another length is fit alone when reached. If the batched fit fails, each
+    segment is fit when reached instead, so a failing fit names its
+    segment's first frame and its bins.
     """
     n = len(lp_track)
     starts = list(range(0, n, seg_len))
@@ -258,10 +237,8 @@ def lp_segments(lp_track, order: int, seg_len: int):
 
 
 def filter_segmented(noisy_amp, lp_track, sigma_v2, order: int, seg_len: int):
-    """``filter_bins`` with LP models fit on ``seg_len``-frame segments of
-    ``lp_track`` (T x F, like the other grids) by ``lp_segments``, whose
-    first fit is made when the recursion asks for the first segment, after
-    ``filter_bins``' input checks."""
+    """``filter_bins`` with ``lp_segments``' models of ``lp_track`` (T x F,
+    like the other grids), the first fit after ``filter_bins``' input checks."""
     if np.shape(lp_track) != np.shape(noisy_amp):
         raise DataError(f"LP track is {np.shape(lp_track)}, not {np.shape(noisy_amp)}")
     return filter_bins(noisy_amp, sigma_v2, lp_segments(lp_track, order, seg_len), order)

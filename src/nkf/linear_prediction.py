@@ -3,11 +3,7 @@
 The biased autocorrelation estimator (divide by N, not N-k) keeps the
 Toeplitz normal equations positive semidefinite, so the Levinson-Durbin
 recursion below is well defined for any finite input with r(0) > 0. Both
-run on every track of a segment at once: ``autocorrelate`` takes an
-``N x ...`` segment (time first, as the grids are) and returns its lags on
-the last axis, and ``levinson_durbin`` solves every ``...`` row of lags, so
-a 1-D track is the one-bin case. A silent track (r(0) at or below the floor)
-gets the zero model.
+take every track of a segment at once, time first as the grids are.
 """
 
 from __future__ import annotations
@@ -23,15 +19,20 @@ _SILENT_R0 = 1e-14
 def autocorrelate(x: np.ndarray, max_lag: int) -> np.ndarray:
     """Biased autocorrelation r(k) = (1/N) sum_n x(n) x(n-k), k = 0..max_lag.
 
-    ``x`` is ``N x ...``; returns ``... x (max_lag + 1)``. The lags of an
-    ``N x F`` segment are column sums, taken row by row.
+    ``x`` is ``N x ...``; returns ``... x (max_lag + 1)``. Each lag adds its
+    products in frame order from +0, so a track gets the same bits alone,
+    as ``N x 1`` or beside others.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     if n <= max_lag:
         raise DataError("sequence too short for requested lag")
-    return np.stack([np.sum(x[k:] * x[:n - k], axis=0)
-                     for k in range(max_lag + 1)], axis=-1) / n
+    # the tracks as columns beside a zero one: numpy sums pairwise only along
+    # the fast axis in memory, and across it, as here, adds rows in order
+    cols = np.zeros((n, x[0].size + 1))
+    cols[:, :-1] = x.reshape(n, -1)
+    lags = [np.sum(cols[k:] * cols[:n - k], axis=0)[:-1] for k in range(max_lag + 1)]
+    return np.stack(lags, axis=-1).reshape(x.shape[1:] + (max_lag + 1,)) / n
 
 
 def levinson_durbin(r: np.ndarray, order: int):

@@ -6,16 +6,11 @@ amplitude per bin (ReLU, so nonnegative), the other the log variance of the
 prediction residual (clamped to +-12 so its exponential stays finite).
 The noise net is three ReLU feed-forward layers mapping a left-side context
 window of amplitudes plus the current running noisy variance to a strictly
-positive noise variance per bin (softplus output). Its first layer's
-product, and in backward its ``fnn.w1`` gradient, run as jobs on the worker
-thread, started on first use, while the caller does other work
-(``worker.on_worker``); Adam updates half of every arena there.
+positive noise variance per bin (softplus output).
 
 ``_param_shapes`` declares every weight once; ``NkfModel`` lays them out in
-flat arrays and holds them as ``DiffArray`` leaves, so one ``backward()`` on
-a downstream loss yields exact gradients for every weight. Training state
-(Adam moments, step count) lives on ``NkfModel`` and round-trips bit-exactly
-through the binary checkpoint format documented at the bottom of this file.
+flat arrays beside Adam's state, and the checkpoint format at the bottom of
+this file stores them.
 """
 
 from __future__ import annotations
@@ -44,9 +39,8 @@ LOGVAR_LIMIT = 12.0
 
 def _param_shapes(n_bins: int, units, context: int, hidden: int) -> dict:
     """Every parameter's name and shape, in the order that initialization,
-    Adam and the checkpoint use. Per LSTM layer of U units: ``wx``, ``wh``
-    and ``b`` with the input, forget, cell and output gate blocks along 4U.
-    """
+    Adam and the checkpoint use; the LSTM gate blocks as ``autodiff.lstm_layer``
+    takes them."""
     if n_bins < 1 or len(units) < 1 or any(u < 1 for u in units):
         raise DataError("predictor dimensions must be positive")
     if context < 1 or hidden < 1:
@@ -70,12 +64,10 @@ def lstm_forward(m: NkfModel, noisy_amp,
     """Run the predictor over a B x T x F batch of sequences.
 
     Returns the nonnegative amplitude prediction and the clamped residual
-    log variance, both B x T x F, and each layer's final ``(h, c)``. Hidden
-    and cell states start from ``state``, one ``(h, c)`` per layer as
-    returned here, or at zero in every sequence. Outputs at frame t depend
-    only on frames up to t, so a sequence zero-padded at its end keeps its
-    outputs, and one run in blocks, each from the last one's final state,
-    gets the outputs of one run.
+    log variance, both B x T x F, and each layer's final ``(h, c)``, which a
+    next call takes as ``state`` (None starts every layer at zero).
+    Outputs at frame t depend only on frames up to t, so a sequence
+    zero-padded at its end keeps its outputs.
     """
     layer_in = np.asarray(noisy_amp, dtype=np.float64)
     if layer_in.ndim != 3 or layer_in.shape[2] != m.n_bins or layer_in.shape[1] < 1:
@@ -111,11 +103,10 @@ def fnn_features(amplitude: np.ndarray, sigma_y2: np.ndarray, context: int,
     the first hi-lo rows of ``work``, a C-contiguous array of (context+1)·F
     columns, when given.
 
-    Indices before the utterance start repeat frame 0. Only rows before
-    frame context-1 read a padded copy, of at most 2·context-2 frames; later
-    rows read the grid itself. (Writing the repeated frames row by row takes
-    a numpy call per row, and on the worker each call takes the GIL back from
-    the LSTM running beside it.)
+    Indices before the utterance start repeat frame 0: rows before frame
+    context-1 read a padded copy of at most 2·context-2 frames, not a numpy
+    call per repeated row, each of which on the worker would take the GIL
+    back from the LSTM running beside it.
     """
     hi = len(amplitude) if hi is None else hi
     n_frames, n_bins = hi - lo, amplitude.shape[1]
@@ -177,21 +168,14 @@ def noise_fnn_forward_grid(m: NkfModel, amplitude: np.ndarray, sigma_y2: np.ndar
     of a T x F grid; the context of frame lo reaches back into the grid.
     Raises ``DataError`` unless 0 <= lo < hi <= T.
 
-    Each layer is one node. The first, ReLU(features @ ``fnn.w1`` + ``fnn.b1``),
-    keeps no ``fnn_features`` matrix. Forward takes ``pre``, the product that
-    ``first_layer_product(m, amplitude, sigma_y2, lo, hi, out)`` writes, or
-    forms it so when None, and adds ``fnn.b1`` and applies the ReLU over it in
-    place. Backward forms the pre-activation gradient, adds ``fnn.b1``'s, forms
-    the padded context rows on the calling thread and hands ``w1``'s gradient to
-    the worker as one job (``on_worker``): ``add_first_layer_gradient``,
-    batched products over shifted views of those rows through
-    ``m.w1_scratch``, added into ``w1.grad``. It returns the job's ``join``, which
-    ``DiffArray.backward`` calls before it returns; the worker runs jobs in
-    turn, so ``w1``'s gradient sums in node order. That is bit for bit the
-    whole feature matrix's product at both presets' widths; far below them (a
-    tap's product over more than 384 rows with F·H·(hi-lo) <= 1e6),
-    OpenBLAS's small-matrix kernel can round ``w1``'s gradient differently in
-    the last bits. The other two layers are ``autodiff.dense`` nodes."""
+    Each layer is one node; the first keeps no ``fnn_features`` matrix: its
+    forward adds ``fnn.b1`` and the ReLU in place over ``pre``, the product
+    ``first_layer_product`` writes (formed here when None), and its backward
+    defers ``w1``'s gradient to one ``add_first_layer_gradient`` worker job.
+    That gradient is bit for bit the whole feature matrix's product at both
+    presets' widths; far below them (a tap's product over more than 384 rows
+    with F·H·(hi-lo) <= 1e6), OpenBLAS's small-matrix kernel can round it
+    differently in the last bits."""
     amplitude = np.asarray(amplitude, dtype=np.float64)
     sigma_y2 = np.asarray(sigma_y2, dtype=np.float64)
     if amplitude.ndim != 2 or amplitude.shape != sigma_y2.shape \
@@ -231,9 +215,8 @@ class NkfModel:
     ``values``, ``grads``, ``adam_m`` and ``adam_v``, hold each parameter at
     its offset in ``layout`` (name -> (offset, shape)); a parameter's
     ``values`` and ``grad`` are views. ``grads`` is an anonymous mapping, not
-    heap memory that calloc may clear, so its pages are mapped on first write,
-    and only backward writes it: a model that only enhances holds no resident
-    gradients."""
+    heap memory that calloc may clear, and only backward writes it, so a
+    model that only enhances holds no resident gradients."""
 
     def __init__(self, *, units, log_features: bool, adam_step: int = 0, **dims):
         for d in _DIMS:
@@ -264,11 +247,6 @@ class NkfModel:
         for p in self.params.values():
             p.zeroed = True
 
-    def gradients(self) -> dict[str, np.ndarray]:
-        """Accumulated gradients: the views of ``grads``, not copies."""
-        return self.views(self.grads)
-
-
 
 def build_model(n_bins: int, *, lstm_units=(64, 64), fnn_hidden: int = 128,
                 context: int = 30, window: int = 256, hop: int = 64,
@@ -294,6 +272,15 @@ def build_model(n_bins: int, *, lstm_units=(64, 64), fnn_hidden: int = 128,
     return m
 
 
+def build_model_from(cfg) -> NkfModel:
+    """``build_model`` with a ``RunConfig``'s widths, framing and seed."""
+    return build_model(
+        cfg.n_bins, lstm_units=cfg.lstm_unit_list, fnn_hidden=cfg.fnn_hidden,
+        context=cfg.context, window=cfg.window, hop=cfg.hop,
+        variance_span=cfg.variance_span, sample_rate=cfg.sample_rate,
+        log_features=cfg.log_features, seed=cfg.seed)
+
+
 #: Floats in the Adam update's work buffers: each arena half is updated in
 #: blocks of half this size, with two block-sized buffers per half (512 KiB
 #: in all), so each block stays in cache while it goes through every pass.
@@ -307,13 +294,11 @@ def optimizer_step(m: NkfModel, lr: float = 1e-3) -> NkfModel:
 
     ``NumericsError`` names the first parameter, in declared order, whose
     gradient is not finite, before anything moves. Moments and values are
-    then updated in place, the flat arenas' first half on this thread and the
-    second on the worker (``in_halves``), each in blocks of ``_ADAM_CHUNK // 2``
-    elements through two block-sized work buffers that this thread makes for
-    both, bit-identical to ``m = beta1 * m + (1 - beta1) * g``,
+    then updated in place, the arenas' first half on this thread and the
+    second on the worker (``in_halves``), in work buffers this thread makes,
+    bit-identical to ``m = beta1 * m + (1 - beta1) * g``,
     ``v = beta2 * v + (1 - beta2) * g * g`` and
-    ``p = p - lr * m_hat / (sqrt(v_hat) + eps)`` (``_ADAM_BETA1``,
-    ``_ADAM_BETA2``, ``_ADAM_EPS``): each element's update is elementwise.
+    ``p = p - lr * m_hat / (sqrt(v_hat) + eps)``, each element on its own.
     """
     t, grads = m.adam_step + 1, m.grads
     # min and max propagate NaN and show an infinity, without a temporary
@@ -366,10 +351,7 @@ def _adam_pass(m: NkfModel, t: int, lr: float, lo: int, hi: int, work: np.ndarra
 #           u8 ndim, u32 per dimension,
 #           float64 data, C order
 #
-# _records gives every parameter in declared order, then the Adam first
-# moments as "adam_m.<name>", then the second moments as "adam_v.<name>".
-# The reader requires exactly that order. Save followed by load reproduces
-# the model bit-exactly.
+# Save followed by load reproduces the model bit-exactly.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"NKFCKPT1"
@@ -389,7 +371,8 @@ def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
 
 def _records(m: NkfModel):
     """(record name, array) of every tensor in file order: each parameter's
-    view of ``values``, then of ``adam_m``, then of ``adam_v``."""
+    view of ``values`` as its name, then of ``adam_m`` as ``adam_m.<name>``,
+    then of ``adam_v`` as ``adam_v.<name>``."""
     return [(prefix + name, arr)
             for prefix, arena in (("", m.values), ("adam_m.", m.adam_m), ("adam_v.", m.adam_v))
             for name, arr in m.views(arena).items()]

@@ -1,15 +1,7 @@
 """The worker thread, and the split of one piece of work between it and the
-calling thread.
-
-``on_worker(fn)`` hands ``fn`` to one daemon thread, started on first use,
-that runs the jobs handed to it, from any thread, in turn. ``in_halves``
-runs two callables at once, one here and one on the worker, and
-``split_matmul`` forms ``a @ w`` so, ``w``'s output columns halved between
-the threads, once ``w`` holds ``SPLIT_ENTRIES`` entries. Each output column
-is formed by the same arithmetic on either thread, so its bits do not depend
-on the split. A half handed to the worker waits behind the jobs queued
-before it, such as a noise-net first-layer product or an ``fnn.w1``
-gradient, so the caller's join waits for those too.
+calling thread. A half handed to the worker (``in_halves``) waits behind the
+jobs queued before it, such as a noise-net first-layer product or an
+``fnn.w1`` gradient, so the caller's join waits for those too.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from nkf.config import RunConfig
 from nkf.enhancer import nkf_combine, nkf_gain
 from nkf.kalman import kf_gain, run_kf
 from nkf.linear_prediction import autocorrelate, levinson_durbin
-from nkf.networks import build_model
+from nkf.networks import build_model, build_model_from
 from nkf.signal_core import Waveform, istft, stft
 from nkf.wiener import wiener_gain
 
@@ -53,10 +53,7 @@ def desk_corpus(tmp_path_factory):
 @pytest.fixture(scope="module")
 def trained_desk_model(desk_corpus):
     cfg, manifest, synth_seconds = desk_corpus
-    model = build_model(cfg.n_bins, lstm_units=cfg.lstm_unit_list,
-                        fnn_hidden=cfg.fnn_hidden, context=cfg.context,
-                        window=cfg.window, hop=cfg.hop,
-                        variance_span=cfg.variance_span, seed=cfg.seed)
+    model = build_model_from(cfg)
     t0 = time.time()
     model, history = enhancer.train(model, manifest, cfg,
                                     max_steps=DESK_TRAIN_STEPS)
@@ -322,10 +319,7 @@ def test_criterion_10_determinism(tmp_path):
         def one_run(tag):
             root = tmp_path / tag
             manifest = data_io.synth_corpus(cfg, root)
-            model = build_model(cfg.n_bins, lstm_units=cfg.lstm_unit_list,
-                                fnn_hidden=cfg.fnn_hidden, context=cfg.context,
-                                window=cfg.window, hop=cfg.hop,
-                                variance_span=cfg.variance_span, seed=cfg.seed)
+            model = build_model_from(cfg)
             model, history = enhancer.train(model, manifest, cfg, max_steps=6)
             waves = []
             for e in manifest.split_entries("test"):

@@ -14,7 +14,7 @@ import pytest
 from nkf import autodiff as ad
 from nkf import data_io, enhancer
 from nkf.config import RunConfig
-from nkf.networks import build_model, fnn_features, noise_fnn_forward_grid
+from nkf.networks import build_model, build_model_from, fnn_features, noise_fnn_forward_grid
 from nkf.signal_core import BLOCK, Waveform, block_bounds
 
 from oracles import enhance_whole
@@ -25,10 +25,7 @@ METHODS = tuple(enhancer.METHODS)
 
 @pytest.fixture(scope="module")
 def model():
-    return build_model(CFG.n_bins, lstm_units=CFG.lstm_unit_list,
-                       fnn_hidden=CFG.fnn_hidden, context=CFG.context,
-                       window=CFG.window, hop=CFG.hop,
-                       variance_span=CFG.variance_span, seed=0)
+    return build_model_from(CFG)
 
 
 def _noisy(n_frames: int) -> Waveform:

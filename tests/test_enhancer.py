@@ -19,8 +19,8 @@ from nkf.enhancer import (EnhancementResult, NkfFrameEstimates, enhance,
                           nkf_forward, nkf_gain, nkf_loss, train, _batch_loss,
                           _forward, _inputs)
 from nkf.errors import ConfigError, DataError, NumericsError
-from nkf.networks import build_model, fnn_features, load_checkpoint, \
-    noise_fnn_forward_grid
+from nkf.networks import build_model, build_model_from, fnn_features, \
+    load_checkpoint, noise_fnn_forward_grid
 from nkf.pipeline import run_blocks
 from nkf.signal_core import Waveform, block_bounds, stft
 from nkf.wiener import VARIANCE_FLOOR, apply_wiener, track_sigma_y, wiener_gain
@@ -38,10 +38,7 @@ def _tiny_model(seed=0, **kw):
 
 def _desk_model():
     cfg = RunConfig(seed=0)   # the desk preset
-    return cfg, build_model(cfg.n_bins, lstm_units=cfg.lstm_unit_list,
-                            fnn_hidden=cfg.fnn_hidden, context=cfg.context,
-                            window=cfg.window, hop=cfg.hop,
-                            variance_span=cfg.variance_span, seed=0)
+    return cfg, build_model_from(cfg)
 
 
 def _zeroed_model():
@@ -161,7 +158,7 @@ class TestOneNodeFormulas:
             m.zero_grad()
             loss = mean()
             loss.backward()
-            runs.append((loss.values, {k: g.copy() for k, g in m.gradients().items()}))
+            runs.append((loss.values, m.views(m.grads.copy())))
         (got, got_grads), (want, want_grads) = runs
         assert _bits(got) == _bits(want)
         for name, grad in got_grads.items():
@@ -454,7 +451,7 @@ class TestFirstLayerWorker:
             m.zero_grad()
             out, _ = forward(m, utts)
             functools.reduce(oracles.add, [loss for loss, _ in out]).backward()
-            runs.append((out, {k: g.copy() for k, g in m.gradients().items()}))
+            runs.append((out, m.views(m.grads.copy())))
             assert calls == [(0, n) for n in (256, 200, 256, 31)]   # one block each
             calls.clear()
         (got, got_grads), (want, want_grads) = runs
@@ -714,7 +711,7 @@ class TestBackwardWorker:
             grads = []
             for _ in range(2):   # no zero_grad: the second backward adds to the first
                 _batch_loss(m, segments).backward()
-                grads.append({name: g.copy() for name, g in m.gradients().items()})
+                grads.append(m.views(m.grads.copy()))
             runs.append(grads)
         assert len(jobs.ended) == 8   # 4 utterances, 2 backwards; none in the oracle
         for got, want in zip(*runs, strict=True):
@@ -886,8 +883,8 @@ class TestBackwardWorker:
         _batch_loss(m, segments).backward()
         fresh = _tiny_model(seed=12)
         _batch_loss(fresh, segments).backward()
-        want = fresh.gradients()
-        for name, grad in m.gradients().items():
+        want = fresh.views(fresh.grads)
+        for name, grad in m.views(m.grads).items():
             np.testing.assert_array_equal(grad, want[name])
 
 
@@ -943,17 +940,10 @@ def corpus(tmp_path_factory):
 
 
 class TestTrainingLoop:
-    def _model(self, cfg):
-        return build_model(cfg.n_bins, lstm_units=cfg.lstm_unit_list,
-                           fnn_hidden=cfg.fnn_hidden, context=cfg.context,
-                           window=cfg.window, hop=cfg.hop,
-                           variance_span=cfg.variance_span,
-                           sample_rate=cfg.sample_rate, seed=cfg.seed)
-
     def test_gradients_zeroed_in_their_arena_before_the_graph_is_built(
             self, corpus, monkeypatch):
         cfg, manifest = corpus
-        model = self._model(cfg)
+        model = build_model_from(cfg)
         arena, held = model.grads, []
         build = enhancer._batch_loss
 
@@ -969,7 +959,7 @@ class TestTrainingLoop:
     def test_zero_learning_rate_keeps_parameters(self, corpus):
         cfg, manifest = corpus
         cfg = cfg.replace(lr=1e-300)  # effectively zero; lr must be positive
-        model = self._model(cfg)
+        model = build_model_from(cfg)
         before = {k: p.values.copy() for k, p in model.parameters().items()}
         train(model, manifest, cfg, max_steps=2)
         for k, p in model.parameters().items():
@@ -985,21 +975,21 @@ class TestTrainingLoop:
         cfg, manifest = corpus
         key, = framing
         with pytest.raises(ConfigError, match=f"framing differs .* {key} = "):
-            train(self._model(cfg), manifest, cfg.replace(**framing),
+            train(build_model_from(cfg), manifest, cfg.replace(**framing),
                   out_dir=tmp_path / "run", max_steps=1)
         assert not (tmp_path / "run").exists()
 
     def test_same_seed_identical_history(self, corpus):
         cfg, manifest = corpus
         cfg = cfg.replace(epochs=2)
-        _, h1 = train(self._model(cfg), manifest, cfg, max_steps=4)
-        _, h2 = train(self._model(cfg), manifest, cfg, max_steps=4)
+        _, h1 = train(build_model_from(cfg), manifest, cfg, max_steps=4)
+        _, h2 = train(build_model_from(cfg), manifest, cfg, max_steps=4)
         assert h1 == h2
         assert len(h1) == 4
 
     def test_loss_decreases_on_smoke_run(self, corpus):
         cfg, manifest = corpus
-        model = self._model(cfg)
+        model = build_model_from(cfg)
         _, history = train(model, manifest, cfg.replace(epochs=30),
                            max_steps=40)
         assert np.mean(history[-5:]) < np.mean(history[:5])
@@ -1008,7 +998,7 @@ class TestTrainingLoop:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow intended
     def test_divergence_halts_with_checkpoints_on_disk(self, corpus, tmp_path):
         cfg, manifest = corpus
-        model = self._model(cfg)
+        model = build_model_from(cfg)
         out = tmp_path / "run"
         # step 0's update overflows the parameters, so step 1's loss is not
         # finite; the error numbers it as loss_history.csv numbers its rows
@@ -1023,7 +1013,7 @@ class TestTrainingLoop:
     def test_max_steps_below_one_rejected_before_any_step(self, corpus, tmp_path,
                                                           max_steps):
         cfg, manifest = corpus
-        model = self._model(cfg)
+        model = build_model_from(cfg)
         before = {k: p.values.copy() for k, p in model.parameters().items()}
         out = tmp_path / "never"
         with pytest.raises(DataError, match="max_steps"):
@@ -1050,19 +1040,19 @@ class TestTrainingLoop:
             entries.append(dataclasses.replace(e, clean_path=path))
         with pytest.raises(DataError, match=r"train utterance train_\d+: clean and "
                            r"noisy waveforms must have equal length, got \d+ and 8000"):
-            train(self._model(cfg), data_io.CorpusManifest(entries), cfg,
+            train(build_model_from(cfg), data_io.CorpusManifest(entries), cfg,
                   max_steps=1)
 
     def test_trains_at_the_configured_sample_rate(self, tmp_path):
         cfg = _training_cfg(sample_rate=8000, train_count=2)
         manifest = data_io.synth_corpus(cfg, tmp_path)
-        _, history = train(self._model(cfg), manifest, cfg, max_steps=1)
+        _, history = train(build_model_from(cfg), manifest, cfg, max_steps=1)
         assert len(history) == 1 and np.isfinite(history[0])
 
     def test_checkpoints_and_history_written(self, corpus, tmp_path):
         cfg, manifest = corpus
         out = tmp_path / "ok"
-        train(self._model(cfg), manifest, cfg, out_dir=out, max_steps=2)
+        train(build_model_from(cfg), manifest, cfg, out_dir=out, max_steps=2)
         assert (out / "model.nkf").exists()
         assert (out / "epoch000.nkf").exists()
         lines = (out / "loss_history.csv").read_text().strip().splitlines()
@@ -1074,8 +1064,8 @@ class TestTrainingLoop:
     def test_out_dir_changes_no_bit_of_training(self, corpus, tmp_path):
         cfg, manifest = corpus
         cfg = cfg.replace(epochs=3)   # 2 steps per epoch: 5 stop inside the third
-        quiet, h_quiet = train(self._model(cfg), manifest, cfg, max_steps=5)
-        saved, h_saved = train(self._model(cfg), manifest, cfg,
+        quiet, h_quiet = train(build_model_from(cfg), manifest, cfg, max_steps=5)
+        saved, h_saved = train(build_model_from(cfg), manifest, cfg,
                                out_dir=tmp_path / "run", max_steps=5)
         assert h_quiet == h_saved and len(h_quiet) == 5
         for name, p in quiet.parameters().items():
@@ -1088,7 +1078,7 @@ class TestTrainingLoop:
         cfg, manifest = corpus
         cfg = cfg.replace(epochs=3)
         out = tmp_path / "run"
-        model, history = train(self._model(cfg), manifest, cfg, out_dir=out,
+        model, history = train(build_model_from(cfg), manifest, cfg, out_dir=out,
                                max_steps=max_steps)
         names = ["epoch000.nkf", "epoch001.nkf", "epoch002.nkf", "epoch003.nkf"]
         assert sorted(p.name for p in out.iterdir()) == sorted(
@@ -1115,7 +1105,7 @@ class TestTrainingLoop:
 
         monkeypatch.setattr(enhancer, "optimizer_step", interrupted)
         with pytest.raises(_Interrupt):
-            train(self._model(cfg), manifest, cfg.replace(epochs=3), out_dir=out)
+            train(build_model_from(cfg), manifest, cfg.replace(epochs=3), out_dir=out)
         assert not (out / "model.nkf").exists()
         assert load_checkpoint(out / last).adam_step == steps_saved
         rows = (out / "loss_history.csv").read_text().splitlines()
@@ -1124,7 +1114,7 @@ class TestTrainingLoop:
     def test_failed_model_write_leaves_the_run_directory_whole(self, corpus, tmp_path,
                                                                monkeypatch):
         cfg, manifest = corpus
-        train(self._model(cfg), manifest, cfg, out_dir=tmp_path / "ok", max_steps=2)
+        train(build_model_from(cfg), manifest, cfg, out_dir=tmp_path / "ok", max_steps=2)
         replace = os.replace
 
         def refuse_model(src, dst):
@@ -1135,7 +1125,7 @@ class TestTrainingLoop:
         monkeypatch.setattr(os, "replace", refuse_model)
         out = tmp_path / "failed"
         with pytest.raises(OSError, match="disk full"):
-            train(self._model(cfg), manifest, cfg, out_dir=out, max_steps=2)
+            train(build_model_from(cfg), manifest, cfg, out_dir=out, max_steps=2)
         kept = ["epoch000.nkf", "epoch001.nkf", "loss_history.csv"]
         assert sorted(p.name for p in out.iterdir()) == kept
         for name in kept:

@@ -19,6 +19,8 @@ theirs, bit for bit. One bin alone is compared with the apart oracle run on
 that bin twice over: from order 8 on, numpy sums a one-bin axis-0 reduction
 pairwise, so the apart steps rounded a bin alone differently from the same
 bin beside others, where the augmented steps add rows in order either way.
+``autocorrelate`` adds each lag's products in frame order too, so a bin
+fits and filters alike alone and beside others, LP fit included.
 """
 
 import numpy as np
@@ -211,15 +213,20 @@ def test_long_wide_track_bit_identical_to_the_apart_oracle(order):
 @settings(max_examples=60, deadline=None)
 @given(kf_cases())
 def test_a_bin_filters_alike_alone_and_beside_others(case):
+    # the recursion given the same models, and the LP fit with it
     noisy, lp_track, sigma_v2, order, seg_len = case
     segments = _fit(lp_track, order, segment_bounds(len(noisy), seg_len, order))
     out, gains = filter_bins(noisy, sigma_v2, segments, order)
+    fit_out, fit_gains = filter_segmented(noisy, lp_track, sigma_v2, order, seg_len)
     for f in range(noisy.shape[1]):
         one = slice(f, f + 1)
         alone = filter_bins(noisy[:, one], sigma_v2[:, one],
                             [(lo, hi, coeffs[one], residual[one])
                              for lo, hi, coeffs, residual in segments], order)
         assert _same_bits(alone, (out[:, one], gains[:, one]))
+        alone = filter_segmented(noisy[:, one], lp_track[:, one], sigma_v2[:, one],
+                                 order, seg_len)
+        assert _same_bits(alone, (fit_out[:, one], fit_gains[:, one]))
 
 
 def test_negative_denominator_raises_the_oracles_error():

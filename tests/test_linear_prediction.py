@@ -43,14 +43,15 @@ class TestAutocorrelate:
             autocorrelate([1.0, 2.0], 2)
 
     def test_columns_are_tracks(self):
-        # an N x F segment gives F x (lags); each row is its column's lags
+        # an N x F segment gives F x (lags); each row is its column's lags,
+        # bit for bit, as a 1-D track and as an N x 1 segment
         rng = np.random.default_rng(3)
         seg = rng.standard_normal((50, 3))
         r = autocorrelate(seg, 4)
         assert r.shape == (3, 5)
         for f in range(3):
-            np.testing.assert_allclose(r[f], autocorrelate(seg[:, f], 4),
-                                       rtol=1e-13, atol=1e-15)
+            assert np.array_equal(r[f], autocorrelate(seg[:, f], 4))
+            assert np.array_equal(r[f:f + 1], autocorrelate(seg[:, f:f + 1], 4))
 
 
 class TestLevinsonDurbin:

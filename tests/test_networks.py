@@ -127,7 +127,7 @@ def _first_layer_against_oracle(n_bins, hidden, lo, hi):
         m = build_model(n_bins, lstm_units=(2,), fnn_hidden=hidden, context=30, seed=4)
         out = forward(m, amp, sigma_y2, lo, hi)
         ad.mean_square(out, ad.lift(target)).backward()
-        results.append((out.values, m.gradients()))
+        results.append((out.values, m.views(m.grads)))
     return results
 
 
@@ -356,7 +356,7 @@ class TestArena:
             assert m.grads is arena and arena.any()
             assert all(p.grad is view for p, view in zip(m.params.values(), views))
         before = [a.copy() for a in (m.values, m.adam_m, m.adam_v)]
-        m.gradients()["lstm1.wh"][5, 7] = np.nan
+        m.views(m.grads)["lstm1.wh"][5, 7] = np.nan
         with pytest.raises(NumericsError, match=r"non-finite gradient for lstm1\.wh "
                            r"at Adam step 4$"):
             optimizer_step(m)
@@ -367,7 +367,7 @@ class TestArena:
 
 def _set_gradients(m, grads):
     """Write ``grads`` (name -> array) into the model's gradient views."""
-    for name, view in m.gradients().items():
+    for name, view in m.views(m.grads).items():
         view[...] = grads[name]
 
 
@@ -390,7 +390,7 @@ class TestOptimizer:
         m = self._tiny_model()
         name = "head_amp.b"
         m.parameters()[name].values[:] = 0.0
-        m.gradients()[name][:] = 1.0
+        m.views(m.grads)[name][:] = 1.0
         optimizer_step(m, lr=1e-3)
         np.testing.assert_allclose(m.parameters()[name].values, -1e-3, rtol=1e-7)
 
@@ -431,8 +431,8 @@ class TestOptimizer:
         optimizer_step(m)
         before = {k: p.values.copy() for k, p in m.parameters().items()}
         # the first parameter in declared order is named, with the step
-        m.gradients()["head_amp.b"][0] = np.nan
-        m.gradients()["fnn.w3"][0, 0] = np.inf
+        m.views(m.grads)["head_amp.b"][0] = np.nan
+        m.views(m.grads)["fnn.w3"][0, 0] = np.inf
         with pytest.raises(NumericsError, match=r"diverged: non-finite gradient "
                            r"for head_amp\.b at Adam step 2$"):
             optimizer_step(m)
@@ -467,7 +467,7 @@ class TestOptimizer:
                            for k, p in m.parameters().items()})
         optimizer_step(m)
         before = self._snapshot(m)
-        m.gradients()["fnn.b3"][-1] = bad
+        m.views(m.grads)["fnn.b3"][-1] = bad
         with pytest.raises(NumericsError, match=r"non-finite gradient for fnn\.b3 "
                            r"at Adam step 2$"):
             optimizer_step(m)

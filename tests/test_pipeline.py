@@ -19,7 +19,7 @@ from nkf.config import RunConfig
 from nkf.enhancer import enhance, enhance_wiener, nkf_forward
 from nkf.errors import ConfigError, DataError
 from nkf.kalman import enhance_kf_baseline
-from nkf.networks import build_model, noise_fnn_forward_grid
+from nkf.networks import build_model, build_model_from, noise_fnn_forward_grid
 from nkf.pipeline import wiener_estimate
 from nkf.signal_core import Waveform, recombine, stft
 from nkf.wiener import VARIANCE_FLOOR, track_sigma_y, wiener_gain
@@ -241,10 +241,7 @@ def test_bad_oracle_noise_grid_is_data_error(run, fault):
 
 def _desk_model():
     cfg = RunConfig(seed=0)
-    return cfg, build_model(cfg.n_bins, lstm_units=cfg.lstm_unit_list,
-                            fnn_hidden=cfg.fnn_hidden, context=cfg.context,
-                            window=cfg.window, hop=cfg.hop,
-                            variance_span=cfg.variance_span, seed=0)
+    return cfg, build_model_from(cfg)
 
 
 @pytest.mark.parametrize("method", sorted(enhancer.METHODS))
