@@ -216,9 +216,12 @@ class NkfModel:
     its offset in ``layout`` (name -> (offset, shape)); a parameter's
     ``values`` and ``grad`` are views. ``grads`` is an anonymous mapping, not
     heap memory that calloc may clear, and only backward writes it, so a
-    model that only enhances holds no resident gradients."""
+    model that only enhances holds no resident gradients. The other three
+    are zero, or the ``arenas`` given (``load_checkpoint`` passes views of a
+    mapped file)."""
 
-    def __init__(self, *, units, log_features: bool, adam_step: int = 0, **dims):
+    def __init__(self, *, units, log_features: bool, adam_step: int = 0, arenas=None,
+                 **dims):
         for d in _DIMS:
             setattr(self, d, int(dims[d]))
         self.units = tuple(int(u) for u in units)
@@ -227,7 +230,8 @@ class NkfModel:
         for name, shape in _param_shapes(self.n_bins, self.units, self.context,
                                          self.hidden).items():
             self.layout[name], size = (size, shape), size + math.prod(shape)
-        self.values, self.adam_m, self.adam_v = np.zeros((3, size))
+        self.values, self.adam_m, self.adam_v = np.zeros((3, size)) if arenas is None \
+            else arenas
         self.grads = np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE))
         self.params = {name: ad.DiffArray(v) for name, v in self.views(self.values).items()}
         for p, grad in zip(self.params.values(), self.views(self.grads).values()):
@@ -339,23 +343,30 @@ def _adam_pass(m: NkfModel, t: int, lr: float, lo: int, hi: int, work: np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format (version 1), little-endian throughout:
+# Checkpoint format (version 2), little-endian throughout:
 #
-#   _HEAD   magic b"NKFCKPT1", u32 format version (1), u32 x 7 the
-#           dimensions named in _DIMS in that order, u8 log_features flag,
-#           u32 number of LSTM layers
+#   _HEAD   magic b"NKFCKPT1", u32 format version (2), u32 x 7 the
+#           dimensions named in _DIMS in that order, u8 log_features flag
+#           (0 or 1), u32 number of LSTM layers
 #   u32     per LSTM layer, its unit count
-#   _TAIL   u64 Adam step count, u32 tensor count
-#   then per tensor, in _records order:
-#           u16 name length, name bytes (utf-8),
-#           u8 ndim, u32 per dimension,
-#           float64 data, C order
+#   _TAIL   u64 Adam step count, u32 tensor count (one per parameter)
+#   layout  per parameter, in _param_shapes order, its _pack_tensor record:
+#           u16 name length, name bytes (utf-8), u8 ndim, u32 per dimension
+#   then the arenas values, adam_m and adam_v, each one record of float64 in
+#   layout order, each at the first multiple of _ALIGN bytes after what
+#   precedes it; the gaps hold zero bytes, and the file ends with adam_v.
+#
+# Version 1, still read: the same header with version 1 and three tensors
+# per parameter, then per tensor, in _records order, its _pack_tensor record
+# and its float64 data, C order.
 #
 # Save followed by load reproduces the model bit-exactly.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"NKFCKPT1"
-_VERSION = 1
+_VERSION = 2
+#: the arenas' alignment in the file: a page, so a mapped arena's pages hold no other arena
+_ALIGN = 4096
 #: the header's seven u32 dimensions, as ``NkfModel`` attributes in file order
 _DIMS = ("window", "hop", "sample_rate", "n_bins", "context", "variance_span", "hidden")
 #: the fixed fields before the unit list, and those after it
@@ -363,14 +374,14 @@ _HEAD = struct.Struct(f"<{len(_MAGIC)}sI{len(_DIMS)}IBI")
 _TAIL = struct.Struct("<QI")
 
 
-def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
-    """A tensor record up to its float64 data."""
+def _pack_tensor(name: str, shape) -> bytes:
+    """A tensor's name and shape: a v2 layout entry, a v1 record up to its data."""
     raw = name.encode("utf-8")
-    return struct.pack(f"<H{len(raw)}sB{arr.ndim}I", len(raw), raw, arr.ndim, *arr.shape)
+    return struct.pack(f"<H{len(raw)}sB{len(shape)}I", len(raw), raw, len(shape), *shape)
 
 
 def _records(m: NkfModel):
-    """(record name, array) of every tensor in file order: each parameter's
+    """(record name, array) of every v1 tensor in file order: each parameter's
     view of ``values`` as its name, then of ``adam_m`` as ``adam_m.<name>``,
     then of ``adam_v`` as ``adam_v.<name>``."""
     return [(prefix + name, arr)
@@ -378,26 +389,60 @@ def _records(m: NkfModel):
             for name, arr in m.views(arena).items()]
 
 
+def _arena_offsets(start: int, n: int) -> list[int]:
+    """Where the three arenas of ``n`` float64 begin when the layout ends at ``start``."""
+    offsets = []
+    for _ in range(3):
+        start = -(-start // _ALIGN) * _ALIGN
+        offsets.append(start)
+        start += 8 * n
+    return offsets
+
+
 def save_checkpoint(m: NkfModel, path):
-    """Write ``m`` with ``data_io.replacing``, each tensor from its view."""
-    tensors = _records(m)
+    """Write ``m`` in format v2 with ``data_io.replacing``: the header and
+    layout, then each arena from its own memory, with no copy."""
+    head = (_HEAD.pack(_MAGIC, _VERSION, *(getattr(m, d) for d in _DIMS),
+                       m.log_features, len(m.units))
+            + struct.pack(f"<{len(m.units)}I", *m.units)
+            + _TAIL.pack(m.adam_step, len(m.layout))
+            + b"".join(_pack_tensor(name, shape) for name, (_, shape) in m.layout.items()))
     with replacing(path) as fh:
-        fh.write(_HEAD.pack(_MAGIC, _VERSION, *(getattr(m, d) for d in _DIMS),
-                            m.log_features, len(m.units))
-                 + struct.pack(f"<{len(m.units)}I", *m.units)
-                 + _TAIL.pack(m.adam_step, len(tensors)))
-        for name, arr in tensors:
-            fh.write(_pack_tensor(name, arr))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+        fh.write(head)
+        for start, arena in zip(_arena_offsets(len(head), m.values.size),
+                                (m.values, m.adam_m, m.adam_v)):
+            fh.write(bytes(start - fh.tell()))
+            fh.write(np.ascontiguousarray(arena, dtype="<f8"))
+
+
+def _check_header(dims: dict, log_features: int):
+    """Refuse the header values that ``save_checkpoint`` never writes; the
+    dimensions that size the parameters are ``_param_shapes``' to check."""
+    if log_features > 1:
+        raise DataError(f"malformed checkpoint: log_features flag {log_features}, "
+                        "expected 0 or 1")
+    for d in ("window", "hop", "sample_rate", "variance_span"):
+        if dims[d] < 1:
+            raise DataError(f"malformed checkpoint: {d} 0, expected at least 1")
 
 
 def load_checkpoint(path) -> NkfModel:
-    """Read a checkpoint front to back, in the order ``save_checkpoint``
-    writes it. The header's dimensions give the model; the file must hold
-    24 bytes per parameter before its arenas are made, and then each record
-    must be the one the writer packs for the next of ``_records``, its data
-    read straight into that view, so loading holds the tensors once. The
-    file must end with the last tensor."""
+    """Read a checkpoint's header, then map a v2 file's arenas or read a v1
+    file's records, front to back in the order the writer wrote them.
+
+    Nothing the header claims is made before the file is found to hold it.
+    v2: the layout must be the one the header's dimensions give, entry by
+    entry, the gaps zero and the file exactly as long as its arenas need;
+    only then is the file mapped copy-on-write (``mmap.ACCESS_COPY``) and
+    the arenas made views of the map. Pages are read when first touched, so
+    inference makes only ``values`` resident, and in-place updates (Adam)
+    copy the pages they write and never reach the file. A file that
+    ``data_io.replacing`` later moves over the path is a new inode, so the
+    model keeps its weights; a file rewritten in place is not supported.
+    v1: the file must hold 24 bytes per parameter before the arenas are
+    made, then each record must be the one the v1 writer packs for the next
+    of ``_records``, its data read straight into that view, so loading holds
+    the tensors once; the file must end with the last tensor."""
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -411,32 +456,55 @@ def load_checkpoint(path) -> NkfModel:
             magic, version, *dims, log_features, n_layers = _HEAD.unpack(take(_HEAD.size))
             if magic != _MAGIC:
                 raise DataError("malformed checkpoint: bad magic string")
-            if version != _VERSION:
+            if version not in (1, _VERSION):
                 raise DataError(f"unsupported checkpoint version {version}")
             dims = dict(zip(_DIMS, dims))
+            _check_header(dims, log_features)
             units = struct.unpack(f"<{n_layers}I", take(4 * n_layers))
             adam_step, n_tensors = _TAIL.unpack(take(_TAIL.size))
-            shapes = _param_shapes(dims["n_bins"], units, dims["context"],
-                                   dims["hidden"]).values()
-            if n_tensors != 3 * len(shapes):
+            shapes = _param_shapes(dims["n_bins"], units, dims["context"], dims["hidden"])
+            expected = len(shapes) * (3 if version == 1 else 1)
+            if n_tensors != expected:
                 raise DataError(f"malformed checkpoint: {n_tensors} tensors, "
-                                f"expected {3 * len(shapes)}")
+                                f"expected {expected}")
             # math.prod is exact: a product wrapped to 64 bits could pass
-            if size - fh.tell() < 24 * sum(math.prod(s) for s in shapes):
-                raise DataError("malformed checkpoint: truncated")
-            m = NkfModel(units=units, log_features=log_features, adam_step=adam_step, **dims)
-            for key, view in _records(m):
-                record = _pack_tensor(key, view)
-                if take(len(record)) != record:
-                    raise DataError(f"malformed checkpoint: expected tensor {key} "
-                                    f"of shape {view.shape}")
-                if fh.readinto(view) != view.nbytes:
+            n = sum(math.prod(s) for s in shapes.values())
+            fields = dict(units=units, log_features=log_features, adam_step=adam_step, **dims)
+            if version == 1:
+                if size - fh.tell() < 24 * n:
                     raise DataError("malformed checkpoint: truncated")
-            if fh.read(1):
-                raise DataError("malformed checkpoint: trailing bytes after the last tensor")
+                m = NkfModel(**fields)
+                for key, view in _records(m):
+                    record = _pack_tensor(key, view.shape)
+                    if take(len(record)) != record:
+                        raise DataError(f"malformed checkpoint: expected tensor {key} "
+                                        f"of shape {view.shape}")
+                    if fh.readinto(view) != view.nbytes:
+                        raise DataError("malformed checkpoint: truncated")
+                if fh.read(1):
+                    raise DataError("malformed checkpoint: trailing bytes after the last tensor")
+                if sys.byteorder != "little":   # the records hold little-endian float64
+                    for arena in (m.values, m.adam_m, m.adam_v):
+                        arena.byteswap(inplace=True)
+                return m
+            for name, shape in shapes.items():
+                record = _pack_tensor(name, shape)
+                if take(len(record)) != record:
+                    raise DataError(f"malformed checkpoint: expected tensor {name} "
+                                    f"of shape {shape}")
+            offsets = _arena_offsets(fh.tell(), n)
+            if size < offsets[-1] + 8 * n:
+                raise DataError("malformed checkpoint: truncated")
+            if size > offsets[-1] + 8 * n:
+                raise DataError("malformed checkpoint: trailing bytes after adam_v")
+            for gap, start in zip([fh.tell()] + [o + 8 * n for o in offsets], offsets):
+                fh.seek(gap)
+                if fh.read(start - gap) != bytes(start - gap):
+                    raise DataError("malformed checkpoint: nonzero padding")
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    if sys.byteorder != "little":   # the records hold little-endian float64
-        for arena in (m.values, m.adam_m, m.adam_v):
-            arena.byteswap(inplace=True)
-    return m
+    arenas = [np.frombuffer(mapped, "<f8", n, start) for start in offsets]
+    if sys.byteorder != "little":   # native copies of the little-endian arenas
+        arenas = [arena.astype(np.float64) for arena in arenas]
+    return NkfModel(**fields, arenas=arenas)

@@ -99,15 +99,15 @@ rest of the graph; one thread throughout, in forward and backward.
 back in polar form under the new amplitudes.
 
 ``save_checkpoint_copying`` is ``networks.save_checkpoint`` as it wrote a
-checkpoint before each tensor went to the file from its own memory: the
-header packed field by field, and each tensor record built as one ``bytes``
-that copies the tensor, through ``tobytes`` and again on concatenation.
-The two writers' files are byte-equal. ``load_checkpoint_seeking`` is
-``networks.load_checkpoint`` as it read one before it followed the writer's
-records: a first pass that decodes every record header into a name-to-offset
-table, seeking past the data, then a second that seeks back to each record
-of the model's. It loads records in any order, where the library requires
-the written one.
+format v1 checkpoint before each tensor went to the file from its own
+memory: the header packed field by field, and each tensor record built as
+one ``bytes`` that copies the tensor, through ``tobytes`` and again on
+concatenation. Its files are the v1 files that ``networks.load_checkpoint``
+still reads. ``load_checkpoint_seeking`` is ``networks.load_checkpoint`` as
+it read a v1 file before it followed the writer's records: a first pass
+that decodes every record header into a name-to-offset table, seeking past
+the data, then a second that seeks back to each record of the model's. It
+loads records in any order, where the library requires the written one.
 """
 
 import functools
@@ -772,7 +772,7 @@ def _pack_tensor_copying(name: str, arr: np.ndarray) -> bytes:
 
 
 def save_checkpoint_copying(m: NkfModel, path):
-    """A checkpoint of ``m`` at ``path``, every tensor copied into ``bytes``."""
+    """A v1 checkpoint of ``m`` at ``path``, every tensor copied into ``bytes``."""
     params = m.parameters()
     blob = [b"NKFCKPT1", struct.pack("<I", 1)]
     blob.append(struct.pack(

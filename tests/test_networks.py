@@ -1,3 +1,4 @@
+import mmap
 import os
 import struct
 import tracemalloc
@@ -11,12 +12,13 @@ from nkf.errors import ConfigError, DataError, NumericsError
 from nkf.networks import (build_model, add_first_layer_gradient, fnn_features,
                           load_checkpoint, lstm_forward, noise_fnn_forward_grid,
                           optimizer_step, save_checkpoint, NOISE_VAR_EPS)
-from nkf.enhancer import _batch_loss
-from nkf.signal_core import block_bounds
+from nkf.enhancer import _batch_loss, enhance
+from nkf.signal_core import Waveform, block_bounds
 
 from oracles import (adam_step, init_params, load_checkpoint_seeking, noise_fnn_forward,
                      noise_fnn_forward_grid_composed, reference_model,
                      save_checkpoint_copying, w1_grad_per_tap)
+from test_data_io import fail_writes
 
 
 def _zero_params(net):
@@ -490,7 +492,7 @@ class TestOptimizer:
 
 
 #: (``build_model`` arguments, whether Adam has stepped) of the checkpoints
-#: that both writers, and both readers, must agree on
+#: that both formats, and both v1 readers, must agree on
 _CHECKPOINT_SHAPES = [
     pytest.param(dict(n_bins=129, lstm_units=(64, 64), fnn_hidden=128, context=30), False,
                  id="desk"),
@@ -504,6 +506,13 @@ _CHECKPOINT_SHAPES = [
                       variance_span=7), True, id="adam-step"),
 ]
 
+#: the model that the malformed-file tests corrupt the checkpoints of
+_ONE_LAYER = dict(n_bins=5, lstm_units=(2,), fnn_hidden=3, context=2, seed=0)
+
+#: its v2 file: the layout begins after the 61-byte header, and the arenas'
+#: 174 floats (1392 bytes) each begin a 4096-byte page of their own
+_V2_LAYOUT, _V2_ARENAS, _V2_SIZE = 61, (4096, 8192, 12288), 12288 + 1392
+
 
 def _add_one(blob, at):
     """``blob`` with one added to its u32 at ``at``."""
@@ -512,11 +521,18 @@ def _add_one(blob, at):
     return bytes(blob)
 
 
+def _put(blob, at, fmt, value):
+    """``blob`` with ``value`` packed as ``fmt`` at ``at``."""
+    blob = bytearray(blob)
+    struct.pack_into(fmt, blob, at, value)
+    return bytes(blob)
+
+
 def _duplicate_b3(blob):
     # one more tensor in the count, after one LSTM layer, and a second fnn.b3
     b3 = np.full(5, 123.0, "<f8")
     return (_add_one(blob, len(b"NKFCKPT1") + 4 + 7 * 4 + 1 + 4 + 4 + 8)
-            + networks._pack_tensor("fnn.b3", b3) + b3.tobytes())
+            + networks._pack_tensor("fnn.b3", b3.shape) + b3.tobytes())
 
 
 def _huge_shape(blob):
@@ -537,13 +553,23 @@ def _misshaped(moment):
 
 def _swap_records(blob):
     # lstm0.b's record and head_amp.w's, the next one, traded places
-    a, b, c = (blob.index(networks._pack_tensor(name, np.empty(shape))) for name, shape in
+    a, b, c = (blob.index(networks._pack_tensor(name, shape)) for name, shape in
                (("lstm0.b", (8,)), ("head_amp.w", (2, 5)), ("head_amp.b", (5,))))
     return blob[:a] + blob[b:c] + blob[a:b] + blob[c:]
 
 
-#: the malformed files that the tests of ``TestDeterminismAndCheckpoints``
-#: make from a one-layer model's checkpoint; None stands for no file at all
+#: header values that no writer writes, as (offset, struct format, value) in
+#: either format's header, and the message naming each
+_BAD_HEADER_VALUES = {
+    "log-features-2": (40, "<B", 2, "log_features flag 2, expected 0 or 1"),
+    "window-0": (12, "<I", 0, "window 0, expected at least 1"),
+    "hop-0": (16, "<I", 0, "hop 0, expected at least 1"),
+    "sample_rate-0": (20, "<I", 0, "sample_rate 0, expected at least 1"),
+    "variance_span-0": (32, "<I", 0, "variance_span 0, expected at least 1"),
+}
+
+#: the malformed v1 files that the tests of ``TestDeterminismAndCheckpoints``
+#: make from ``_ONE_LAYER``'s checkpoint; None stands for no file at all
 _MALFORMED = {
     "bad-magic": lambda blob: b"NOTACKPT" + b"\0" * 64,
     "truncated": lambda blob: blob[:40],
@@ -560,6 +586,56 @@ _MALFORMED = {
     "adam_m-shape": _misshaped("adam_m"),
     "adam_v-shape": _misshaped("adam_v"),
 }
+
+_TRUNCATED = "malformed checkpoint: truncated$"
+
+#: the malformed v2 files made from ``_ONE_LAYER``'s checkpoint, each with
+#: the message ``load_checkpoint`` must raise
+_MALFORMED_V2 = {
+    "bad-magic": (lambda blob: b"NOTACKPT" + blob[8:], "malformed checkpoint: bad magic"),
+    "version-3": (lambda blob: _put(blob, 8, "<I", 3), "unsupported checkpoint version 3$"),
+    **{name: (lambda blob, at=at, fmt=fmt, value=value: _put(blob, at, fmt, value),
+              f"malformed checkpoint: {message}$")
+       for name, (at, fmt, value, message) in _BAD_HEADER_VALUES.items()},
+    # the header's dimensions give another layout: the first entry that differs
+    "n_bins": (lambda blob: _add_one(blob, 24), r"expected tensor lstm0\.wx of shape \(6, 8\)$"),
+    "context": (lambda blob: _add_one(blob, 28), r"expected tensor fnn\.w1 of shape \(20, 3\)$"),
+    "fnn_hidden": (lambda blob: _add_one(blob, 36),
+                   r"expected tensor fnn\.w1 of shape \(15, 4\)$"),
+    "units": (lambda blob: _add_one(blob, 45), r"expected tensor lstm0\.wx of shape \(5, 12\)$"),
+    "tensor-count": (lambda blob: _add_one(blob, 57), "14 tensors, expected 13$"),
+    "swapped": (_swap_records, r"expected tensor lstm0\.b of shape \(8,\)$"),
+    "huge-shape": (_huge_shape, r"expected tensor lstm0\.wx of shape \(5, 8\)$"),
+    "non-utf8": (lambda blob: blob.replace(b"lstm0.wx", b"\xfflstm0.x", 1),
+                 r"expected tensor lstm0\.wx of shape \(5, 8\)$"),
+    "empty": (lambda blob: b"", _TRUNCATED),
+    "truncated-header": (lambda blob: blob[:40], _TRUNCATED),
+    "truncated-units": (lambda blob: blob[:47], _TRUNCATED),
+    "truncated-layout": (lambda blob: blob[:_V2_LAYOUT + 20], _TRUNCATED),
+    "truncated-padding": (lambda blob: blob[:2000], _TRUNCATED),
+    "truncated-values": (lambda blob: blob[:_V2_ARENAS[0] + 800], _TRUNCATED),
+    "truncated-gap": (lambda blob: blob[:_V2_ARENAS[1] - 8], _TRUNCATED),
+    "truncated-adam_m": (lambda blob: blob[:_V2_ARENAS[1] + 800], _TRUNCATED),
+    "truncated-adam_v": (lambda blob: blob[:-1], _TRUNCATED),
+    "nonzero-padding": (lambda blob: _put(blob, 2000, "<B", 1), "nonzero padding$"),
+    "nonzero-gap": (lambda blob: _put(blob, _V2_ARENAS[1] - 1, "<B", 1), "nonzero padding$"),
+    "nonzero-last-gap": (lambda blob: _put(blob, _V2_ARENAS[2] - 8, "<d", 1.0),
+                         "nonzero padding$"),
+    "trailing-garbage": (lambda blob: blob + bytes(range(24)), "trailing bytes after adam_v$"),
+    "trailing-copy": (lambda blob: blob + blob, "trailing bytes after adam_v$"),
+}
+
+
+def _present_pages(arena) -> int:
+    """How many of ``arena``'s pages are mapped into this process, from
+    /proc/self/pagemap (bit 63 of a page's entry)."""
+    page = mmap.PAGESIZE
+    start = arena.__array_interface__["data"][0] // page
+    stop = -(-(arena.__array_interface__["data"][0] + arena.nbytes) // page)
+    with open("/proc/self/pagemap", "rb") as fh:
+        fh.seek(8 * start)
+        entries = np.frombuffer(fh.read(8 * (stop - start)), "<u8")
+    return int(np.count_nonzero(entries >> np.uint64(63)))
 
 
 class TestDeterminismAndCheckpoints:
@@ -635,11 +711,30 @@ class TestDeterminismAndCheckpoints:
         save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_load_holds_the_tensors_once(self, tmp_path):
-        # each tensor is read straight into its array: reading the whole
-        # file first and copying every tensor out of it peaked at twice this
+    def test_v2_file_is_laid_out_as_declared(self, tmp_path):
+        m = build_model(**_ONE_LAYER)
+        save_checkpoint(m, tmp_path / "model.nkf")
+        blob = (tmp_path / "model.nkf").read_bytes()
+        assert struct.unpack_from("<I", blob, 8) == (2,)
+        layout = b"".join(networks._pack_tensor(name, shape)
+                          for name, shape in networks._param_shapes(5, (2,), 2, 3).items())
+        assert blob[_V2_LAYOUT:_V2_LAYOUT + len(layout)] == layout
+        assert len(blob) == _V2_SIZE and m.values.size == 174
+        gaps = [(_V2_LAYOUT + len(layout), _V2_ARENAS[0])]
+        gaps += [(a + 8 * 174, b) for a, b in zip(_V2_ARENAS, _V2_ARENAS[1:])]
+        for a, b in gaps:
+            assert blob[a:b] == bytes(b - a)
+        for start, arena in zip(_V2_ARENAS, (m.values, m.adam_m, m.adam_v)):
+            assert blob[start:start + 8 * 174] == arena.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("writer, bound", [
+        (save_checkpoint_copying, 1.1), (save_checkpoint, 0.01)], ids=["v1", "v2"])
+    def test_load_holds_the_tensors_at_most_once(self, tmp_path, writer, bound):
+        # v1: each tensor is read straight into its array (reading the whole
+        # file first and copying every tensor out of it peaked at twice this);
+        # v2: the arenas are views of the mapped file, not heap memory
         path = tmp_path / "model.nkf"
-        save_checkpoint(build_model(129, seed=0), path)
+        writer(build_model(129, seed=0), path)
         size = os.path.getsize(path)
         tracemalloc.start()
         try:
@@ -649,25 +744,29 @@ class TestDeterminismAndCheckpoints:
         finally:
             tracemalloc.stop()
         assert loaded.n_bins == 129
-        assert peak <= 1.1 * size, peak / size
+        assert peak <= bound * size, peak / size
 
     @pytest.mark.parametrize("shape, stepped", _CHECKPOINT_SHAPES)
-    def test_save_writes_the_copying_writers_bytes(self, tmp_path, shape, stepped):
+    def test_v1_file_loads_as_the_v2_file(self, tmp_path, shape, stepped):
         m = build_model(**shape, seed=5)
         if stepped:
             m.grads[:] = np.random.default_rng(6).standard_normal(m.grads.size)
             optimizer_step(m)
             assert m.adam_step == 1
-        save_checkpoint(m, tmp_path / "new.nkf")
-        save_checkpoint_copying(m, tmp_path / "old.nkf")
-        assert (tmp_path / "new.nkf").read_bytes() == (tmp_path / "old.nkf").read_bytes()
-        for name in ("new.nkf", "old.nkf"):
+        save_checkpoint_copying(m, tmp_path / "v1.nkf")
+        save_checkpoint(m, tmp_path / "v2.nkf")
+        assert struct.unpack_from("<I", (tmp_path / "v1.nkf").read_bytes(), 8) == (1,)
+        for name in ("v1.nkf", "v2.nkf"):
             loaded = load_checkpoint(tmp_path / name)
-            assert loaded.adam_step == m.adam_step
-            for k, p in m.parameters().items():
-                assert np.array_equal(loaded.parameters()[k].values, p.values), k
-            assert np.array_equal(loaded.adam_m, m.adam_m)
-            assert np.array_equal(loaded.adam_v, m.adam_v)
+            assert [getattr(loaded, d) for d in networks._DIMS] == \
+                [getattr(m, d) for d in networks._DIMS]
+            assert (loaded.units, loaded.log_features, loaded.adam_step) == \
+                (m.units, m.log_features, m.adam_step)
+            for arena in ("values", "adam_m", "adam_v"):
+                assert np.array_equal(getattr(loaded, arena), getattr(m, arena)), arena
+        # a v1 file saved again is the v2 file
+        save_checkpoint(load_checkpoint(tmp_path / "v1.nkf"), tmp_path / "resaved.nkf")
+        assert (tmp_path / "resaved.nkf").read_bytes() == (tmp_path / "v2.nkf").read_bytes()
 
     def test_save_makes_no_tensor_sized_copy(self, tmp_path):
         # a 15.5 MB desk checkpoint; a writer that packs each tensor into
@@ -682,23 +781,85 @@ class TestDeterminismAndCheckpoints:
             tracemalloc.stop()
         assert peak < 2 ** 20, peak / 2 ** 20
 
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.nkf"
-        path.write_bytes(b"NOTACKPT" + b"\0" * 64)
-        with pytest.raises(DataError, match="magic"):
-            load_checkpoint(path)
+    def test_loaded_model_keeps_its_weights_when_the_path_is_replaced(self, tmp_path):
+        path = tmp_path / "model.nkf"
+        first, second = (build_model(129, seed=seed) for seed in (0, 1))
+        save_checkpoint(first, path)
+        loaded = load_checkpoint(path)
+        save_checkpoint(second, path)   # a new file moved over the mapped one
+        assert np.array_equal(loaded.values, first.values)
+        assert np.array_equal(load_checkpoint(path).values, second.values)
+        # a mapped model saved over its own file writes what it holds
+        save_checkpoint(loaded, path)
+        assert np.array_equal(load_checkpoint(path).values, first.values)
+        assert np.array_equal(loaded.values, first.values)
 
-    def test_truncated_checkpoint_rejected(self, tmp_path):
-        m = build_model(5, lstm_units=(2,), fnn_hidden=3, context=2, seed=0)
+    def test_training_a_loaded_model_leaves_its_file(self, tmp_path):
+        # Adam on the mapped arenas moves them as on arenas in memory, and its
+        # in-place writes stay in this process's copies of the pages
+        m = build_model(9, lstm_units=(4, 3), fnn_hidden=6, context=3, seed=11)
         path = tmp_path / "model.nkf"
         save_checkpoint(m, path)
-        path.write_bytes(path.read_bytes()[:40])
-        with pytest.raises(DataError, match="truncated"):
+        before = path.read_bytes()
+        loaded = load_checkpoint(path)
+        rng = np.random.default_rng(12)
+        for _ in range(2):
+            g = rng.standard_normal(m.grads.size)
+            for model in (m, loaded):
+                model.grads[:] = g
+                optimizer_step(model)
+        for arena in ("values", "adam_m", "adam_v"):
+            assert np.array_equal(getattr(loaded, arena), getattr(m, arena)), arena
+        assert loaded.adam_step == 2
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).adam_step == 0
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/pagemap"),
+                        reason="reads which pages are mapped from /proc/self/pagemap")
+    def test_inference_maps_no_moment_pages(self, tmp_path):
+        if _present_pages(np.ones(4 * mmap.PAGESIZE // 8)) == 0:
+            pytest.skip("/proc/self/pagemap shows no page as present")
+        path = tmp_path / "model.nkf"
+        save_checkpoint(build_model(129, seed=0), path)
+        loaded = load_checkpoint(path)
+        arenas = (loaded.values, loaded.adam_m, loaded.adam_v)
+        assert [_present_pages(a) for a in arenas] == [0, 0, 0]
+        t = np.arange(16000) / 16000
+        enhance(loaded, Waveform(0.3 * np.sin(2 * np.pi * 220 * t)), "nkf")
+        values, *moments = (_present_pages(a) for a in arenas)
+        pages = -(-loaded.values.nbytes // mmap.PAGESIZE)
+        assert values >= pages - 1
+        # the kernel may map a few neighbouring pages of the page cache with
+        # each one read (fault-around, 64 KiB by default)
+        assert sum(moments) <= 2 * (1 << 16) // mmap.PAGESIZE, moments
+        loaded.grads[:] = 1.0
+        optimizer_step(loaded)
+        assert all(_present_pages(a) >= pages - 1 for a in arenas)
+
+    @pytest.mark.parametrize("corrupt, message", _MALFORMED_V2.values(), ids=_MALFORMED_V2)
+    def test_malformed_v2_file_rejected(self, tmp_path, monkeypatch, corrupt, message):
+        path = tmp_path / "model.nkf"
+        save_checkpoint(build_model(**_ONE_LAYER), path)
+        blob = path.read_bytes()
+        assert len(blob) == _V2_SIZE
+        path.write_bytes(corrupt(blob))
+        # every check comes before the file is mapped and a model is made
+        monkeypatch.setattr(networks, "mmap", None)
+        with pytest.raises(DataError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("at, fmt, value, message", _BAD_HEADER_VALUES.values(),
+                             ids=_BAD_HEADER_VALUES)
+    def test_v1_header_values_checked(self, tmp_path, at, fmt, value, message):
+        path = tmp_path / "model.nkf"
+        save_checkpoint_copying(build_model(**_ONE_LAYER), path)
+        path.write_bytes(_put(path.read_bytes(), at, fmt, value))
+        with pytest.raises(DataError, match=f"malformed checkpoint: {message}$"):
             load_checkpoint(path)
 
     # header offsets of u32 fields: n_bins, context, fnn_hidden, first layer's
-    # units; and the first record that the claim does not match, or, where the
-    # claim's arenas need more than the file holds, truncation
+    # units; and the first v1 record that the claim does not match, or, where
+    # the claim's arenas need more than the file holds, truncation
     @pytest.mark.parametrize("offset, message", [
         (24, r"expected tensor lstm0\.wx of shape \(6, 8\)$"),
         (28, r"expected tensor fnn\.w1 of shape \(20, 3\)$"),
@@ -709,11 +870,8 @@ class TestDeterminismAndCheckpoints:
         # the claim is one more than the tensors hold: harmless even if it were
         # built, but load must reject it from the tensor shapes alone
         path = tmp_path / "model.nkf"
-        save_checkpoint(build_model(5, lstm_units=(2,), fnn_hidden=3, context=2,
-                                    seed=0), path)
-        blob = bytearray(path.read_bytes())
-        struct.pack_into("<I", blob, offset, struct.unpack_from("<I", blob, offset)[0] + 1)
-        path.write_bytes(bytes(blob))
+        save_checkpoint_copying(build_model(**_ONE_LAYER), path)
+        path.write_bytes(_add_one(path.read_bytes(), offset))
 
         def refuse(*args, **kwargs):
             raise AssertionError("built a model from an unchecked header")
@@ -722,26 +880,11 @@ class TestDeterminismAndCheckpoints:
         with pytest.raises(DataError, match="malformed checkpoint: " + message):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("tail", ["garbage", "second copy"])
-    def test_trailing_bytes_rejected(self, tmp_path, tail):
-        path = tmp_path / "model.nkf"
-        save_checkpoint(build_model(5, lstm_units=(2,), fnn_hidden=3, context=2,
-                                    seed=0), path)
-        blob = path.read_bytes()
-        path.write_bytes(blob + (bytes(range(24)) if tail == "garbage" else blob))
-        with pytest.raises(DataError, match="malformed checkpoint: trailing bytes"):
-            load_checkpoint(path)
-
     def test_duplicate_tensor_rejected(self, tmp_path):
-        # one more tensor in the count, and a second fnn.b3 after the first
+        # one more tensor in the v1 count, and a second fnn.b3 after the first
         path = tmp_path / "model.nkf"
-        save_checkpoint(build_model(5, lstm_units=(2,), fnn_hidden=3, context=2,
-                                    seed=0), path)
-        blob = bytearray(path.read_bytes())
-        at = len(b"NKFCKPT1") + 4 + 7 * 4 + 1 + 4 + 4 + 8   # one LSTM layer
-        struct.pack_into("<I", blob, at, struct.unpack_from("<I", blob, at)[0] + 1)
-        b3 = np.full(5, 123.0, "<f8")
-        path.write_bytes(bytes(blob) + networks._pack_tensor("fnn.b3", b3) + b3.tobytes())
+        save_checkpoint_copying(build_model(**_ONE_LAYER), path)
+        path.write_bytes(_duplicate_b3(path.read_bytes()))
         with pytest.raises(DataError, match=r"malformed checkpoint: 40 tensors, expected 39$"):
             load_checkpoint(path)
 
@@ -751,22 +894,17 @@ class TestDeterminismAndCheckpoints:
             load_checkpoint(path)
 
     def test_huge_tensor_shape_is_truncation(self, tmp_path):
-        # four dimensions of 2^32 - 1: the product overflows 64 bits
+        # four dimensions of 2^32 - 1 in a v1 record: the product overflows 64 bits
         path = tmp_path / "model.nkf"
-        save_checkpoint(build_model(5, lstm_units=(2,), fnn_hidden=3, context=2,
-                                    seed=0), path)
-        blob = path.read_bytes()
-        at = blob.index(b"lstm0.wx") + len(b"lstm0.wx")
-        path.write_bytes(blob[:at] + struct.pack("<B4I", 4, *[2**32 - 1] * 4)
-                         + blob[at + 9:])
+        save_checkpoint_copying(build_model(**_ONE_LAYER), path)
+        path.write_bytes(_huge_shape(path.read_bytes()))
         with pytest.raises(DataError, match=r"malformed checkpoint: expected tensor "
                            r"lstm0\.wx of shape \(5, 8\)$"):
             load_checkpoint(path)
 
     def test_non_utf8_tensor_name_rejected(self, tmp_path):
         path = tmp_path / "model.nkf"
-        save_checkpoint(build_model(5, lstm_units=(2,), fnn_hidden=3, context=2,
-                                    seed=0), path)
+        save_checkpoint_copying(build_model(**_ONE_LAYER), path)
         blob = path.read_bytes()
         path.write_bytes(blob.replace(b"lstm0.wx", b"\xfflstm0.x", 1))
         with pytest.raises(DataError, match=r"malformed checkpoint: expected tensor "
@@ -775,39 +913,35 @@ class TestDeterminismAndCheckpoints:
 
     @pytest.mark.parametrize("moment", ["adam_m", "adam_v"])
     def test_moment_shape_mismatch_rejected(self, tmp_path, moment):
-        # the file's moment record of fnn.b3, shape (5,), made a (7,) record
+        # the v1 file's moment record of fnn.b3, shape (5,), made a (7,) record
         path = tmp_path / "model.nkf"
-        save_checkpoint(build_model(5, lstm_units=(2,), fnn_hidden=3, context=2,
-                                    seed=0), path)
-        blob = bytearray(path.read_bytes())
+        save_checkpoint_copying(build_model(**_ONE_LAYER), path)
+        blob = path.read_bytes()
         at = blob.index(f"{moment}.fnn.b3".encode()) + len(f"{moment}.fnn.b3") + 1
         assert struct.unpack_from("<I", blob, at) == (5,)
-        struct.pack_into("<I", blob, at, 7)
-        blob[at + 4 + 5 * 8:at + 4 + 5 * 8] = bytes(2 * 8)
-        path.write_bytes(bytes(blob))
+        path.write_bytes(_misshaped(moment)(blob))
         with pytest.raises(DataError, match=rf"malformed checkpoint: expected tensor "
                            rf"{moment}\.fnn\.b3 of shape \(5,\)$"):
             load_checkpoint(path)
 
-    # (file, whether the one-pass reader loads it, whether the seeking oracle does)
+    # (v1 file, whether the one-pass reader loads it, whether the seeking oracle does)
     @pytest.mark.parametrize("shape, stepped, corrupt, loads", [
         *(pytest.param(*case.values, None, (True, True), id=case.id)
           for case in _CHECKPOINT_SHAPES),
-        *(pytest.param(dict(n_bins=5, lstm_units=(2,), fnn_hidden=3, context=2), False,
-                       corrupt, (False, False), id=name)
+        *(pytest.param(_ONE_LAYER, False, corrupt, (False, False), id=name)
           for name, corrupt in _MALFORMED.items()),
-        # the one input the one-pass reader narrows: records out of declared order
-        pytest.param(dict(n_bins=5, lstm_units=(2,), fnn_hidden=3, context=2), False,
-                     _swap_records, (False, True), id="swapped"),
+        # the one input the one-pass reader narrows but for header values
+        # (test_v1_header_values_checked): records out of declared order
+        pytest.param(_ONE_LAYER, False, _swap_records, (False, True), id="swapped"),
     ])
     def test_one_pass_reader_agrees_with_the_seeking_oracle(self, tmp_path, shape,
                                                             stepped, corrupt, loads):
-        m = build_model(**shape, seed=0)
+        m = build_model(**{"seed": 0, **shape})
         if stepped:
             m.grads[:] = np.random.default_rng(6).standard_normal(m.grads.size)
             optimizer_step(m)
         path = tmp_path / "model.nkf"
-        save_checkpoint(m, path)
+        save_checkpoint_copying(m, path)
         if corrupt is not None:
             blob = corrupt(path.read_bytes())
             if blob is None:
@@ -829,26 +963,13 @@ class TestDeterminismAndCheckpoints:
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.nkf"
-        save_checkpoint(build_model(5, lstm_units=(2,), fnn_hidden=3, context=2,
-                                    seed=0), path)
+        save_checkpoint(build_model(**_ONE_LAYER), path)
         before = path.read_bytes()
         assert os.listdir(tmp_path) == ["model.nkf"]
-
-        real_pack = networks._pack_tensor
-        packed = []
-
-        def pack_then_fail(name, arr):
-            # header and five tensors reach the temporary file, then the write fails
-            if len(packed) == 5:
-                assert len(os.listdir(tmp_path)) == 2   # the partial temporary file
-                raise OSError("disk full")
-            packed.append(name)
-            return real_pack(name, arr)
-
-        monkeypatch.setattr(networks, "_pack_tensor", pack_then_fail)
-        newer = build_model(5, lstm_units=(2,), fnn_hidden=3, context=2, seed=1)
+        # the header and layout reach the temporary file, then a write fails
+        fail_writes(monkeypatch, "model.nkf.tmp")
+        newer = build_model(**{**_ONE_LAYER, "seed": 1})
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(newer, path)
-        assert len(packed) == 5
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.nkf"]

@@ -25,7 +25,7 @@ def test_two_runs_write_equal_fingerprints(tmp_path):
     report = json.loads(outs[0].read_text())
     assert float(report["gradient_check"]) < 1e-6
     for run in ("desk", "seq_len_1024"):
-        assert {"model.nkf", "loss_history.csv"} <= report[run].keys()
+        assert {"model.nkf", "model.nkf:content", "loss_history.csv"} <= report[run].keys()
     for key in ("nkf", "kf", "wiener", "lstm", "kf_oracle", "wiener_oracle"):
         files = report[f"enhance_{key}"]
         assert "test_0000.wav" in files and "test_0000_grids.npz:amp_out" in files

@@ -5,12 +5,16 @@
 writes, as JSON, the sha256 of every file that ``nkf train`` leaves in its
 run directory (each checkpoint, ``loss_history.csv``, ``resolved.cfg``) for
 a 9-step desk run on 2 s utterances and for a 3-step run on 17 s utterances
-cut to ``seq_len`` 1024 frames; the repr of ``gradient_check(0)`` as a
-float; and, for each ``--method``, the sha256 of the WAV and of every
+cut to ``seq_len`` 1024 frames, and beside each checkpoint's the sha256 of
+its content as loaded (``<file>:content``: dimensions, units, feature flag,
+Adam step and the three arenas' bytes); the repr of ``gradient_check(0)``
+as a float; and, for each ``--method``, the sha256 of the WAV and of every
 ``--dump-grids`` grid that ``nkf enhance`` writes for the test split with
 the desk run's model, and for ``kf`` and ``wiener`` with ``--oracle-noise``
 too. A change that claims bit-identical outputs writes this file on its
-parent's tree and on its own, and the two files compare equal with ``cmp``.
+parent's tree and on its own, and the two files compare equal with ``cmp``;
+where the change is to the checkpoint format, only the ``.nkf`` file hashes
+differ, and the content hashes are equal.
 
 Each ``--set`` is applied to every run after the settings above. One BLAS
 thread is used unless ``OPENBLAS_NUM_THREADS`` says otherwise, because the
@@ -30,7 +34,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from nkf import enhancer  # noqa: E402
+from nkf import enhancer, networks  # noqa: E402
 from nkf.cli import main as nkf  # noqa: E402
 
 #: (name, settings, training steps) of the two training runs
@@ -49,12 +53,25 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _content_hash(path) -> str:
+    """sha256 of a checkpoint as loaded: its header fields, then its arenas."""
+    m = networks.load_checkpoint(path)
+    h = hashlib.sha256(repr(([getattr(m, d) for d in networks._DIMS], m.units,
+                             m.log_features, m.adam_step)).encode())
+    for arena in (m.values, m.adam_m, m.adam_v):
+        h.update(np.ascontiguousarray(arena, dtype="<f8"))
+    return h.hexdigest()
+
+
 def _file_hashes(directory) -> dict:
-    """sha256 per file; an ``.npz`` file per array (its zip entries carry
+    """sha256 per file, and per ``.nkf`` file of its content too, keyed
+    ``file:content``; an ``.npz`` file per array (its zip entries carry
     timestamps), keyed ``file:array`` and covering dtype and shape too."""
     out = {}
     for name in sorted(os.listdir(directory)):
         path = os.path.join(directory, name)
+        if name.endswith(".nkf"):
+            out[f"{name}:content"] = _content_hash(path)
         if name.endswith(".npz"):
             with np.load(path) as grids:
                 for key in sorted(grids.files):
